@@ -1167,6 +1167,11 @@ def dispatch(argv=None):
     except (ValueError, TypeError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
+    except MemoryError as exc:
+        # oversized requests (say, a huge --oracle-bound) end like any
+        # other bad input instead of in a traceback
+        sys.stderr.write("error: %s\n" % (str(exc) or "out of memory",))
+        return 2
 
 
 def main(argv=None):

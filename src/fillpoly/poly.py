@@ -12,7 +12,9 @@ one level up, in RatFunc.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import neg
 
 try:
     from gmpy2 import mpz as _mpz
@@ -398,8 +400,17 @@ class Poly:
 
 # --- exact division ------------------------------------------------------
 #
-# poly_divides tests exact divisibility by recursive univariate division in
-# the last variable: write both polynomials in the last variable with
+# poly_divides takes the cheapest route the divisor allows.  A monomial
+# divisor shifts exponents.  A binomial +-x^a + t, with a +-1 on a pure
+# power of one variable x and t free of x (every RatFunc.reduced candidate
+# of the family pipelines has this shape), is one pass of sparse synthetic
+# division down the x-degrees of the dividend: O(terms), with no screens,
+# content or dense form.  Over Q[other variables] such a divisor is monic
+# in x, so the remainder of x-degree below a is unique and the division is
+# exact exactly when that remainder is zero.
+#
+# Any other divisor goes through recursive univariate division in the last
+# variable: write both polynomials in the last variable with
 # coefficients in the remaining ones, then repeatedly divide leading
 # coefficients (recursively, exactly).  Over an integral domain the leading
 # coefficient of a product is the product of leading coefficients, so every
@@ -437,6 +448,11 @@ def poly_divides(d, p):
                 return False, None
             out[nexps] = _div_coef(c, dc)
         return True, Poly(p.vars, out)
+    if len(d.terms) == 2:
+        split = _binomial_split(d)
+        if split is not None:
+            q = _binomial_divide(p, *split)
+            return (False, None) if q is None else (True, q)
     # a quotient would force componentwise bounds on both extreme exponents
     if any(a > b for a, b in zip(d.max_degrees(), p.max_degrees())):
         return False, None
@@ -475,6 +491,110 @@ def poly_divides(d, p):
 
 def _div_coef(a, b):
     return _clean_coef(Fraction(a) / Fraction(b))
+
+
+def _binomial_split(d):
+    """Read a two-term divisor as s*x^a + ct*y^beta, or None.
+
+    Needs s = +-1 on a pure power x^a (a >= 1) of one variable x and a
+    second monomial y^beta free of x.  Returns (xi, a, s, beta, ct), xi
+    being the index of x.
+    """
+    (e1, c1), (e2, c2) = d.terms.items()
+    for ea, s, eb, ct in ((e1, c1, e2, c2), (e2, c2, e1, c1)):
+        if s != 1 and s != -1:
+            continue
+        nz = [i for i, e in enumerate(ea) if e]
+        if len(nz) == 1 and not eb[nz[0]]:
+            xi = nz[0]
+            return xi, ea[xi], s, eb, ct
+    return None
+
+
+def _binomial_divide(p, xi, a, s, beta, ct):
+    """Exact quotient of p by s*x^a + ct*y^beta, or None when inexact.
+
+    Synthetic division: the divisor is monic (up to the sign s) in x with
+    coefficients free of x, so the quotient is read off the dividend level
+    by level, from the top x-degree down.  The running remainder's
+    coefficient at x-degree k >= a is the quotient's (times s) at k - a,
+    and that coefficient times u = s*ct is subtracted at level k - a,
+    shifted by beta.  Levels below a must end up empty.
+
+    Within a level a monomial is keyed by one int packing its other
+    exponents (the exponent itself when there are two variables), so each
+    step is one integer addition.  The radices bound the exponents that
+    the loop can reach: every step down one level adds beta once.
+    """
+    terms = p.terms
+    nv = len(p.vars)
+    rest = [i for i in range(nv) if i != xi]
+    u = s * ct
+    if nv == 2:
+        j = rest[0]
+        levels = {}
+        for exps, c in terms.items():
+            levels.setdefault(exps[xi], {})[exps[j]] = c
+        bkey = beta[j]
+    else:
+        degs = p.max_degrees()
+        steps = degs[xi] // a
+        strides = []
+        stride = 1
+        for i in reversed(rest):
+            strides.append(stride)
+            stride *= degs[i] + steps * beta[i] + 1
+        strides.reverse()
+        levels = {}
+        for exps, c in terms.items():
+            key = 0
+            for i, st in zip(rest, strides):
+                key += exps[i] * st
+            levels.setdefault(exps[xi], {})[key] = c
+        bkey = sum(beta[i] * st for i, st in zip(rest, strides))
+    qlevels = []
+    for k in range(max(levels), a - 1, -1):
+        lev = levels.pop(k, None)
+        if not lev:
+            continue
+        tgt = levels.get(k - a)
+        if tgt is None:
+            levels[k - a] = tgt = {}
+        ql = {}
+        for r, c in lev.items():
+            if c:
+                ql[r] = c
+                r += bkey
+                tgt[r] = tgt.get(r, 0) - u * c
+        qlevels.append((k - a, ql))
+    for lev in levels.values():
+        if any(lev.values()):
+            return None
+    # integral Fraction sums collapse to int, as everywhere in Poly
+    clean = isinstance(u, Fraction) or Fraction in set(map(type, terms.values()))
+    out = {}
+    for k, ql in qlevels:
+        coefs = ql.values()
+        if clean:
+            coefs = map(_clean_coef, coefs)
+        if s == -1:
+            coefs = map(neg, coefs)
+        if nv == 2:
+            keys = zip(repeat(k), ql) if xi == 0 else zip(ql, repeat(k))
+        else:
+            keys = [_unpack(r, k, xi, strides) for r in ql]
+        out.update(zip(keys, coefs))
+    return Poly._raw(p.vars, out)
+
+
+def _unpack(key, k, xi, strides):
+    """Exponent tuple from a packed key of the other variables and x-degree k."""
+    exps = []
+    for st in strides:
+        e, key = divmod(key, st)
+        exps.append(e)
+    exps.insert(xi, k)
+    return tuple(exps)
 
 
 # Recursive dense representation: a polynomial in k variables is a list

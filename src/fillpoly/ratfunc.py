@@ -11,7 +11,10 @@ through cross-multiplication.
 Multiplication and division try exact cross-cancellation through
 poly_divides first.  That keeps the iterated exchange of the tail
 construction fully reduced, where the denominators must stay plain
-monomials.
+monomials.  reduced() cancels a caller's list of likely factors, each as
+often as it divides both sides.  The family pipelines pass binomials such
+as L - M, which poly_divides tests by one pass of sparse synthetic
+division instead of recursive dense division, so a trial costs O(terms).
 """
 
 from fractions import Fraction

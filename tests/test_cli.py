@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from fillpoly import cli
 from fillpoly.cli import dispatch
 
 
@@ -148,3 +150,37 @@ def test_selftest_quick(capsys):
     assert "fixture-table-audit" in fails[0]
     assert "g_-1/1" in fails[0]
     assert lines[-1] == "selftest: 27/28 checks passed"
+
+
+# sha256 of `apoly --json` at m = 1, taken with recursive dense division for
+# every divisor: faster division or reduction must leave these bytes alone
+APOLY_M1_SHA256 = {
+    ("pretzel238", "pos"):
+        "6c799e43ba2152de18444ba14254b42656648615b0d269dda8accba45028ecac",
+    ("pretzel238", "neg"):
+        "5a715c7878ee6db8460619839a74cda315aba28359e64cd5ba8c1b2a3f076ccf",
+    ("whitehead", "pos"):
+        "52de6cc22afdb28b99c058f39d2701e932050233445b80d00eb999b863e7a667",
+    ("whitehead", "neg"):
+        "26786aaa0ba7d571540c9792c01b587a4b7b10438cdc1b1e90f4b0ed142d3188",
+}
+
+
+@pytest.mark.parametrize("family,sign", sorted(APOLY_M1_SHA256))
+def test_apoly_json_golden_bytes(capsys, family, sign):
+    rc, out, _ = run(capsys, "apoly", "--family", family, "--sign", sign,
+                     "--m", "1", "--json")
+    assert rc == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == APOLY_M1_SHA256[family, sign]
+
+
+def test_memory_error_exits_cleanly(capsys, monkeypatch):
+    def exhausted(args, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_farey_cross", exhausted)
+    rc, out, err = run(capsys, "farey", "cross", "--from", "0/1", "--to", "1/0")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: out of memory\n"

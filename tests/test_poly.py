@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly import poly as poly_mod
+from fillpoly.families import REDUCE_CANDIDATES
+from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, poly_divides
+from fillpoly.ptolemy import PVARS
+from fillpoly.ratfunc import parse_poly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -187,3 +192,117 @@ def test_to_json_round_trip_fields():
     assert data["vars"] == ["x", "y"]
     assert data["terms"] == [{"coef": "-3", "exps": [1, 2]},
                              {"coef": "1/2", "exps": [0, 0]}]
+
+
+# --- binomial divisors: sparse synthetic division -------------------------
+
+# (divisor text, variable table, variable the divisor is monic in, degree)
+BINOMIALS = [(str(c), PVARS, None, None) for c in REDUCE_CANDIDATES] + [
+    ("-L + M", PVARS, "M", 1),
+    ("1 - M", PVARS, "M", 1),
+    ("M^3 - L^2", PVARS, "M", 3),
+    ("g_f - g_o", TAIL_VARS, "g_f", 1),
+    ("-g_p^2 + g_f*g_o", TAIL_VARS, "g_p", 2),
+    ("g_o^3 + 1/2*g_f*g_p^2", TAIL_VARS, "g_o", 3),
+]
+
+
+def _monic_var(d, xname=None):
+    """(index, degree) of a variable d is monic in, up to sign."""
+    for exps, c in d.terms.items():
+        nz = [i for i, e in enumerate(exps) if e]
+        if abs(c) != 1 or len(nz) != 1:
+            continue
+        if xname is not None and d.vars[nz[0]] != xname:
+            continue
+        (other,) = [e for e in d.terms if e != exps]
+        if not other[nz[0]]:
+            return nz[0], exps[nz[0]]
+    raise AssertionError("%s is not a binomial the branch handles" % (d,))
+
+
+def _divisor(spec):
+    text, vars, xname, a = spec
+    d = parse_poly(text, vars)
+    xi, deg = _monic_var(d, xname)
+    assert a is None or deg == a
+    return d, xi, deg
+
+
+# halves make running sums like 3/2 - 1/2 come out integral
+half_coefs = st.one_of(st.integers(min_value=-9, max_value=9),
+                       st.integers(min_value=-9, max_value=9).map(
+                           lambda k: Fraction(k, 2)))
+
+
+def _terms(nv, max_deg, coef, min_size=0, cap=None):
+    degs = [st.integers(min_value=0, max_value=max_deg) for _ in range(nv)]
+    if cap is not None:
+        xi, a = cap
+        degs[xi] = st.integers(min_value=0, max_value=a - 1)
+    return st.dictionaries(st.tuples(*degs), coef, min_size=min_size,
+                           max_size=6)
+
+
+def _assert_clean(q):
+    for c in q.terms.values():
+        assert c
+        assert type(c) is int or c.denominator != 1
+
+
+def _no_recursive_division(*args):
+    raise AssertionError("binomial divisor reached the recursive path")
+
+
+@pytest.mark.parametrize("spec", BINOMIALS, ids=[b[0] for b in BINOMIALS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_binomial_divisor_hits(spec, data):
+    d, _, _ = _divisor(spec)
+    vars = d.vars
+    q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_mod, "_rec_divide", _no_recursive_division)
+        ok, got = poly_divides(d, q * d)
+    assert ok
+    assert got.terms == q.terms
+    _assert_clean(got)
+
+
+@pytest.mark.parametrize("spec", BINOMIALS, ids=[b[0] for b in BINOMIALS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_binomial_divisor_misses(spec, data):
+    d, xi, a = _divisor(spec)
+    vars = d.vars
+    nonzero = half_coefs.filter(bool)
+    q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
+    r = Poly(vars, data.draw(_terms(len(vars), 4, nonzero, 1, (xi, a))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_mod, "_rec_divide", _no_recursive_division)
+        assert poly_divides(d, q * d + r) == (False, None)
+
+
+def test_binomial_divisor_fixed_cases():
+    M = Poly.variable(PVARS, "M")
+    L = Poly.variable(PVARS, "L")
+    # 3/2 - 1/2 cancels to an integral Fraction, which must be stored as int
+    q = M**2 * Fraction(1, 2) + M + Fraction(1, 2)
+    ok, got = poly_divides(M + 1, q * (M + 1))
+    assert ok and got.terms == {(0, 2): Fraction(1, 2), (0, 1): 1,
+                                (0, 0): Fraction(1, 2)}
+    assert type(got.terms[(0, 1)]) is int
+    # a -1 on the pure power flips the quotient's sign
+    ok, got = poly_divides(1 - M, M**2 - 1)
+    assert ok and got == -M - 1
+    ok, got = poly_divides(M**3 - L**2, M**6 - L**4)
+    assert ok and got == M**3 + L**2
+    ok, got = poly_divides(L - M, Poly.zero(PVARS))
+    assert ok and got.is_zero()
+    assert poly_divides(L - M, L**2 - M) == (False, None)
+    # x-degree below the divisor's: nothing to divide
+    assert poly_divides(L**2 - M, L + 1) == (False, None)
+    # the remainder's g_p-degree outgrows the dividend's; packed exponent
+    # keys must not let g_p alias g_o
+    gf, go, gp = (Poly.variable(TAIL_VARS, v) for v in TAIL_VARS)
+    assert poly_divides(gf - gp, gf - go) == (False, None)

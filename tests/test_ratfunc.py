@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.poly import Poly
 from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly, parse_ratfunc,
                               substitute_basis)
@@ -150,3 +151,16 @@ def test_to_json_shape():
     data = r.to_json()
     assert set(data) == {"num", "den"}
     assert data["num"]["vars"] == ["L", "M"]
+
+
+def test_reduced_strips_full_common_multiplicity_and_no_more():
+    r = RatFunc(parse_poly("(L - M)^3 * (M + 1)", LM),
+                parse_poly("(L - M)^2 * (M - 1) * (L + 1)", LM))
+    out = r.reduced(REDUCE_CANDIDATES)
+    assert out.num == parse_poly("(L - M) * (M + 1)", LM)
+    assert out.den == parse_poly("(M - 1) * (L + 1)", LM)
+    r = rf("(L - M)^3 * (M + 1) / ((L - M)^2 * M)")
+    out = r.reduced(REDUCE_CANDIDATES)
+    assert (out.num, out.den) == (parse_poly("(L - M) * (M + 1)", LM),
+                                  parse_poly("M", LM))
+    assert str(out) == "(L*M + L - M^2 - M)/(M)"
