@@ -12,14 +12,10 @@ one level up, in RatFunc.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd
 from operator import neg
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:
-    _mpz = None
 
 # Thresholds for switching dict-based multiplication over to packed
 # big-integer (Kronecker substitution) multiplication.
@@ -400,29 +396,34 @@ class Poly:
 
 # --- exact division ------------------------------------------------------
 #
-# poly_divides takes the cheapest route the divisor allows.  A monomial
-# divisor shifts exponents.  A binomial +-x^a + t, with a +-1 on a pure
-# power of one variable x and t free of x (every RatFunc.reduced candidate
-# of the family pipelines has this shape), is one pass of sparse synthetic
-# division down the x-degrees of the dividend: O(terms), with no screens,
-# content or dense form.  Over Q[other variables] such a divisor is monic
-# in x, so the remainder of x-degree below a is unique and the division is
-# exact exactly when that remainder is zero.
+# poly_divides takes one of three routes.  A monomial divisor shifts
+# exponents.  The other two rest on what holds in an integral domain: the
+# leading term of a product is the product of the leading terms, and
+# degrees add per variable.
 #
-# Any other divisor goes through recursive univariate division in the last
-# variable: write both polynomials in the last variable with
-# coefficients in the remaining ones, then repeatedly divide leading
-# coefficients (recursively, exactly).  Over an integral domain the leading
-# coefficient of a product is the product of leading coefficients, so every
-# intermediate division must succeed when the division is exact; any failed
-# coefficient division or degree drop proves non-divisibility.
+# A binomial +-x^a + t, with a +-1 on a pure power of one variable x and t
+# free of x (every RatFunc.reduced candidate of the family pipelines has
+# this shape), is one pass of sparse synthetic division down the x-degrees
+# of the dividend: O(terms), with no content work.  Over Q[other
+# variables] such a divisor is monic in x, so the remainder of x-degree
+# below a is unique and the division is exact exactly when that remainder
+# is zero.
 #
-# Both operands are scaled to primitive integer polynomials first.  A
-# primitive integer polynomial divides another over the rationals exactly
-# when it divides it over the integers (Gauss), so the scalar base case is
-# integer divmod with a zero-remainder check and the whole recursion stays
-# in integer arithmetic.  The rational contents rejoin at the end as a
-# constant factor on the quotient.
+# Every other divisor goes through sparse division on a max-heap of the
+# remainder's monomials, a plain form of the heap division of Monagan and
+# Pearce (2011) that keeps the remainder in a dict.  Both operands are
+# scaled to primitive integer polynomials first: a primitive integer
+# polynomial divides another over the rationals exactly when it divides it
+# over the integers (Gauss's lemma), so each quotient coefficient is an
+# integer divmod by the divisor's leading coefficient, and a nonzero
+# remainder proves non-divisibility.  Because degrees add, an exact
+# quotient has every exponent in the box [pmin - dmin, pmax - dmax]
+# (componentwise minimum and maximum exponents of dividend and divisor),
+# so a quotient monomial outside it proves non-divisibility as well.  The
+# products of box monomials with divisor monomials stay in the dividend's
+# box [pmin, pmax], where keys packed over that box keep lex order and
+# never alias.  The rational contents rejoin at the end as a constant
+# factor on the quotient.
 
 
 def poly_divides(d, p):
@@ -448,45 +449,12 @@ def poly_divides(d, p):
                 return False, None
             out[nexps] = _div_coef(c, dc)
         return True, Poly(p.vars, out)
-    if len(d.terms) == 2:
-        split = _binomial_split(d)
-        if split is not None:
-            q = _binomial_divide(p, *split)
-            return (False, None) if q is None else (True, q)
-    # a quotient would force componentwise bounds on both extreme exponents
-    if any(a > b for a, b in zip(d.max_degrees(), p.max_degrees())):
-        return False, None
-    if any(a > b for a, b in zip(d.monomial_content(), p.monomial_content())):
-        return False, None
-    cd, dprim = d.primitive()
-    cp, pprim = p.primitive()
-    if dprim.terms == pprim.terms:
-        return True, Poly.const(p.vars, cp / cd)
-    # evaluation screens at all-ones and all-minus-ones: for primitive
-    # operands the quotient is an integer polynomial, so the divisor's
-    # value must divide the dividend's value at any integer point
-    s_d = s_p = a_d = a_p = 0
-    for exps, c in dprim.terms.items():
-        s_d += c
-        a_d = a_d - c if sum(exps) & 1 else a_d + c
-    for exps, c in pprim.terms.items():
-        s_p += c
-        a_p = a_p - c if sum(exps) & 1 else a_p + c
-    if s_d and s_p % s_d:
-        return False, None
-    if a_d and a_p % a_d:
-        return False, None
-    nv = len(p.vars)
-    q = _rec_divide(_to_rec(pprim.terms, nv), _to_rec(dprim.terms, nv), nv)
-    if q is None:
-        return False, None
-    qterms = {}
-    _rec_collect(q, nv, [], qterms)
-    quotient = Poly._raw(p.vars, qterms)
-    scale = cp / cd
-    if scale != 1:
-        quotient = quotient * scale
-    return True, quotient
+    split = _binomial_split(d) if len(d.terms) == 2 else None
+    if split is not None:
+        q = _binomial_divide(p, *split)
+    else:
+        q = _sparse_divide(p, d)
+    return (False, None) if q is None else (True, q)
 
 
 def _div_coef(a, b):
@@ -597,290 +565,77 @@ def _unpack(key, k, xi, strides):
     return tuple(exps)
 
 
-# Recursive dense representation: a polynomial in k variables is a list
-# indexed by the exponent of the LAST variable, whose entries are
-# representations in the first k-1 variables; the base case (k == 0) is a
-# bare scalar.  Zero entries inside lists are the int 0.  Everything below
-# runs on primitive integer operands, so all scalars here are ints; the
-# one-variable layer gets dedicated flat-list code because the division
-# loop spends nearly all its time there.
+def _sparse_divide(p, d):
+    """Exact quotient of p by a divisor d of two or more terms, or None.
 
-
-def _to_rec(terms, nv):
-    if nv == 0:
-        return terms.get((), 0)
-    groups = {}
-    for exps, c in terms.items():
-        groups.setdefault(exps[nv - 1], {})[exps[:nv - 1]] = c
-    if not groups:
-        return []
-    out = [0] * (max(groups) + 1)
-    for e, sub in groups.items():
-        out[e] = _to_rec(sub, nv - 1)
-    return out
-
-
-def _is_zero_rec(c):
-    if isinstance(c, list):
-        return all(_is_zero_rec(x) for x in c)
-    return not c
-
-
-def _trim(r):
-    while r and _is_zero_rec(r[-1]):
-        r.pop()
-    return r
-
-
-def _as_level(c, nv):
-    """Coerce an entry to the shape expected at recursion depth nv."""
-    if nv == 0:
-        if isinstance(c, list):
-            return c[0] if c else 0
-        return c
-    if isinstance(c, list):
-        return c
-    return [c] if c else []
-
-
-# one-variable layer: plain lists of ints
-
-_MUL1_PACK_MIN = 1024
-
-
-def _add1(a, b):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a, b = b, a
-        la, lb = lb, la
-    out = list(a)
-    for i in range(lb):
-        out[i] += b[i]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _sub1(a, b):
-    la, lb = len(a), len(b)
-    out = list(a) + [0] * (lb - la) if lb > la else list(a)
-    for i in range(lb):
-        if b[i]:
-            out[i] -= b[i]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _mul1(a, b):
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        return []
-    if la == 1:
-        ca = a[0]
-        return [ca * cb for cb in b]
-    if lb == 1:
-        cb = b[0]
-        return [ca * cb for ca in a]
-    if la * lb >= _MUL1_PACK_MIN:
-        return _mul1_packed(a, b)
-    out = [0] * (la + lb - 1)
-    for i in range(la):
-        ca = a[i]
-        if not ca:
-            continue
-        for j in range(lb):
-            if b[j]:
-                out[i + j] += ca * b[j]
-    return out
-
-
-def _mul1_packed(a, b):
-    """Flat-list convolution through one big-integer product."""
-    maxa = max(map(abs, a))
-    maxb = max(map(abs, b))
-    bound = min(len(a), len(b)) * maxa * maxb
-    bits = ((bound.bit_length() + 2 + 7) // 8) * 8
-    nbytes = bits // 8
-    half = 1 << (bits - 1)
-    half_bytes = half.to_bytes(nbytes, "little")
-
-    def encode(xs):
-        buf = bytearray(half_bytes * len(xs))
-        for i, c in enumerate(xs):
-            if c:
-                buf[i * nbytes:(i + 1) * nbytes] = (c + half).to_bytes(nbytes, "little")
-        return int.from_bytes(buf, "little") - int.from_bytes(half_bytes * len(xs), "little")
-
-    na = encode(a)
-    nb = encode(b)
-    if _mpz is not None:
-        prod = int(_mpz(na) * _mpz(nb))
-    else:
-        prod = na * nb
-    slots = len(a) + len(b) - 1
-    offset = int.from_bytes(half_bytes * slots, "little")
-    raw = (prod + offset).to_bytes(slots * nbytes, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
-            for i in range(slots)]
-
-
-def _div1(p, d):
-    """Exact univariate division of int lists; None when inexact."""
-    while p and not p[-1]:
-        p.pop()
-    if not p:
-        return []
-    ld = len(d)
-    if len(p) < ld:
-        return None
-    dlc = d[-1]
-    q = [0] * (len(p) - ld + 1)
-    while p:
-        if len(p) < ld:
+    Works on the primitive integer parts.  The remainder is a dict keyed by
+    packed monomials with a max-heap of its keys; each pop takes the
+    lex-largest remaining term, which must be the divisor's leading term
+    times the next quotient term.  Every key in the remainder is pushed
+    once: new keys are products with the divisor's lower terms, so they
+    are smaller than the key being popped.
+    """
+    nv = len(p.vars)
+    pmin, pmax = p.monomial_content(), p.max_degrees()
+    dmin, dmax = d.monomial_content(), d.max_degrees()
+    lexps, _ = d.leading_term()
+    # the remainder's leading exponents that give a quotient term in the box
+    lo, hi = [], []
+    for i in range(nv):
+        qlo, qhi = pmin[i] - dmin[i], pmax[i] - dmax[i]
+        if qlo < 0 or qlo > qhi:
             return None
-        qc, r = divmod(p[-1], dlc)
+        lo.append(qlo + lexps[i])
+        hi.append(qhi + lexps[i])
+    cd, d = d.primitive()
+    cp, p = p.primitive()
+    strides = [1] * nv
+    for i in range(nv - 1, 0, -1):
+        strides[i - 1] = strides[i] * (pmax[i] + 1)
+
+    def pack(exps):
+        return sum(e * st for e, st in zip(exps, strides))
+
+    rem = {pack(e): c for e, c in p.terms.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    lk, lc = pack(lexps), d.terms[lexps]
+    tail = [(pack(e) - lk, c) for e, c in d.terms.items() if e != lexps]
+    q = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
+        qc, r = divmod(c, lc)
         if r:
             return None
-        shift = len(p) - ld
-        q[shift] = qc
-        if qc:
-            for i in range(ld - 1):
-                if d[i]:
-                    p[i + shift] -= qc * d[i]
-        p.pop()
-        while p and not p[-1]:
-            p.pop()
-    return q
-
-
-def _rec_add(a, b, nv):
-    if nv == 0:
-        return a + b
-    if nv == 1:
-        return _add1(_as_level(a, 1), _as_level(b, 1))
-    a = _as_level(a, nv)
-    b = _as_level(b, nv)
-    if not a:
-        return b
-    if not b:
-        return a
-    la, lb = len(a), len(b)
-    out = []
-    for i in range(max(la, lb)):
-        ca = a[i] if i < la else 0
-        cb = b[i] if i < lb else 0
-        if _is_zero_rec(ca):
-            out.append(cb)
-        elif _is_zero_rec(cb):
-            out.append(ca)
-        else:
-            out.append(_rec_add(ca, cb, nv - 1))
-    return _trim(out)
-
-
-def _rec_sub(a, b, nv):
-    if nv == 0:
-        return a - b
-    if nv == 1:
-        return _sub1(_as_level(a, 1), _as_level(b, 1))
-    a = _as_level(a, nv)
-    b = _as_level(b, nv)
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, cb in enumerate(b):
-        if _is_zero_rec(cb):
-            continue
-        out[i] = _rec_sub(out[i], cb, nv - 1)
-    return _trim(out)
-
-
-def _rec_mul(a, b, nv):
-    if nv == 0:
-        return a * b
-    if nv == 1:
-        return _mul1(_as_level(a, 1), _as_level(b, 1))
-    a = _as_level(a, nv)
-    b = _as_level(b, nv)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if _is_zero_rec(ca):
-            continue
-        for j, cb in enumerate(b):
-            if _is_zero_rec(cb):
-                continue
-            prod = _rec_mul(ca, cb, nv - 1)
-            if _is_zero_rec(out[i + j]):
-                out[i + j] = prod
+        rest = k
+        for st, a, b in zip(strides, lo, hi):
+            e, rest = divmod(rest, st)
+            if e < a or e > b:
+                return None
+        q[k - lk] = qc
+        for off, dc in tail:
+            kk = k + off
+            v = rem.get(kk)
+            if v is None:
+                rem[kk] = -qc * dc
+                heappush(heap, -kk)
             else:
-                out[i + j] = _rec_add(out[i + j], prod, nv - 1)
-    return _trim(out)
-
-
-def _rec_divide(p, d, nv):
-    """Exact division in recursive form; None when not exactly divisible.
-
-    The top term of the working remainder cancels by construction after
-    each exact leading-coefficient division, so it is popped instead of
-    subtracted.
-    """
-    if nv == 0:
-        if not d:
-            raise ZeroDivisionError("zero divisor")
-        qc, r = divmod(p, d)
-        return qc if not r else None
-    if nv == 1:
-        d1 = _trim(list(_as_level(d, 1)))
-        if not d1:
-            raise ZeroDivisionError("zero divisor")
-        return _div1(list(_as_level(p, 1)), d1)
-    p = _trim(list(_as_level(p, nv)))
-    d = _trim(list(_as_level(d, nv)))
-    if not d:
-        raise ZeroDivisionError("zero divisor")
-    if p and len(p) < len(d):
-        return None
-    q = [0] * (len(p) - len(d) + 1) if len(p) >= len(d) else []
-    dlead = d[-1]
-    while p:
-        if len(p) < len(d):
-            return None
-        qc = _rec_divide(p[-1], dlead, nv - 1)
-        if qc is None:
-            return None
-        shift = len(p) - len(d)
-        q[shift] = qc
-        if not _is_zero_rec(qc):
-            for i in range(len(d) - 1):
-                dc = d[i]
-                if _is_zero_rec(dc):
-                    continue
-                prod = _rec_mul(qc, dc, nv - 1)
-                p[i + shift] = _rec_sub(p[i + shift], prod, nv - 1)
-        p.pop()
-        while p and _is_zero_rec(p[-1]):
-            p.pop()
-    return q
-
-
-def _rec_collect(r, nv, rev_exps, out):
-    """Flatten a recursive representation back into a term dict.
-
-    Exponents are discovered outermost (last variable) first, so the path
-    is reversed to recover variable-table order.
-    """
-    if nv == 0:
-        c = _as_level(r, 0)
-        if c:
-            out[tuple(reversed(rev_exps))] = c
-        return
-    for e, c in enumerate(_as_level(r, nv)):
-        if _is_zero_rec(c):
-            continue
-        rev_exps.append(e)
-        _rec_collect(c, nv - 1, rev_exps, out)
-        rev_exps.pop()
+                rem[kk] = v - qc * dc
+    out = {}
+    for k, c in q.items():
+        exps = []
+        for st in strides:
+            e, k = divmod(k, st)
+            exps.append(e)
+        out[tuple(exps)] = c
+    quotient = Poly._raw(p.vars, out)
+    scale = cp / cd
+    if scale != 1:
+        quotient = quotient * scale
+    return quotient
 
 
 # --- packed (Kronecker substitution) multiplication ----------------------
@@ -932,11 +687,7 @@ def _packed_mul(a, b):
 
     na = encode(a)
     nb = encode(b)
-    if _mpz is not None:
-        prod = int(_mpz(na) * _mpz(nb))
-    else:
-        prod = na * nb
-    raw = (prod + offset).to_bytes(slots * nbytes, "little")
+    raw = (na * nb + offset).to_bytes(slots * nbytes, "little")
     out = {}
     for idx in range(slots):
         c = int.from_bytes(raw[idx * nbytes:(idx + 1) * nbytes], "little") - half

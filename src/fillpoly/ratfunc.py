@@ -12,9 +12,15 @@ Multiplication and division try exact cross-cancellation through
 poly_divides first.  That keeps the iterated exchange of the tail
 construction fully reduced, where the denominators must stay plain
 monomials.  reduced() cancels a caller's list of likely factors, each as
-often as it divides both sides.  The family pipelines pass binomials such
-as L - M, which poly_divides tests by one pass of sparse synthetic
-division instead of recursive dense division, so a trial costs O(terms).
+often as it divides both sides.  poly_divides has two routes.  The family
+pipelines pass binomials such as L - M, monic up to sign in one variable,
+which it tests by one pass of sparse synthetic division, so a trial costs
+O(terms).  Every other divisor, such as a denominator in the
+cross-cancellation, goes through sparse division on a heap of packed
+monomial keys over the primitive integer parts.  Both are sound because
+in an integral domain the leading term of a product is the product of the
+leading terms and degrees add per variable, so any failed step proves
+non-divisibility.
 """
 
 from fractions import Fraction

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fillpoly import poly as poly_mod
 from fillpoly.families import REDUCE_CANDIDATES
@@ -250,8 +250,8 @@ def _assert_clean(q):
         assert type(c) is int or c.denominator != 1
 
 
-def _no_recursive_division(*args):
-    raise AssertionError("binomial divisor reached the recursive path")
+def _no_general_division(*args):
+    raise AssertionError("binomial divisor reached the general path")
 
 
 @pytest.mark.parametrize("spec", BINOMIALS, ids=[b[0] for b in BINOMIALS])
@@ -262,7 +262,7 @@ def test_binomial_divisor_hits(spec, data):
     vars = d.vars
     q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_mod, "_rec_divide", _no_recursive_division)
+        mp.setattr(poly_mod, "_sparse_divide", _no_general_division)
         ok, got = poly_divides(d, q * d)
     assert ok
     assert got.terms == q.terms
@@ -279,7 +279,7 @@ def test_binomial_divisor_misses(spec, data):
     q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
     r = Poly(vars, data.draw(_terms(len(vars), 4, nonzero, 1, (xi, a))))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_mod, "_rec_divide", _no_recursive_division)
+        mp.setattr(poly_mod, "_sparse_divide", _no_general_division)
         assert poly_divides(d, q * d + r) == (False, None)
 
 
@@ -306,3 +306,74 @@ def test_binomial_divisor_fixed_cases():
     # keys must not let g_p alias g_o
     gf, go, gp = (Poly.variable(TAIL_VARS, v) for v in TAIL_VARS)
     assert poly_divides(gf - gp, gf - go) == (False, None)
+
+
+# --- other divisors: sparse division on a heap of packed keys -------------
+
+VARSETS = [("x",), XY, XYZ]
+
+
+def _divides_monomial(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_divisor_hits_and_misses(data):
+    vars = data.draw(st.sampled_from(VARSETS))
+    nv = len(vars)
+    d = Poly(vars, data.draw(_terms(nv, 3, half_coefs.filter(bool), 3)))
+    q = Poly(vars, data.draw(_terms(nv, 3, half_coefs)))
+    lead = d.leading_term()[0]
+    rterms = {e: c for e, c in
+              data.draw(_terms(nv, 5, half_coefs.filter(bool), 1)).items()
+              if not _divides_monomial(lead, e)}
+    assume(rterms)
+    r = Poly(vars, rterms)
+    ok, got = poly_divides(d, q * d)
+    assert ok and got.terms == q.terms
+    _assert_clean(got)
+    # no term of r is divisible by d's leading monomial, so r is the unique
+    # remainder of q*d + r by d, and it is not zero
+    assert poly_divides(d, q * d + r) == (False, None)
+
+
+def test_sparse_divisor_fixed_cases():
+    x, y = (Poly.variable(XY, v) for v in XY)
+    d = x * y**2 + y + 1
+    # the remainder's leading y-exponent (0) is below the divisor's (2):
+    # its packed key minus the divisor's borrows across the y slot
+    assert poly_divides(d, d + x**2) == (False, None)
+    assert poly_divides(d, d * (x + 1) + x**2 * y) == (False, None)
+    # a quotient term above the box: its products with d leave the packed
+    # box and alias the terms of p
+    assert poly_divides(x - y - 1, x**2 * y + x**2 - 3 * x * y - 2 * x) == (False, None)
+    # only the min-degree bound fails: 3x(x + 1) against (3x - 2)(x + 1)
+    assert poly_divides(3 * x**2 + 3 * x, 3 * x**2 + x - 2) == (False, None)
+    # the x-span of p (1) is below that of d (2)
+    assert poly_divides(x**2 + x + 1, x**3 * y + x**2) == (False, None)
+    # the leading coefficients do not divide, though every monomial fits
+    assert poly_divides(2 * x + 1, 3 * x + 1) == (False, None)
+    assert poly_divides(3 * x**2 - 1, 2 * x**3 - 3 * x**2 + 1) == (False, None)
+    L = Poly.variable(PVARS, "L")
+    M = Poly.variable(PVARS, "M")
+    d = (L - 2 * M + 3) ** 3
+    q = (2 * L + M - 5) ** 6
+    ok, got = poly_divides(d, d * q)
+    assert ok and got == q
+    assert max(abs(c) for c in got.terms.values()) > 10**4
+    assert poly_divides(d, d * q + 1) == (False, None)
+    ok, got = poly_divides(d * Fraction(1, 3), d * q * Fraction(1, 2))
+    assert ok and got == q * Fraction(3, 2)
+
+
+@pytest.mark.parametrize("text", ["L*M - 1", "2*L - 3*M", "L^2 - M^2*L"])
+def test_two_term_divisors_outside_binomial_branch(text):
+    d = parse_poly(text, PVARS)
+    assert poly_mod._binomial_split(d) is None
+    L = Poly.variable(PVARS, "L")
+    M = Poly.variable(PVARS, "M")
+    q = L**2 * Fraction(1, 2) - 3 * L * M + M**3 - 7
+    ok, got = poly_divides(d, q * d)
+    assert ok and got == q
+    assert poly_divides(d, q * d + M) == (False, None)
