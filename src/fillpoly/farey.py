@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 
 class Slope:
     """A reduced rational slope p/q with q >= 0; infinity is 1/0."""
@@ -351,6 +349,8 @@ def crossing_count_oracle(s, h, bound):
     bound must dominate the entries of s and h combined, or the result
     could silently miss edges, so that is an error.
     """
+    import numpy as np  # only the oracle needs it; importing it is slow
+
     need = abs(s.p) + abs(s.q) + abs(h.p) + abs(h.q)
     if bound < need:
         raise ValueError("bound %d too small: need at least %d" % (bound, need))
@@ -397,6 +397,8 @@ def _edge_table(bound):
     and are stored by their integer n; finite edges are rows
     (ap, aq, bp, bq) with a < b as rationals.
     """
+    import numpy as np
+
     verts = np.arange(-bound, bound + 1, dtype=np.int64)
     finite = []
 

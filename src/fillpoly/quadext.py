@@ -34,6 +34,10 @@ class QuadExt:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots via __setattr__
+        return QuadExt, (self.a, self.b, self.rad)
+
     # --- constructors -----------------------------------------------------
 
     @classmethod

@@ -55,6 +55,10 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots via __setattr__
+        return RatFunc, (self.num, self.den, True)
+
     # --- constructors ---------------------------------------------------
 
     @classmethod

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fillpoly
 from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy, anatomy,
                             crossing_count, crossing_count_oracle, det,
                             is_neighbor, walk_labels)
@@ -163,3 +168,11 @@ def test_crossing_count_against_oracle():
 def test_oracle_rejects_small_bound():
     with pytest.raises(ValueError):
         crossing_count_oracle(S("1/0"), S("3/5"), 8)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only crossing_count_oracle uses numpy, and importing it is slow
+    code = "import sys, fillpoly.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fillpoly.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

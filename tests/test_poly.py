@@ -1,10 +1,13 @@
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fillpoly import poly as poly_mod
 from fillpoly.families import REDUCE_CANDIDATES
+from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, poly_divides
 from fillpoly.ptolemy import PVARS
@@ -173,17 +176,77 @@ def test_poly_divides_three_vars_fraction_coefs():
     assert ok and got == q
 
 
-def test_large_multiplication_consistency():
+def _no_dict_mul(*args):
+    raise AssertionError("dict convolution taken")
+
+
+def test_large_multiplication_consistency(monkeypatch):
     # cross-check the packed multiplication against a plain baseline
     x = Poly.variable(XY, "x")
     y = Poly.variable(XY, "y")
     a = (x + 2 * y + 1) ** 9
     b = (3 * x - y + 2) ** 9
-    prod = a * b
     check = Poly.zero(XY)
     for exps, c in b.terms.items():
         check = check + a * Poly.monomial(XY, exps, c)
-    assert prod == check
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert a * b == check
+
+
+def _dense_box_poly(data, vars, coefs):
+    """Every monomial of a drawn degree box, each with a nonzero coefficient.
+
+    A product of two such polynomials has at least as many term pairs as
+    its degree box has slots, so _packed_mul never declines it as sparse.
+    """
+    degs = data.draw(st.tuples(*[st.integers(0, 6 // len(vars))
+                                 for _ in vars]))
+    box = list(product(*[range(d + 1) for d in degs]))
+    values = data.draw(st.lists(coefs, min_size=len(box), max_size=len(box)))
+    return Poly(vars, dict(zip(box, values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_product_matches_dict(data):
+    vars = data.draw(st.sampled_from([("x",), XY, XYZ]))
+    coefs = st.integers(min_value=-10 ** 60, max_value=10 ** 60).filter(bool)
+    a = _dense_box_poly(data, vars, coefs)
+    b = _dense_box_poly(data, vars, coefs)
+    got = poly_mod._packed_mul(a, b)
+    assert got is not None
+    assert got == a._mul_dict(b)
+
+
+def test_packed_product_drops_cancelled_slots(monkeypatch):
+    x = Poly.variable(("x",), "x")
+    a, b = (x - 1) ** 5, (x + 1) ** 5
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert (a * b).terms == {(2 * k,): (-1) ** (5 - k) * c
+                             for k, c in enumerate([1, 5, 10, 10, 5, 1])}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_packed_mul_falls_back_past_int_digit_limit():
+    # a digit group wider than int() may read must go to dict convolution
+    x, y = (Poly.variable(XY, v) for v in XY)
+    base = (x + y + 1) ** 4
+    p = base * 10 ** 5000
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert poly_mod._packed_mul(p, p) is None
+        assert p * p == (base * base) * 10 ** 10000
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_sparse_box_takes_dict_path():
+    # 23,564 term pairs against 309,465 slots of the degree box
+    a, b = tail_poly(18), tail_poly(16)
+    assert len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
+    assert poly_mod._packed_mul(a, b) is None
 
 
 def test_to_json_round_trip_fields():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -103,3 +105,16 @@ def test_immutability():
     v = qe("L", "M")
     with pytest.raises(AttributeError):
         v.a = rf("1")
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_round_trip(copier):
+    v = qe("L/(M + 1)", "3/2*M^2 - L")
+    for value in (v.b.num, v.a, v):
+        got = copier(value)
+        assert type(got) is type(value) and got == value
+    assert (got.a.num, got.a.den, got.rad) == (v.a.num, v.a.den, v.rad)
+    with pytest.raises(AttributeError):
+        got.a = v.b
