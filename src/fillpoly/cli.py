@@ -16,29 +16,20 @@ environment variable picks the default output format (text or json).
 """
 
 import argparse
-import io
 import json
 import os
-import random
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
-from .poly import Poly, poly_divides
-from .ratfunc import RatFunc, PoleError, parse_ratfunc
+from .poly import Poly
+from .ratfunc import RatFunc
 from .quadext import QuadExt
 from .farey import (Slope, FareyTriangle, Walk, walk_labels, anatomy,
                     crossing_count, crossing_count_oracle, _new_slope)
-from .matchings import (TAIL_VARS, enumerate_matchings, matching_weight,
-                        matching_sum, matching_step_check, count_subsets,
-                        count_subsets_oracle)
-from .hn import (tail_poly, iterate_exchange, symbolic_tail_values,
-                 TailContext, tail_collapse, h_recurrence_check)
-from .ptolemy import (PVARS, gamma_name, load_equations, load_values,
-                      chain_solve, check_equation, equation_residual,
-                      audit_step_roles)
-from .families import (FAMILIES, get_family, run_family, numeric_agreement,
-                       divides_conjugate, twist_A, twist_recurrence_check,
-                       twist_base_identity_check, REDUCE_CANDIDATES)
+from .matchings import enumerate_matchings, matching_weight, matching_sum
+from .hn import tail_poly
+from .families import (FAMILIES, get_family, run_family, twist_A,
+                       twist_identities)
 
 FORMAT_ENV = "FILLPOLY_FORMAT"
 
@@ -46,23 +37,14 @@ FORMAT_ENV = "FILLPOLY_FORMAT"
 class CliConfig:
     """Resolved run options shared by the subcommand handlers."""
 
-    __slots__ = ("format", "seed", "samples", "max_n", "max_m", "bound")
+    __slots__ = ("format", "seed")
 
-    def __init__(self, format="text", seed=0, samples=20, max_n=8, max_m=4,
-                 bound=None):
+    def __init__(self, format="text", seed=0):
         if format not in ("text", "json"):
             raise ValueError("output format must be text or json, not %r"
                              % (format,))
-        if samples < 1:
-            raise ValueError("sample count must be at least 1")
-        if max_n < 1 or max_m < 1:
-            raise ValueError("size limits must be at least 1")
         self.format = format
         self.seed = int(seed)
-        self.samples = int(samples)
-        self.max_n = int(max_n)
-        self.max_m = int(max_m)
-        self.bound = bound if bound is None else int(bound)
 
 
 # --- streaming writers --------------------------------------------------
@@ -380,22 +362,10 @@ def cmd_apoly(args, cfg):
 # --- twist ------------------------------------------------------------------
 
 
-def _twist_verify_checks(max_n):
-    checks = [("base identity pos", lambda: twist_base_identity_check("pos")),
-              ("base identity neg", lambda: twist_base_identity_check("neg"))]
-    for n in range(2, max_n + 1):
-        checks.append(("pos n=%d" % n,
-                       lambda n=n: twist_recurrence_check(n, "pos")))
-    for n in range(1, max_n + 1):
-        checks.append(("neg n=%d" % n,
-                       lambda n=n: twist_recurrence_check(n, "neg")))
-    return checks
-
-
 def cmd_twist(args, cfg):
     w = sys.stdout.write
     if args.mode == "verify":
-        results = [(name, fn()) for name, fn in _twist_verify_checks(args.max_n)]
+        results = [(name, fn()) for name, fn in twist_identities(args.max_n)]
         ok = all(r for _, r in results)
         if cfg.format == "json":
             _emit_json_doc(w, {"schema": 1, "max_n": args.max_n,
@@ -423,577 +393,35 @@ def cmd_twist(args, cfg):
 
 # --- selftest ---------------------------------------------------------------
 #
-# One check per invariant of the library modules.  Each check returns
-# (ok, detail); a raised exception counts as a failure.  Every check runs
-# even in --quick mode, only the ranges shrink.
-
-
-def _rand_coef(rng, allow_fraction=True):
-    c = rng.randint(-6, 6)
-    if allow_fraction and rng.random() < 0.25:
-        return Fraction(c, rng.randint(2, 4))
-    return c
-
-
-def _rand_poly(rng, vars, max_deg=3, max_terms=4, allow_fraction=True,
-               nonzero=False):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(0, max_deg) for _ in vars)
-        c = _rand_coef(rng, allow_fraction)
-        if c:
-            terms[exps] = terms.get(exps, 0) + c
-    p = Poly(vars, terms)
-    if nonzero and p.is_zero():
-        return Poly.const(vars, rng.randint(1, 5))
-    return p
-
-
-def _rand_ratfunc(rng, vars=("x", "y")):
-    num = _rand_poly(rng, vars, allow_fraction=False)
-    den = _rand_poly(rng, vars, allow_fraction=False, nonzero=True)
-    return RatFunc(num, den)
-
-
-def _rand_point(rng, vars):
-    return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in vars}
-
-
-def _agree_at_points(rng, a, b, want, count=20):
-    """Does pointwise equality at `count` non-singular points equal `want`?"""
-    seen_diff = False
-    done = 0
-    while done < count:
-        point = _rand_point(rng, a.vars)
-        try:
-            va = a.evaluate(point)
-            vb = b.evaluate(point)
-        except PoleError:
-            continue
-        done += 1
-        if va != vb:
-            seen_diff = True
-            if not want:
-                return True     # expected a difference and found one
-    return (not seen_diff) == want
-
-
-def _st_poly_axioms(seed, reps):
-    rng = random.Random(seed)
-    vars = ("x", "y", "z")
-    for _ in range(reps):
-        p = _rand_poly(rng, vars)
-        q = _rand_poly(rng, vars)
-        r = _rand_poly(rng, vars)
-        if (p + q) - q != p:
-            return False, "p+q-q != p for p=%s q=%s" % (p, q)
-        if p * q != q * p:
-            return False, "p*q != q*p"
-        if (p * q) * r != p * (q * r):
-            return False, "(p*q)*r != p*(q*r)"
-    return True, "%d random triples" % reps
-
-
-def _st_ratfunc_eq_vs_eval(seed, reps):
-    rng = random.Random(seed)
-    for _ in range(reps):
-        a = _rand_ratfunc(rng)
-        junk = _rand_poly(rng, a.vars, allow_fraction=False, nonzero=True)
-        same = RatFunc(a.num * junk, a.den * junk)
-        if a != same:
-            return False, "cross-multiplication rejects an equal pair"
-        if not _agree_at_points(rng, a, same, True):
-            return False, "equal pair disagrees at a sample point"
-        other = a + RatFunc.one(a.vars)
-        if a == other:
-            return False, "cross-multiplication accepts p and p+1"
-        if not _agree_at_points(rng, a, other, False):
-            return False, "unequal pair agrees at 20 sample points"
-    return True, "%d pairs, 20 points each" % reps
-
-
-def _st_poly_divides_roundtrip(seed, reps):
-    rng = random.Random(seed)
-    vars = ("x", "y")
-    for _ in range(reps):
-        d = _rand_poly(rng, vars, max_deg=3, nonzero=True)
-        q = _rand_poly(rng, vars, max_deg=3, nonzero=True)
-        ok, got = poly_divides(d, d * q)
-        if not ok or got != q:
-            return False, "d=%s q=%s" % (d, q)
-    return True, "%d random (d, q) pairs" % reps
-
-
-def _st_quadext_norm(seed, reps):
-    rng = random.Random(seed)
-    rad = parse_ratfunc("1 - L", PVARS)
-    for _ in range(reps):
-        x = QuadExt(_rand_ratfunc(rng, PVARS), _rand_ratfunc(rng, PVARS), rad)
-        y = QuadExt(_rand_ratfunc(rng, PVARS), _rand_ratfunc(rng, PVARS), rad)
-        if (x * y).conj_product() != x.conj_product() * y.conj_product():
-            return False, "norm not multiplicative for %s, %s" % (x, y)
-    return True, "%d random pairs" % reps
-
-
-def _st_eval_ring_hom(seed, reps):
-    rng = random.Random(seed)
-    done = 0
-    while done < reps:
-        p = _rand_ratfunc(rng)
-        q = _rand_ratfunc(rng)
-        point = _rand_point(rng, p.vars)
-        try:
-            vp, vq = p.evaluate(point), q.evaluate(point)
-            vmul = (p * q).evaluate(point)
-            vadd = (p + q).evaluate(point)
-        except PoleError:
-            continue
-        done += 1
-        if vmul != vp * vq:
-            return False, "evaluate(p*q) != evaluate(p)*evaluate(q)"
-        if vadd != vp + vq:
-            return False, "evaluate(p+q) != evaluate(p)+evaluate(q)"
-    return True, "%d points" % reps
-
-
-def _rand_unimodular(rng):
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(rng.randint(1, 6)):
-        if rng.random() < 0.5:
-            k = rng.randint(-3, 3)
-            a, b = a + k * c, b + k * d
-        else:
-            a, b, c, d = -c, -d, a, b
-    if rng.random() < 0.5:
-        a, b = -a, -b   # flips the determinant to -1
-    return a, b, c, d
-
-
-def _apply_matrix(mat, s):
-    a, b, c, d = mat
-    return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
-
-
-def _rand_triangle(rng):
-    base = (Slope(0, 1), Slope(1, 1), Slope(1, 0))
-    mat = _rand_unimodular(rng)
-    return tuple(_apply_matrix(mat, s) for s in base)
-
-
-def _rand_walk(rng, min_len=2, max_len=10, forced_tail=0):
-    o0, p0, f0 = _rand_triangle(rng)
-    order = rng.sample((o0, p0, f0), 3)
-    o0, p0, f0 = order
-    h0 = _new_slope(o0, p0, f0)
-    word = "".join(rng.choice("LR")
-                   for _ in range(rng.randint(min_len, max_len)))
-    if forced_tail:
-        word += word[-1] * forced_tail
-    return Walk(FareyTriangle(o0, p0, f0), FareyTriangle(h0, p0, f0), word)
-
-
-def _st_walk_role_sets(seed, reps):
-    rng = random.Random(seed)
-    for _ in range(reps):
-        walk = _rand_walk(rng)
-        labels = walk_labels(walk)
-        for k in range(1, len(labels)):
-            prev, cur = labels[k - 1], labels[k]
-            if {cur.o, cur.p, cur.f} != {prev.h, prev.p, prev.f}:
-                return False, "role sets broken at step %d of %s" % (k, walk)
-    return True, "%d random walks" % reps
-
-
-def _st_walk_tail_roles(seed, reps):
-    rng = random.Random(seed)
-    for _ in range(reps):
-        walk = _rand_walk(rng, forced_tail=rng.randint(2, 4))
-        labels = walk_labels(walk)
-        wa = anatomy(walk.word)
-        k = wa.tail_start_step
-        run = len(wa.tail) + (1 if wa.tip_matches_tail else 0)
-        for j in range(1, run):
-            cur = labels[k + j]
-            if cur.p != labels[k].p:
-                return False, "pivot moved inside the tail of %s" % (walk,)
-            if cur.f != labels[k + j - 1].h:
-                return False, "fan is not the previous new slope"
-            older = labels[k + j - 2].h if j >= 2 else labels[k].f
-            if cur.o != older:
-                return False, "dropped slope is not the older new slope"
-    return True, "%d tailed walks" % reps
-
-
-def _slope_pool(max_entry):
-    pool = [Slope(1, 0)]
-    for q in range(1, max_entry + 1):
-        for p in range(-max_entry, max_entry + 1):
-            s = Slope(p, q)
-            if abs(s.p) <= max_entry and s.q <= max_entry and s not in pool:
-                pool.append(s)
-    return pool
-
-
-def _st_crossing_symmetry(seed, reps, max_entry):
-    rng = random.Random(seed)
-    pool = _slope_pool(max_entry)
-    for _ in range(reps):
-        s, h = rng.sample(pool, 2)
-        if crossing_count(s, h) != crossing_count(h, s):
-            return False, "asymmetric at (%s, %s)" % (s, h)
-    return True, "%d random pairs" % reps
-
-
-def _st_crossing_unimodular(seed, reps, max_entry):
-    rng = random.Random(seed)
-    pool = _slope_pool(max_entry)
-    for _ in range(reps):
-        s, h = rng.sample(pool, 2)
-        mat = _rand_unimodular(rng)
-        if crossing_count(s, h) != crossing_count(_apply_matrix(mat, s),
-                                                  _apply_matrix(mat, h)):
-            return False, "not invariant at (%s, %s) under %s" % (s, h, mat)
-    return True, "%d pair/matrix draws" % reps
-
-
-def _st_crossing_oracle(max_entry, bound):
-    pool = _slope_pool(max_entry)
-    pairs = 0
-    for i, s in enumerate(pool):
-        for h in pool[i + 1:]:
-            c = crossing_count(s, h)
-            if c != crossing_count_oracle(s, h, bound):
-                return False, "oracle bound %d disagrees at (%s, %s)" % (bound, s, h)
-            if c != crossing_count_oracle(s, h, bound + 1):
-                return False, "oracle bound %d disagrees at (%s, %s)" % (bound + 1, s, h)
-            pairs += 1
-    return True, "%d pairs at bounds %d and %d" % (pairs, bound, bound + 1)
-
-
-def _st_matching_steps(top):
-    for k in range(2, top + 1):
-        if not matching_step_check(k):
-            return False, "single-step recurrence fails at k=%d" % k
-    return True, "k = 2..%d" % top
-
-
-def _st_matching_product(lo, hi):
-    f2 = Poly.variable(TAIL_VARS, "g_f") ** 2
-    o2 = Poly.variable(TAIL_VARS, "g_o") ** 2
-    p2 = Poly.variable(TAIL_VARS, "g_p") ** 2
-    for n in range(lo, hi + 1):
-        lhs = matching_sum(2 * n)
-        rhs = matching_sum(2 * n - 2) * (f2 + o2 - p2) \
-            - f2 * o2 * matching_sum(2 * n - 4)
-        if lhs != rhs:
-            return False, "two-step recurrence fails at n=%d" % n
-    return True, "n = %d..%d" % (lo, hi)
-
-
-def _st_matching_gap(lo, hi):
-    for n in range(lo, hi + 1):
-        lhs = matching_sum(2 * n - 2) * matching_sum(2 * n - 6)
-        cross = Poly.monomial(TAIL_VARS, (n - 3, n - 2, 1))
-        rhs = matching_sum(2 * n - 4) ** 2 - cross * cross
-        if lhs != rhs:
-            return False, "product gap identity fails at n=%d" % n
-    return True, "n = %d..%d" % (lo, hi)
-
-
-def _st_matching_coefficients(top):
-    for n in range(1, top + 1):
-        p = matching_sum(2 * n)
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                want = count_subsets(n, a, b)
-                if want != count_subsets_oracle(n, a, b):
-                    return False, "closed form vs oracle at (%d,%d,%d)" % (n, a, b)
-                exps = (2 * a, 2 * b, 2 * (n - a - b))
-                sign = 1 if (n - a - b) % 2 == 0 else -1
-                got = p.terms.get(exps, 0) * sign
-                if got != want:
-                    return False, "coefficient (%d,%d) of P(%d)" % (a, b, 2 * n)
-    return True, "all (a, b) for n <= %d" % top
-
-
-def _st_fibonacci(top):
-    fa, fb = 1, 1   # F(1), F(2)
-    for n in range(1, top + 1):
-        fa, fb = fb, fa + fb
-        if len(enumerate_matchings(n)) != fa:
-            return False, "count at n=%d is not Fibonacci(%d)" % (n, n + 1)
-    return True, "n = 1..%d" % top
-
-
-def _st_hn_equals_pn(top):
-    for n in range(1, top + 1):
-        if tail_poly(n) != matching_sum(2 * n):
-            return False, "H(%d) != P(%d)" % (n, 2 * n)
-    return True, "n = 1..%d" % top
-
-
-def _int_coef(c):
-    return isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-
-
-def _st_laurent_denominator(top):
-    f, o, p = symbolic_tail_values()
-    for n in range(1, top + 1):
-        val = iterate_exchange(f, o, p, n)
-        den = val.den
-        want = {(n - 1, n, 0): 1}
-        if dict(den.terms) != want:
-            return False, "denominator at n=%d is %s" % (n, den)
-        if not all(_int_coef(c) for c in val.num.terms.values()):
-            return False, "non-integer numerator coefficient at n=%d" % n
-        if val * RatFunc.from_poly(Poly.monomial(TAIL_VARS, (n - 1, n, 0))) \
-                != RatFunc.from_poly(tail_poly(n)):
-            return False, "iterated exchange != H(%d) / (f^%d o^%d)" % (n, n - 1, n)
-    return True, "n = 1..%d" % top
-
-
-def _st_collapse_crossings(top):
-    f, o, p = symbolic_tail_values()
-    for n in range(1, top + 1):
-        val = tail_collapse(TailContext(f, o, p, n))
-        got = val.den.max_degrees()
-        h = Slope(1, n)
-        want = (crossing_count(Slope(1, 0), h),
-                crossing_count(Slope(-1, 1), h),
-                0 if Slope(0, 1) == h else crossing_count(Slope(0, 1), h))
-        if got != want:
-            return False, "denominator exponents %s != crossings %s at n=%d" \
-                % (got, want, n)
-    return True, "n = 1..%d" % top
-
-
-def _st_h_recurrence(lo, hi):
-    for n in range(lo, hi + 1):
-        if not h_recurrence_check(n):
-            return False, "three-term product identity fails at n=%d" % n
-    return True, "n = %d..%d" % (lo, hi)
-
-
-def _family_chain(spec, m=1):
-    """Labels, consumed step equations and the solved chain for one family."""
-    word = spec.word(m)
-    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, word))
-    eqs = spec.equations()
-    step_eqs = {k: eqs[label] for k, label in enumerate(spec.step_labels)}
-    asg = chain_solve(labels, step_eqs, spec.base_assignment(),
-                      len(spec.step_labels) - 1)
-    return labels, step_eqs, asg
-
-
-_BASE_EQ_LABELS = {"pretzel238": ("tet0", "tet1"),
-                   "whitehead": ("link1", "link2", "link3")}
-
-
-def _st_chain_back_audit():
-    for (name, sign), spec in FAMILIES.items():
-        eqs = spec.equations()
-        _, step_eqs, asg = _family_chain(spec)
-        for label in _BASE_EQ_LABELS[name]:
-            if not check_equation(eqs[label], asg):
-                return False, "%s/%s: %s residual nonzero" % (name, sign, label)
-        for k in sorted(step_eqs):
-            if not check_equation(step_eqs[k], asg):
-                return False, "%s/%s: step %d residual nonzero" % (name, sign, k)
-    return True, "every consumed equation, all four runs"
-
-
-def _st_fixture_table_audit():
-    """Substitute the transcribed closed forms into their defining equations.
-
-    The stored closed form for g_-1/1 is known to be -1 times the value
-    equation step3neg forces (the chain-solved value), so that one
-    residual is expected to be nonzero; it is reported as the failure it
-    is rather than patched over.
-    """
-    fixtures = load_values("pretzel238_values.txt")
-    bad = []
-    for sign in ("pos", "neg"):
-        spec = get_family("pretzel238", sign)
-        eqs = spec.equations()
-        _, step_eqs, chain = _family_chain(spec)
-        asg = spec.base_assignment()
-        asg = asg.bind("g_2/1", chain.value("g_2/1"))
-        for fname in ("g_1/1", "g_0/1", "g_1/2" if sign == "pos" else "g_-1/1"):
-            val = fixtures[fname]
-            if gamma_name(Slope.parse(fname[2:])) != fname:
-                return False, "fixture name %r does not round-trip" % fname
-            asg = asg.bind(fname, val)
-        if fixtures["g_1/0"] != asg.value("g_1/0"):
-            bad.append("%s: stored g_1/0 differs from the derived value" % sign)
-        for label in _BASE_EQ_LABELS["pretzel238"] + tuple(
-                spec.step_labels):
-            if not check_equation(eqs[label], asg):
-                bad.append("%s: %s residual nonzero" % (sign, label))
-    if bad:
-        note = ""
-        if all("step3neg" in b for b in bad):
-            note = (" (known discrepancy: the stored closed form for g_-1/1"
-                    " is -1 times the value its own equation forces)")
-        return False, "; ".join(bad) + note
-    return True, "all transcribed values satisfy their equations"
-
-
-def _st_normalization_independence():
-    for (name, sign), spec in FAMILIES.items():
-        _, _, asg = _family_chain(spec)
-        for gname in asg.names():
-            v = asg.value(gname)
-            if isinstance(v, RatFunc):
-                if v.reduced(REDUCE_CANDIDATES) != v:
-                    return False, "%s/%s %s changes under reduction" \
-                        % (name, sign, gname)
-            else:
-                if (v.a.reduced(REDUCE_CANDIDATES) != v.a
-                        or v.b.reduced(REDUCE_CANDIDATES) != v.b):
-                    return False, "%s/%s %s changes under reduction" \
-                        % (name, sign, gname)
-    return True, "chain values are normalization-independent"
-
-
-def _st_whitehead_purity():
-    for sign in ("pos", "neg"):
-        spec = get_family("whitehead", sign)
-        _, _, asg = _family_chain(spec)
-        for gname in asg.names():
-            v = asg.value(gname)
-            if isinstance(v, QuadExt) and not (v.is_rational()
-                                               or v.is_pure_root()):
-                return False, "%s %s has mixed components" % (sign, gname)
-    return True, "every bound value is pure rational or pure root"
-
-
-def _st_whitehead_conjugate(family_run):
-    for sign in ("pos", "neg"):
-        result = family_run("whitehead", sign, 1)
-        if not isinstance(result.expression, QuadExt):
-            return False, "%s expression lost its root part" % sign
-        if result.expression.b.is_zero():
-            return False, "%s expression has a zero root part" % sign
-        if not isinstance(result.conjugate_product, RatFunc):
-            return False, "%s conjugate product is not rational" % sign
-    return True, "root part present, conjugate product rational"
-
-
-def _st_twist_divisibility(family_run, max_m):
-    for sign in ("pos", "neg"):
-        spec = get_family("whitehead", sign)
-        for m in range(1, max_m + 1):
-            result = family_run("whitehead", sign, m)
-            if not divides_conjugate(spec, m, result):
-                return False, "no division at %s m=%d" % (sign, m)
-    return True, "both signs, m = 1..%d" % max_m
-
-
-def _st_twist_recurrences(top):
-    for name, fn in _twist_verify_checks(top):
-        if not fn():
-            return False, name
-    return True, "pos 2..%d, neg 1..%d, both base identities" % (top, top)
-
-
-def _st_numeric_agreement(family_run, max_m, samples, seed):
-    for sign in ("pos", "neg"):
-        spec = get_family("pretzel238", sign)
-        for m in range(1, max_m + 1):
-            result = family_run("pretzel238", sign, m)
-            if not numeric_agreement(spec, m, samples, seed + m, result):
-                return False, "mismatch at %s m=%d" % (sign, m)
-    return True, "both signs, m = 1..%d, %d points each" % (max_m, samples)
-
-
-def _st_render_determinism(family_run):
-    result = family_run("pretzel238", "pos", 1)
-    outs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        _emit_json_doc(buf.write, _apoly_payload(result))
-        outs.append(buf.getvalue())
-    if outs[0] != outs[1]:
-        return False, "same payload rendered differently"
-    return True, "%d bytes, byte-identical twice" % len(outs[0])
-
-
-def _selftest_checks(cfg, quick):
-    if quick:
-        samples = min(cfg.samples, 6)
-        max_n = min(cfg.max_n, 4)
-        max_m = min(cfg.max_m, 1)
-        hrec_hi, fib_hi, step_hi = 6, 8, 6
-        pna_hi, pnb_hi, coef_hi = 5, 6, 4
-    else:
-        samples = cfg.samples
-        max_n = cfg.max_n
-        max_m = cfg.max_m
-        hrec_hi, fib_hi, step_hi = 10, 12, 8
-        pna_hi, pnb_hi, coef_hi = 8, 8, 8
-    bound = cfg.bound if cfg.bound is not None else 4 * max_n + 1
-    seed = cfg.seed
-    runs = {}
-
-    def family_run(name, sign, m):
-        key = (name, sign, m)
-        if key not in runs:
-            runs[key] = run_family(get_family(name, sign), m)
-        return runs[key]
-
-    return [
-        ("poly-ring-axioms", lambda: _st_poly_axioms(seed + 1, samples)),
-        ("ratfunc-eq-vs-eval",
-         lambda: _st_ratfunc_eq_vs_eval(seed + 2, max(2, samples // 4))),
-        ("poly-divides-roundtrip",
-         lambda: _st_poly_divides_roundtrip(seed + 3, samples)),
-        ("quadext-norm-multiplicative",
-         lambda: _st_quadext_norm(seed + 4, max(2, samples // 4))),
-        ("evaluate-ring-hom", lambda: _st_eval_ring_hom(seed + 5, samples)),
-        ("walk-role-sets", lambda: _st_walk_role_sets(seed + 6, samples)),
-        ("walk-tail-roles", lambda: _st_walk_tail_roles(seed + 7, samples)),
-        ("crossing-symmetry",
-         lambda: _st_crossing_symmetry(seed + 8, samples, 12)),
-        ("crossing-unimodular-invariance",
-         lambda: _st_crossing_unimodular(seed + 9, samples, 12)),
-        ("crossing-oracle-stability",
-         lambda: _st_crossing_oracle(max_n, bound)),
-        ("matching-step-recurrences", lambda: _st_matching_steps(step_hi)),
-        ("matching-product-recurrence",
-         lambda: _st_matching_product(3, pna_hi)),
-        ("matching-gap-identity", lambda: _st_matching_gap(4, pnb_hi)),
-        ("matching-coefficient-counts",
-         lambda: _st_matching_coefficients(coef_hi)),
-        ("matching-fibonacci-counts", lambda: _st_fibonacci(fib_hi)),
-        ("hn-equals-matching-sum", lambda: _st_hn_equals_pn(max_n)),
-        ("laurent-denominator", lambda: _st_laurent_denominator(max_n)),
-        ("collapse-crossing-exponents", lambda: _st_collapse_crossings(max_n)),
-        ("h-product-recurrence", lambda: _st_h_recurrence(4, hrec_hi)),
-        ("chain-back-audit", _st_chain_back_audit),
-        ("fixture-table-audit", _st_fixture_table_audit),
-        ("normalization-independence", _st_normalization_independence),
-        ("whitehead-purity", _st_whitehead_purity),
-        ("whitehead-conjugate-rational",
-         lambda: _st_whitehead_conjugate(family_run)),
-        ("twist-divisibility",
-         lambda: _st_twist_divisibility(family_run, max_m)),
-        ("twist-recurrences", lambda: _st_twist_recurrences(max_n)),
-        ("pretzel-numeric-agreement",
-         lambda: _st_numeric_agreement(family_run, max_m, samples, seed)),
-        ("render-determinism", lambda: _st_render_determinism(family_run)),
-    ]
+# The registry is imported inside these functions, not at the top: only
+# selftest needs it, and without cached bytecode compiling it costs every
+# other command about 10 ms.
+
+
+def _selftest_ranges(args, cfg):
+    """FULL, or QUICK for --quick, under the size flags; with --quick a
+    flag can only shrink a range further."""
+    from .checks import FULL, QUICK
+
+    ranges = QUICK if args.quick else FULL
+    sizes = {}
+    for field in ("samples", "max_n", "max_m"):
+        value = getattr(args, field)
+        if value is not None:
+            sizes[field] = min(value, getattr(ranges, field)) if args.quick else value
+    return replace(ranges, bound=args.bound, seed=cfg.seed, **sizes)
 
 
 def cmd_selftest(args, cfg):
     w = sys.stdout.write
-    checks = _selftest_checks(cfg, args.quick)
-    width = max(len(name) for name, _ in checks)
+    from .checks import CHECKS, family_runner, run_check
+
+    ranges = _selftest_ranges(args, cfg)
+    family_run = family_runner()
+    width = max(len(name) for name, _ in CHECKS)
     results = []
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:
-            ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
+    for name, check in CHECKS:
+        ok, detail = run_check(check, ranges, family_run)
         results.append((name, ok, detail))
         if cfg.format == "text":
             w("%s %-*s %s\n" % ("PASS" if ok else "FAIL", width, name, detail))
@@ -1120,12 +548,7 @@ def _config_from(args):
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = os.environ.get(FORMAT_ENV, "text")
-    kwargs = {"format": fmt, "seed": getattr(args, "seed", 0)}
-    for field in ("samples", "max_n", "max_m", "bound"):
-        value = getattr(args, field, None)
-        if value is not None:
-            kwargs[field] = value
-    return CliConfig(**kwargs)
+    return CliConfig(fmt, getattr(args, "seed", 0))
 
 
 _SLOPE_FLAGS = ("--from", "--to")

@@ -15,6 +15,7 @@ the sequences from their seeds and twist_recurrence_check verifies the
 three-term product identities that the generated polynomials satisfy.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 import random
 
@@ -48,37 +49,36 @@ REDUCE_CANDIDATES = tuple(_pp(t) for t in (
     "L^2 - M^3", "L^2 + M^3", "L - M^4"))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FamilySpec:
-    """Static description of one family and filling direction."""
+    """Static description of one family and filling direction.
 
-    __slots__ = ("name", "sign", "eq_file", "triangle0", "triangle1",
-                 "body_word", "tail_letter", "step_labels", "tail_slopes",
-                 "knot_fmt", "knot_coefs", "basis_sign", "basis_coefs",
-                 "twist_link")
+    The triangles and tail slopes are given as slope strings ("3/1") and
+    stored parsed.
+    """
 
-    def __init__(self, name, sign, eq_file, triangle0, triangle1, body_word,
-                 tail_letter, step_labels, tail_slopes, knot_fmt, knot_coefs,
-                 basis_sign, basis_coefs, twist_link=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "eq_file", eq_file)
-        object.__setattr__(self, "triangle0",
-                           FareyTriangle(*(Slope.parse(s) for s in triangle0)))
-        object.__setattr__(self, "triangle1",
-                           FareyTriangle(*(Slope.parse(s) for s in triangle1)))
-        object.__setattr__(self, "body_word", body_word)
-        object.__setattr__(self, "tail_letter", tail_letter)
-        object.__setattr__(self, "step_labels", tuple(step_labels))
+    name: str
+    sign: str
+    eq_file: str
+    triangle0: FareyTriangle
+    triangle1: FareyTriangle
+    body_word: str
+    tail_letter: str
+    step_labels: tuple
+    tail_slopes: tuple
+    knot_fmt: str
+    knot_coefs: tuple
+    basis_sign: int
+    basis_coefs: tuple
+    twist_link: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("triangle0", "triangle1"):
+            slopes = (Slope.parse(s) for s in getattr(self, name))
+            object.__setattr__(self, name, FareyTriangle(*slopes))
+        object.__setattr__(self, "step_labels", tuple(self.step_labels))
         object.__setattr__(self, "tail_slopes",
-                           tuple(Slope.parse(s) for s in tail_slopes))
-        object.__setattr__(self, "knot_fmt", knot_fmt)
-        object.__setattr__(self, "knot_coefs", knot_coefs)
-        object.__setattr__(self, "basis_sign", basis_sign)
-        object.__setattr__(self, "basis_coefs", basis_coefs)
-        object.__setattr__(self, "twist_link", twist_link)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilySpec is immutable")
+                           tuple(Slope.parse(s) for s in self.tail_slopes))
 
     def word(self, m):
         """Walk word for tail length m: body, then the tail run and tip."""
@@ -151,24 +151,17 @@ def get_family(name, sign):
                             ", ".join("%s/%s" % k for k in sorted(FAMILIES)))) from None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FillingResult:
     """Output of one run: the filling expression plus its derived forms."""
 
-    __slots__ = ("family", "sign", "m", "expression", "conjugate_product",
-                 "knot", "basis_changed")
-
-    def __init__(self, family, sign, m, expression, conjugate_product, knot,
-                 basis_changed):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "expression", expression)
-        object.__setattr__(self, "conjugate_product", conjugate_product)
-        object.__setattr__(self, "knot", knot)
-        object.__setattr__(self, "basis_changed", basis_changed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FillingResult is immutable")
+    family: str
+    sign: str
+    m: int
+    expression: object
+    conjugate_product: object
+    knot: str
+    basis_changed: object
 
     def __repr__(self):
         return "FillingResult(%s/%s, m=%d, %s)" % (
@@ -184,6 +177,21 @@ def _rational_part(value, role):
     raise ValueError("the %s value must be rational, got %s" % (role, value))
 
 
+def family_chain(spec, m=1):
+    """Walk labels, consumed step equations and solved chain of one run.
+
+    Returns (labels, step_eqs, asg): the labels of the walk for tail
+    length m, the step equations keyed by step index, and the assignment
+    after solving every step before the tail.
+    """
+    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(m)))
+    eqs = spec.equations()
+    step_eqs = {k: eqs[label] for k, label in enumerate(spec.step_labels)}
+    asg = chain_solve(labels, step_eqs, spec.base_assignment(),
+                      len(spec.step_labels) - 1)
+    return labels, step_eqs, asg
+
+
 def run_family(spec, m):
     """Full pipeline for one filling: base solve, chain, collapsed tail.
 
@@ -192,15 +200,10 @@ def run_family(spec, m):
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer tail length")
-    word = spec.word(m)
-    wa = anatomy(word)
+    wa = anatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
-    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, word))
-    eqs = spec.equations()
-    step_eqs = {k: eqs[label] for k, label in enumerate(spec.step_labels)}
-    upto = wa.tail_start_step - 1
-    assert upto == len(spec.step_labels) - 1
-    asg = chain_solve(labels, step_eqs, spec.base_assignment(), upto)
+    assert wa.tail_start_step == len(spec.step_labels)
+    labels, _, asg = family_chain(spec, m)
     tail = labels[wa.tail_start_step]
     assert (tail.f, tail.o, tail.p) == spec.tail_slopes
     f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f").reduced(REDUCE_CANDIDATES)
@@ -451,6 +454,19 @@ def twist_base_identity_check(sign):
     else:
         raise ValueError("sign must be 'pos' or 'neg'")
     return tw.x * a * b - tw.y * a * a - b * b == target
+
+
+def twist_identities(max_n):
+    """(name, thunk) for the twist-knot base identities and recurrences,
+    in the order `twist verify` prints them."""
+    checks = [("base identity %s" % sign,
+               lambda sign=sign: twist_base_identity_check(sign))
+              for sign in ("pos", "neg")]
+    for sign, first in (("pos", 2), ("neg", 1)):
+        checks += [("%s n=%d" % (sign, n),
+                    lambda n=n, sign=sign: twist_recurrence_check(n, sign))
+                   for n in range(first, max_n + 1)]
+    return checks
 
 
 # --- the divisibility bridge between the two pipelines ----------------------

@@ -14,17 +14,21 @@ that the initial step is labelled like a step to the right, determines
 every label from the two starting triangles alone.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A reduced rational slope p/q with q >= 0; infinity is 1/0."""
 
-    __slots__ = ("p", "q")
+    p: int
+    q: int
 
-    def __init__(self, p, q):
+    def __post_init__(self):
+        p, q = self.p, self.q
         if q == 0:
             if p == 0:
                 raise ValueError("0/0 is not a slope")
@@ -37,9 +41,6 @@ class Slope:
             q //= g
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Slope is immutable")
 
     @classmethod
     def parse(cls, text):
@@ -57,18 +58,6 @@ class Slope:
         if self.q == 0:
             raise ValueError("slope at infinity has no finite value")
         return Fraction(self.p, self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, Slope):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
@@ -93,10 +82,11 @@ def _combine(a, b, sub=False):
     return Slope(a.p + b.p, a.q + b.q)
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class FareyTriangle:
-    """Three mutually neighboring slopes."""
+    """Three mutually neighboring slopes; equal when the slope sets are."""
 
-    __slots__ = ("slopes",)
+    slopes: tuple
 
     def __init__(self, a, b, c):
         slopes = (a, b, c)
@@ -109,9 +99,6 @@ class FareyTriangle:
                                      % (slopes[i], slopes[j]))
         object.__setattr__(self, "slopes", slopes)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FareyTriangle is immutable")
-
     def slope_set(self):
         return frozenset(self.slopes)
 
@@ -119,10 +106,6 @@ class FareyTriangle:
         if not isinstance(other, FareyTriangle):
             return NotImplemented
         return self.slope_set() == other.slope_set()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -132,46 +115,40 @@ class FareyTriangle:
     __repr__ = __str__
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Walk:
     """A start triangle, the triangle entered first, and an L/R word."""
 
-    __slots__ = ("t0", "t1", "word")
+    t0: FareyTriangle
+    t1: FareyTriangle
+    word: str
 
-    def __init__(self, t0, t1, word):
+    def __post_init__(self):
+        t0, t1 = self.t0, self.t1
         if not isinstance(t0, FareyTriangle) or not isinstance(t1, FareyTriangle):
             raise TypeError("walk endpoints must be FareyTriangle")
         shared = t0.slope_set() & t1.slope_set()
         if len(shared) != 2:
             raise ValueError("triangles must share exactly one edge, got %s and %s"
                              % (t0, t1))
-        word = str(word)
+        word = str(self.word)
         if any(ch not in "LR" for ch in word):
             raise ValueError("walk word must use only L and R: %r" % (word,))
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Walk is immutable")
 
     def __str__(self):
         return "%s -> %s word=%s" % (self.t0, self.t1, self.word or "(empty)")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class StepLabels:
     """Role assignment of one walk step: dropped o, new h, carried p and f."""
 
-    __slots__ = ("index", "o", "h", "p", "f")
-
-    def __init__(self, index, o, h, p, f):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepLabels is immutable")
+    index: int
+    o: Slope
+    h: Slope
+    p: Slope
+    f: Slope
 
     def __str__(self):
         return "step %d: o=%s h=%s p=%s f=%s" % (self.index, self.o, self.h,
@@ -244,6 +221,7 @@ def _new_slope(o, p, f):
     return h
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class WordAnatomy:
     """Split of a walk word into body + tail + tip.
 
@@ -252,11 +230,15 @@ class WordAnatomy:
     The first tail step is step len(body) + 1 of the walk.
     """
 
-    __slots__ = ("word", "body", "tail", "tip", "tail_start_step",
-                 "tip_matches_tail")
+    word: str
+    body: str = field(init=False)
+    tail: str = field(init=False)
+    tip: str = field(init=False)
+    tail_start_step: int = field(init=False)
+    tip_matches_tail: bool = field(init=False)
 
-    def __init__(self, word):
-        word = str(word)
+    def __post_init__(self):
+        word = str(self.word)
         if len(word) < 2:
             raise ValueError("word must have at least two letters: %r" % (word,))
         if any(ch not in "LR" for ch in word):
@@ -273,9 +255,6 @@ class WordAnatomy:
         object.__setattr__(self, "tip", tip)
         object.__setattr__(self, "tail_start_step", len(body) + 1)
         object.__setattr__(self, "tip_matches_tail", tip == tail[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WordAnatomy is immutable")
 
     def __str__(self):
         return "%s|%s|%s" % (self.body, self.tail, self.tip)
@@ -340,6 +319,14 @@ def _bezout(p, q):
     return old_u, old_v
 
 
+# Largest bound crossing_count_oracle accepts.  The edge table grows
+# roughly with bound^2 (about 0.5 s and 560k edges at bound 480, 1.2 s and
+# 1.19M edges at 700 on a 2-vCPU Xeon), and _edge_table's descent recurses
+# about bound deep, so a bound near the interpreter's recursion limit
+# would raise RecursionError.
+ORACLE_MAX_BOUND = 500
+
+
 def crossing_count_oracle(s, h, bound):
     """Brute-force crossing count: enumerate edges and test separation.
 
@@ -347,13 +334,17 @@ def crossing_count_oracle(s, h, bound):
     bound in absolute value is generated explicitly; the count is the
     number of such edges with s and h strictly on opposite sides.  The
     bound must dominate the entries of s and h combined, or the result
-    could silently miss edges, so that is an error.
+    could silently miss edges, so that is an error, and it may not
+    exceed ORACLE_MAX_BOUND.
     """
-    import numpy as np  # only the oracle needs it; importing it is slow
-
     need = abs(s.p) + abs(s.q) + abs(h.p) + abs(h.q)
     if bound < need:
         raise ValueError("bound %d too small: need at least %d" % (bound, need))
+    if bound > ORACLE_MAX_BOUND:
+        raise ValueError("bound %d too large: the oracle allows at most %d"
+                         % (bound, ORACLE_MAX_BOUND))
+    import numpy as np  # only the oracle needs it; importing it is slow
+
     if s == h:
         raise ValueError("crossing count needs two distinct slopes")
     vert_n, fin = _edge_table(bound)

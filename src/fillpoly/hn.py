@@ -10,7 +10,7 @@ turns the collapsed run plus the final folding condition into the one
 polynomial whose vanishing characterizes the filled tail.
 """
 
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .matchings import TAIL_VARS, binom
 from .poly import Poly
@@ -69,6 +69,7 @@ def iterate_exchange(f, o, p, n):
     return newer
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TailContext:
     """Values entering a tail of length n: the carried f, o, p roles.
 
@@ -77,9 +78,14 @@ class TailContext:
     tail run, which filling_poly requires.
     """
 
-    __slots__ = ("f", "o", "p", "n", "tip_matches_tail")
+    f: RatFunc
+    o: RatFunc
+    p: object
+    n: int
+    tip_matches_tail: bool = True
 
-    def __init__(self, f, o, p, n, tip_matches_tail=True):
+    def __post_init__(self):
+        f, o, p, n = self.f, self.o, self.p, self.n
         if not isinstance(n, int) or n < 1:
             raise ValueError("tail length must be a positive integer")
         if not isinstance(f, RatFunc) or not isinstance(o, RatFunc):
@@ -88,14 +94,7 @@ class TailContext:
             raise TypeError("p must be RatFunc or QuadExt")
         if isinstance(p, QuadExt) and not (p.is_rational() or p.is_pure_root()):
             raise ValueError("mixed rational+root p values are not supported")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tip_matches_tail", bool(tip_matches_tail))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TailContext is immutable")
+        object.__setattr__(self, "tip_matches_tail", bool(self.tip_matches_tail))
 
 
 def _p_square(p):

@@ -15,11 +15,10 @@ transcribed equation differs from that shape (global sign, exchanged
 squares); the solvers never normalize those differences away.
 """
 
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .farey import Slope
 from .poly import Poly
 from .quadext import QuadExt
 from .ratfunc import RatFunc, parse_poly, parse_ratfunc
@@ -34,14 +33,17 @@ def gamma_name(slope):
     return "g_%s" % slope
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PtolemyEq:
     """One transcribed equation: sum of (coefficient, gamma pair) terms."""
 
-    __slots__ = ("label", "terms")
+    label: str
+    terms: tuple
 
-    def __init__(self, label, terms):
+    def __post_init__(self):
+        label = self.label
         checked = []
-        for coef, gammas in terms:
+        for coef, gammas in self.terms:
             if not isinstance(coef, Poly):
                 raise TypeError("coefficient must be a Poly")
             gammas = tuple(gammas)
@@ -51,11 +53,7 @@ class PtolemyEq:
             checked.append((coef, gammas))
         if not checked:
             raise ValueError("equation %r has no terms" % (label,))
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "terms", tuple(checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PtolemyEq is immutable")
 
     def gamma_names(self):
         out = set()
@@ -181,6 +179,7 @@ def load_values(filename):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Assignment:
     """Immutable map from gamma names to exact values.
 
@@ -188,14 +187,11 @@ class Assignment:
     must share a radicand, which the assignment carries once bound.
     """
 
-    __slots__ = ("_vals", "rad")
+    _vals: dict = field(default_factory=dict)
+    rad: object = None
 
-    def __init__(self, vals=None, rad=None):
-        object.__setattr__(self, "_vals", dict(vals or {}))
-        object.__setattr__(self, "rad", rad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Assignment is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "_vals", dict(self._vals or {}))
 
     def bind(self, name, value):
         if name in self._vals:

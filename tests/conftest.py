@@ -1,17 +1,9 @@
 import pytest
 
-from fillpoly.families import get_family, run_family
+from fillpoly.checks import family_runner
 
 
 @pytest.fixture(scope="session")
 def family_runs():
     """Memoized run_family so the expensive fillings happen once per session."""
-    cache = {}
-
-    def get(name, sign, m):
-        key = (name, sign, m)
-        if key not in cache:
-            cache[key] = run_family(get_family(name, sign), m)
-        return cache[key]
-
-    return get
+    return family_runner()

@@ -6,18 +6,13 @@ test prints a one-line CRITERION verdict that survives pytest's capture,
 then asserts, so a red line always names the subchecks that broke.
 """
 
-from fillpoly.families import (_unit_normal, divides_conjugate, get_family,
-                               numeric_agreement, twist_A,
-                               twist_base_identity_check, twist_gap,
-                               twist_recurrence_check)
-from fillpoly.farey import (Slope, Walk, crossing_count,
-                            crossing_count_oracle, walk_labels)
-from fillpoly.hn import (h_recurrence_check, iterate_exchange,
-                         symbolic_tail_values, tail_poly)
-from fillpoly.matchings import (TAIL_VARS, count_subsets, enumerate_matchings,
-                                matching_sum)
+from fillpoly.checks import CHECKS, FULL, run_check
+from fillpoly.families import (_unit_normal, family_chain, get_family,
+                               twist_A, twist_gap)
+from fillpoly.hn import iterate_exchange, symbolic_tail_values, tail_poly
+from fillpoly.matchings import TAIL_VARS, matching_sum
 from fillpoly.poly import Poly, poly_divides
-from fillpoly.ptolemy import chain_solve, check_equation, load_values
+from fillpoly.ptolemy import check_equation, load_values
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_poly
 
@@ -33,110 +28,45 @@ def pp(text):
     return parse_poly(text, TAIL_VARS)
 
 
-def fib(n):
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+# The registry checks each criterion runs, at FULL ranges.  Criteria 4 and
+# 8 are not selftest invariants and keep their own bodies; every registry
+# check no criterion names runs in test_checks.py.
+CRITERION_CHECKS = {
+    1: ("hn-equals-matching-sum", "matching-fibonacci-counts",
+        "matching-coefficient-counts"),
+    2: ("matching-product-recurrence", "matching-gap-identity",
+        "h-product-recurrence"),
+    3: ("laurent-denominator", "collapse-crossing-exponents",
+        "crossing-oracle-stability"),
+    5: ("fixture-table-audit",),
+    6: ("twist-recurrences",),
+    7: ("twist-divisibility", "pretzel-numeric-agreement"),
+}
 
 
-def test_criterion_1(capsys):
+def _run_criterion(capsys, family_runs, num, title):
+    checks = dict(CHECKS)
     failures = []
-    for n in range(1, 9):
-        if tail_poly(n) != matching_sum(2 * n):
-            failures.append("closed form != matching sum at n=%d" % n)
-    for n in range(1, 13):
-        if len(enumerate_matchings(n)) != fib(n + 1):
-            failures.append("count at %d rungs is not Fibonacci" % n)
-    for N in range(1, 9):
-        got = {}
-        for exps, coef in matching_sum(2 * N).terms.items():
-            ef, eo, ep = exps
-            if ef % 2 or eo % 2 or ep % 2:
-                failures.append("odd exponent in P(%d)" % (2 * N))
-            got[(ef // 2, eo // 2)] = coef
-        for a in range(N + 1):
-            for b in range(N + 1 - a):
-                want = count_subsets(N, a, b)
-                if (N - a - b) % 2:
-                    want = -want
-                if got.pop((a, b), 0) != want:
-                    failures.append("coefficient (a=%d,b=%d) of P(%d)"
-                                    % (a, b, 2 * N))
-        if got:
-            failures.append("P(%d) has unexpected terms %s" % (2 * N, sorted(got)))
-    _report(capsys, 1, "closed form vs matching enumeration", failures)
+    for name in CRITERION_CHECKS[num]:
+        ok, detail = run_check(checks[name], FULL, family_runs)
+        if not ok:
+            failures.append("%s: %s" % (name, detail))
+    _report(capsys, num, title, failures)
     assert not failures, "; ".join(failures)
 
 
-def test_criterion_2(capsys):
-    failures = []
-    mix = pp("g_f^2 + g_o^2 - g_p^2")
-    prod = pp("g_f^2 * g_o^2")
-    for n in range(3, 9):
-        lhs = matching_sum(2 * n)
-        rhs = matching_sum(2 * n - 2) * mix - prod * matching_sum(2 * n - 4)
-        if lhs != rhs:
-            failures.append("two-step recurrence at n=%d" % n)
-    for n in range(4, 9):
-        gap = pp("g_f^%d * g_o^%d * g_p" % (n - 3, n - 2)) ** 2
-        lhs = matching_sum(2 * n - 2) * matching_sum(2 * n - 6)
-        rhs = matching_sum(2 * n - 4) ** 2 - gap
-        if lhs != rhs:
-            failures.append("product recurrence at n=%d" % n)
-    for n in range(4, 11):
-        if not h_recurrence_check(n):
-            failures.append("collapsed-tail product recurrence at n=%d" % n)
-    _report(capsys, 2, "recurrences", failures)
-    assert not failures, "; ".join(failures)
+def test_criterion_1(capsys, family_runs):
+    _run_criterion(capsys, family_runs, 1,
+                   "closed form vs matching enumeration")
 
 
-def test_criterion_3(capsys):
-    failures = []
-    f, o, p = symbolic_tail_values()
-    # the slopes carrying the f, o, p roles at the first tail step, and the
-    # sequence of slopes the exchanges produce
-    sf, so, sp = Slope(1, 0), Slope(-1, 1), Slope(0, 1)
-    for n in range(1, 9):
-        got = iterate_exchange(f, o, p, n)
-        den = (Poly.variable(TAIL_VARS, "g_f") ** (n - 1)
-               * Poly.variable(TAIL_VARS, "g_o") ** n)
-        if got != RatFunc(tail_poly(n)) / RatFunc(den):
-            failures.append("Laurent value at n=%d" % n)
-        if not all(isinstance(c, int) for c in got.num.terms.values()):
-            failures.append("non-integer numerator at n=%d" % n)
-        if got.den != den:
-            failures.append("denominator is not the expected monomial at n=%d" % n)
-        sh = Slope(1, n)
-        want_exps = (crossing_count(sf, sh), crossing_count(so, sh),
-                     0 if sp == sh else crossing_count(sp, sh))
-        if want_exps != (n - 1, n, 0):
-            failures.append("crossing counts at n=%d are not (%d,%d,0)"
-                            % (n, n - 1, n))
-        (den_exps,) = [e for e in got.den.terms]
-        if den_exps != want_exps:
-            failures.append("denominator exponents != crossing counts at n=%d" % n)
-    pool = []
-    for q in range(0, 9):
-        for pnum in range(-8, 9):
-            if pnum == 0 and q == 0:
-                continue
-            s = Slope(pnum, q)
-            if abs(s.p) <= 8 and s.q <= 8 and s not in pool:
-                pool.append(s)
-    mismatches = 0
-    for i, a in enumerate(pool):
-        for b in pool[i + 1:]:
-            want = crossing_count(a, b)
-            if want != crossing_count_oracle(a, b, 33):
-                mismatches += 1
-            if want != crossing_count_oracle(a, b, 34):
-                mismatches += 1
-    if mismatches:
-        failures.append("%d oracle disagreements over %d slope pairs"
-                        % (mismatches, len(pool) * (len(pool) - 1) // 2))
-    _report(capsys, 3, "Laurent property and crossing counts", failures)
-    assert not failures, "; ".join(failures)
+def test_criterion_2(capsys, family_runs):
+    _run_criterion(capsys, family_runs, 2, "recurrences")
+
+
+def test_criterion_3(capsys, family_runs):
+    _run_criterion(capsys, family_runs, 3,
+                   "Laurent property and crossing counts")
 
 
 def test_criterion_4(capsys):
@@ -165,12 +95,7 @@ def test_criterion_4(capsys):
 
     wvals = load_values("whitehead_values.txt")
     for sign, gname in (("pos", "g_1/1"), ("neg", "g_-1/1")):
-        spec = get_family("whitehead", sign)
-        labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(1)))
-        eqs = spec.equations()
-        step_eqs = {k: eqs[lab] for k, lab in enumerate(spec.step_labels)}
-        chain = chain_solve(labels, step_eqs, spec.base_assignment(),
-                            len(spec.step_labels) - 1)
+        _, _, chain = family_chain(get_family("whitehead", sign))
         got = chain.value(gname)
         if isinstance(got, QuadExt):
             if not got.is_rational():
@@ -183,58 +108,18 @@ def test_criterion_4(capsys):
     assert not failures, "; ".join(failures)
 
 
-def test_criterion_5(capsys):
-    failures = []
-    fixtures = load_values("pretzel238_values.txt")
-    for sign in ("pos", "neg"):
-        spec = get_family("pretzel238", sign)
-        eqs = spec.equations()
-        labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(1)))
-        step_eqs = {k: eqs[lab] for k, lab in enumerate(spec.step_labels)}
-        chain = chain_solve(labels, step_eqs, spec.base_assignment(),
-                            len(spec.step_labels) - 1)
-        asg = spec.base_assignment().bind("g_2/1", chain.value("g_2/1"))
-        bound = ("g_1/1", "g_0/1", "g_1/2" if sign == "pos" else "g_-1/1")
-        for gname in bound:
-            asg = asg.bind(gname, fixtures[gname])
-        for label in ("tet0", "tet1") + spec.step_labels:
-            if not check_equation(eqs[label], asg):
-                failures.append("%s: %s residual nonzero" % (sign, label))
-    _report(capsys, 5, "stored long forms satisfy their equations", failures)
-    assert not failures, "; ".join(failures)
+def test_criterion_5(capsys, family_runs):
+    _run_criterion(capsys, family_runs, 5,
+                   "stored long forms satisfy their equations")
 
 
-def test_criterion_6(capsys):
-    failures = []
-    for sign in ("pos", "neg"):
-        if not twist_base_identity_check(sign):
-            failures.append("base identity %s" % sign)
-    for n in range(2, 9):
-        if not twist_recurrence_check(n, "pos"):
-            failures.append("pos recurrence at n=%d" % n)
-    for n in range(1, 9):
-        if not twist_recurrence_check(n, "neg"):
-            failures.append("neg recurrence at n=%d" % n)
-    _report(capsys, 6, "twist-knot recurrences", failures)
-    assert not failures, "; ".join(failures)
+def test_criterion_6(capsys, family_runs):
+    _run_criterion(capsys, family_runs, 6, "twist-knot recurrences")
 
 
 def test_criterion_7(capsys, family_runs):
-    failures = []
-    for sign in ("pos", "neg"):
-        spec = get_family("whitehead", sign)
-        for m in range(1, 5):
-            res = family_runs("whitehead", sign, m)
-            if not divides_conjugate(spec, m, result=res):
-                failures.append("whitehead %s m=%d divisibility" % (sign, m))
-    for sign in ("pos", "neg"):
-        spec = get_family("pretzel238", sign)
-        for m in range(1, 5):
-            res = family_runs("pretzel238", sign, m)
-            if not numeric_agreement(spec, m, 20, seed=100 * m, result=res):
-                failures.append("pretzel %s m=%d numeric agreement" % (sign, m))
-    _report(capsys, 7, "divisibility and dual-pipeline agreement", failures)
-    assert not failures, "; ".join(failures)
+    _run_criterion(capsys, family_runs, 7,
+                   "divisibility and dual-pipeline agreement")
 
 
 def test_criterion_8(capsys, family_runs):
@@ -273,10 +158,7 @@ def test_criterion_8(capsys, family_runs):
     pspec = get_family("pretzel238", "pos")
     eqs = pspec.equations()
     fixtures = load_values("pretzel238_values.txt")
-    labels = walk_labels(Walk(pspec.triangle0, pspec.triangle1, pspec.word(1)))
-    step_eqs = {k: eqs[lab] for k, lab in enumerate(pspec.step_labels)}
-    chain = chain_solve(labels, step_eqs, pspec.base_assignment(),
-                        len(pspec.step_labels) - 1)
+    _, _, chain = family_chain(pspec)
     asg = pspec.base_assignment().bind("g_2/1", chain.value("g_2/1"))
     asg = asg.bind("g_1/1", -fixtures["g_1/1"])
     if check_equation(eqs["step1"], asg):

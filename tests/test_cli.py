@@ -77,6 +77,10 @@ def test_farey_cross_oracle(capsys):
     rc, _, err = run(capsys, "farey", "cross", "--from", "1/0", "--to", "3/5",
                      "--oracle-bound", "5")
     assert rc == 2 and "too small" in err
+    # past the cap: a clean usage error, raised before any table is built
+    rc, out, err = run(capsys, "farey", "cross", "--from", "1/0", "--to",
+                       "3/5", "--oracle-bound", "1000")
+    assert rc == 2 and out == "" and "too large" in err
 
 
 def test_farey_walk_trace(capsys):

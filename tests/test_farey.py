@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fillpoly
+from fillpoly import farey
+from fillpoly.checks import (crossing_symmetric, crossing_unimodular,
+                             walk_roles)
 from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy, anatomy,
                             crossing_count, crossing_count_oracle, det,
                             is_neighbor, walk_labels)
@@ -80,16 +83,7 @@ def test_walk_labels_known_trace():
 
 def test_walk_labels_roles_partition_triangles():
     w = _walk(("4/1", "3/1", "1/0"), ("2/1", "3/1", "1/0"), "LLRR")
-    labels = walk_labels(w)
-    for k in range(1, len(labels)):
-        prev, cur = labels[k - 1], labels[k]
-        # the dropped slope was in the previous triangle, the new one was not
-        prev_tri = {prev.h, prev.p, prev.f}
-        assert cur.o in prev_tri
-        assert cur.h not in prev_tri
-        assert {cur.p, cur.f} == prev_tri - {cur.o}
-        # each step's triangle really is a Farey triangle
-        FareyTriangle(cur.h, cur.p, cur.f)
+    assert walk_roles(w) is None
 
 
 def test_anatomy_splits():
@@ -137,8 +131,7 @@ def slopes(draw):
 def test_crossing_count_symmetry(a, b):
     if a == b:
         return
-    assert crossing_count(a, b) == crossing_count(b, a)
-    assert (crossing_count(a, b) == 0) == is_neighbor(a, b)
+    assert crossing_symmetric(a, b) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -146,11 +139,8 @@ def test_crossing_count_symmetry(a, b):
 def test_crossing_count_unimodular_invariance(a, b):
     if a == b:
         return
-    # the count only depends on the pair up to a det-1 change of basis
     for m in [(1, 1, 0, 1), (1, 0, 1, 1), (0, -1, 1, 0), (2, 1, 1, 1)]:
-        ma = Slope(m[0] * a.p + m[1] * a.q, m[2] * a.p + m[3] * a.q)
-        mb = Slope(m[0] * b.p + m[1] * b.q, m[2] * b.p + m[3] * b.q)
-        assert crossing_count(ma, mb) == crossing_count(a, b)
+        assert crossing_unimodular(a, b, m) is None
 
 
 def test_crossing_count_against_oracle():
@@ -168,6 +158,15 @@ def test_crossing_count_against_oracle():
 def test_oracle_rejects_small_bound():
     with pytest.raises(ValueError):
         crossing_count_oracle(S("1/0"), S("3/5"), 8)
+
+
+def test_oracle_rejects_bound_above_cap(monkeypatch):
+    def no_table(bound):
+        raise AssertionError("built an edge table at bound %d" % bound)
+
+    monkeypatch.setattr(farey, "_edge_table", no_table)
+    with pytest.raises(ValueError, match="too large"):
+        crossing_count_oracle(S("1/0"), S("3/5"), farey.ORACLE_MAX_BOUND + 1)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -7,7 +7,7 @@ from fillpoly.hn import (TailContext, _eval_tail_by_exchange, _eval_tail_poly,
                          exchange_step, filling_poly, h_recurrence_check,
                          iterate_exchange, symbolic_tail_values, tail_collapse,
                          tail_poly)
-from fillpoly.matchings import TAIL_VARS, matching_sum
+from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
@@ -15,11 +15,6 @@ from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
 def rf(text):
     return parse_ratfunc(text, TAIL_VARS)
-
-
-def test_tail_poly_equals_even_matching_sum():
-    for n in range(1, 9):
-        assert tail_poly(n) == matching_sum(2 * n)
 
 
 def test_tail_poly_small_forms():
@@ -41,11 +36,8 @@ def test_exchange_step_on_fractions():
 
 
 def test_iterate_exchange_symbolic_collapse():
+    # the collapse itself is the registry check laurent-denominator
     f, o, p = symbolic_tail_values()
-    for n in range(1, 6):
-        got = iterate_exchange(f, o, p, n)
-        want = RatFunc(tail_poly(n)) / rf("g_f^%d * g_o^%d" % (n - 1, n))
-        assert got == want
     with pytest.raises(ValueError):
         iterate_exchange(f, o, p, 0)
 
@@ -145,7 +137,6 @@ def test_filling_poly_rational_quadext_p():
 
 
 def test_h_recurrence():
-    for n in range(4, 9):
-        assert h_recurrence_check(n)
+    # the identity itself is the registry check h-product-recurrence
     with pytest.raises(ValueError):
         h_recurrence_check(3)

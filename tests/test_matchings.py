@@ -1,18 +1,11 @@
 import pytest
 
 from fillpoly.matchings import (MAX_ENUM_RUNGS, TAIL_VARS, binom,
-                                count_subsets, count_subsets_oracle,
-                                enumerate_matchings, matching_step_check,
-                                matching_sum, matching_sum_rec,
-                                matching_weight, pair_weight, rung_weight)
+                                count_subsets, enumerate_matchings,
+                                matching_step_check, matching_sum,
+                                matching_sum_rec, matching_weight,
+                                pair_weight, rung_weight)
 from fillpoly.poly import Poly
-
-
-def fib(n):
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
 
 
 def test_enumeration_small_cases():
@@ -20,11 +13,6 @@ def test_enumeration_small_cases():
     assert enumerate_matchings(2) == [(), (1,)]
     assert enumerate_matchings(3) == [(), (1,), (2,)]
     assert enumerate_matchings(4) == [(), (1,), (1, 3), (2,), (3,)]
-
-
-def test_enumeration_counts_are_fibonacci():
-    for n in range(1, 13):
-        assert len(enumerate_matchings(n)) == fib(n + 1)
 
 
 def test_enumeration_no_consecutive():
@@ -76,8 +64,7 @@ def test_recurrence_route_matches_enumeration():
 
 
 def test_step_recurrence():
-    for k in range(2, 11):
-        assert matching_step_check(k)
+    # the recurrence itself is the registry check matching-step-recurrences
     with pytest.raises(ValueError):
         matching_step_check(1)
 
@@ -91,10 +78,7 @@ def test_binom_conventions():
 
 
 def test_count_subsets_matches_oracle():
-    for n in range(1, 7):
-        for a in range(0, n + 1):
-            for b in range(0, n + 1):
-                assert count_subsets(n, a, b) == count_subsets_oracle(n, a, b)
+    # the agreement itself is the registry check matching-coefficient-counts
     with pytest.raises(ValueError):
         count_subsets(0, 0, 0)
 

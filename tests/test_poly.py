@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fillpoly import poly as poly_mod
+from fillpoly.checks import divides_roundtrip, ring_axioms
 from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
@@ -121,10 +122,7 @@ def test_eval_at_integer_point():
 @settings(max_examples=60, deadline=None)
 @given(polys3, polys3, polys3)
 def test_ring_axioms(p, q, r):
-    assert (p + q) - q == p
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+    assert ring_axioms(p, q, r) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,8 +130,7 @@ def test_ring_axioms(p, q, r):
 def test_poly_divides_roundtrip(d, q):
     if d.is_zero():
         d = Poly.one(XY)
-    ok, got = poly_divides(d, d * q)
-    assert ok and got == q
+    assert divides_roundtrip(d, q) is None
 
 
 def test_poly_divides_simple_cases():

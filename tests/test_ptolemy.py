@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.farey import FareyTriangle, Slope, Walk, walk_labels
+from fillpoly.families import family_chain, get_family
+from fillpoly.farey import Slope
 from fillpoly.ptolemy import (PVARS, audit_step_roles, chain_solve,
                               check_equation, gamma_name, load_equations,
                               load_values, solve_pretzel_base,
@@ -23,50 +24,25 @@ def as_rf(v):
     return v
 
 
-def tri(a, b, c):
-    return FareyTriangle(Slope.parse(a), Slope.parse(b), Slope.parse(c))
+def _chains(family, base):
+    """Base values, data files, and labels, step equations and solved
+    chain of both signs at m = 1."""
+    out = {"base": base, "eqs": load_equations(family + ".eqs"),
+           "vals": load_values(family + "_values.txt")}
+    for sign in ("pos", "neg"):
+        out["labels_" + sign], out["step_" + sign], out[sign] = \
+            family_chain(get_family(family, sign))
+    return out
 
 
 @pytest.fixture(scope="module")
 def pretzel():
-    base = solve_pretzel_base()
-    eqs = load_equations("pretzel238.eqs")
-    vals = load_values("pretzel238_values.txt")
-    t0 = tri("3/1", "4/1", "1/0")
-    t1 = tri("3/1", "1/0", "2/1")
-    labels_pos = walk_labels(Walk(t0, t1, "LLRLL"))
-    labels_neg = walk_labels(Walk(t0, t1, "LLLRR"))
-    step_pos = {0: eqs["step0"], 1: eqs["step1"], 2: eqs["step2"],
-                3: eqs["step3pos"]}
-    step_neg = {0: eqs["step0"], 1: eqs["step1"], 2: eqs["step2"],
-                3: eqs["step3neg"]}
-    return {
-        "base": base, "eqs": eqs, "vals": vals,
-        "labels_pos": labels_pos, "labels_neg": labels_neg,
-        "step_pos": step_pos, "step_neg": step_neg,
-        "pos": chain_solve(labels_pos, step_pos, base, 3),
-        "neg": chain_solve(labels_neg, step_neg, base, 3),
-    }
+    return _chains("pretzel238", solve_pretzel_base())
 
 
 @pytest.fixture(scope="module")
 def whitehead():
-    base = solve_whitehead_base()
-    eqs = load_equations("whitehead.eqs")
-    vals = load_values("whitehead_values.txt")
-    t0 = tri("3/1", "2/1", "1/0")
-    t1 = tri("2/1", "1/0", "1/1")
-    labels_pos = walk_labels(Walk(t0, t1, "LRLL"))
-    labels_neg = walk_labels(Walk(t0, t1, "LLRR"))
-    step_pos = {0: eqs["step0"], 1: eqs["step1"], 2: eqs["step2pos"]}
-    step_neg = {0: eqs["step0"], 1: eqs["step1"], 2: eqs["step2neg"]}
-    return {
-        "base": base, "eqs": eqs, "vals": vals,
-        "labels_pos": labels_pos, "labels_neg": labels_neg,
-        "step_pos": step_pos, "step_neg": step_neg,
-        "pos": chain_solve(labels_pos, step_pos, base, 2),
-        "neg": chain_solve(labels_neg, step_neg, base, 2),
-    }
+    return _chains("whitehead", solve_whitehead_base())
 
 
 def test_gamma_name():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fillpoly.checks import norm_multiplicative
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
@@ -73,7 +74,7 @@ def test_conjugate_and_conj_product():
 def test_conj_product_is_multiplicative():
     u = qe("L", "M - 1")
     v = qe("M + 2", "L^2")
-    assert (u * v).conj_product() == u.conj_product() * v.conj_product()
+    assert norm_multiplicative(u, v) is None
 
 
 def test_reciprocal_and_division():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly.checks import evaluate_ring_hom
 from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.poly import Poly
 from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly, parse_ratfunc,
@@ -97,9 +98,7 @@ points = st.tuples(
 def test_evaluate_is_a_ring_homomorphism(pt):
     a = rf("(L + 2*M)/(M^2 + 1)")
     b = rf("(L*M - 3)/(L^2 + 2)")
-    point = {"L": pt[0], "M": pt[1]}
-    assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
-    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+    assert evaluate_ring_hom(a, b, {"L": pt[0], "M": pt[1]}) is None
 
 
 def test_parser_round_trips():
