@@ -638,6 +638,64 @@ def _numeric_agreement(r, family_run):
     return True, "both signs, m = 1..%d, %d points each" % (r.max_m, r.samples)
 
 
+def lowest_terms_failure(value):
+    """Certify that a RatFunc is in lowest terms, or say why not.
+
+    Strips every REDUCE_CANDIDATES factor from the denominator as often as
+    it divides; what remains must be a single term, no stripped factor may
+    divide the numerator, and the two sides may share no variable in their
+    monomial content.  The candidates are irreducible, so that proves gcd 1
+    without computing a gcd.  Returns the failure detail or None.
+    """
+    den = value.den
+    stripped = []
+    for cand in REDUCE_CANDIDATES:
+        ok, q = poly_divides(cand, den)
+        if ok:
+            stripped.append(cand)
+        while ok:
+            den = q
+            ok, q = poly_divides(cand, den)
+    if len(den.terms) != 1:
+        return "denominator keeps a %d-term factor outside the candidates" \
+            % len(den.terms)
+    for cand in stripped:
+        if poly_divides(cand, value.num)[0]:
+            return "%s divides numerator and denominator" % cand
+    shared = [v for v, a, b in zip(value.vars, value.num.monomial_content(),
+                                   value.den.monomial_content()) if a and b]
+    if shared:
+        return "%s divides numerator and denominator" % shared[0]
+
+
+@_check("lowest-terms")
+def _lowest_terms(r, family_run):
+    """Every rational part of every output is certified in lowest terms.
+
+    basis_changed is not checked: it is the conjugate product under the
+    unimodular monomial map L -> +-L*M^e, which keeps coprimality in the
+    Laurent ring, so it inherits the certificate.
+    """
+    values = 0
+    for name, sign in FAMILIES:
+        for m in range(1, r.max_m + 1):
+            result = family_run(name, sign, m)
+            expr = result.expression
+            parts = [("expression", expr)] if isinstance(expr, RatFunc) else \
+                [("expression.a", expr.a), ("expression.b", expr.b),
+                 ("expression.rad", expr.rad)]
+            if result.conjugate_product is not expr:
+                parts.append(("conjugate_product", result.conjugate_product))
+            for part, value in parts:
+                failure = lowest_terms_failure(value)
+                if failure:
+                    return False, "%s/%s m=%d %s: %s" \
+                        % (name, sign, m, part, failure)
+                values += 1
+    return True, "%d values, both families and signs, m = 1..%d" \
+        % (values, r.max_m)
+
+
 @_check("render-determinism")
 def _render_determinism(r, family_run):
     result = family_run("pretzel238", "pos", 1)

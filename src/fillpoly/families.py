@@ -32,11 +32,17 @@ def _pp(text):
     return parse_poly(text, PVARS)
 
 
-# Factors worth offering to RatFunc.reduced along the pipeline.  Purely an
-# output-size optimization: reduced() only cancels a candidate after exact
-# division succeeds on both sides, so the list's content never affects
-# values, only how much junk the intermediate fractions carry.  Shared
-# monomials are already stripped by normalization, so no bare variables.
+# The irreducible factors the base values are built from.  They matter in
+# two places.  run_family reduces the chain values entering the tail by
+# them: the chain solve's sums leave common factors there that products
+# alone do not cancel.  From there on RatFunc products cross-cancel every
+# numerator/denominator pair, so the tail and the outputs come out in
+# lowest terms with no further reduction, and the lowest-terms check
+# certifies that by stripping these factors from each output denominator
+# down to a monomial.  reduced() only cancels a candidate after exact
+# division succeeds on both sides, so the list never changes a value.
+# Shared monomials are already stripped by normalization, so no bare
+# variables.
 #
 # Every entry is a binomial +-x^a +- t with t free of x, so poly_divides
 # tests it by one pass of sparse synthetic division.  Three earlier entries
@@ -218,7 +224,7 @@ def run_family(spec, m):
     ctx = TailContext(f, o, p, m, tip_matches_tail=wa.tip_matches_tail)
     expr = filling_poly(ctx, reduce_candidates=REDUCE_CANDIDATES)
     if isinstance(expr, QuadExt):
-        conj = expr.conj_product().reduced(REDUCE_CANDIDATES)
+        conj = expr.conj_product()
     else:
         conj = expr
     changed = substitute_basis(conj, *spec.basis_rule(m))

@@ -380,7 +380,11 @@ def crossing_count_oracle(s, h, bound):
     return int(sep_fin.sum() + sep_vert.sum())
 
 
-@lru_cache(maxsize=8)
+# Both callers in the package (`farey cross --oracle-bound` and the
+# crossing-oracle-stability check) compare bound with bound + 1, and a
+# table near ORACLE_MAX_BOUND peaks at about 200 MB to build, so two
+# tables are cached and no more.
+@lru_cache(maxsize=2)
 def _edge_table(bound):
     """All triangulation edges with entries within bound.
 

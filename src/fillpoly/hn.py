@@ -143,32 +143,34 @@ def _eval_tail_poly(n, f, o, psq, reduce_candidates=()):
     return out
 
 
-def _eval_tail_by_exchange(n, f, o, psq, reduce_candidates=()):
+def _eval_tail_by_exchange(n, f, o, psq):
     """Same value as _eval_tail_poly, built by iterating the exchange.
 
     Each exchange divides out the previous collapsed value, so on concrete
     inputs the intermediates stay as small as the answer instead of piling
-    up one giant common denominator.  Raises ZeroDivisionError when an
-    intermediate collapsed value vanishes; callers fall back to the direct
-    expansion then.
+    up one giant common denominator.  RatFunc products cancel all four
+    numerator/denominator pairs of their operands, so dividing by the older
+    value cancels its numerator into the new numerator and its denominator
+    into the new denominator; the exchanges and the final scaling need no
+    separate reduction.  Raises ZeroDivisionError when an intermediate
+    collapsed value vanishes; callers fall back to the direct expansion
+    then.
     """
     older, newer = o, f
     for _ in range(n):
-        nxt = (newer * newer - psq) / older
-        if reduce_candidates:
-            nxt = nxt.reduced(reduce_candidates)
-        older, newer = newer, nxt
-    out = newer * (f ** (n - 1) * o ** n)
-    if reduce_candidates:
-        out = out.reduced(reduce_candidates)
-    return out
+        older, newer = newer, (newer * newer - psq) / older
+    return newer * (f ** (n - 1) * o ** n)
 
 
 def _tail_value(n, f, o, psq, reduce_candidates=()):
-    """Collapsed-tail numerator value, fastest route first."""
+    """Collapsed-tail numerator value, fastest route first.
+
+    reduce_candidates only reaches the direct-expansion fallback, whose
+    one common denominator does not cancel by itself.
+    """
     if not f.is_zero() and not o.is_zero():
         try:
-            return _eval_tail_by_exchange(n, f, o, psq, reduce_candidates)
+            return _eval_tail_by_exchange(n, f, o, psq)
         except ZeroDivisionError:
             pass
     return _eval_tail_poly(n, f, o, psq, reduce_candidates)
@@ -187,7 +189,11 @@ def filling_poly(ctx, reduce_candidates=()):
     Requires the walk tip to continue the tail run; a flipped tip would
     need one extra exchanged step first, and nothing here builds that.
     Returns a RatFunc for rational p, or a QuadExt with the same radicand
-    for pure-root p.
+    for pure-root p.  The products cross-cancel all four numerator and
+    denominator pairs, so the family runs come out in lowest terms with no
+    reduction here (the lowest-terms check certifies that);
+    reduce_candidates only reaches the direct-expansion fallback of the
+    tail value.
     """
     if not ctx.tip_matches_tail:
         raise ValueError("walk tip breaks the tail run; filling_poly needs "
@@ -199,10 +205,7 @@ def filling_poly(ctx, reduce_candidates=()):
         return head - scale * p
     if p.is_rational():
         return head - scale * p.a
-    root_part = -(scale * p.b)
-    if reduce_candidates:
-        root_part = root_part.reduced(reduce_candidates)
-    return QuadExt(head, root_part, p.rad)
+    return QuadExt(head, -(scale * p.b), p.rad)
 
 
 def h_recurrence_check(n):

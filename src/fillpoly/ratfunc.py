@@ -9,18 +9,24 @@ common non-monomial factor can survive; equality therefore always goes
 through cross-multiplication.
 
 Multiplication and division try exact cross-cancellation through
-poly_divides first.  That keeps the iterated exchange of the tail
-construction fully reduced, where the denominators must stay plain
-monomials.  reduced() cancels a caller's list of likely factors, each as
-often as it divides both sides.  poly_divides has two routes.  The family
-pipelines pass binomials such as L - M, monic up to sign in one variable,
-which it tests by one pass of sparse synthetic division, so a trial costs
-O(terms).  Every other divisor, such as a denominator in the
-cross-cancellation, goes through sparse division on a heap of packed
-monomial keys over the primitive integer parts.  Both are sound because
-in an integral domain the leading term of a product is the product of the
-leading terms and degrees add per variable, so any failed step proves
-non-divisibility.
+poly_divides first, over all four numerator/denominator pairs of the two
+operands: each denominator against the other numerator, and each
+numerator against the other denominator.  So dividing by a value cancels
+its numerator into the dividend's numerator and its denominator into the
+dividend's denominator, instead of multiplying the latter into the
+numerator.  That keeps the iterated exchange of the tail construction
+fully reduced, where the denominators must stay plain monomials.  Sums
+are not cancelled this way, so reduced() cancels a caller's list of
+likely factors, each as often as it divides both sides.
+
+poly_divides has two routes.  The family pipelines pass binomials such as
+L - M, monic up to sign in one variable, which it tests by one pass of
+sparse synthetic division, so a trial costs O(terms).  Every other
+divisor, such as a factor in the cross-cancellation, goes through sparse
+division on a heap of packed monomial keys over the primitive integer
+parts.  Both are sound because in an integral domain the leading term of
+a product is the product of the leading terms and degrees add per
+variable, so any failed step proves non-divisibility.
 """
 
 from fractions import Fraction
@@ -172,16 +178,25 @@ class RatFunc:
         n2, d2 = other.num, other.den
         if n1.is_zero() or n2.is_zero():
             return RatFunc.zero(self.vars)
-        # cross-cancel before multiplying; this is what keeps chained
-        # exchanges reduced instead of piling up matched factors
-        if not d2.is_one() and not d2.is_constant():
+        # cross-cancel all four pairs before multiplying; this is what keeps
+        # chained exchanges reduced instead of piling up matched factors
+        one = Poly.one(self.vars)
+        if not d2.is_constant():
             ok, q = poly_divides(d2, n1)
             if ok:
-                n1, d2 = q, Poly.one(self.vars)
-        if not d1.is_one() and not d1.is_constant():
+                n1, d2 = q, one
+        if not d1.is_constant():
             ok, q = poly_divides(d1, n2)
             if ok:
-                n2, d1 = q, Poly.one(self.vars)
+                n2, d1 = q, one
+        if not n2.is_constant() and not d1.is_constant():
+            ok, q = poly_divides(n2, d1)
+            if ok:
+                d1, n2 = q, one
+        if not n1.is_constant() and not d2.is_constant():
+            ok, q = poly_divides(n1, d2)
+            if ok:
+                d2, n1 = q, one
         return RatFunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

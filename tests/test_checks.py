@@ -5,7 +5,9 @@ import collections
 import pytest
 
 import test_acceptance
-from fillpoly.checks import CHECKS, FULL, run_check
+from fillpoly.checks import CHECKS, FULL, lowest_terms_failure, run_check
+from fillpoly.ptolemy import PVARS
+from fillpoly.ratfunc import RatFunc, parse_poly
 
 GROUPS = test_acceptance.CRITERION_CHECKS
 CLAIMED = [name for group in GROUPS.values() for name in group]
@@ -26,3 +28,25 @@ def test_every_check_is_claimed_exactly_once():
     # each criterion group has a test that runs it
     for num in GROUPS:
         assert callable(getattr(test_acceptance, "test_criterion_%d" % num))
+
+
+def _raw(num, den):
+    """A RatFunc kept exactly as written, with no normalization."""
+    return RatFunc(parse_poly(num, PVARS), parse_poly(den, PVARS),
+                   _normalized=True)
+
+
+def test_lowest_terms_certifies_a_reduced_value():
+    assert lowest_terms_failure(_raw("L + 2", "L^3 * (L - M)^4 * (M + 1)")) \
+        is None
+
+
+@pytest.mark.parametrize("num,den,detail", [
+    ("(L - M) * (L + 2)", "M * (L - M)^2",
+     "L - M divides numerator and denominator"),
+    ("L + 2", "M * (L - M) * (M + 3)",
+     "denominator keeps a 2-term factor outside the candidates"),
+    ("M * (L + 2)", "M * (L - 1)", "M divides numerator and denominator"),
+], ids=["shared-candidate", "foreign-factor", "shared-variable"])
+def test_lowest_terms_names_the_shared_factor(num, den, detail):
+    assert lowest_terms_failure(_raw(num, den)) == detail

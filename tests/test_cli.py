@@ -153,7 +153,7 @@ def test_selftest_quick(capsys):
     assert len(fails) == 1
     assert "fixture-table-audit" in fails[0]
     assert "g_-1/1" in fails[0]
-    assert lines[-1] == "selftest: 27/28 checks passed"
+    assert lines[-1] == "selftest: 28/29 checks passed"
 
 
 # sha256 of `apoly --json` at m = 1, taken with recursive dense division for

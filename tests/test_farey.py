@@ -169,6 +169,16 @@ def test_oracle_rejects_bound_above_cap(monkeypatch):
         crossing_count_oracle(S("1/0"), S("3/5"), farey.ORACLE_MAX_BOUND + 1)
 
 
+def test_edge_table_cache_holds_at_most_two_tables():
+    farey._edge_table.cache_clear()
+    try:
+        for bound in (9, 10, 11):
+            farey._edge_table(bound)
+        assert farey._edge_table.cache_info().currsize <= 2
+    finally:
+        farey._edge_table.cache_clear()
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     # only crossing_count_oracle uses numpy, and importing it is slow
     code = "import sys, fillpoly.cli; sys.exit('numpy' in sys.modules)"

@@ -10,6 +10,7 @@ from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly, parse_ratfunc,
                               substitute_basis)
 
 LM = ("L", "M")
+XY = ("x", "y")
 
 
 def rf(text):
@@ -69,6 +70,27 @@ def test_mul_add_cross_cancellation_keeps_results_small():
     s = rf("L/(L - M)") + rf("-M/(L - M)")
     assert s == RatFunc.one(LM)
     assert str(s) == "(L - M)/(L - M)"
+
+
+def test_mul_cancels_each_numerator_into_the_other_denominator():
+    x, y = Poly.variable(XY, "x"), Poly.variable(XY, "y")
+    # neither denominator divides the other operand's numerator; only the
+    # numerator x + 2 divides the other operand's denominator, once from
+    # each side as the operands swap
+    left = RatFunc(x, (y + 1) * (x + 2))
+    right = RatFunc(x + 2, y)
+    for prod in (left * right, right * left):
+        assert (prod.num, prod.den) == (x, y * y + y)
+
+
+def test_division_cancels_divisor_denominator():
+    # dividing by o = A/B multiplies by B/A; B cancels into the dividend's
+    # denominator instead of piling onto its numerator
+    a = rf("L/((M - 1) * (L - M)^2)")
+    o = rf("(M + 2)/(L - M)")
+    q = a / o
+    assert (q.num, q.den) == (parse_poly("L", LM),
+                              parse_poly("(M - 1) * (L - M) * (M + 2)", LM))
 
 
 def test_reduced_cancels_listed_factors():
