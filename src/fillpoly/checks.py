@@ -488,7 +488,7 @@ def _laurent_denominator(r, family_run):
             return False, "denominator at n=%d is %s" % (n, val.den)
         if any(Fraction(c).denominator != 1 for c in val.num.terms.values()):
             return False, "non-integer numerator coefficient at n=%d" % n
-        if val * RatFunc.from_poly(den) != RatFunc.from_poly(tail_poly(n)):
+        if val * RatFunc(den) != RatFunc(tail_poly(n)):
             return False, "iterated exchange != H(%d) / (f^%d o^%d)" % (n, n - 1, n)
     return True, "n = 1..%d" % r.max_n
 

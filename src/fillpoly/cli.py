@@ -13,6 +13,9 @@ Subcommands expose each pipeline plus the brute-force oracles:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 deterministic for a fixed argv and --seed.  The FILLPOLY_FORMAT
 environment variable picks the default output format (text or json).
+Text output prints each polynomial, rational function or quadratic
+extension value in its canonical str() form; JSON output is one
+json.dumps document (indent 2) that carries the same strings.
 """
 
 import argparse
@@ -47,111 +50,19 @@ class CliConfig:
         self.seed = int(seed)
 
 
-# --- streaming writers --------------------------------------------------
-#
-# Large results (the Whitehead numerators run to thousands of terms) are
-# written term by term instead of being rendered into one string first.
-# The chunk generators reproduce the canonical str() forms exactly.
+# --- rendering ----------------------------------------------------------
 
 
-def _poly_chunks(p):
-    if not p.terms:
-        yield "0"
-        return
-    for i, (exps, coef) in enumerate(p.sorted_terms()):
-        neg = coef < 0
-        body = p._term_str(exps, coef)
-        if i == 0:
-            yield "-" + body if neg else body
-        else:
-            yield (" - " if neg else " + ") + body
-
-
-def _ratfunc_chunks(rf):
-    yield "("
-    for chunk in _poly_chunks(rf.num):
-        yield chunk
-    yield ")/("
-    for chunk in _poly_chunks(rf.den):
-        yield chunk
-    yield ")"
-
-
-def _quadext_chunks(qe):
-    for chunk in _ratfunc_chunks(qe.a):
-        yield chunk
-    yield " + "
-    for chunk in _ratfunc_chunks(qe.b):
-        yield chunk
-    yield "*sqrt("
-    for chunk in _ratfunc_chunks(qe.rad):
-        yield chunk
-    yield ")"
-
-
-def _value_chunks(value):
-    if isinstance(value, Poly):
-        return _poly_chunks(value)
-    if isinstance(value, RatFunc):
-        return _ratfunc_chunks(value)
-    if isinstance(value, QuadExt):
-        return _quadext_chunks(value)
-    raise TypeError("no text form for %r" % (type(value),))
-
-
-def _emit_json(w, value, indent=0):
-    """Stream one JSON value; algebra objects become canonical strings."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _algebra_text(value):
+    """json.dumps fallback: Poly, RatFunc and QuadExt become their str()."""
     if isinstance(value, (Poly, RatFunc, QuadExt)):
-        w('"')
-        for chunk in _value_chunks(value):
-            w(chunk)
-        w('"')
-    elif isinstance(value, dict):
-        if not value:
-            w("{}")
-            return
-        w("{\n")
-        last = len(value) - 1
-        for i, (key, sub) in enumerate(value.items()):
-            w(inner)
-            w(json.dumps(str(key)))
-            w(": ")
-            _emit_json(w, sub, indent + 1)
-            w(",\n" if i != last else "\n")
-        w(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            w("[]")
-            return
-        w("[\n")
-        last = len(value) - 1
-        for i, sub in enumerate(value):
-            w(inner)
-            _emit_json(w, sub, indent + 1)
-            w(",\n" if i != last else "\n")
-        w(pad + "]")
-    elif isinstance(value, bool):
-        w("true" if value else "false")
-    elif value is None:
-        w("null")
-    elif isinstance(value, int):
-        w(str(value))
-    else:
-        w(json.dumps(value))
+        return str(value)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
 
 
 def _emit_json_doc(w, payload):
-    _emit_json(w, payload)
-    w("\n")
-
-
-def _emit_labeled(w, label, value):
-    w(label)
-    w(": ")
-    for chunk in _value_chunks(value):
-        w(chunk)
+    w(json.dumps(payload, indent=2, default=_algebra_text))
     w("\n")
 
 
@@ -173,9 +84,7 @@ def cmd_hn(args, cfg):
     if cfg.format == "json":
         _emit_json_doc(w, {"schema": 1, "n": args.n, "poly": h})
     else:
-        for chunk in _poly_chunks(h):
-            w(chunk)
-        w("\n")
+        w("%s\n" % h)
     return 0
 
 
@@ -185,9 +94,7 @@ def cmd_pn(args, cfg):
     if cfg.format == "json":
         _emit_json_doc(w, {"schema": 1, "n": args.n, "poly": p})
     else:
-        for chunk in _poly_chunks(p):
-            w(chunk)
-        w("\n")
+        w("%s\n" % p)
     return 0
 
 
@@ -206,10 +113,7 @@ def cmd_matchings(args, cfg):
     if args.list:
         for sel in sels:
             key = ",".join(str(i) for i in sel) or "-"
-            w("%s: " % key)
-            for chunk in _poly_chunks(matching_weight(args.n, sel)):
-                w(chunk)
-            w("\n")
+            w("%s: %s\n" % (key, matching_weight(args.n, sel)))
     return 0
 
 
@@ -337,14 +241,13 @@ def _apoly_emit_text(w, result, show_basis):
       % (result.family, result.sign, result.m, result.knot))
     expr = result.expression
     if isinstance(expr, QuadExt):
-        _emit_labeled(w, "expression.a", expr.a)
-        _emit_labeled(w, "expression.b", expr.b)
-        _emit_labeled(w, "expression.rad", expr.rad)
+        w("expression.a: %s\nexpression.b: %s\nexpression.rad: %s\n"
+          % (expr.a, expr.b, expr.rad))
     else:
-        _emit_labeled(w, "expression", expr)
-    _emit_labeled(w, "conjugate_product", result.conjugate_product)
+        w("expression: %s\n" % expr)
+    w("conjugate_product: %s\n" % result.conjugate_product)
     if show_basis:
-        _emit_labeled(w, "basis_changed", result.basis_changed)
+        w("basis_changed: %s\n" % result.basis_changed)
 
 
 def cmd_apoly(args, cfg):
@@ -385,9 +288,7 @@ def cmd_twist(args, cfg):
         _emit_json_doc(w, {"schema": 1, "sign": args.sign, "n": args.n,
                            "poly": p})
     else:
-        for chunk in _poly_chunks(p):
-            w(chunk)
-        w("\n")
+        w("%s\n" % p)
     return 0
 
 

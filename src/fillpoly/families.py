@@ -222,7 +222,7 @@ def run_family(spec, m):
                     p.b.reduced(REDUCE_CANDIDATES),
                     p.rad.reduced(REDUCE_CANDIDATES))
     ctx = TailContext(f, o, p, m, tip_matches_tail=wa.tip_matches_tail)
-    expr = filling_poly(ctx, reduce_candidates=REDUCE_CANDIDATES)
+    expr = filling_poly(ctx)
     if isinstance(expr, QuadExt):
         conj = expr.conj_product()
     else:
@@ -230,11 +230,6 @@ def run_family(spec, m):
     changed = substitute_basis(conj, *spec.basis_rule(m))
     return FillingResult(spec.name, spec.sign, m, expr, conj,
                          spec.knot_name(m), changed)
-
-
-def basis_change(result, spec):
-    """The spec's basis change applied to the run's conjugate product."""
-    return substitute_basis(result.conjugate_product, *spec.basis_rule(result.m))
 
 
 # --- the independent numeric pipeline -------------------------------------

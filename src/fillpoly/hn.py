@@ -106,41 +106,18 @@ def _p_square(p):
     return p.b * p.b * p.rad
 
 
-def _eval_tail_poly(n, f, o, psq, reduce_candidates=()):
-    """tail_poly(n) at RatFunc values, over one explicit common denominator.
+def _eval_tail_poly(n, f, o, psq):
+    """tail_poly(n) at RatFunc values, summed term by term.
 
     The polynomial only involves f^2, o^2 and p^2, so it is evaluated from
     psq = p*p directly; that is what lets a pure-root p stay exact.
     """
-    fn, fd = f.num * f.num, f.den * f.den
-    on, od = o.num * o.num, o.den * o.den
-    sn, sd = psq.num, psq.den
-
-    def powers(base, top):
-        out = [Poly.one(base.vars)]
-        for _ in range(top):
-            out.append(out[-1] * base)
-        return out
-
-    pfn, pfd = powers(fn, n), powers(fd, n)
-    pon, pod = powers(on, n), powers(od, n)
-    psn, psd = powers(sn, n), powers(sd, n)
-    num = pfn[n] * pod[n] * psd[n]
-    for a in range(n):
-        for b in range(n - a):
-            c = binom(n - 1 - a, b) * binom(n - b, a)
-            if not c:
-                continue
-            if (n - a - b) % 2:
-                c = -c
-            k = n - a - b
-            term = (pfn[a] * pfd[n - a]) * (pon[b] * pod[n - b]) * (psn[k] * psd[n - k])
-            num = num + term * c
-    den = pfd[n] * pod[n] * psd[n]
-    out = RatFunc(num, den)
-    if reduce_candidates:
-        out = out.reduced(reduce_candidates)
-    return out
+    fsq, osq = f * f, o * o
+    total = RatFunc.zero(f.vars)
+    for (ef, eo, ep), c in tail_poly(n).terms.items():
+        total = total + (c * fsq ** (ef // 2) * osq ** (eo // 2)
+                         * psq ** (ep // 2))
+    return total
 
 
 def _eval_tail_by_exchange(n, f, o, psq):
@@ -153,7 +130,7 @@ def _eval_tail_by_exchange(n, f, o, psq):
     value cancels its numerator into the new numerator and its denominator
     into the new denominator; the exchanges and the final scaling need no
     separate reduction.  Raises ZeroDivisionError when an intermediate
-    collapsed value vanishes; callers fall back to the direct expansion
+    collapsed value vanishes; callers fall back to the closed form
     then.
     """
     older, newer = o, f
@@ -162,28 +139,25 @@ def _eval_tail_by_exchange(n, f, o, psq):
     return newer * (f ** (n - 1) * o ** n)
 
 
-def _tail_value(n, f, o, psq, reduce_candidates=()):
-    """Collapsed-tail numerator value, fastest route first.
-
-    reduce_candidates only reaches the direct-expansion fallback, whose
-    one common denominator does not cancel by itself.
-    """
+def _tail_value(n, f, o, psq):
+    """Collapsed-tail numerator value, by exchange where no intermediate
+    value vanishes, else by the closed form."""
     if not f.is_zero() and not o.is_zero():
         try:
             return _eval_tail_by_exchange(n, f, o, psq)
         except ZeroDivisionError:
             pass
-    return _eval_tail_poly(n, f, o, psq, reduce_candidates)
+    return _eval_tail_poly(n, f, o, psq)
 
 
-def tail_collapse(ctx, reduce_candidates=()):
+def tail_collapse(ctx):
     """Value of the collapsed tail: tail_poly(n)(f, o, p) / (f^(n-1) o^n)."""
-    num = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p), reduce_candidates)
+    num = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p))
     den = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
     return num / den
 
 
-def filling_poly(ctx, reduce_candidates=()):
+def filling_poly(ctx):
     """The filling expression: tail_poly(n)(f, o, p) - f^(n-1) o^n p.
 
     Requires the walk tip to continue the tail run; a flipped tip would
@@ -191,14 +165,12 @@ def filling_poly(ctx, reduce_candidates=()):
     Returns a RatFunc for rational p, or a QuadExt with the same radicand
     for pure-root p.  The products cross-cancel all four numerator and
     denominator pairs, so the family runs come out in lowest terms with no
-    reduction here (the lowest-terms check certifies that);
-    reduce_candidates only reaches the direct-expansion fallback of the
-    tail value.
+    reduction here (the lowest-terms check certifies that).
     """
     if not ctx.tip_matches_tail:
         raise ValueError("walk tip breaks the tail run; filling_poly needs "
                          "tip_matches_tail")
-    head = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p), reduce_candidates)
+    head = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p))
     scale = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
     p = ctx.p
     if isinstance(p, RatFunc):

@@ -117,9 +117,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def __len__(self):
         return len(self.terms)
 
@@ -382,21 +379,12 @@ class Poly:
     def __repr__(self):
         return "Poly(%s)" % (self,)
 
-    def to_json(self):
-        """JSON-ready dict: variables plus terms in canonical order."""
-        return {
-            "vars": list(self.vars),
-            "terms": [{"coef": self._coef_str(c), "exps": list(e)}
-                      for e, c in self.sorted_terms()],
-        }
-
 
 # --- exact division ------------------------------------------------------
 #
-# poly_divides takes one of three routes.  A monomial divisor shifts
-# exponents.  The other two rest on what holds in an integral domain: the
-# leading term of a product is the product of the leading terms, and
-# degrees add per variable.
+# poly_divides takes one of two routes.  Both rest on what holds in an
+# integral domain: the leading term of a product is the product of the
+# leading terms, and degrees add per variable.
 #
 # A binomial +-x^a + t, with a +-1 on a pure power of one variable x and t
 # free of x (every RatFunc.reduced candidate of the family pipelines has
@@ -406,15 +394,15 @@ class Poly:
 # below a is unique and the division is exact exactly when that remainder
 # is zero.
 #
-# Every other divisor goes through sparse division on a max-heap of the
-# remainder's monomials, a plain form of the heap division of Monagan and
-# Pearce (2011) that keeps the remainder in a dict.  Both operands are
-# scaled to primitive integer polynomials first: a primitive integer
-# polynomial divides another over the rationals exactly when it divides it
-# over the integers (Gauss's lemma), so each quotient coefficient is an
-# integer divmod by the divisor's leading coefficient, and a nonzero
-# remainder proves non-divisibility.  Because degrees add, an exact
-# quotient has every exponent in the box [pmin - dmin, pmax - dmax]
+# Every other divisor, monomials included, goes through sparse division on
+# a max-heap of the remainder's monomials, a plain form of the heap
+# division of Monagan and Pearce (2011) that keeps the remainder in a
+# dict.  Both operands are scaled to primitive integer polynomials first: a
+# primitive integer polynomial divides another over the rationals exactly
+# when it divides it over the integers (Gauss's lemma), so each quotient
+# coefficient is an integer divmod by the divisor's leading coefficient,
+# and a nonzero remainder proves non-divisibility.  Because degrees add, an
+# exact quotient has every exponent in the box [pmin - dmin, pmax - dmax]
 # (componentwise minimum and maximum exponents of dividend and divisor),
 # so a quotient monomial outside it proves non-divisibility as well.  The
 # products of box monomials with divisor monomials stay in the dividend's
@@ -437,25 +425,12 @@ def poly_divides(d, p):
         raise ZeroDivisionError("zero divisor in poly_divides")
     if p.is_zero():
         return True, Poly.zero(p.vars)
-    if len(d.terms) == 1:
-        (dexps, dc), = d.terms.items()
-        out = {}
-        for exps, c in p.terms.items():
-            nexps = tuple(a - b for a, b in zip(exps, dexps))
-            if any(e < 0 for e in nexps):
-                return False, None
-            out[nexps] = _div_coef(c, dc)
-        return True, Poly(p.vars, out)
     split = _binomial_split(d) if len(d.terms) == 2 else None
     if split is not None:
         q = _binomial_divide(p, *split)
     else:
         q = _sparse_divide(p, d)
     return (False, None) if q is None else (True, q)
-
-
-def _div_coef(a, b):
-    return _clean_coef(Fraction(a) / Fraction(b))
 
 
 def _binomial_split(d):
@@ -552,7 +527,7 @@ def _binomial_divide(p, xi, a, s, beta, ct):
 
 
 def _sparse_divide(p, d):
-    """Exact quotient of p by a divisor d of two or more terms, or None.
+    """Exact quotient of p by a nonzero divisor d, or None.
 
     Works on the primitive integer parts.  The remainder is a dict keyed by
     packed monomials with a max-heap of its keys; each pop takes the

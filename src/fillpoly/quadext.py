@@ -170,10 +170,6 @@ class QuadExt:
     def __repr__(self):
         return "QuadExt(%s)" % (self,)
 
-    def to_json(self):
-        return {"a": self.a.to_json(), "b": self.b.to_json(),
-                "rad": self.rad.to_json()}
-
 
 def _to_ratfunc(value, vars):
     if isinstance(value, RatFunc):

@@ -85,10 +85,6 @@ class RatFunc:
     def variable(cls, vars, name):
         return cls(Poly.variable(vars, name))
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     # --- views ------------------------------------------------------------
 
     @property
@@ -271,9 +267,6 @@ class RatFunc:
     def __repr__(self):
         return "RatFunc(%s)" % (self,)
 
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
 
 def _normalize(num, den):
     """Shared-monomial strip, content normalization, den sign convention."""
@@ -319,19 +312,6 @@ def substitute_basis(rf, sign, e, lname="L", mname="M"):
     num = _lift_m(mapped_num, mi, lift, vars)
     den = _lift_m(mapped_den, mi, lift, vars)
     return RatFunc(num, den)
-
-
-def substitute_basis_poly(p, sign, e, lname="L", mname="M"):
-    """Poly-level basis change; clears negative powers by a power of mname."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    vars = p.vars
-    li = vars.index(lname)
-    mi = vars.index(mname)
-    mapped = _subst_terms(p, sign, e, li, mi)
-    low = min((exps[mi] for exps in mapped), default=0)
-    lift = -low if low < 0 else 0
-    return _lift_m(mapped, mi, lift, vars)
 
 
 def _subst_terms(p, sign, e, li, mi):
@@ -496,7 +476,10 @@ class _Parser:
 
 def parse_ratfunc(text, vars):
     """Parse an expression (negative powers and '/' allowed) into a RatFunc."""
-    return _Parser(text, vars).parse()
+    try:
+        return _Parser(text, vars).parse()
+    except ZeroDivisionError:
+        raise ValueError("division by zero in %r" % (text,)) from None
 
 
 def parse_poly(text, vars):

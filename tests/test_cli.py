@@ -2,9 +2,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fillpoly import cli
-from fillpoly.cli import dispatch
+from fillpoly.cli import dispatch, parse_walk_spec
+from fillpoly.farey import Walk
+from fillpoly.matchings import matching_sum
 
 
 def run(capsys, *argv):
@@ -95,6 +98,31 @@ def test_farey_walk_trace(capsys):
                          " tip_matches_tail=True")
 
 
+_walk_slopes = st.sampled_from(["3/1", "4/1", "1/0", "2/1", "1/1", "0/1",
+                                "-1/1", "1/2", "0/0", "x", " 5 "])
+_walk_fields = st.tuples(
+    st.one_of(st.sampled_from(["3/1,4/1,1/0", "4/1,3/1,1/0", "1/0,0/1,1/1",
+                               "0/1,1/1,1/0", "-1/1,0/1,1/0"]),
+              st.lists(_walk_slopes, min_size=2, max_size=4).map(",".join)
+              ).map(lambda t: "triangle=" + t),
+    st.one_of(st.text(alphabet="LR", max_size=6),
+              st.text(alphabet="LRx", max_size=3)).map(lambda w: "word=" + w),
+    st.sampled_from(["", "junk", "x=1"]))
+_walk_specs = st.one_of(
+    _walk_fields.flatmap(lambda fs: st.permutations(fs)).map(";".join),
+    st.text(alphabet="trianglewod=;,/01LR ", max_size=16))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_walk_specs)
+def test_parse_walk_spec_returns_a_value_or_raises_value_error(text):
+    try:
+        walk = parse_walk_spec(text)
+    except ValueError:
+        return
+    assert isinstance(walk, Walk)
+
+
 def test_apoly_json_schema(capsys):
     rc, out, _ = run(capsys, "apoly", "--family", "whitehead", "--sign", "pos",
                      "--m", "1", "--json")
@@ -177,6 +205,50 @@ def test_apoly_json_golden_bytes(capsys, family, sign):
     assert rc == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == APOLY_M1_SHA256[family, sign]
+
+
+# sha256 of stdout for the text renderings and the non-apoly JSON documents,
+# taken before the CLI rendered through str() and json.dumps: a change of
+# renderer must leave these bytes alone
+STDOUT_SHA256 = {
+    "apoly-whitehead-pos-basis-change": (
+        ("apoly", "--family", "whitehead", "--sign", "pos", "--m", "1",
+         "--basis-change"),
+        "d54172698bdd2e597192b03eec51633adf450406173f390a800f94420c8f60a9"),
+    "apoly-pretzel238-neg-basis-change": (
+        ("apoly", "--family", "pretzel238", "--sign", "neg", "--m", "1",
+         "--basis-change"),
+        "77aac40ec504c62cf3bcfc8f6c071c86cf85b60ca1673cee872cce0c8982c6e9"),
+    "selftest-quick-json": (
+        ("selftest", "--quick", "--format", "json"),
+        "05d3c7b45293b9a48d4fa3ddcad51f848753f7d8eb371717b5325f93e73847f1"),
+    "matchings-list-json": (
+        ("matchings", "--n", "5", "--list", "--format", "json"),
+        "00fec0814685d24e10585ac4c534699bf0d0cfaab9fe057bd08c7b64835bc835"),
+    "farey-walk-json": (
+        ("farey", "walk", "triangle=3/1,4/1,1/0;word=LLRLL", "--format",
+         "json"),
+        "9acee177e2b51920b55a5d137327b6a0e180dd8b2d3aae415a006e1d1caa3b76"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_SHA256))
+def test_stdout_golden_bytes(capsys, case):
+    argv, digest = STDOUT_SHA256[case]
+    rc, out, _ = run(capsys, *argv)
+    # selftest exits 1: criterion 5's fixture check fails by design
+    assert rc == (1 if argv[0] == "selftest" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_renders_values_as_their_str():
+    p = matching_sum(2)
+    out = []
+    cli._emit_json_doc(out.append, {"poly": p, "items": [], "none": None})
+    assert "".join(out) == ('{\n  "poly": "%s",\n  "items": [],\n'
+                            '  "none": null\n}\n' % p)
+    with pytest.raises(TypeError):
+        cli._emit_json_doc(out.append, {"x": object()})
 
 
 def test_memory_error_exits_cleanly(capsys, monkeypatch):

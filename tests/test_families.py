@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.families import (FAMILIES, FillingResult, basis_change,
-                               get_family, numeric_agreement,
-                               run_family_numeric, twist_A, twist_divisor,
-                               twist_gap, twist_polys)
+from fillpoly.families import (FAMILIES, FillingResult, get_family,
+                               numeric_agreement, run_family_numeric, twist_A,
+                               twist_divisor, twist_gap, twist_polys)
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from fillpoly.hn import TailContext, symbolic_tail_values
 from fillpoly.poly import poly_divides
 from fillpoly.ptolemy import PVARS
-from fillpoly.ratfunc import RatFunc, parse_poly, parse_ratfunc
+from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
+                              substitute_basis)
 
 
 def test_registry_contents():
@@ -58,7 +58,8 @@ def test_pretzel_runs_are_rational(family_runs):
 def test_basis_change_helper_matches_result(family_runs):
     spec = get_family("whitehead", "pos")
     res = family_runs("whitehead", "pos", 1)
-    assert basis_change(res, spec) == res.basis_changed
+    assert (substitute_basis(res.conjugate_product, *spec.basis_rule(1))
+            == res.basis_changed)
 
 
 def test_pretzel_numeric_pipeline_spot():

@@ -101,6 +101,24 @@ def test_filling_poly_rational_p():
     assert got == want
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_filling_poly_falls_back_to_closed_form(n):
+    # with p = f the second exchange gives 0 and the third divides by it,
+    # so filling_poly must take the closed-form route
+    for f, o in (symbolic_tail_values()[:2],
+                 (rf("(g_f + 1)/g_p"), rf("g_o/(g_f - 2*g_p)"))):
+        with pytest.raises(ZeroDivisionError):
+            _eval_tail_by_exchange(n, f, o, f * f)
+        got = filling_poly(TailContext(f, o, f, n))
+        # tail_poly(n)(f, o, f), expanded with g_p's exponents moved onto g_f
+        h = Poly.zero(TAIL_VARS)
+        for (ef, eo, ep), c in tail_poly(n).terms.items():
+            h = h + Poly.monomial(TAIL_VARS, (ef + ep, eo, 0), c)
+        head = sum((c * f ** ef * o ** eo for (ef, eo, _), c in h.terms.items()),
+                   RatFunc.zero(TAIL_VARS))
+        assert got == head - f ** (n - 1) * o ** n * f
+
+
 def test_filling_poly_rejects_flipped_tip():
     f, o, p = symbolic_tail_values()
     ctx = TailContext(f, o, p, 2, tip_matches_tail=False)

@@ -246,14 +246,6 @@ def test_sparse_box_takes_dict_path():
     assert poly_mod._packed_mul(a, b) is None
 
 
-def test_to_json_round_trip_fields():
-    p = P(XY, {(1, 2): -3, (0, 0): Fraction(1, 2)})
-    data = p.to_json()
-    assert data["vars"] == ["x", "y"]
-    assert data["terms"] == [{"coef": "-3", "exps": [1, 2]},
-                             {"coef": "1/2", "exps": [0, 0]}]
-
-
 # --- binomial divisors: sparse synthetic division -------------------------
 
 # (divisor text, variable table, variable the divisor is monic in, degree)

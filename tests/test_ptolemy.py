@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fillpoly.families import family_chain, get_family
 from fillpoly.farey import Slope
-from fillpoly.ptolemy import (PVARS, audit_step_roles, chain_solve,
-                              check_equation, gamma_name, load_equations,
-                              load_values, solve_pretzel_base,
-                              solve_whitehead_base)
+from fillpoly.ptolemy import (PVARS, PtolemyEq, audit_step_roles,
+                              chain_solve, check_equation, gamma_name,
+                              load_equations, load_values, parse_equations,
+                              solve_pretzel_base, solve_whitehead_base)
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
@@ -148,3 +149,31 @@ def test_whitehead_branch_argument():
         solve_whitehead_base(branch=2)
     neg = solve_whitehead_base(branch=-1)
     assert neg.value("g_0(23)").b == -RatFunc.one(PVARS)
+
+
+def test_parse_equations_division_by_zero_is_a_value_error():
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_equations("e: (1/0)*g_a*g_b + g_c^2 = 0")
+
+
+# equation lines, well formed or not; coefficients stay small
+_eq_terms = st.tuples(
+    st.sampled_from(["", "L*", "(M - 1)*", "2*", "(1/0)*", "(L*", "Q*"]),
+    st.lists(st.sampled_from(["g_a", "g_b", "g_1/0", "g_c^2", ""]),
+             min_size=1, max_size=3).map("*".join)).map("".join)
+_eq_lines = st.one_of(
+    st.tuples(st.sampled_from(["e: ", "f: ", ": ", "e ", "# "]),
+              st.lists(_eq_terms, min_size=1, max_size=3).map(
+                  lambda ts: " + ".join(ts).replace("+ g_b", "- g_b")),
+              st.sampled_from([" = 0", " = 1", ""])).map("".join),
+    st.text(alphabet="eg_:+-=0 *L", max_size=12))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_eq_lines, max_size=3).map("\n".join))
+def test_parse_equations_returns_a_value_or_raises_value_error(text):
+    try:
+        eqs = parse_equations(text)
+    except ValueError:
+        return
+    assert all(isinstance(eq, PtolemyEq) for eq in eqs.values())

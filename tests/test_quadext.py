@@ -95,11 +95,9 @@ def test_pow():
         v ** Fraction(1, 2)
 
 
-def test_str_and_json():
+def test_str():
     v = qe("L", "M")
     assert str(v) == "(L)/(1) + (M)/(1)*sqrt((-L + 1)/(1))"
-    data = v.to_json()
-    assert set(data) == {"a", "b", "rad"}
 
 
 def test_immutability():

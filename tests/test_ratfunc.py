@@ -141,6 +141,38 @@ def test_parser_negative_powers_and_division():
     assert parse_poly("(L^2 - M^2)/(L + M)", LM) == parse_poly("L - M", LM)
 
 
+def test_parser_division_by_zero_is_a_value_error():
+    for text in ("1/0", "(L-L)^-2", "L/(M - M)", "0^-1"):
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_ratfunc(text, LM)
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_poly("(L + 1)/(0*M)", LM)
+
+
+# Exponents stay small: a power applies to an atom only, at most cubed, and
+# token soup joins single digits with spaces, so no digit string grows.
+_atoms = st.sampled_from(["L", "M", "0", "1", "2", "(L - L)", "(M - 1)"])
+_powers = st.tuples(_atoms, st.sampled_from(["", "^0", "^3", "^-1", "^-2"]))
+_expressions = st.recursive(
+    _powers.map("".join),
+    lambda inner: st.tuples(inner, st.sampled_from(" + | - | * | / ".split("|")),
+                            inner).map(lambda t: "(%s)" % "".join(t)),
+    max_leaves=6)
+_token_soup = st.lists(st.sampled_from(
+    ["L", "M", "0", "2", "3", "+", "-", "*", "/", "^", "(", ")", "Q", "$"]),
+    max_size=14).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_expressions, _token_soup))
+def test_parse_ratfunc_returns_a_value_or_raises_value_error(text):
+    try:
+        value = parse_ratfunc(text, LM)
+    except ValueError:
+        return
+    assert isinstance(value, RatFunc)
+
+
 def test_substitute_basis_values_match():
     r = rf("(L^2 - M)/(L + M^3)")
     out = substitute_basis(r, -1, 2)
@@ -165,13 +197,6 @@ def test_immutability():
     r = rf("L/M")
     with pytest.raises(AttributeError):
         r.num = Poly.one(LM)
-
-
-def test_to_json_shape():
-    r = rf("(L - 1)/(M + 2)")
-    data = r.to_json()
-    assert set(data) == {"num", "den"}
-    assert data["num"]["vars"] == ["L", "M"]
 
 
 def test_reduced_strips_full_common_multiplicity_and_no_more():
