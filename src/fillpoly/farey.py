@@ -44,11 +44,13 @@ class Slope:
 
     @classmethod
     def parse(cls, text):
-        text = text.strip()
-        if "/" in text:
-            a, b = text.split("/", 1)
-            return cls(int(a), int(b))
-        return cls(int(text), 1)
+        num, slash, den = text.strip().partition("/")
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            raise ValueError("not a slope: %r (expected p/q or an integer)"
+                             % (text,)) from None
+        return cls(p, q)
 
     def is_infinity(self):
         return self.q == 0

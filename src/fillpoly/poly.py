@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd
-from operator import neg
+from operator import itemgetter, neg
 
 
 def _clean_coef(c):
@@ -129,7 +129,10 @@ class Poly:
         """Componentwise maximum exponent vector."""
         if not self.terms:
             return (0,) * len(self.vars)
-        return tuple(map(max, zip(*self.terms)))
+        # one C-level pass per variable; zip(*terms) builds a call with one
+        # argument per term and is nearly 3x slower on 13,521 terms
+        return tuple(max(map(itemgetter(i), self.terms))
+                     for i in range(len(self.vars)))
 
     def leading_term(self):
         """(exponents, coefficient) of the lex-largest monomial."""
@@ -299,46 +302,51 @@ class Poly:
     def eval_at(self, point):
         """Exact value at a point, given as a dict varname -> Fraction/int.
 
-        Works in plain integers over one common denominator (numerator and
-        denominator power tables per variable), which is much faster than
-        Fraction arithmetic per term on big polynomials.
+        Works in plain integers over one common denominator, which is much
+        faster than Fraction arithmetic per term on big polynomials.  Each
+        variable x = a/b of top degree d gets one table T[e] = a^e * b^(d-e),
+        so a term c * x1^e1 * ... * xn^en is c * T1[e1] * ... * Tn[en] over
+        the product of the b^d.  Terms are summed by their first exponent,
+        sums[e1] += c * T2[e2] * ... * Tn[en], and each nonzero sum is
+        multiplied by T1[e1] once, so a term costs one product per variable
+        after the first.  Fraction coefficients make their sums Fractions,
+        which stays exact.
         """
         for v in self.vars:
             if v not in point:
                 raise ValueError("no value for variable %r" % (v,))
         if not self.terms:
             return Fraction(0)
-        values = [Fraction(point[v]) for v in self.vars]
-        degs = self.max_degrees()
-        numpows = []
-        codenpows = []
-        for x, dg in zip(values, degs):
-            a, b = x.numerator, x.denominator
-            na = [1] * (dg + 1)
-            nb = [1] * (dg + 1)
-            for i in range(1, dg + 1):
-                na[i] = na[i - 1] * a
-                nb[i] = nb[i - 1] * b
-            numpows.append(na)
-            # nb[i] is b^i; the cofactor for exponent e is b^(dg-e)
-            codenpows.append(nb)
+        if not self.vars:
+            return Fraction(self.terms[()])
+        tables = []
         common_den = 1
-        for nb, dg in zip(codenpows, degs):
-            common_den *= nb[dg]
-        total = 0
-        extra = Fraction(0)
-        for exps, c in self.terms.items():
-            t = 1
-            for i, e in enumerate(exps):
-                t *= numpows[i][e] * codenpows[i][degs[i] - e]
-            if isinstance(c, int):
-                total += c * t
-            else:
-                extra += c * t
-        result = Fraction(total, common_den)
-        if extra:
-            result += extra / common_den
-        return result
+        for v, d in zip(self.vars, self.max_degrees()):
+            x = Fraction(point[v])
+            a, b = x.numerator, x.denominator
+            apow = [1] * (d + 1)
+            bpow = [1] * (d + 1)
+            for i in range(1, d + 1):
+                apow[i] = apow[i - 1] * a
+                bpow[i] = bpow[i - 1] * b
+            tables.append([ae * be for ae, be in zip(apow, reversed(bpow))])
+            common_den *= bpow[d]
+        first = tables[0]
+        sums = [0] * len(first)
+        if len(tables) == 2:
+            # every family output is in (L, M); unpacking the exponent pair
+            # makes the whole call 2-2.7x faster than the general loop's zip
+            second = tables[1]
+            for (e0, e1), c in self.terms.items():
+                sums[e0] += c * second[e1]
+        else:
+            rest = tables[1:]
+            for exps, c in self.terms.items():
+                for t, e in zip(rest, exps[1:]):
+                    c *= t[e]
+                sums[exps[0]] += c
+        total = sum(s * t for s, t in zip(sums, first) if s)
+        return Fraction(total, common_den)
 
     # --- rendering -------------------------------------------------------
 

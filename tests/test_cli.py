@@ -86,6 +86,17 @@ def test_farey_cross_oracle(capsys):
     assert rc == 2 and out == "" and "too large" in err
 
 
+@pytest.mark.parametrize("argv, slope", [
+    (("walk", "triangle=x,4/1,1/0;word=L"), "x"),
+    (("cross", "--from", "1/x", "--to", "3/5"), "1/x"),
+    (("cross", "--from", "1/0", "--to", "3/5/7"), "3/5/7"),
+])
+def test_farey_malformed_slope_names_the_text(capsys, argv, slope):
+    rc, out, err = run(capsys, "farey", *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: not a slope: %r (expected p/q or an integer)\n" % slope
+
+
 def test_farey_walk_trace(capsys):
     rc, out, _ = run(capsys, "farey", "walk",
                      "triangle=4/1,3/1,1/0;word=LLRLL")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fillpoly import poly as poly_mod
 from fillpoly.checks import divides_roundtrip, ring_axioms
@@ -117,6 +117,92 @@ def test_eval_at_matches_direct_substitution():
 def test_eval_at_integer_point():
     p = P(XY, {(1, 1): 1, (0, 0): 1})
     assert p.eval_at({"x": 3, "y": 4}) == 13
+
+
+def _eval_by_terms(p, point):
+    """Reference for eval_at: substitute term by term in Fractions."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        t = Fraction(c)
+        for v, e in zip(p.vars, exps):
+            t *= Fraction(point[v]) ** e
+        total += t
+    return total
+
+
+@st.composite
+def _eval_cases(draw):
+    """A polynomial in 0-3 variables, some of degree 0, and a point for it."""
+    vars = ("x", "y", "z")[:draw(st.integers(0, 3))]
+    tops = [draw(st.integers(0, 5)) for _ in vars]
+    exps = st.tuples(*(st.integers(0, top) for top in tops))
+    coef = st.one_of(coefs, st.integers(-10**30, 10**30))
+    p = Poly(vars, draw(st.dictionaries(exps, coef, max_size=12)))
+    coord = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    return p, {v: draw(coord) for v in vars}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_eval_cases())
+@example((P(XY, {}), {"x": Fraction(1, 3), "y": -2}))
+@example((P(XY, {(0, 0): Fraction(-7, 3)}), {"x": 0, "y": Fraction(5, 2)}))
+@example((P(XYZ, {(2, 0, 1): 3, (0, 0, 4): Fraction(1, 2)}),
+          {"x": Fraction(-2, 3), "y": Fraction(4, 5), "z": 0}))
+@example((P((), {(): 5}), {}))
+def test_eval_at_equals_term_by_term_substitution(case):
+    p, point = case
+    got = p.eval_at(point)
+    assert type(got) is Fraction
+    assert got == _eval_by_terms(p, point)
+
+
+def test_eval_at_needs_every_variable():
+    p = P(XYZ, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="no value for variable 'z'"):
+        p.eval_at({"x": 1, "y": 2})
+
+
+# pretzel238 pos m=1: the numerator and denominator of its expression at
+# five (L, M) points, computed by an independent evaluation (a numerator and
+# a cofactor power table per variable, every term multiplied out on its own).
+# The denominator vanishes at L = 0.
+_PRETZEL_POS_M1_VALUES = (
+    ((Fraction(-3, 2), Fraction(5, 3)),
+     "38526100099344778033175603958972505764468632897507235616099614373115140879725346337"
+     "536166281/480750919492208594228522473763579071699206998666830174380667390918656",
+     "71608162190867370653023352810145932982711126804351806640625/50942200500934239941546"
+     "384362494052431234465563756113516560384"),
+    ((2, Fraction(-1, 4)),
+     "25013200072024725839067360872686907125919255230589578100435845840759256544247588284"
+     "9/26959946667150639794667015087019630673637144422540572481103610249216",
+     "761980254861808537233969197595223486424516089565665653965020130625/6277101735386680"
+     "763835789423207666416102355444464034512896"),
+    ((Fraction(7, 3), -2),
+     "759270847157669158826697622149792466414853256939523179977320892918646193/1824800363"
+     "140073127359051977856583921",
+     "753574238050173051984644867264433953171681837056/278128389443693511257285776231761"),
+    ((0, Fraction(3, 2)),
+     "41745579179292917813953351511015323088870709282081/20282409603651670423947251286016",
+     "0"),
+    ((Fraction(-9, 4), Fraction(-2, 7)),
+     "17668196864514793131416835368536316308355381129084228611085882485573096767219333714"
+     "91529714113062338025216416484010081105137675148350899689830839633941650390625/22482"
+     "47980674879770715858755517047579689440402606833927611344919991482710346901834915244"
+     "2574415011312756027049058077359828123084138441380724736",
+     "35069969817467112804599815183971000977213728915270087542550642579933834103705174381"
+     "65504911135826890464537791558541357517242431640625/35096789618791079348034690003080"
+     "31812913134708557367252359197874828927508824491310225905613780324151336933157537537"
+     "06496"),
+)
+
+
+def test_eval_at_pins_the_pretzel_pos_m1_values(family_runs):
+    expr = family_runs("pretzel238", "pos", 1).expression
+    for (L, M), num, den in _PRETZEL_POS_M1_VALUES:
+        point = {"L": L, "M": M}
+        assert expr.num.eval_at(point) == Fraction(num)
+        assert expr.den.eval_at(point) == Fraction(den)
 
 
 @settings(max_examples=60, deadline=None)
