@@ -5,9 +5,17 @@ Repeatedly exchanging the oldest slope value for a new one through
 collapses a run of same-direction steps into a single rational function.
 Its numerator has a closed binomial form (tail_poly below, a polynomial in
 g_f, g_o, g_p equal to the weighted matching sum of the doubled ladder)
-and its denominator is the exact monomial g_f^(n-1) * g_o^n.  filling_poly
-turns the collapsed run plus the final folding condition into the one
-polynomial whose vanishing characterizes the filled tail.
+and its denominator is the exact monomial g_f^(n-1) * g_o^n.
+
+The exchange x+ * x- = x^2 - p^2 is a rank-2 cluster exchange, so
+K = (x+ + x-)/x stays (f^2 + o^2 - p^2)/(f*o) along the run, the linear
+recurrence of friezes.  tail_collapse and filling_poly divide once to
+get K and then step x+ = K*x - x- with no further division; only when f
+or o vanishes, where K is undefined, do they sum the closed form instead.
+filling_poly turns the collapsed run plus the final folding condition
+into the one polynomial whose vanishing characterizes the filled tail.
+iterate_exchange keeps the dividing exchange as the independent route
+of the numeric pipeline and the Laurent-denominator check.
 """
 
 from dataclasses import dataclass
@@ -110,7 +118,8 @@ def _eval_tail_poly(n, f, o, psq):
     """tail_poly(n) at RatFunc values, summed term by term.
 
     The polynomial only involves f^2, o^2 and p^2, so it is evaluated from
-    psq = p*p directly; that is what lets a pure-root p stay exact.
+    psq = p*p directly; that is what lets a pure-root p stay exact.  Only
+    used when f or o vanishes, where the exchange invariant K is undefined.
     """
     fsq, osq = f * f, o * o
     total = RatFunc.zero(f.vars)
@@ -120,41 +129,32 @@ def _eval_tail_poly(n, f, o, psq):
     return total
 
 
-def _eval_tail_by_exchange(n, f, o, psq):
-    """Same value as _eval_tail_poly, built by iterating the exchange.
+def _linear_tail(n, f, o, psq):
+    """The collapsed tail: n steps of x+ = K*x - x- from (x-, x) = (o, f).
 
-    Each exchange divides out the previous collapsed value, so on concrete
-    inputs the intermediates stay as small as the answer instead of piling
-    up one giant common denominator.  RatFunc products cancel all four
-    numerator/denominator pairs of their operands, so dividing by the older
-    value cancels its numerator into the new numerator and its denominator
-    into the new denominator; the exchanges and the final scaling need no
-    separate reduction.  Raises ZeroDivisionError when an intermediate
-    collapsed value vanishes; callers fall back to the closed form
-    then.
+    The exchange x+ * x- = x^2 - p^2 keeps K = (x+ + x-)/x fixed at
+    (f^2 + o^2 - p^2)/(f*o), so after that one division every step is a
+    product and a subtraction.  f and o must be nonzero.
     """
+    k = (f * f + o * o - psq) / (f * o)
     older, newer = o, f
     for _ in range(n):
-        older, newer = newer, (newer * newer - psq) / older
-    return newer * (f ** (n - 1) * o ** n)
-
-
-def _tail_value(n, f, o, psq):
-    """Collapsed-tail numerator value, by exchange where no intermediate
-    value vanishes, else by the closed form."""
-    if not f.is_zero() and not o.is_zero():
-        try:
-            return _eval_tail_by_exchange(n, f, o, psq)
-        except ZeroDivisionError:
-            pass
-    return _eval_tail_poly(n, f, o, psq)
+        older, newer = newer, k * newer - older
+    return newer
 
 
 def tail_collapse(ctx):
-    """Value of the collapsed tail: tail_poly(n)(f, o, p) / (f^(n-1) o^n)."""
-    num = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p))
-    den = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
-    return num / den
+    """Value of the collapsed tail: tail_poly(n)(f, o, p) / (f^(n-1) o^n).
+
+    This is n steps of the linear recurrence, or the closed form over the
+    scale when f or o vanishes (then the scale vanishes too unless n = 1
+    and o is nonzero, and the division raises ZeroDivisionError).
+    """
+    f, o, n = ctx.f, ctx.o, ctx.n
+    psq = _p_square(ctx.p)
+    if f.is_zero() or o.is_zero():
+        return _eval_tail_poly(n, f, o, psq) / (f ** (n - 1) * o ** n)
+    return _linear_tail(n, f, o, psq)
 
 
 def filling_poly(ctx):
@@ -162,22 +162,27 @@ def filling_poly(ctx):
 
     Requires the walk tip to continue the tail run; a flipped tip would
     need one extra exchanged step first, and nothing here builds that.
-    Returns a RatFunc for rational p, or a QuadExt with the same radicand
-    for pure-root p.  The products cross-cancel all four numerator and
-    denominator pairs, so the family runs come out in lowest terms with no
-    reduction here (the lowest-terms check certifies that).
+    With S = f^(n-1) o^n and x the collapsed tail (tail_collapse), the
+    value is (x - p)*S for rational p (p.a for a rational QuadExt) and
+    QuadExt(x*S, -S*p.b, rad) for pure-root p.  When f or o vanishes,
+    K is undefined and the closed form tail_poly(n)(f, o, p) is summed
+    instead.  The products cross-cancel all four numerator and denominator
+    pairs, so the family runs come out in lowest terms with no reduction
+    here (the lowest-terms check certifies that).
     """
     if not ctx.tip_matches_tail:
         raise ValueError("walk tip breaks the tail run; filling_poly needs "
                          "tip_matches_tail")
-    head = _tail_value(ctx.n, ctx.f, ctx.o, _p_square(ctx.p))
-    scale = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
-    p = ctx.p
-    if isinstance(p, RatFunc):
-        return head - scale * p
-    if p.is_rational():
-        return head - scale * p.a
-    return QuadExt(head, -(scale * p.b), p.rad)
+    f, o, n, p = ctx.f, ctx.o, ctx.n, ctx.p
+    rational_p = p.a if isinstance(p, QuadExt) else p
+    psq, scale = _p_square(p), f ** (n - 1) * o ** n
+    if f.is_zero() or o.is_zero():
+        head = _eval_tail_poly(n, f, o, psq) - scale * rational_p
+    else:
+        head = (_linear_tail(n, f, o, psq) - rational_p) * scale
+    if isinstance(p, QuadExt) and p.is_pure_root():
+        return QuadExt(head, -(scale * p.b), p.rad)
+    return head
 
 
 def h_recurrence_check(n):

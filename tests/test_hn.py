@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.hn import (TailContext, _eval_tail_by_exchange, _eval_tail_poly,
-                         exchange_step, filling_poly, h_recurrence_check,
-                         iterate_exchange, symbolic_tail_values, tail_collapse,
-                         tail_poly)
+from fillpoly.hn import (TailContext, _eval_tail_poly, exchange_step,
+                         filling_poly, h_recurrence_check, iterate_exchange,
+                         symbolic_tail_values, tail_collapse, tail_poly)
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
 from fillpoly.quadext import QuadExt
@@ -57,6 +56,8 @@ def _rand_ratfunc(rng):
 
 
 def test_two_evaluation_routes_agree_on_random_values():
+    # filling_poly runs the linear recurrence; the closed form is summed
+    # term by term
     rng = random.Random(7)
     done = 0
     while done < 6:
@@ -64,12 +65,10 @@ def test_two_evaluation_routes_agree_on_random_values():
         p = _rand_ratfunc(rng)
         if f.is_zero() or o.is_zero():
             continue
-        n = rng.randint(1, 3)
-        try:
-            by_exchange = _eval_tail_by_exchange(n, f, o, p * p)
-        except ZeroDivisionError:
-            continue
-        assert by_exchange == _eval_tail_poly(n, f, o, p * p)
+        n = rng.randint(1, 4)
+        scale = f ** (n - 1) * o ** n
+        assert filling_poly(TailContext(f, o, p, n)) \
+            == _eval_tail_poly(n, f, o, p * p) - scale * p
         done += 1
 
 
@@ -103,12 +102,13 @@ def test_filling_poly_rational_p():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_filling_poly_falls_back_to_closed_form(n):
-    # with p = f the second exchange gives 0 and the third divides by it,
-    # so filling_poly must take the closed-form route
+    # with p = f the exchange sequence o, f, 0, -f, -o passes through 0,
+    # which the exchange would divide by next; the linear recurrence never
+    # divides and must still match the closed form
     for f, o in (symbolic_tail_values()[:2],
                  (rf("(g_f + 1)/g_p"), rf("g_o/(g_f - 2*g_p)"))):
-        with pytest.raises(ZeroDivisionError):
-            _eval_tail_by_exchange(n, f, o, f * f)
+        assert tail_collapse(TailContext(f, o, f, 1)).is_zero()
+        assert tail_collapse(TailContext(f, o, f, 2)) == -f
         got = filling_poly(TailContext(f, o, f, n))
         # tail_poly(n)(f, o, f), expanded with g_p's exponents moved onto g_f
         h = Poly.zero(TAIL_VARS)
@@ -126,32 +126,58 @@ def test_filling_poly_rejects_flipped_tip():
         filling_poly(ctx)
 
 
+def _closed_form_at(n, f, o, psq):
+    """tail_poly(n)(f, o, p) from psq = p*p, one RatFunc term at a time."""
+    return sum((c * f ** ef * o ** eo * psq ** (ep // 2)
+                for (ef, eo, ep), c in tail_poly(n).terms.items()),
+               RatFunc.zero(TAIL_VARS))
+
+
+@pytest.mark.parametrize("f,o", [
+    ("0", "g_o"), ("g_f", "0"), ("0", "(g_o + 1)/g_p"),
+    ("(g_f - g_p)/g_o", "0")])
+def test_filling_poly_with_vanishing_f_or_o(f, o):
+    # K = (f^2 + o^2 - p^2)/(f*o) is undefined, so the closed form is summed
+    f, o, p = rf(f), rf(o), rf("g_p")
+    for n in (1, 2, 3):
+        want = _closed_form_at(n, f, o, p * p) - f ** (n - 1) * o ** n * p
+        assert filling_poly(TailContext(f, o, p, n)) == want
+    if o.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            tail_collapse(TailContext(f, o, p, 1))
+    else:
+        assert tail_collapse(TailContext(f, o, p, 1)) == -p * p / o
+
+
 def test_filling_poly_pure_root_p():
     f, o, _ = symbolic_tail_values()
     rad = rf("g_p")
     p = QuadExt.pure_root(rf("1"), rad)
-    ctx = TailContext(f, o, p, 2)
-    got = filling_poly(ctx)
-    assert isinstance(got, QuadExt)
-    assert got.rad == rad
-    # rational part: the tail numerator with p^2 = rad; root part: -f*o^2
-    assert got.b == rf("-g_f * g_o^2")
-    want_a = (rf("g_f^4") - 2 * rf("g_f^2") * rad - rf("g_o^2") * rad
-              + rad * rad)
-    assert got.a == want_a
-    # squaring out the root reproduces the conjugate product
-    cp = got.conj_product()
-    assert cp == got.a * got.a - got.b * got.b * rad
+    for n in (1, 2, 3, 4):
+        got = filling_poly(TailContext(f, o, p, n))
+        assert isinstance(got, QuadExt)
+        assert got.rad == rad
+        # rational part: the tail numerator with p^2 = rad; root part:
+        # -f^(n-1)*o^n
+        assert got.b == -(f ** (n - 1) * o ** n)
+        assert got.a == _closed_form_at(n, f, o, rad)
+        if n == 2:
+            assert got.b == rf("-g_f * g_o^2")
+            assert got.a == (rf("g_f^4") - 2 * rf("g_f^2") * rad
+                             - rf("g_o^2") * rad + rad * rad)
+        # squaring out the root reproduces the conjugate product
+        cp = got.conj_product()
+        assert cp == got.a * got.a - got.b * got.b * rad
 
 
 def test_filling_poly_rational_quadext_p():
     f, o, _ = symbolic_tail_values()
     rad = rf("g_p")
     p = QuadExt.rational(rf("g_p"), rad)
-    ctx = TailContext(f, o, p, 2)
-    got = filling_poly(ctx)
-    want = filling_poly(TailContext(f, o, rf("g_p"), 2))
-    assert got == want
+    for n in (1, 2, 3, 4):
+        got = filling_poly(TailContext(f, o, p, n))
+        want = filling_poly(TailContext(f, o, rf("g_p"), n))
+        assert got == want
 
 
 def test_h_recurrence():
