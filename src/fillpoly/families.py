@@ -44,11 +44,13 @@ def _pp(text):
 # Shared monomials are already stripped by normalization, so no bare
 # variables.
 #
-# Every entry is a binomial +-x^a +- t with t free of x, so poly_divides
-# tests it by one pass of sparse synthetic division.  Three earlier entries
-# are gone: M^2 - 1 can never cancel, because M - 1 and M + 1 come first and
-# strip their whole common multiplicity; M^2 + 1 and L + M^4 cancelled
-# nothing over both families, both signs and m <= 4.
+# Each entry is a binomial +-x^a +- t with t free of x, which poly_divides
+# tests by heap division like any other divisor: each quotient term adds
+# at most one remainder term, so a trial takes about one step per term of
+# the dividend and of the quotient.  Three earlier entries are gone:
+# M^2 - 1 can never cancel, because M - 1 and M + 1 come first and strip
+# their whole common multiplicity; M^2 + 1 and L + M^4 cancelled nothing
+# over both families, both signs and m <= 4.
 REDUCE_CANDIDATES = tuple(_pp(t) for t in (
     "L - 1", "M - 1", "M + 1",
     "L - M", "L + M", "L - M^2", "L + M^2",
@@ -183,14 +185,16 @@ def _rational_part(value, role):
     raise ValueError("the %s value must be rational, got %s" % (role, value))
 
 
-def family_chain(spec, m=1):
-    """Walk labels, consumed step equations and solved chain of one run.
+def family_chain(spec):
+    """Walk labels, consumed step equations and solved chain of a family.
 
     Returns (labels, step_eqs, asg): the labels of the walk for tail
-    length m, the step equations keyed by step index, and the assignment
-    after solving every step before the tail.
+    length 1, the step equations keyed by step index, and the assignment
+    after solving every step before the tail.  The tail length only adds
+    steps after the tail starts, so the chain and the label where the tail
+    starts are the same for every m.
     """
-    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(m)))
+    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(1)))
     eqs = spec.equations()
     step_eqs = {k: eqs[label] for k, label in enumerate(spec.step_labels)}
     asg = chain_solve(labels, step_eqs, spec.base_assignment(),
@@ -209,7 +213,7 @@ def run_family(spec, m):
     wa = anatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
     assert wa.tail_start_step == len(spec.step_labels)
-    labels, _, asg = family_chain(spec, m)
+    labels, _, asg = family_chain(spec)
     tail = labels[wa.tail_start_step]
     assert (tail.f, tail.o, tail.p) == spec.tail_slopes
     f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f").reduced(REDUCE_CANDIDATES)

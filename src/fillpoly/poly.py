@@ -14,10 +14,10 @@ one level up, in RatFunc.
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import repeat
 from math import gcd
-from operator import itemgetter, neg
+from operator import add, itemgetter, mul
 
 
 def _clean_coef(c):
@@ -279,13 +279,8 @@ class Poly:
         """Componentwise minimum exponent vector over all terms."""
         if not self.terms:
             return (0,) * len(self.vars)
-        it = iter(self.terms)
-        mins = list(next(it))
-        for exps in it:
-            for i, e in enumerate(exps):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
+        return tuple(min(map(itemgetter(i), self.terms))
+                     for i in range(len(self.vars)))
 
     def shift_down(self, shift):
         """Divide by the monomial with the given exponent vector (must divide)."""
@@ -390,33 +385,24 @@ class Poly:
 
 # --- exact division ------------------------------------------------------
 #
-# poly_divides takes one of two routes.  Both rest on what holds in an
+# poly_divides is sparse division on a max-heap of the remainder's
+# monomials, a plain form of the heap division of Monagan and Pearce (2011)
+# that keeps the remainder in a dict.  It rests on what holds in an
 # integral domain: the leading term of a product is the product of the
-# leading terms, and degrees add per variable.
-#
-# A binomial +-x^a + t, with a +-1 on a pure power of one variable x and t
-# free of x (every RatFunc.reduced candidate of the family pipelines has
-# this shape), is one pass of sparse synthetic division down the x-degrees
-# of the dividend: O(terms), with no content work.  Over Q[other
-# variables] such a divisor is monic in x, so the remainder of x-degree
-# below a is unique and the division is exact exactly when that remainder
-# is zero.
-#
-# Every other divisor, monomials included, goes through sparse division on
-# a max-heap of the remainder's monomials, a plain form of the heap
-# division of Monagan and Pearce (2011) that keeps the remainder in a
-# dict.  Both operands are scaled to primitive integer polynomials first: a
-# primitive integer polynomial divides another over the rationals exactly
-# when it divides it over the integers (Gauss's lemma), so each quotient
-# coefficient is an integer divmod by the divisor's leading coefficient,
-# and a nonzero remainder proves non-divisibility.  Because degrees add, an
-# exact quotient has every exponent in the box [pmin - dmin, pmax - dmax]
-# (componentwise minimum and maximum exponents of dividend and divisor),
-# so a quotient monomial outside it proves non-divisibility as well.  The
-# products of box monomials with divisor monomials stay in the dividend's
-# box [pmin, pmax], where keys packed over that box keep lex order and
-# never alias.  The rational contents rejoin at the end as a constant
-# factor on the quotient.
+# leading terms, and degrees add per variable.  The divisor is scaled to
+# its primitive integer part, and a dividend with a non-integer coefficient
+# to its own.  When a primitive integer polynomial divides an integer
+# polynomial over the rationals, the quotient has integer coefficients
+# (Gauss's lemma), so each quotient coefficient is an integer divmod by the
+# divisor's leading coefficient, and a nonzero remainder proves
+# non-divisibility.  Because degrees add, an exact quotient has every
+# exponent in the box [pmin - dmin, pmax - dmax] (componentwise minimum and
+# maximum exponents of dividend and divisor), so a quotient monomial
+# outside it proves non-divisibility as well.  The products of box
+# monomials with divisor monomials stay in the dividend's box [pmin, pmax],
+# where keys packed over that box keep lex order and never alias.  The
+# rational contents rejoin at the end as a constant factor on the
+# quotient.
 
 
 def poly_divides(d, p):
@@ -433,152 +419,74 @@ def poly_divides(d, p):
         raise ZeroDivisionError("zero divisor in poly_divides")
     if p.is_zero():
         return True, Poly.zero(p.vars)
-    split = _binomial_split(d) if len(d.terms) == 2 else None
-    if split is not None:
-        q = _binomial_divide(p, *split)
-    else:
-        q = _sparse_divide(p, d)
+    q = _sparse_divide(p, d)
     return (False, None) if q is None else (True, q)
-
-
-def _binomial_split(d):
-    """Read a two-term divisor as s*x^a + ct*y^beta, or None.
-
-    Needs s = +-1 on a pure power x^a (a >= 1) of one variable x and a
-    second monomial y^beta free of x.  Returns (xi, a, s, beta, ct), xi
-    being the index of x.
-    """
-    (e1, c1), (e2, c2) = d.terms.items()
-    for ea, s, eb, ct in ((e1, c1, e2, c2), (e2, c2, e1, c1)):
-        if s != 1 and s != -1:
-            continue
-        nz = [i for i, e in enumerate(ea) if e]
-        if len(nz) == 1 and not eb[nz[0]]:
-            xi = nz[0]
-            return xi, ea[xi], s, eb, ct
-    return None
-
-
-def _binomial_divide(p, xi, a, s, beta, ct):
-    """Exact quotient of p by s*x^a + ct*y^beta, or None when inexact.
-
-    Synthetic division: the divisor is monic (up to the sign s) in x with
-    coefficients free of x, so the quotient is read off the dividend level
-    by level, from the top x-degree down.  The running remainder's
-    coefficient at x-degree k >= a is the quotient's (times s) at k - a,
-    and that coefficient times u = s*ct is subtracted at level k - a,
-    shifted by beta.  Levels below a must end up empty.
-
-    Within a level a monomial is keyed by one int packing its other
-    exponents (the exponent itself when there are two variables), so each
-    step is one integer addition.  The radices bound the exponents that
-    the loop can reach: every step down one level adds beta once.
-    """
-    terms = p.terms
-    nv = len(p.vars)
-    rest = [i for i in range(nv) if i != xi]
-    u = s * ct
-    if nv == 2:
-        j = rest[0]
-        levels = {}
-        for exps, c in terms.items():
-            levels.setdefault(exps[xi], {})[exps[j]] = c
-        bkey = beta[j]
-    else:
-        degs = p.max_degrees()
-        steps = degs[xi] // a
-        strides, _ = _strides([degs[i] + steps * beta[i] + 1 for i in rest])
-        levels = {}
-        for exps, c in terms.items():
-            key = 0
-            for i, st in zip(rest, strides):
-                key += exps[i] * st
-            levels.setdefault(exps[xi], {})[key] = c
-        bkey = sum(beta[i] * st for i, st in zip(rest, strides))
-    qlevels = []
-    for k in range(max(levels), a - 1, -1):
-        lev = levels.pop(k, None)
-        if not lev:
-            continue
-        tgt = levels.get(k - a)
-        if tgt is None:
-            levels[k - a] = tgt = {}
-        ql = {}
-        for r, c in lev.items():
-            if c:
-                ql[r] = c
-                r += bkey
-                tgt[r] = tgt.get(r, 0) - u * c
-        qlevels.append((k - a, ql))
-    for lev in levels.values():
-        if any(lev.values()):
-            return None
-    # integral Fraction sums collapse to int, as everywhere in Poly
-    clean = isinstance(u, Fraction) or Fraction in set(map(type, terms.values()))
-    out = {}
-    for k, ql in qlevels:
-        coefs = ql.values()
-        if clean:
-            coefs = map(_clean_coef, coefs)
-        if s == -1:
-            coefs = map(neg, coefs)
-        if nv == 2:
-            keys = zip(repeat(k), ql) if xi == 0 else zip(ql, repeat(k))
-        else:
-            keys = []
-            for r in ql:
-                exps = _unpack(r, strides)
-                exps.insert(xi, k)
-                keys.append(tuple(exps))
-        out.update(zip(keys, coefs))
-    return Poly._raw(p.vars, out)
 
 
 def _sparse_divide(p, d):
     """Exact quotient of p by a nonzero divisor d, or None.
 
-    Works on the primitive integer parts.  The remainder is a dict keyed by
-    packed monomials with a max-heap of its keys; each pop takes the
-    lex-largest remaining term, which must be the divisor's leading term
-    times the next quotient term.  Every key in the remainder is pushed
-    once: new keys are products with the divisor's lower terms, so they
-    are smaller than the key being popped.
+    The remainder is a dict keyed by packed monomials.  Its terms are taken
+    largest key first, and each must be the divisor's leading term times
+    the next quotient term.  The dividend's keys are sorted once.  The keys
+    the division adds, products of a quotient term with the divisor's lower
+    terms and so smaller than the key being taken, go on a max-heap, which
+    is merged with the sorted list.  A key already in the remainder is
+    updated in place, so each key is taken once.
     """
     nv = len(p.vars)
-    pmin, pmax = p.monomial_content(), p.max_degrees()
+    cols = [list(map(itemgetter(i), p.terms)) for i in range(nv)]
+    pmin, pmax = list(map(min, cols)), list(map(max, cols))
     dmin, dmax = d.monomial_content(), d.max_degrees()
     lexps, _ = d.leading_term()
-    # the remainder's leading exponents that give a quotient term in the box
-    lo, hi = [], []
+    strides, _ = _strides([e + 1 for e in pmax])
+    # per variable: stride, radix, and the remainder's leading exponents
+    # that give a quotient term in the box
+    box = []
     for i in range(nv):
         qlo, qhi = pmin[i] - dmin[i], pmax[i] - dmax[i]
         if qlo < 0 or qlo > qhi:
             return None
-        lo.append(qlo + lexps[i])
-        hi.append(qhi + lexps[i])
+        box.append((strides[i], pmax[i] + 1, qlo + lexps[i], qhi + lexps[i]))
+    # keys are taken in descending order, so the first exponent never
+    # rises, and its upper bound is pmax[0] (d's leading term has d's
+    # largest first exponent): its check is one threshold on the key
+    kmin = strides[0] * box[0][2] if nv else 0
+    rest = box[1:]
     cd, d = d.primitive()
-    cp, p = p.primitive()
-    strides, _ = _strides([e + 1 for e in pmax])
-
-    def pack(exps):
-        return sum(e * st for e, st in zip(exps, strides))
-
-    rem = {pack(e): c for e, c in p.terms.items()}
-    heap = [-k for k in rem]
-    heapify(heap)
-    lk, lc = pack(lexps), d.terms[lexps]
-    tail = [(pack(e) - lk, c) for e, c in d.terms.items() if e != lexps]
+    cp = 1
+    if Fraction in set(map(type, p.terms.values())):
+        cp, p = p.primitive()       # keeps the term order cols was read in
+    keys = [0] * len(p.terms)
+    for col, st in zip(cols, strides):
+        keys = list(map(add, keys, map(mul, col, repeat(st))))
+    rem = dict(zip(keys, p.terms.values()))
+    keys.sort(reverse=True)
+    keys.append(-1)                 # below every key: the sorted list is spent
+    heap = [1]                      # the same sentinel, negated
+    lk, lc = sum(map(mul, lexps, strides)), d.terms[lexps]
+    tail = [(sum(map(mul, e, strides)) - lk, c)
+            for e, c in d.terms.items() if e != lexps]
     q = {}
-    while heap:
-        k = -heappop(heap)
+    i = 0
+    while True:
+        k = keys[i]
+        if -heap[0] > k:
+            k = -heappop(heap)
+        elif k < 0:
+            break
+        else:
+            i += 1
         c = rem.pop(k)
         if not c:
             continue
+        if k < kmin:
+            return None
         qc, r = divmod(c, lc)
         if r:
             return None
-        for e, a, b in zip(_unpack(k, strides), lo, hi):
-            if e < a or e > b:
+        for st, rad, lo, hi in rest:
+            if not lo <= k // st % rad <= hi:
                 return None
         q[k - lk] = qc
         for off, dc in tail:
@@ -589,8 +497,9 @@ def _sparse_divide(p, d):
                 heappush(heap, -kk)
             else:
                 rem[kk] = v - qc * dc
-    out = {tuple(_unpack(k, strides)): c for k, c in q.items()}
-    quotient = Poly._raw(p.vars, out)
+    cols = [[k // st % rad for k in q] for st, rad, _, _ in box]
+    exps = zip(*cols) if nv else [()] * len(q)
+    quotient = Poly._raw(p.vars, dict(zip(exps, q.values())))
     scale = cp / cd
     if scale != 1:
         quotient = quotient * scale

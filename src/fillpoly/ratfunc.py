@@ -19,14 +19,12 @@ fully reduced, where the denominators must stay plain monomials.  Sums
 are not cancelled this way, so reduced() cancels a caller's list of
 likely factors, each as often as it divides both sides.
 
-poly_divides has two routes.  The family pipelines pass binomials such as
-L - M, monic up to sign in one variable, which it tests by one pass of
-sparse synthetic division, so a trial costs O(terms).  Every other
-divisor, such as a factor in the cross-cancellation, goes through sparse
-division on a heap of packed monomial keys over the primitive integer
-parts.  Both are sound because in an integral domain the leading term of
-a product is the product of the leading terms and degrees add per
-variable, so any failed step proves non-divisibility.
+poly_divides has one route for every divisor, the reduction candidates
+such as L - M and the factors of the cross-cancellation alike: sparse
+division on a heap of packed monomial keys over integer coefficients.
+It is sound because in an integral domain the leading term of a product
+is the product of the leading terms and degrees add per variable, so
+any failed step proves non-divisibility.
 """
 
 from fractions import Fraction

@@ -332,7 +332,7 @@ def test_sparse_box_takes_dict_path():
     assert poly_mod._packed_mul(a, b) is None
 
 
-# --- binomial divisors: sparse synthetic division -------------------------
+# --- binomial divisors: +-x^a plus a term free of x ----------------------
 
 # (divisor text, variable table, variable the divisor is monic in, degree)
 BINOMIALS = [(str(c), PVARS, None, None) for c in REDUCE_CANDIDATES] + [
@@ -356,7 +356,7 @@ def _monic_var(d, xname=None):
         (other,) = [e for e in d.terms if e != exps]
         if not other[nz[0]]:
             return nz[0], exps[nz[0]]
-    raise AssertionError("%s is not a binomial the branch handles" % (d,))
+    raise AssertionError("%s is not +-x^a plus a term free of x" % (d,))
 
 
 def _divisor(spec):
@@ -388,10 +388,6 @@ def _assert_clean(q):
         assert type(c) is int or c.denominator != 1
 
 
-def _no_general_division(*args):
-    raise AssertionError("binomial divisor reached the general path")
-
-
 @pytest.mark.parametrize("spec", BINOMIALS, ids=[b[0] for b in BINOMIALS])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -399,9 +395,7 @@ def test_binomial_divisor_hits(spec, data):
     d, _, _ = _divisor(spec)
     vars = d.vars
     q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_mod, "_sparse_divide", _no_general_division)
-        ok, got = poly_divides(d, q * d)
+    ok, got = poly_divides(d, q * d)
     assert ok
     assert got.terms == q.terms
     _assert_clean(got)
@@ -416,9 +410,8 @@ def test_binomial_divisor_misses(spec, data):
     nonzero = half_coefs.filter(bool)
     q = Poly(vars, data.draw(_terms(len(vars), 4, half_coefs)))
     r = Poly(vars, data.draw(_terms(len(vars), 4, nonzero, 1, (xi, a))))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_mod, "_sparse_divide", _no_general_division)
-        assert poly_divides(d, q * d + r) == (False, None)
+    # r has x-degree below a, so it is the unique remainder of q*d + r
+    assert poly_divides(d, q * d + r) == (False, None)
 
 
 def test_binomial_divisor_fixed_cases():
@@ -446,7 +439,7 @@ def test_binomial_divisor_fixed_cases():
     assert poly_divides(gf - gp, gf - go) == (False, None)
 
 
-# --- other divisors: sparse division on a heap of packed keys -------------
+# --- other divisors --------------------------------------------------------
 
 VARSETS = [("x",), XY, XYZ]
 
@@ -493,6 +486,17 @@ def test_sparse_divisor_fixed_cases():
     # the leading coefficients do not divide, though every monomial fits
     assert poly_divides(2 * x + 1, 3 * x + 1) == (False, None)
     assert poly_divides(3 * x**2 - 1, 2 * x**3 - 3 * x**2 + 1) == (False, None)
+    # an integral dividend that is not primitive, against a divisor whose
+    # leading coefficient is not +-1
+    assert poly_divides(2 * x + 1, 6 * x + 3) == (True, Poly.const(XY, 3))
+    assert poly_divides(4 * x + 2, 2 * x + 1) == (True, Poly.const(XY, Fraction(1, 2)))
+    assert poly_divides(2 * x + 1, 4 * x + 3) == (False, None)
+    # the keys the division adds (x^3*y^3, x^2*y^6, x*y^9, x*y^4) fall
+    # between the dividend's (x^4, x^2*y, y^12, y^7)
+    d, q = x - y**3, x**3 + x**2 * y**3 + x * y**6 + x * y + y**9 + y**4
+    assert d * q == x**4 + x**2 * y - y**7 - y**12
+    assert poly_divides(d, d * q) == (True, q)
+    assert poly_divides(d, d * q + x * y**2) == (False, None)
     L = Poly.variable(PVARS, "L")
     M = Poly.variable(PVARS, "M")
     d = (L - 2 * M + 3) ** 3
@@ -507,8 +511,8 @@ def test_sparse_divisor_fixed_cases():
 
 @pytest.mark.parametrize("text", ["L*M - 1", "2*L - 3*M", "L^2 - M^2*L"])
 def test_two_term_divisors_outside_binomial_branch(text):
+    # two terms, but not +-x^a plus a term free of x
     d = parse_poly(text, PVARS)
-    assert poly_mod._binomial_split(d) is None
     L = Poly.variable(PVARS, "L")
     M = Poly.variable(PVARS, "M")
     q = L**2 * Fraction(1, 2) - 3 * L * M + M**3 - 7
