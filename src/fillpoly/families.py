@@ -5,10 +5,9 @@ triangles of the Farey walk, the transcribed equations, the chain order,
 the expected tail slopes, the knot-name template and the basis-change
 rule.  run_family drives base solve -> chain -> collapsed tail -> filling
 expression.  run_family_numeric repeats the whole computation in plain
-Fractions at one sample point (different algorithms on purpose: Cramer
-instead of elimination for the base, repeated exchange steps instead of
-the binomial closed form for the tail) so the two pipelines check each
-other.
+Fractions at one sample point, with a different tail algorithm on
+purpose (repeated dividing exchange steps instead of the linear
+recurrence), so the two pipelines check each other.
 
 The twist-knot A-polynomial recurrence lives here too: twist_A generates
 the sequences from their seeds and twist_recurrence_check verifies the
@@ -45,16 +44,17 @@ def _pp(text):
 # variables.
 #
 # Each entry is a binomial +-x^a +- t with t free of x, which poly_divides
-# tests by heap division like any other divisor: each quotient term adds
-# at most one remainder term, so a trial takes about one step per term of
-# the dividend and of the quotient.  Three earlier entries are gone:
-# M^2 - 1 can never cancel, because M - 1 and M + 1 come first and strip
-# their whole common multiplicity; M^2 + 1 and L + M^4 cancelled nothing
-# over both families, both signs and m <= 4.
+# tests by heap division like any other divisor.  Each entry is used: over
+# both families, both signs and m <= 4, the tail-entry reductions cancel
+# M - 1, M + 1 and L^2 -+ M^3 (pretzel238) and L + M^2 (whitehead), and the
+# output denominators strip L - 1, M -+ 1 and L -+ M.  Five earlier entries
+# are gone: M^2 - 1 can never cancel, because M - 1 and M + 1 come first
+# and strip their whole common multiplicity; M^2 + 1, L + M^4, L - M^2 and
+# L - M^4 cancelled nothing and divided no output denominator.
 REDUCE_CANDIDATES = tuple(_pp(t) for t in (
     "L - 1", "M - 1", "M + 1",
-    "L - M", "L + M", "L - M^2", "L + M^2",
-    "L^2 - M^3", "L^2 + M^3", "L - M^4"))
+    "L - M", "L + M", "L + M^2",
+    "L^2 - M^3", "L^2 + M^3"))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -225,8 +225,7 @@ def run_family(spec, m):
         p = QuadExt(p.a.reduced(REDUCE_CANDIDATES),
                     p.b.reduced(REDUCE_CANDIDATES),
                     p.rad.reduced(REDUCE_CANDIDATES))
-    ctx = TailContext(f, o, p, m, tip_matches_tail=wa.tip_matches_tail)
-    expr = filling_poly(ctx)
+    expr = filling_poly(TailContext(f, o, p, m))
     if isinstance(expr, QuadExt):
         conj = expr.conj_product()
     else:

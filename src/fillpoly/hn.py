@@ -9,13 +9,14 @@ and its denominator is the exact monomial g_f^(n-1) * g_o^n.
 
 The exchange x+ * x- = x^2 - p^2 is a rank-2 cluster exchange, so
 K = (x+ + x-)/x stays (f^2 + o^2 - p^2)/(f*o) along the run, the linear
-recurrence of friezes.  tail_collapse and filling_poly divide once to
-get K and then step x+ = K*x - x- with no further division; only when f
-or o vanishes, where K is undefined, do they sum the closed form instead.
-filling_poly turns the collapsed run plus the final folding condition
-into the one polynomial whose vanishing characterizes the filled tail.
-iterate_exchange keeps the dividing exchange as the independent route
-of the numeric pipeline and the Laurent-denominator check.
+recurrence of friezes.  tail_collapse divides once to get K and then
+steps x+ = K*x - x- with no further division; TailContext rejects a
+vanishing f or o, where K is undefined.  filling_poly turns the collapsed
+run plus the final folding condition into the one polynomial whose
+vanishing characterizes the filled tail.  tail_poly stays the closed form
+the checks compare against, and iterate_exchange keeps the dividing
+exchange as the independent route of the numeric pipeline and the
+Laurent-denominator check.
 """
 
 from dataclasses import dataclass
@@ -81,16 +82,14 @@ def iterate_exchange(f, o, p, n):
 class TailContext:
     """Values entering a tail of length n: the carried f, o, p roles.
 
-    f and o must be RatFunc; p may be RatFunc or a pure-root QuadExt.
-    tip_matches_tail records whether the walk's final letter continues the
-    tail run, which filling_poly requires.
+    f and o must be nonzero RatFunc, so that K (below) is defined; p may
+    be RatFunc or a pure-root QuadExt.
     """
 
     f: RatFunc
     o: RatFunc
     p: object
     n: int
-    tip_matches_tail: bool = True
 
     def __post_init__(self):
         f, o, p, n = self.f, self.o, self.p, self.n
@@ -98,91 +97,46 @@ class TailContext:
             raise ValueError("tail length must be a positive integer")
         if not isinstance(f, RatFunc) or not isinstance(o, RatFunc):
             raise TypeError("f and o must be RatFunc")
+        if f.is_zero() or o.is_zero():
+            raise ValueError("f and o must be nonzero")
         if not isinstance(p, (RatFunc, QuadExt)):
             raise TypeError("p must be RatFunc or QuadExt")
-        if isinstance(p, QuadExt) and not (p.is_rational() or p.is_pure_root()):
-            raise ValueError("mixed rational+root p values are not supported")
-        object.__setattr__(self, "tip_matches_tail", bool(self.tip_matches_tail))
-
-
-def _p_square(p):
-    """p*p as a RatFunc, for RatFunc or pure-root QuadExt p."""
-    if isinstance(p, RatFunc):
-        return p * p
-    if p.is_rational():
-        return p.a * p.a
-    return p.b * p.b * p.rad
-
-
-def _eval_tail_poly(n, f, o, psq):
-    """tail_poly(n) at RatFunc values, summed term by term.
-
-    The polynomial only involves f^2, o^2 and p^2, so it is evaluated from
-    psq = p*p directly; that is what lets a pure-root p stay exact.  Only
-    used when f or o vanishes, where the exchange invariant K is undefined.
-    """
-    fsq, osq = f * f, o * o
-    total = RatFunc.zero(f.vars)
-    for (ef, eo, ep), c in tail_poly(n).terms.items():
-        total = total + (c * fsq ** (ef // 2) * osq ** (eo // 2)
-                         * psq ** (ep // 2))
-    return total
-
-
-def _linear_tail(n, f, o, psq):
-    """The collapsed tail: n steps of x+ = K*x - x- from (x-, x) = (o, f).
-
-    The exchange x+ * x- = x^2 - p^2 keeps K = (x+ + x-)/x fixed at
-    (f^2 + o^2 - p^2)/(f*o), so after that one division every step is a
-    product and a subtraction.  f and o must be nonzero.
-    """
-    k = (f * f + o * o - psq) / (f * o)
-    older, newer = o, f
-    for _ in range(n):
-        older, newer = newer, k * newer - older
-    return newer
+        if isinstance(p, QuadExt) and not p.is_pure_root():
+            raise ValueError("a QuadExt p must be a pure root")
 
 
 def tail_collapse(ctx):
     """Value of the collapsed tail: tail_poly(n)(f, o, p) / (f^(n-1) o^n).
 
-    This is n steps of the linear recurrence, or the closed form over the
-    scale when f or o vanishes (then the scale vanishes too unless n = 1
-    and o is nonzero, and the division raises ZeroDivisionError).
+    n steps of x+ = K*x - x- from (x-, x) = (o, f).  The exchange
+    x+ * x- = x^2 - p^2 keeps K = (x+ + x-)/x fixed at
+    (f^2 + o^2 - p^2)/(f*o), so after that one division every step is a
+    product and a subtraction.
     """
-    f, o, n = ctx.f, ctx.o, ctx.n
-    psq = _p_square(ctx.p)
-    if f.is_zero() or o.is_zero():
-        return _eval_tail_poly(n, f, o, psq) / (f ** (n - 1) * o ** n)
-    return _linear_tail(n, f, o, psq)
+    f, o, p = ctx.f, ctx.o, ctx.p
+    psq = p * p if isinstance(p, RatFunc) else p.b * p.b * p.rad
+    k = (f * f + o * o - psq) / (f * o)
+    older, newer = o, f
+    for _ in range(ctx.n):
+        older, newer = newer, k * newer - older
+    return newer
 
 
 def filling_poly(ctx):
     """The filling expression: tail_poly(n)(f, o, p) - f^(n-1) o^n p.
 
-    Requires the walk tip to continue the tail run; a flipped tip would
-    need one extra exchanged step first, and nothing here builds that.
     With S = f^(n-1) o^n and x the collapsed tail (tail_collapse), the
-    value is (x - p)*S for rational p (p.a for a rational QuadExt) and
-    QuadExt(x*S, -S*p.b, rad) for pure-root p.  When f or o vanishes,
-    K is undefined and the closed form tail_poly(n)(f, o, p) is summed
-    instead.  The products cross-cancel all four numerator and denominator
-    pairs, so the family runs come out in lowest terms with no reduction
-    here (the lowest-terms check certifies that).
+    value is (x - p)*S for rational p and QuadExt(x*S, -S*p.b, rad) for
+    pure-root p.  The products cross-cancel all four numerator and
+    denominator pairs, so the family runs come out in lowest terms with no
+    reduction here (the lowest-terms check certifies that).
     """
-    if not ctx.tip_matches_tail:
-        raise ValueError("walk tip breaks the tail run; filling_poly needs "
-                         "tip_matches_tail")
-    f, o, n, p = ctx.f, ctx.o, ctx.n, ctx.p
-    rational_p = p.a if isinstance(p, QuadExt) else p
-    psq, scale = _p_square(p), f ** (n - 1) * o ** n
-    if f.is_zero() or o.is_zero():
-        head = _eval_tail_poly(n, f, o, psq) - scale * rational_p
-    else:
-        head = (_linear_tail(n, f, o, psq) - rational_p) * scale
-    if isinstance(p, QuadExt) and p.is_pure_root():
-        return QuadExt(head, -(scale * p.b), p.rad)
-    return head
+    p = ctx.p
+    scale = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
+    x = tail_collapse(ctx)
+    if isinstance(p, QuadExt):
+        return QuadExt(x * scale, -(scale * p.b), p.rad)
+    return (x - p) * scale
 
 
 def h_recurrence_check(n):

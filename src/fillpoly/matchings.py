@@ -79,38 +79,18 @@ def matching_sum(n):
     return total
 
 
-def matching_sum_rec(n):
-    """Same polynomial through the two-term recurrence.
-
-    Splitting on whether the last rung is paired gives
-      odd  k:  S(k) =  g_p * S(k-1) + g_o^2 * S(k-2)
-      even k:  S(k) = -g_p * S(k-1) + g_f^2 * S(k-2)
-    with S(0) = 1 and S(1) = g_p.
-    """
-    if n < 0:
-        raise ValueError("rung count must be non-negative")
-    g_p = Poly.variable(TAIL_VARS, "g_p")
-    g_f2 = Poly.variable(TAIL_VARS, "g_f") ** 2
-    g_o2 = Poly.variable(TAIL_VARS, "g_o") ** 2
-    older = Poly.one(TAIL_VARS)
-    if n == 0:
-        return older
-    newer = g_p
-    for k in range(2, n + 1):
-        if k % 2:
-            nxt = g_p * newer + g_o2 * older
-        else:
-            nxt = -g_p * newer + g_f2 * older
-        older, newer = newer, nxt
-    return newer
-
-
 def _sum_or_one(k):
     return Poly.one(TAIL_VARS) if k == 0 else matching_sum(k)
 
 
 def matching_step_check(k):
-    """Does the parity-matched two-term recurrence hold at step k (k >= 2)?"""
+    """Does the parity-matched two-term recurrence hold at step k (k >= 2)?
+
+    Splitting on whether the last rung is paired gives
+      odd  k:  S(k) =  g_p * S(k-1) + g_o^2 * S(k-2)
+      even k:  S(k) = -g_p * S(k-1) + g_f^2 * S(k-2)
+    with S(0) = 1.
+    """
     if k < 2:
         raise ValueError("recurrence needs k >= 2")
     g_p = Poly.variable(TAIL_VARS, "g_p")

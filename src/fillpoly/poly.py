@@ -120,11 +120,6 @@ class Poly:
     def __len__(self):
         return len(self.terms)
 
-    def degree_in(self, name):
-        """Largest exponent of one variable (zero poly has degree 0 here)."""
-        i = self.vars.index(name)
-        return max((exps[i] for exps in self.terms), default=0)
-
     def max_degrees(self):
         """Componentwise maximum exponent vector."""
         if not self.terms:
@@ -158,10 +153,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.__eq__(Poly.const(self.vars, other))
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

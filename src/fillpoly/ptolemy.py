@@ -4,9 +4,11 @@ Every equation used here was transcribed once into a data file and is
 consumed verbatim: each is a sum of terms, each term a monomial
 coefficient in L and M times exactly two gamma factors.  The base solvers
 pin down the starting values from the two- or three-equation systems of
-each family; chain_solve then walks the step equations in walk order,
-binding one new value per step by solving the equation that is linear in
-it, and re-checks every equation solved so far after each bind.
+each family, both through one 2x2 Cramer solve of the head pair and an
+exact check of every base equation.  chain_solve then walks the step
+equations in walk order, binding one new value per step by solving the
+equation that is linear in it, and checks that equation once the value
+is bound.
 
 The step equations are close to, but not always exactly, the shape
   (new)(dropped) + (carried p)^2 - (carried f)^2 = 0
@@ -54,12 +56,6 @@ class PtolemyEq:
         if not checked:
             raise ValueError("equation %r has no terms" % (label,))
         object.__setattr__(self, "terms", tuple(checked))
-
-    def gamma_names(self):
-        out = set()
-        for _, gammas in self.terms:
-            out.update(gammas)
-        return out
 
     def __str__(self):
         parts = []
@@ -221,12 +217,6 @@ class Assignment:
     def names(self):
         return sorted(self._vals)
 
-    def items(self):
-        return self._vals.items()
-
-    def __len__(self):
-        return len(self._vals)
-
     def __str__(self):
         return "{%s}" % ", ".join(self.names())
 
@@ -278,110 +268,59 @@ def solve_linear_step(eq, asg, unknown):
 # --- base solvers -------------------------------------------------------------
 
 
-class _Lin:
-    """a*s + b with RatFunc entries; products must stay degree <= 1."""
+def _solve_head_pair(eqs, labels, unit, single, pair):
+    """Cramer solve of two head equations a*t + b*z + c = 0.
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    @classmethod
-    def const(cls, value):
-        return cls(RatFunc.zero(PVARS), value)
-
-    @classmethod
-    def symbol(cls):
-        return cls(RatFunc.one(PVARS), RatFunc.zero(PVARS))
-
-    def __add__(self, other):
-        return _Lin(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        if not self.a.is_zero() and not other.a.is_zero():
-            raise ValueError("elimination produced a quadratic; "
-                             "the base system is not in the expected shape")
-        return _Lin(self.a * other.b + self.b * other.a, self.b * other.b)
-
-    def __neg__(self):
-        return _Lin(-self.a, -self.b)
-
-    def at(self, s):
-        return self.a * s + self.b
-
-
-def solve_base_by_elimination(eq_first, eq_second, fixed, solve_for, eliminate):
-    """Solve a two-equation base system.
-
-    Both equations must be linear in the eliminated name; the first is
-    solved for it (coefficients linear in the remaining unknown), the
-    result substituted into the second after clearing its denominator.
-    fixed maps already-known gamma names to RatFunc values.
+    With the value at `unit` fixed at 1, every term must be unit*single
+    (t is the value at single), the product of the two names in pair (z is
+    that product) or unit^2.  Returns (t, z); a term of another shape or a
+    singular system is a ValueError.
     """
-    known = set(fixed) | {solve_for, eliminate}
-    for eq in (eq_first, eq_second):
-        extra = eq.gamma_names() - known
-        if extra:
-            raise ValueError("unexpected names %s in %s" % (sorted(extra), eq.label))
-
-    def lin_of(name):
-        if name == solve_for:
-            return _Lin.symbol()
-        return _Lin.const(fixed[name])
-
-    def split(eq):
-        """eq == w_part * eliminate + rest, both linear in solve_for."""
-        w_part = _Lin.const(RatFunc.zero(PVARS))
-        rest = _Lin.const(RatFunc.zero(PVARS))
-        for coef, (x, y) in eq.terms:
-            hits = (x == eliminate) + (y == eliminate)
-            if hits == 2:
-                raise ValueError("%s appears squared in %s" % (eliminate, eq.label))
-            term = _Lin.const(RatFunc(coef))
-            if hits == 1:
-                other = y if x == eliminate else x
-                w_part = w_part + term * lin_of(other)
+    rows = []
+    for label in labels:
+        a = b = c = RatFunc.zero(PVARS)
+        for coef, (x, y) in eqs[label].terms:
+            names = {x, y}
+            if names == {unit, single}:
+                a = a + RatFunc(coef)
+            elif names == set(pair):
+                b = b + RatFunc(coef)
+            elif names == {unit}:
+                c = c + RatFunc(coef)
             else:
-                rest = rest + term * lin_of(x) * lin_of(y)
-        return w_part, rest
+                raise ValueError("unexpected term %s*%s in %s" % (x, y, label))
+        rows.append((a, b, c))
+    (a1, b1, c1), (a2, b2, c2) = rows
+    det = a1 * b2 - a2 * b1
+    if det.is_zero():
+        raise ValueError("singular base system")
+    return (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det
 
-    w1, r1 = split(eq_first)      # w1 * w + r1 == 0, so w == -r1 / w1
-    w2, r2 = split(eq_second)
-    # substitute and clear the denominator w1: w-terms pick up -r1,
-    # the rest is scaled by w1
-    total = w2 * (-r1) + r2 * w1
-    if total.a.is_zero():
-        raise ValueError("elimination left nothing to solve for %s" % (solve_for,))
-    s = -(total.b / total.a)
-    w1_at = w1.at(s)
-    if w1_at.is_zero():
-        raise ValueError("eliminated name %s has vanishing coefficient" % (eliminate,))
-    w = -(r1.at(s) / w1_at)
-    asg = Assignment()
-    for name, value in fixed.items():
-        asg = asg.bind(name, value)
-    asg = asg.bind(solve_for, s)
-    asg = asg.bind(eliminate, w)
-    for eq in (eq_first, eq_second):
-        if not check_equation(eq, asg):
+
+def _check_closes(eqs, labels, asg):
+    """asg, after checking that every named base equation closes exactly."""
+    for label in labels:
+        if not check_equation(eqs[label], asg):
             raise ArithmeticError("%s does not close after the base solve"
-                                  % (eq.label,))
+                                  % (label,))
     return asg
 
 
 def solve_pretzel_base(equations=None):
     """Base values for the pretzel pipeline from its two gluing equations.
 
-    The value at 3/1 is set to 1; the value at 4/1 is eliminated from the
-    first equation and the second then determines the value at 1/0.
+    The value at 3/1 is set to 1.  Both equations are linear in the value
+    w at 4/1 and in the product s*w, where s is the value at 1/0, so a 2x2
+    solve fixes both and s = (s*w)/w.
     """
     eqs = equations or load_equations("pretzel238.eqs")
-    return solve_base_by_elimination(
-        eqs["tet0"], eqs["tet1"],
-        fixed={"g_3/1": RatFunc.one(PVARS)},
-        solve_for="g_1/0",
-        eliminate="g_4/1")
+    unit, single, pair = "g_3/1", "g_4/1", ("g_1/0", "g_4/1")
+    w, sw = _solve_head_pair(eqs, ("tet0", "tet1"), unit, single, pair)
+    asg = (Assignment()
+           .bind(unit, RatFunc.one(PVARS))
+           .bind("g_1/0", sw / w)
+           .bind(single, w))
+    return _check_closes(eqs, ("tet0", "tet1"), asg)
 
 
 def solve_whitehead_base(equations=None, branch=DEFAULT_ROOT_BRANCH):
@@ -396,42 +335,16 @@ def solve_whitehead_base(equations=None, branch=DEFAULT_ROOT_BRANCH):
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     eqs = equations or load_equations("whitehead.eqs")
-    one = RatFunc.one(PVARS)
     base_name = "g_1/0"
     single = "g_3/1"
     pair = ("g_0(23)", "g_2/1")
-    rows = []
-    for label in ("link1", "link2"):
-        eq = eqs[label]
-        a = b = c = RatFunc.zero(PVARS)
-        for coef, (x, y) in eq.terms:
-            term = RatFunc(coef)
-            names = {x, y}
-            if names == set(pair):
-                b = b + term
-            elif single in names:
-                other = y if x == single else x
-                if other != base_name:
-                    raise ValueError("unexpected partner %s in %s" % (other, label))
-                c_val = one  # value at 1/0
-                a = a + term * c_val
-            elif names == {base_name}:
-                c = c + term
-            else:
-                raise ValueError("unexpected term %s*%s in %s" % (x, y, label))
-        rows.append((a, b, c))
-    (a1, b1, c1), (a2, b2, c2) = rows
-    det = a1 * b2 - a2 * b1
-    if det.is_zero():
-        raise ValueError("singular base system")
-    t = (b1 * c2 - b2 * c1) / det
-    z = (a2 * c1 - a1 * c2) / det
+    t, z = _solve_head_pair(eqs, ("link1", "link2"), base_name, single, pair)
     # third equation: collect the coefficient of the squared pair head and
     # evaluate everything else to find the radicand
     eq3 = eqs["link3"]
     head = pair[0]
     partial = (Assignment()
-               .bind(base_name, one)
+               .bind(base_name, RatFunc.one(PVARS))
                .bind(single, t))
     sq_coef = None
     rest = RatFunc.zero(PVARS)
@@ -452,11 +365,7 @@ def solve_whitehead_base(equations=None, branch=DEFAULT_ROOT_BRANCH):
     root = QuadExt.pure_root(RatFunc.const(PVARS, branch), rad)
     second = QuadExt.rational(z, rad) / root
     asg = partial.bind(pair[0], root).bind(pair[1], second)
-    for label in ("link1", "link2", "link3"):
-        if not check_equation(eqs[label], asg):
-            raise ArithmeticError("%s does not close after the base solve"
-                                  % (label,))
-    return asg
+    return _check_closes(eqs, ("link1", "link2", "link3"), asg)
 
 
 # --- the walk chain ------------------------------------------------------------
@@ -467,8 +376,9 @@ def chain_solve(labels, step_eqs, base, upto):
 
     labels come from walk_labels; step_eqs maps step index -> PtolemyEq,
     transcribed verbatim.  Steps 0..upto are solved in order, each binding
-    the gamma at that step's new slope, and every equation solved so far
-    is re-checked after each bind.  Values must stay pure: entirely
+    the gamma at that step's new slope, and each step's equation is checked
+    once right after its bind: values are immutable and never rebound, so
+    an equation that closed stays closed.  Values must stay pure: entirely
     rational or an exact multiple of the shared root.
     """
     if upto < 0 or upto >= len(labels):
@@ -487,10 +397,8 @@ def chain_solve(labels, step_eqs, base, upto):
             raise ArithmeticError("value at step %d mixes rational and root parts"
                                   % (k,))
         asg = asg.bind(unknown, value)
-        for j in range(k + 1):
-            if not check_equation(step_eqs[j], asg):
-                raise ArithmeticError("step %d no longer satisfied after step %d"
-                                      % (j, k))
+        if not check_equation(eq, asg):
+            raise ArithmeticError("step %d does not close after its solve" % (k,))
     return asg
 
 

@@ -85,10 +85,6 @@ class QuadExt:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __neg__(self):

@@ -92,18 +92,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return self.num == self.den
-
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return Fraction(self.num.constant_value()) / Fraction(self.den.constant_value())
-
-    def is_poly(self):
-        return self.den.is_one()
-
     # --- promotion --------------------------------------------------------
 
     def _coerce(self, other):
@@ -124,10 +112,6 @@ class RatFunc:
         if self.num is other.num and self.den is other.den:
             return True
         return self.num * other.den == other.num * self.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

@@ -195,27 +195,49 @@ def test_selftest_quick(capsys):
     assert lines[-1] == "selftest: 29/30 checks passed"
 
 
-# sha256 of `apoly --json` at m = 1, taken with recursive dense division for
-# every divisor: faster division or reduction must leave these bytes alone
-APOLY_M1_SHA256 = {
-    ("pretzel238", "pos"):
+# sha256 of `apoly --json` at m = 1..4, unchanged since m = 1 was taken with
+# recursive dense division for every divisor: faster division, reduction or
+# solving must leave these bytes alone
+APOLY_SHA256 = {
+    ("pretzel238", "pos"): (
         "6c799e43ba2152de18444ba14254b42656648615b0d269dda8accba45028ecac",
-    ("pretzel238", "neg"):
+        "c0f5a2ed60465e8027b45a64dcf42d7e6755f6be0f66a27ca1c7ff3f573e2f38",
+        "b57857945018d9191a73a573b1589c917dc0b7fa9a1963cb65eaa37e7cb10cad",
+        "b0b5c860fe4919d8f411f3ecd57afa74c47161af481ef2f87451e9dba366de85"),
+    ("pretzel238", "neg"): (
         "5a715c7878ee6db8460619839a74cda315aba28359e64cd5ba8c1b2a3f076ccf",
-    ("whitehead", "pos"):
+        "38f717aac60abaf2ba617cf6c44e7e17a74281364bcc967ddb8350ad33cf0657",
+        "839629d75ac18fb3480a87dfdd5d80ea56b9ee78b70972a441f20ae9cbf34d9e",
+        "e3b372ebbbf37e1896e52094d764222c9cbaa6877d72cb1a87cc4243d6c87e31"),
+    ("whitehead", "pos"): (
         "52de6cc22afdb28b99c058f39d2701e932050233445b80d00eb999b863e7a667",
-    ("whitehead", "neg"):
+        "6f7a707c9336a17ae7a618908ed1cfa85519bd4ca540f1b26cb9a2f3cd5910de",
+        "1992bf04649d49de23acb4a07eac50c351be26410dbb45806c9c79c009432b5c",
+        "2c9ce14d2dc314558ea122b229f28aff6231313fdadc9b24cce3d071e056b9ba"),
+    ("whitehead", "neg"): (
         "26786aaa0ba7d571540c9792c01b587a4b7b10438cdc1b1e90f4b0ed142d3188",
+        "479256b2b1df6cc70b36a193cca1b47bcecec4832efa1f9dbe1ab917d4666075",
+        "87c1ab1d2d94aaa6b0032a3fd52cc34349dbe9f31e379b3ee0bc5544693135c3",
+        "647d555a135325387334db5949aa0ec7aef92d7ba84884000fad01067bee66e8"),
 }
 
 
-@pytest.mark.parametrize("family,sign", sorted(APOLY_M1_SHA256))
-def test_apoly_json_golden_bytes(capsys, family, sign):
+@pytest.mark.parametrize("family,sign", sorted(APOLY_SHA256))
+def test_apoly_json_golden_bytes(capsys, family_runs, family, sign):
+    # m = 1 goes through the command line; m = 2..4 render the session's
+    # runs, which the acceptance criteria compute anyway, with the same
+    # payload and emitter
     rc, out, _ = run(capsys, "apoly", "--family", family, "--sign", sign,
                      "--m", "1", "--json")
     assert rc == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == APOLY_M1_SHA256[family, sign]
+    docs = [out]
+    for m in (2, 3, 4):
+        chunks = []
+        cli._emit_json_doc(chunks.append,
+                           cli._apoly_payload(family_runs(family, sign, m)))
+        docs.append("".join(chunks))
+    digests = tuple(hashlib.sha256(doc.encode()).hexdigest() for doc in docs)
+    assert digests == APOLY_SHA256[family, sign]
 
 
 # sha256 of stdout for the text renderings and the non-apoly JSON documents,

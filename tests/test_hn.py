@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.hn import (TailContext, _eval_tail_poly, exchange_step,
-                         filling_poly, h_recurrence_check, iterate_exchange,
+from fillpoly.hn import (TailContext, exchange_step, filling_poly,
+                         h_recurrence_check, iterate_exchange,
                          symbolic_tail_values, tail_collapse, tail_poly)
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
@@ -55,6 +55,13 @@ def _rand_ratfunc(rng):
     return RatFunc(num, den)
 
 
+def _closed_form_at(n, f, o, psq):
+    """tail_poly(n)(f, o, p) from psq = p*p, one RatFunc term at a time."""
+    return sum((c * f ** ef * o ** eo * psq ** (ep // 2)
+                for (ef, eo, ep), c in tail_poly(n).terms.items()),
+               RatFunc.zero(TAIL_VARS))
+
+
 def test_two_evaluation_routes_agree_on_random_values():
     # filling_poly runs the linear recurrence; the closed form is summed
     # term by term
@@ -68,7 +75,7 @@ def test_two_evaluation_routes_agree_on_random_values():
         n = rng.randint(1, 4)
         scale = f ** (n - 1) * o ** n
         assert filling_poly(TailContext(f, o, p, n)) \
-            == _eval_tail_poly(n, f, o, p * p) - scale * p
+            == _closed_form_at(n, f, o, p * p) - scale * p
         done += 1
 
 
@@ -101,7 +108,7 @@ def test_filling_poly_rational_p():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_filling_poly_falls_back_to_closed_form(n):
+def test_linear_tail_passes_through_a_zero_value(n):
     # with p = f the exchange sequence o, f, 0, -f, -o passes through 0,
     # which the exchange would divide by next; the linear recurrence never
     # divides and must still match the closed form
@@ -119,34 +126,15 @@ def test_filling_poly_falls_back_to_closed_form(n):
         assert got == head - f ** (n - 1) * o ** n * f
 
 
-def test_filling_poly_rejects_flipped_tip():
-    f, o, p = symbolic_tail_values()
-    ctx = TailContext(f, o, p, 2, tip_matches_tail=False)
-    with pytest.raises(ValueError):
-        filling_poly(ctx)
-
-
-def _closed_form_at(n, f, o, psq):
-    """tail_poly(n)(f, o, p) from psq = p*p, one RatFunc term at a time."""
-    return sum((c * f ** ef * o ** eo * psq ** (ep // 2)
-                for (ef, eo, ep), c in tail_poly(n).terms.items()),
-               RatFunc.zero(TAIL_VARS))
-
-
 @pytest.mark.parametrize("f,o", [
     ("0", "g_o"), ("g_f", "0"), ("0", "(g_o + 1)/g_p"),
     ("(g_f - g_p)/g_o", "0")])
 def test_filling_poly_with_vanishing_f_or_o(f, o):
-    # K = (f^2 + o^2 - p^2)/(f*o) is undefined, so the closed form is summed
-    f, o, p = rf(f), rf(o), rf("g_p")
-    for n in (1, 2, 3):
-        want = _closed_form_at(n, f, o, p * p) - f ** (n - 1) * o ** n * p
-        assert filling_poly(TailContext(f, o, p, n)) == want
-    if o.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            tail_collapse(TailContext(f, o, p, 1))
-    else:
-        assert tail_collapse(TailContext(f, o, p, 1)) == -p * p / o
+    # K = (f^2 + o^2 - p^2)/(f*o) is undefined, so the tail is refused
+    # before filling_poly can run
+    for p in (rf("g_p"), QuadExt.pure_root(rf("1"), rf("g_p"))):
+        with pytest.raises(ValueError, match="nonzero"):
+            TailContext(rf(f), rf(o), p, 2)
 
 
 def test_filling_poly_pure_root_p():
@@ -171,13 +159,13 @@ def test_filling_poly_pure_root_p():
 
 
 def test_filling_poly_rational_quadext_p():
+    # a QuadExt p must be a pure root; a rational one is passed as RatFunc
     f, o, _ = symbolic_tail_values()
     rad = rf("g_p")
-    p = QuadExt.rational(rf("g_p"), rad)
-    for n in (1, 2, 3, 4):
-        got = filling_poly(TailContext(f, o, p, n))
-        want = filling_poly(TailContext(f, o, rf("g_p"), n))
-        assert got == want
+    for p in (QuadExt.rational(rf("g_p"), rad),
+              QuadExt.rational(RatFunc.zero(TAIL_VARS), rad)):
+        with pytest.raises(ValueError, match="pure root"):
+            TailContext(f, o, p, 2)
 
 
 def test_h_recurrence():

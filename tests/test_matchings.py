@@ -3,8 +3,7 @@ import pytest
 from fillpoly.matchings import (MAX_ENUM_RUNGS, TAIL_VARS, binom,
                                 count_subsets, enumerate_matchings,
                                 matching_step_check, matching_sum,
-                                matching_sum_rec, matching_weight,
-                                pair_weight, rung_weight)
+                                matching_weight, pair_weight, rung_weight)
 from fillpoly.poly import Poly
 
 
@@ -55,12 +54,6 @@ def test_matching_sum_small():
     g_p = Poly.variable(TAIL_VARS, "g_p")
     assert matching_sum(1) == g_p
     assert matching_sum(2) == g_f ** 2 - g_p ** 2
-
-
-def test_recurrence_route_matches_enumeration():
-    for n in range(0, 13):
-        want = Poly.one(TAIL_VARS) if n == 0 else matching_sum(n)
-        assert matching_sum_rec(n) == want
 
 
 def test_step_recurrence():

@@ -336,6 +336,8 @@ def test_sparse_box_takes_dict_path():
 
 # (divisor text, variable table, variable the divisor is monic in, degree)
 BINOMIALS = [(str(c), PVARS, None, None) for c in REDUCE_CANDIDATES] + [
+    ("L - M^2", PVARS, None, None),
+    ("L - M^4", PVARS, None, None),
     ("-L + M", PVARS, "M", 1),
     ("1 - M", PVARS, "M", 1),
     ("M^3 - L^2", PVARS, "M", 3),
@@ -510,7 +512,7 @@ def test_sparse_divisor_fixed_cases():
 
 
 @pytest.mark.parametrize("text", ["L*M - 1", "2*L - 3*M", "L^2 - M^2*L"])
-def test_two_term_divisors_outside_binomial_branch(text):
+def test_two_term_divisors_of_other_shapes(text):
     # two terms, but not +-x^a plus a term free of x
     d = parse_poly(text, PVARS)
     L = Poly.variable(PVARS, "L")

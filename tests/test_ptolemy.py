@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly import ptolemy
 from fillpoly.families import family_chain, get_family
 from fillpoly.farey import Slope
+from fillpoly.poly import Poly
 from fillpoly.ptolemy import (PVARS, PtolemyEq, audit_step_roles,
                               chain_solve, check_equation, gamma_name,
                               load_equations, load_values, parse_equations,
@@ -149,6 +151,53 @@ def test_whitehead_branch_argument():
         solve_whitehead_base(branch=2)
     neg = solve_whitehead_base(branch=-1)
     assert neg.value("g_0(23)").b == -RatFunc.one(PVARS)
+
+
+# family -> (base solver, its two head labels, a product of no head-term
+# shape)
+BASE_HEADS = {
+    "pretzel238": (solve_pretzel_base, ("tet0", "tet1"), ("g_1/0", "g_1/0")),
+    "whitehead": (solve_whitehead_base, ("link1", "link2"),
+                  ("g_3/1", "g_3/1")),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BASE_HEADS))
+def test_base_solver_rejects_a_head_term_of_another_shape(family):
+    solve, heads, extra = BASE_HEADS[family]
+    eqs = dict(load_equations(family + ".eqs"))
+    first = eqs[heads[0]]
+    eqs[heads[0]] = PtolemyEq(first.label,
+                              first.terms + ((Poly.one(PVARS), extra),))
+    with pytest.raises(ValueError, match="unexpected term"):
+        solve(eqs)
+
+
+@pytest.mark.parametrize("family", sorted(BASE_HEADS))
+def test_base_solver_rejects_a_singular_head_system(family):
+    solve, heads, _ = BASE_HEADS[family]
+    eqs = dict(load_equations(family + ".eqs"))
+    eqs[heads[1]] = eqs[heads[0]]
+    with pytest.raises(ValueError, match="singular"):
+        solve(eqs)
+
+
+@pytest.mark.parametrize("family,heads", [
+    ("pretzel238", ("tet0", "tet1")),
+    ("whitehead", ("link1", "link2", "link3"))])
+def test_each_base_and_step_equation_is_checked_once(monkeypatch, family,
+                                                     heads):
+    checked = []
+    real = ptolemy.check_equation
+
+    def counting(eq, asg):
+        checked.append(eq.label)
+        return real(eq, asg)
+
+    monkeypatch.setattr(ptolemy, "check_equation", counting)
+    spec = get_family(family, "pos")
+    family_chain(spec)
+    assert sorted(checked) == sorted(heads + spec.step_labels)
 
 
 def test_parse_equations_division_by_zero_is_a_value_error():
