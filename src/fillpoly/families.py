@@ -222,9 +222,7 @@ def run_family(spec, m):
     if isinstance(p, RatFunc):
         p = p.reduced(REDUCE_CANDIDATES)
     elif isinstance(p, QuadExt):
-        p = QuadExt(p.a.reduced(REDUCE_CANDIDATES),
-                    p.b.reduced(REDUCE_CANDIDATES),
-                    p.rad.reduced(REDUCE_CANDIDATES))
+        p = QuadExt.pure_root(p.b.reduced(REDUCE_CANDIDATES), p.rad)
     expr = filling_poly(TailContext(f, o, p, m))
     if isinstance(expr, QuadExt):
         conj = expr.conj_product()
@@ -245,10 +243,13 @@ def _numeric_terms(eq, point):
 def _numeric_pretzel_base(eqs, point):
     """Base values at one point, by a 2x2 Cramer solve in (s*w, w).
 
-    Deliberately a different algorithm from the symbolic base solver.  The
-    two head equations, with the 3/1 value set to 1, only involve the
-    products s*w, w and a constant, where s is the 1/0 value and w the 4/1
-    value.  Singular points raise PoleError so the caller can resample.
+    The same solve as the symbolic base solver, done apart from it: in
+    Fraction arithmetic at one point, with its own residual check, and
+    followed by the tail's iterated exchange rather than the collapsed
+    recurrence.  The two head equations, with the 3/1 value set to 1, only
+    involve the products s*w, w and a constant, where s is the 1/0 value
+    and w the 4/1 value.  Singular points raise PoleError so the caller
+    can resample.
     """
     one = Fraction(1)
     vals = {"g_3/1": one}

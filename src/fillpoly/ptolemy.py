@@ -27,8 +27,6 @@ from .ratfunc import RatFunc, parse_poly, parse_ratfunc
 
 PVARS = ("L", "M")
 
-DEFAULT_ROOT_BRANCH = 1
-
 
 def gamma_name(slope):
     """The variable name used for the value at a slope."""
@@ -323,17 +321,15 @@ def solve_pretzel_base(equations=None):
     return _check_closes(eqs, ("tet0", "tet1"), asg)
 
 
-def solve_whitehead_base(equations=None, branch=DEFAULT_ROOT_BRANCH):
+def solve_whitehead_base(equations=None):
     """Base values for the Whitehead pipeline from its three link equations.
 
     The value at 1/0 is set to 1.  The first two equations are linear in
     the value at 3/1 and in the product of the two remaining unknowns, so
     a 2x2 solve fixes both; the third equation then gives the square of
-    the value named g_0(23), whose root enters as the shared radicand.
-    branch picks the sign of that root (+1 or -1).
+    the value named g_0(23).  That square is the shared radicand R, and
+    g_0(23) is +sqrt(R).
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
     eqs = equations or load_equations("whitehead.eqs")
     base_name = "g_1/0"
     single = "g_3/1"
@@ -362,7 +358,7 @@ def solve_whitehead_base(equations=None, branch=DEFAULT_ROOT_BRANCH):
     rad = -(rest / sq_coef)
     if rad.is_zero():
         raise ValueError("radicand vanishes; the root would be rational")
-    root = QuadExt.pure_root(RatFunc.const(PVARS, branch), rad)
+    root = QuadExt.pure_root(RatFunc.one(PVARS), rad)
     second = QuadExt.rational(z, rad) / root
     asg = partial.bind(pair[0], root).bind(pair[1], second)
     return _check_closes(eqs, ("link1", "link2", "link3"), asg)

@@ -262,6 +262,10 @@ STDOUT_SHA256 = {
         ("farey", "walk", "triangle=3/1,4/1,1/0;word=LLRLL", "--format",
          "json"),
         "9acee177e2b51920b55a5d137327b6a0e180dd8b2d3aae415a006e1d1caa3b76"),
+    "farey-cross-oracle-json": (
+        ("farey", "cross", "--from", "-7/3", "--to", "5/2", "--oracle-bound",
+         "40", "--format", "json"),
+        "51580bf3cf6a38513414a9758e029bb1d4c3fd1e084c90b94576dfeaa936ec61"),
 }
 
 

@@ -1,5 +1,5 @@
-import os
-import subprocess
+import ast
+import pathlib
 import sys
 
 import pytest
@@ -144,15 +144,18 @@ def test_crossing_count_unimodular_invariance(a, b):
 
 
 def test_crossing_count_against_oracle():
+    # pairs ending at 1/0 and at integers meet the vertical edges n/1 - 1/0
     pairs = [("1/0", "3/5"), ("-2/3", "3/4"), ("0/1", "5/2"),
-             ("1/2", "-1/2"), ("2/1", "3/8")]
+             ("1/2", "-1/2"), ("2/1", "3/8"), ("0/1", "1/0"),
+             ("-1/1", "1/0"), ("2/1", "-3/1"), ("1/0", "-7/3")]
     for sa, sb in pairs:
         a, b = S(sa), S(sb)
         need = abs(a.p) + a.q + abs(b.p) + b.q
         got = crossing_count(a, b)
-        assert got == crossing_count_oracle(a, b, need + 4)
-        # the count must be stable once the bound dominates the entries
-        assert got == crossing_count_oracle(a, b, need + 9)
+        # the count must be stable from the tightest bound the oracle allows
+        for bound in (need, need + 1, need + 4, need + 9):
+            assert got == crossing_count_oracle(a, b, bound), (sa, sb, bound)
+            assert got == crossing_count_oracle(b, a, bound), (sb, sa, bound)
 
 
 def test_oracle_rejects_small_bound():
@@ -179,9 +182,20 @@ def test_edge_table_cache_holds_at_most_two_tables():
         farey._edge_table.cache_clear()
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # only crossing_count_oracle uses numpy, and importing it is slow
-    code = "import sys, fillpoly.cli; sys.exit('numpy' in sys.modules)"
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fillpoly.__file__)))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+def test_package_imports_only_the_standard_library():
+    # fillpoly has no runtime dependency: every absolute import in its
+    # modules names a standard-library module or the package itself
+    src = pathlib.Path(fillpoly.__file__).parent
+    allowed = sys.stdlib_module_names | {"fillpoly"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []

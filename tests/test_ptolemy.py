@@ -146,13 +146,6 @@ def test_chain_solve_refuses_to_rebind(pretzel):
                     pretzel["pos"], 3)
 
 
-def test_whitehead_branch_argument():
-    with pytest.raises(ValueError):
-        solve_whitehead_base(branch=2)
-    neg = solve_whitehead_base(branch=-1)
-    assert neg.value("g_0(23)").b == -RatFunc.one(PVARS)
-
-
 # family -> (base solver, its two head labels, a product of no head-term
 # shape)
 BASE_HEADS = {
