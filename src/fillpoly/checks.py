@@ -3,9 +3,8 @@ test suite both run, so each invariant is written once.
 
 CHECKS is the ordered list of (name, check).  A check takes a Ranges record
 and a family_run provider, `family_run(name, sign, m) -> FillingResult`,
-whose `family_run.chain(name, sign)` is the family_chain result of that
-family, and returns (ok, detail); run_check turns a raised exception into
-a failure.  FULL holds the ranges of a plain `selftest` and of the test
+and returns (ok, detail); run_check turns a raised exception into a
+failure.  FULL holds the ranges of a plain `selftest` and of the test
 suite, QUICK the shrunken ones of `selftest --quick`.
 
 Each seeded random check is one predicate over one drawn input, which
@@ -71,13 +70,8 @@ QUICK = Ranges(samples=6, max_n=4, max_m=1, h_recurrence_top=6,
 
 
 def family_runner():
-    """A run_family provider that runs each (name, sign, m) once.
-
-    Its `chain(name, sign)` solves each family's chain once too; the
-    assignment is shared safely because Assignment.bind returns a new one.
-    """
+    """A run_family provider that runs each (name, sign, m) once."""
     runs = {}
-    chains = {}
 
     def family_run(name, sign, m):
         key = (name, sign, m)
@@ -85,13 +79,6 @@ def family_runner():
             runs[key] = run_family(get_family(name, sign), m)
         return runs[key]
 
-    def chain(name, sign):
-        key = (name, sign)
-        if key not in chains:
-            chains[key] = family_chain(get_family(name, sign))
-        return chains[key]
-
-    family_run.chain = chain
     return family_run
 
 
@@ -555,7 +542,7 @@ _BASE_EQ_LABELS = {"pretzel238": ("tet0", "tet1"),
 def _chain_back_audit(r, family_run):
     for (name, sign), spec in FAMILIES.items():
         eqs = spec.equations()
-        _, step_eqs, asg = family_run.chain(name, sign)
+        _, step_eqs, asg = family_chain(spec)
         for label in _BASE_EQ_LABELS[name]:
             if not check_equation(eqs[label], asg):
                 return False, "%s/%s: %s residual nonzero" % (name, sign, label)
@@ -579,7 +566,7 @@ def _fixture_table_audit(r, family_run):
     for sign in ("pos", "neg"):
         spec = get_family("pretzel238", sign)
         eqs = spec.equations()
-        _, _, chain = family_run.chain("pretzel238", sign)
+        _, _, chain = family_chain(spec)
         asg = spec.base_assignment().bind("g_2/1", chain.value("g_2/1"))
         for fname in ("g_1/1", "g_0/1", "g_1/2" if sign == "pos" else "g_-1/1"):
             if gamma_name(Slope.parse(fname[2:])) != fname:
@@ -601,8 +588,8 @@ def _fixture_table_audit(r, family_run):
 
 @_check("normalization-independence")
 def _normalization_independence(r, family_run):
-    for name, sign in FAMILIES:
-        _, _, asg = family_run.chain(name, sign)
+    for (name, sign), spec in FAMILIES.items():
+        _, _, asg = family_chain(spec)
         for gname in asg.names():
             v = asg.value(gname)
             parts = (v,) if isinstance(v, RatFunc) else (v.a, v.b)
@@ -615,7 +602,7 @@ def _normalization_independence(r, family_run):
 @_check("whitehead-purity")
 def _whitehead_purity(r, family_run):
     for sign in ("pos", "neg"):
-        _, _, asg = family_run.chain("whitehead", sign)
+        _, _, asg = family_chain(get_family("whitehead", sign))
         for gname in asg.names():
             v = asg.value(gname)
             if isinstance(v, QuadExt) and not (v.is_rational()

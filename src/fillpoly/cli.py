@@ -37,19 +37,6 @@ from .families import (FAMILIES, get_family, run_family, twist_A,
 FORMAT_ENV = "FILLPOLY_FORMAT"
 
 
-class CliConfig:
-    """Resolved run options shared by the subcommand handlers."""
-
-    __slots__ = ("format", "seed")
-
-    def __init__(self, format="text", seed=0):
-        if format not in ("text", "json"):
-            raise ValueError("output format must be text or json, not %r"
-                             % (format,))
-        self.format = format
-        self.seed = int(seed)
-
-
 # --- rendering ----------------------------------------------------------
 
 
@@ -69,39 +56,39 @@ def _emit_json_doc(w, payload):
 # --- hn / pn / matchings --------------------------------------------------
 
 
-def cmd_hn(args, cfg):
+def cmd_hn(args):
     w = sys.stdout.write
     h = tail_poly(args.n)
     if args.check_matchings:
         ok = h == matching_sum(2 * args.n)
-        if cfg.format == "json":
+        if args.format == "json":
             _emit_json_doc(w, {"schema": 1, "n": args.n,
                                "check": "matchings", "ok": ok})
         else:
             w("H(%d) == P(%d): %s\n" % (args.n, 2 * args.n,
                                         "ok" if ok else "MISMATCH"))
         return 0 if ok else 1
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json_doc(w, {"schema": 1, "n": args.n, "poly": h})
     else:
         w("%s\n" % h)
     return 0
 
 
-def cmd_pn(args, cfg):
+def cmd_pn(args):
     w = sys.stdout.write
     p = matching_sum(args.n)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json_doc(w, {"schema": 1, "n": args.n, "poly": p})
     else:
         w("%s\n" % p)
     return 0
 
 
-def cmd_matchings(args, cfg):
+def cmd_matchings(args):
     w = sys.stdout.write
     sels = enumerate_matchings(args.n)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {"schema": 1, "n": args.n, "count": len(sels)}
         if args.list:
             payload["matchings"] = [
@@ -120,7 +107,7 @@ def cmd_matchings(args, cfg):
 # --- farey ----------------------------------------------------------------
 
 
-def cmd_farey_cross(args, cfg):
+def cmd_farey_cross(args):
     w = sys.stdout.write
     s = Slope.parse(args.from_slope)
     h = Slope.parse(args.to_slope)
@@ -131,7 +118,7 @@ def cmd_farey_cross(args, cfg):
         for bound in (args.oracle_bound, args.oracle_bound + 1):
             oracle[bound] = crossing_count_oracle(s, h, bound)
         oracle_ok = all(v == count for v in oracle.values())
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {"schema": 1, "from": str(s), "to": str(h),
                    "crossings": count}
         if oracle_ok is not None:
@@ -178,12 +165,12 @@ def parse_walk_spec(text):
     return Walk(t0, t1, fields["word"])
 
 
-def cmd_farey_walk(args, cfg):
+def cmd_farey_walk(args):
     w = sys.stdout.write
     walk = parse_walk_spec(args.spec)
     labels = walk_labels(walk)
     wa = anatomy(walk.word) if len(walk.word) >= 2 else None
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "schema": 1,
             "word": walk.word,
@@ -250,12 +237,11 @@ def _apoly_emit_text(w, result, show_basis):
         w("basis_changed: %s\n" % result.basis_changed)
 
 
-def cmd_apoly(args, cfg):
+def cmd_apoly(args):
     w = sys.stdout.write
     spec = get_family(args.family, args.sign)
     result = run_family(spec, args.m)
-    fmt = "json" if args.json else cfg.format
-    if fmt == "json":
+    if args.format == "json":
         _emit_json_doc(w, _apoly_payload(result))
     else:
         _apoly_emit_text(w, result, args.basis_change)
@@ -265,12 +251,12 @@ def cmd_apoly(args, cfg):
 # --- twist ------------------------------------------------------------------
 
 
-def cmd_twist(args, cfg):
+def cmd_twist(args):
     w = sys.stdout.write
     if args.mode == "verify":
         results = [(name, fn()) for name, fn in twist_identities(args.max_n)]
         ok = all(r for _, r in results)
-        if cfg.format == "json":
+        if args.format == "json":
             _emit_json_doc(w, {"schema": 1, "max_n": args.max_n,
                                "checks": [{"name": n, "ok": r}
                                           for n, r in results],
@@ -284,7 +270,7 @@ def cmd_twist(args, cfg):
     if args.n is None or args.sign is None:
         raise ValueError("twist needs --n and --sign (or the verify mode)")
     p = twist_A(args.n, args.sign)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json_doc(w, {"schema": 1, "sign": args.sign, "n": args.n,
                            "poly": p})
     else:
@@ -299,7 +285,7 @@ def cmd_twist(args, cfg):
 # other command about 10 ms.
 
 
-def _selftest_ranges(args, cfg):
+def _selftest_ranges(args):
     """FULL, or QUICK for --quick, under the size flags; with --quick a
     flag can only shrink a range further."""
     from .checks import FULL, QUICK
@@ -310,25 +296,26 @@ def _selftest_ranges(args, cfg):
         value = getattr(args, field)
         if value is not None:
             sizes[field] = min(value, getattr(ranges, field)) if args.quick else value
-    return replace(ranges, bound=args.bound, seed=cfg.seed, **sizes)
+    return replace(ranges, bound=args.bound, seed=getattr(args, "seed", 0),
+                   **sizes)
 
 
-def cmd_selftest(args, cfg):
+def cmd_selftest(args):
     w = sys.stdout.write
     from .checks import CHECKS, family_runner, run_check
 
-    ranges = _selftest_ranges(args, cfg)
+    ranges = _selftest_ranges(args)
     family_run = family_runner()
     width = max(len(name) for name, _ in CHECKS)
     results = []
     for name, check in CHECKS:
         ok, detail = run_check(check, ranges, family_run)
         results.append((name, ok, detail))
-        if cfg.format == "text":
+        if args.format == "text":
             w("%s %-*s %s\n" % ("PASS" if ok else "FAIL", width, name, detail))
             sys.stdout.flush()
     passed = sum(1 for _, ok, _ in results if ok)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json_doc(w, {
             "schema": 1,
             "checks": [{"name": n, "ok": ok, "detail": d}
@@ -445,11 +432,17 @@ def build_parser():
     return parser
 
 
-def _config_from(args):
+def _output_format(args):
+    """The --format flag, then apoly's --json, then $FILLPOLY_FORMAT, then
+    text."""
     fmt = getattr(args, "format", None)
     if fmt is None:
-        fmt = os.environ.get(FORMAT_ENV, "text")
-    return CliConfig(fmt, getattr(args, "seed", 0))
+        fmt = "json" if getattr(args, "json", False) \
+            else os.environ.get(FORMAT_ENV, "text")
+    if fmt not in ("text", "json"):
+        raise ValueError("output format must be text or json, not %r"
+                         % (fmt,))
+    return fmt
 
 
 _SLOPE_FLAGS = ("--from", "--to")
@@ -484,8 +477,8 @@ def dispatch(argv=None):
             return 0
         return code if isinstance(code, int) else 2
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
+        args.format = _output_format(args)
+        return args.func(args)
     except BrokenPipeError:
         return 1
     except (ValueError, TypeError, KeyError) as exc:

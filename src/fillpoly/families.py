@@ -16,7 +16,9 @@ three-term product identities that the generated polynomials satisfy.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import random
+from types import MappingProxyType
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from .hn import TailContext, filling_poly, iterate_exchange
@@ -185,18 +187,23 @@ def _rational_part(value, role):
     raise ValueError("the %s value must be rational, got %s" % (role, value))
 
 
+@lru_cache(maxsize=None)
 def family_chain(spec):
     """Walk labels, consumed step equations and solved chain of a family.
 
     Returns (labels, step_eqs, asg): the labels of the walk for tail
-    length 1, the step equations keyed by step index, and the assignment
-    after solving every step before the tail.  The tail length only adds
-    steps after the tail starts, so the chain and the label where the tail
-    starts are the same for every m.
+    length 1 as a tuple, a read-only map from step index to step equation,
+    and the assignment after solving every step before the tail.  The tail
+    length only adds steps after the tail starts, so the chain and the
+    label where the tail starts are the same for every m: each spec is
+    solved once per process, and every caller gets the same objects, which
+    none mutates (Assignment.bind returns a new assignment).
     """
-    labels = walk_labels(Walk(spec.triangle0, spec.triangle1, spec.word(1)))
+    labels = tuple(walk_labels(Walk(spec.triangle0, spec.triangle1,
+                                    spec.word(1))))
     eqs = spec.equations()
-    step_eqs = {k: eqs[label] for k, label in enumerate(spec.step_labels)}
+    step_eqs = MappingProxyType(
+        {k: eqs[label] for k, label in enumerate(spec.step_labels)})
     asg = chain_solve(labels, step_eqs, spec.base_assignment(),
                       len(spec.step_labels) - 1)
     return labels, step_eqs, asg
@@ -448,17 +455,14 @@ def twist_recurrence_check(n, sign):
 
 
 def twist_base_identity_check(sign):
-    """The proof's seed identity: x*A_a*A_b - y*A_a^2 - A_b^2 == gap seed."""
+    """The proof's seed identity: x*A_a*A_b - y*A_a^2 - A_b^2 equals the
+    gap term at n = a + 1, with a = 1 (pos) or 0 (neg) and b = a + 1."""
     tw = twist_polys()
-    if sign == "pos":
-        a, b = twist_A(1, "pos"), twist_A(2, "pos")
-        target = tw.z * _pp("M^4 * (L + M^2)^3")
-    elif sign == "neg":
-        a, b = twist_A(0, "neg"), twist_A(1, "neg")
-        target = tw.z * _pp("L + M^2")
-    else:
+    first = {"pos": 1, "neg": 0}.get(sign)
+    if first is None:
         raise ValueError("sign must be 'pos' or 'neg'")
-    return tw.x * a * b - tw.y * a * a - b * b == target
+    a, b = twist_A(first, sign), twist_A(first + 1, sign)
+    return tw.x * a * b - tw.y * a * a - b * b == twist_gap(sign, first + 1)
 
 
 def twist_identities(max_n):

@@ -52,15 +52,6 @@ class Slope:
                              % (text,)) from None
         return cls(p, q)
 
-    def is_infinity(self):
-        return self.q == 0
-
-    def value(self):
-        """Fraction value; raises on the slope at infinity."""
-        if self.q == 0:
-            raise ValueError("slope at infinity has no finite value")
-        return Fraction(self.p, self.q)
-
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
 

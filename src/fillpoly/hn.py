@@ -21,7 +21,7 @@ Laurent-denominator check.
 
 from dataclasses import dataclass
 
-from .matchings import TAIL_VARS, binom
+from .matchings import TAIL_VARS, count_subsets
 from .poly import Poly
 from .quadext import QuadExt
 from .ratfunc import RatFunc
@@ -32,7 +32,8 @@ def tail_poly(n, vars=TAIL_VARS):
 
     The polynomial is even in every variable:
         f^(2n) + sum over a+b <= n-1 of
-            (-1)^(n-a-b) C(n-1-a, b) C(n-b, a) f^(2a) o^(2b) p^(2(n-a-b))
+            (-1)^(n-a-b) count_subsets(n, a, b) f^(2a) o^(2b) p^(2(n-a-b))
+    with count_subsets(n, a, b) = C(n-1-a, b) C(n-b, a).
     """
     if n < 1:
         raise ValueError("tail length must be at least 1")
@@ -40,7 +41,7 @@ def tail_poly(n, vars=TAIL_VARS):
     total = f ** (2 * n)
     for a in range(n):
         for b in range(n - a):
-            c = binom(n - 1 - a, b) * binom(n - b, a)
+            c = count_subsets(n, a, b)
             if not c:
                 continue
             sign = 1 if (n - a - b) % 2 == 0 else -1

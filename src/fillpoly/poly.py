@@ -103,9 +103,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * len(self.vars): 1}
-
     def is_constant(self):
         return all(all(e == 0 for e in exps) for exps in self.terms)
 

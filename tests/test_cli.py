@@ -175,6 +175,13 @@ def test_format_env_var(capsys, monkeypatch):
     assert rc == 0 and out == "g_p\n"
 
 
+def test_format_env_var_rejects_unknown_format(capsys, monkeypatch):
+    monkeypatch.setenv("FILLPOLY_FORMAT", "yaml")
+    rc, out, err = run(capsys, "pn", "--n", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: output format must be text or json, not 'yaml'\n"
+
+
 def test_format_flag_placement(capsys):
     rc1, out1, _ = run(capsys, "--format", "json", "hn", "--n", "1")
     rc2, out2, _ = run(capsys, "hn", "--n", "1", "--format", "json")
@@ -289,7 +296,7 @@ def test_json_renders_values_as_their_str():
 
 
 def test_memory_error_exits_cleanly(capsys, monkeypatch):
-    def exhausted(args, cfg):
+    def exhausted(args):
         raise MemoryError
 
     monkeypatch.setattr(cli, "cmd_farey_cross", exhausted)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.families import (FAMILIES, FillingResult, get_family,
-                               numeric_agreement, run_family_numeric, twist_A,
-                               twist_divisor, twist_gap, twist_polys)
+from fillpoly import families
+from fillpoly.families import (FAMILIES, FillingResult, family_chain,
+                               get_family, numeric_agreement, run_family,
+                               run_family_numeric, twist_A, twist_divisor,
+                               twist_gap, twist_polys)
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from fillpoly.hn import TailContext, symbolic_tail_values
 from fillpoly.poly import poly_divides
@@ -43,8 +45,23 @@ def test_family_words_and_names():
 
 def test_run_family_rejects_bad_m():
     with pytest.raises(ValueError):
-        from fillpoly.families import run_family
         run_family(get_family("pretzel238", "pos"), 0)
+
+
+def test_family_chain_is_solved_once_per_spec(monkeypatch):
+    solves = []
+    real = families.chain_solve
+
+    def counting(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "chain_solve", counting)
+    family_chain.cache_clear()
+    spec = get_family("whitehead", "neg")
+    for m in (1, 2, 3):
+        run_family(spec, m)
+    assert len(solves) == 1
 
 
 def test_pretzel_runs_are_rational(family_runs):

@@ -28,13 +28,6 @@ def test_slope_canonical_form():
         Slope(0, 0)
 
 
-def test_slope_value_and_infinity():
-    assert S("1/0").is_infinity()
-    assert S("3/4").value() == S("6/8").value()
-    with pytest.raises(ValueError):
-        S("1/0").value()
-
-
 def test_neighbors():
     assert is_neighbor(S("0/1"), S("1/1"))
     assert is_neighbor(S("1/0"), S("5/1"))
