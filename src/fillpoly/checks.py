@@ -25,7 +25,7 @@ from .families import (FAMILIES, REDUCE_CANDIDATES, divides_conjugate,
 from .farey import (FareyTriangle, Slope, Walk, _new_slope, anatomy,
                     crossing_count, crossing_count_oracle, is_neighbor,
                     walk_labels)
-from .hn import (TailContext, h_recurrence_check, iterate_exchange,
+from .hn import (TailContext, TailEntry, h_recurrence_check, iterate_exchange,
                  symbolic_tail_values, tail_collapse, tail_poly)
 from .matchings import (TAIL_VARS, count_subsets, count_subsets_oracle,
                         enumerate_matchings, matching_step_check, matching_sum)
@@ -499,13 +499,14 @@ def _tail_linear_recurrence(r, family_run):
     x_1 = f, and tail_collapse, which runs that linear recurrence, gives
     the same x_(n+1) as n exchanges."""
     f, o, p = symbolic_tail_values()
+    entry = TailEntry(f, o, p)
     invariant = (f * f + o * o - p * p) / (f * o)
     older, x = o, f
     for n in range(1, r.max_n + 1):
         newer = iterate_exchange(f, o, p, n)
         if newer + older != invariant * x:
             return False, "x_%d + x_%d != K x_%d" % (n + 1, n - 1, n)
-        if tail_collapse(TailContext(f, o, p, n)) != newer:
+        if tail_collapse(TailContext(entry, n)) != newer:
             return False, "tail_collapse != iterate_exchange at n=%d" % n
         older, x = x, newer
     return True, "k = 1..%d" % r.max_n
@@ -513,9 +514,9 @@ def _tail_linear_recurrence(r, family_run):
 
 @_check("collapse-crossing-exponents")
 def _collapse_crossings(r, family_run):
-    f, o, p = symbolic_tail_values()
+    entry = TailEntry(*symbolic_tail_values())
     for n in range(1, r.max_n + 1):
-        got = tail_collapse(TailContext(f, o, p, n)).den.max_degrees()
+        got = tail_collapse(TailContext(entry, n)).den.max_degrees()
         h = Slope(1, n)
         want = (crossing_count(Slope(1, 0), h),
                 crossing_count(Slope(-1, 1), h),
@@ -542,12 +543,12 @@ _BASE_EQ_LABELS = {"pretzel238": ("tet0", "tet1"),
 def _chain_back_audit(r, family_run):
     for (name, sign), spec in FAMILIES.items():
         eqs = spec.equations()
-        _, step_eqs, asg = family_chain(spec)
+        chain = family_chain(spec)
         for label in _BASE_EQ_LABELS[name]:
-            if not check_equation(eqs[label], asg):
+            if not check_equation(eqs[label], chain.asg):
                 return False, "%s/%s: %s residual nonzero" % (name, sign, label)
-        for k in sorted(step_eqs):
-            if not check_equation(step_eqs[k], asg):
+        for k in sorted(chain.step_eqs):
+            if not check_equation(chain.step_eqs[k], chain.asg):
                 return False, "%s/%s: step %d residual nonzero" % (name, sign, k)
     return True, "every consumed equation, all four runs"
 
@@ -566,7 +567,7 @@ def _fixture_table_audit(r, family_run):
     for sign in ("pos", "neg"):
         spec = get_family("pretzel238", sign)
         eqs = spec.equations()
-        _, _, chain = family_chain(spec)
+        chain = family_chain(spec).asg
         asg = spec.base_assignment().bind("g_2/1", chain.value("g_2/1"))
         for fname in ("g_1/1", "g_0/1", "g_1/2" if sign == "pos" else "g_-1/1"):
             if gamma_name(Slope.parse(fname[2:])) != fname:
@@ -589,7 +590,7 @@ def _fixture_table_audit(r, family_run):
 @_check("normalization-independence")
 def _normalization_independence(r, family_run):
     for (name, sign), spec in FAMILIES.items():
-        _, _, asg = family_chain(spec)
+        asg = family_chain(spec).asg
         for gname in asg.names():
             v = asg.value(gname)
             parts = (v,) if isinstance(v, RatFunc) else (v.a, v.b)
@@ -602,7 +603,7 @@ def _normalization_independence(r, family_run):
 @_check("whitehead-purity")
 def _whitehead_purity(r, family_run):
     for sign in ("pos", "neg"):
-        _, _, asg = family_chain(get_family("whitehead", sign))
+        asg = family_chain(get_family("whitehead", sign)).asg
         for gname in asg.names():
             v = asg.value(gname)
             if isinstance(v, QuadExt) and not (v.is_rational()

@@ -19,9 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 import random
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
-from .hn import TailContext, filling_poly, iterate_exchange
+from .hn import TailContext, TailEntry, filling_poly, iterate_exchange
 from .poly import Poly, poly_divides
 from .ptolemy import (PVARS, chain_solve, gamma_name, load_equations,
                       solve_pretzel_base, solve_whitehead_base)
@@ -34,16 +35,18 @@ def _pp(text):
 
 
 # The irreducible factors the base values are built from.  They matter in
-# two places.  run_family reduces the chain values entering the tail by
-# them: the chain solve's sums leave common factors there that products
-# alone do not cancel.  From there on RatFunc products cross-cancel every
-# numerator/denominator pair, so the tail and the outputs come out in
-# lowest terms with no further reduction, and the lowest-terms check
-# certifies that by stripping these factors from each output denominator
-# down to a monomial.  reduced() only cancels a candidate after exact
-# division succeeds on both sides, so the list never changes a value.
-# Shared monomials are already stripped by normalization, so no bare
-# variables.
+# three places.  family_chain reduces the chain values entering the tail
+# by them: the chain solve's sums leave common factors there that products
+# alone do not cancel.  The tail entry is then factored over them
+# (hn.TailEntry): the denominators of f, o, p and K are a monomial times
+# powers of these factors, with nothing left over in any family, so every
+# tail value's denominator is carried as an exponent vector over this list
+# and the outputs come out in lowest terms with no further reduction.  The
+# lowest-terms check certifies that by stripping these factors from each
+# output denominator down to a monomial.  reduced() only cancels a
+# candidate after exact division succeeds on both sides, so the list never
+# changes a value.  Shared monomials are already stripped by
+# normalization, so no bare variables.
 #
 # Each entry is a binomial +-x^a +- t with t free of x, which poly_divides
 # tests by heap division like any other divisor.  Each entry is used: over
@@ -187,17 +190,27 @@ def _rational_part(value, role):
     raise ValueError("the %s value must be rational, got %s" % (role, value))
 
 
+class FamilyChain(NamedTuple):
+    """What every tail length of one family shares (see family_chain)."""
+
+    labels: tuple
+    step_eqs: MappingProxyType
+    asg: object
+    entry: TailEntry
+
+
 @lru_cache(maxsize=None)
 def family_chain(spec):
-    """Walk labels, consumed step equations and solved chain of a family.
+    """Walk labels, consumed step equations, solved chain and tail entry.
 
-    Returns (labels, step_eqs, asg): the labels of the walk for tail
-    length 1 as a tuple, a read-only map from step index to step equation,
-    and the assignment after solving every step before the tail.  The tail
-    length only adds steps after the tail starts, so the chain and the
-    label where the tail starts are the same for every m: each spec is
-    solved once per process, and every caller gets the same objects, which
-    none mutates (Assignment.bind returns a new assignment).
+    labels are the walk's labels for tail length 1, step_eqs a read-only
+    map from step index to step equation, asg the assignment after
+    solving every step before the tail, and entry the values entering the
+    tail, reduced by REDUCE_CANDIDATES and factored over them.  The tail
+    length only adds steps after the tail starts, so all four are the
+    same for every m: each spec is solved once per process, and every
+    caller gets the same objects, which none mutates (Assignment.bind
+    returns a new assignment).
     """
     labels = tuple(walk_labels(Walk(spec.triangle0, spec.triangle1,
                                     spec.word(1))))
@@ -206,7 +219,17 @@ def family_chain(spec):
         {k: eqs[label] for k, label in enumerate(spec.step_labels)})
     asg = chain_solve(labels, step_eqs, spec.base_assignment(),
                       len(spec.step_labels) - 1)
-    return labels, step_eqs, asg
+    tail = labels[len(spec.step_labels)]
+    assert (tail.f, tail.o, tail.p) == spec.tail_slopes
+    f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f").reduced(REDUCE_CANDIDATES)
+    o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o").reduced(REDUCE_CANDIDATES)
+    p = asg.value(gamma_name(tail.p))
+    if isinstance(p, RatFunc):
+        p = p.reduced(REDUCE_CANDIDATES)
+    elif isinstance(p, QuadExt):
+        p = QuadExt.pure_root(p.b.reduced(REDUCE_CANDIDATES), p.rad)
+    return FamilyChain(labels, step_eqs, asg,
+                       TailEntry(f, o, p, REDUCE_CANDIDATES))
 
 
 def run_family(spec, m):
@@ -220,17 +243,7 @@ def run_family(spec, m):
     wa = anatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
     assert wa.tail_start_step == len(spec.step_labels)
-    labels, _, asg = family_chain(spec)
-    tail = labels[wa.tail_start_step]
-    assert (tail.f, tail.o, tail.p) == spec.tail_slopes
-    f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f").reduced(REDUCE_CANDIDATES)
-    o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o").reduced(REDUCE_CANDIDATES)
-    p = asg.value(gamma_name(tail.p))
-    if isinstance(p, RatFunc):
-        p = p.reduced(REDUCE_CANDIDATES)
-    elif isinstance(p, QuadExt):
-        p = QuadExt.pure_root(p.b.reduced(REDUCE_CANDIDATES), p.rad)
-    expr = filling_poly(TailContext(f, o, p, m))
+    expr = filling_poly(TailContext(family_chain(spec).entry, m))
     if isinstance(expr, QuadExt):
         conj = expr.conj_product()
     else:

@@ -9,20 +9,37 @@ and its denominator is the exact monomial g_f^(n-1) * g_o^n.
 
 The exchange x+ * x- = x^2 - p^2 is a rank-2 cluster exchange, so
 K = (x+ + x-)/x stays (f^2 + o^2 - p^2)/(f*o) along the run, the linear
-recurrence of friezes.  tail_collapse divides once to get K and then
-steps x+ = K*x - x- with no further division; TailContext rejects a
-vanishing f or o, where K is undefined.  filling_poly turns the collapsed
+recurrence of friezes.  A TailEntry divides once to get K, and rejects a
+vanishing f or o, where K is undefined; tail_collapse then steps
+x+ = K*x - x- with no further division.  filling_poly turns the collapsed
 run plus the final folding condition into the one polynomial whose
 vanishing characterizes the filled tail.  tail_poly stays the closed form
 the checks compare against, and iterate_exchange keeps the dividing
 exchange as the independent route of the numeric pipeline and the
 Laurent-denominator check.
+
+After K the recurrence never divides, so every tail value is a
+polynomial in K, f and o, and the filling expression one in those and p:
+each denominator is a product of the denominators of those four entry
+values.  The tail therefore carries each value as
+num / (c * monomial * prod factor_i^e_i): the entry factors the four
+denominators once by trial division over a given base, a product adds
+exponent vectors, a difference takes their elementwise maximum and
+multiplies each numerator by its cofactor, and each result's denominator
+is expanded once, factor pairs such as (M - 1)(M + 1) as one binomial
+power.  The products of factored values cancel nothing, so a result is
+in lowest terms exactly when that common multiple is the true
+denominator; for the families it is (the lowest-terms check certifies
+every output).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb, lcm
+from operator import add, sub
+from typing import NamedTuple
 
 from .matchings import TAIL_VARS, count_subsets
-from .poly import Poly
+from .poly import Poly, poly_divides
 from .quadext import QuadExt
 from .ratfunc import RatFunc
 
@@ -79,23 +96,117 @@ def iterate_exchange(f, o, p, n):
     return newer
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class TailContext:
-    """Values entering a tail of length n: the carried f, o, p roles.
+class _Factored(NamedTuple):
+    """A tail value num / (c * x^mono * prod factors[i]^exps[i]).
+
+    The factors are those of the TailEntry the value belongs to.  c is a
+    nonzero int kept apart from num, so that num keeps int coefficients
+    (the packed product takes only those).
+    """
+
+    num: Poly
+    c: int
+    mono: tuple
+    exps: tuple
+
+
+def _strip(num, c, mono, exps):
+    """The value with the monomial that num and x^mono share cancelled."""
+    if num.is_zero():
+        return _Factored(num, 1, (0,) * len(mono), (0,) * len(exps))
+    shift = tuple(map(min, num.monomial_content(), mono))
+    if any(shift):
+        num = num.shift_down(shift)
+        mono = tuple(map(sub, mono, shift))
+    return _Factored(num, c, mono, exps)
+
+
+def _mul(a, b):
+    return _strip(a.num * b.num, a.c * b.c,
+                  tuple(map(add, a.mono, b.mono)), tuple(map(add, a.exps, b.exps)))
+
+
+def _pow(a, e):
+    return _Factored(a.num ** e, a.c ** e,
+                     tuple(x * e for x in a.mono), tuple(x * e for x in a.exps))
+
+
+def _power(p, k):
+    """p^k, by the binomial theorem when p has two terms."""
+    if len(p.terms) != 2:
+        return p ** k
+    (ea, ca), (eb, cb) = p.terms.items()
+    return Poly(p.vars, {
+        tuple(i * x + (k - i) * y for x, y in zip(ea, eb)):
+            comb(k, i) * ca ** i * cb ** (k - i)
+        for i in range(k + 1)})
+
+
+def _factor(value, factors):
+    """value as a _Factored over factors, which may grow by one entry.
+
+    Strips the monomial, then each factor by trial division as often as
+    it divides.  A non-constant rest is appended to factors as one more
+    entry, so any denominator is carried exactly.
+    """
+    den = value.den
+    mono = den.monomial_content()
+    rest = den.shift_down(mono)
+    exps = []
+    for b in factors:
+        e = 0
+        ok, q = poly_divides(b, rest)
+        while ok:
+            rest, e = q, e + 1
+            ok, q = poly_divides(b, rest)
+        exps.append(e)
+    if rest.is_constant():
+        c = rest.constant_value()
+    else:
+        c, rest = rest.primitive()
+        factors.append(rest)
+        exps.append(1)
+    return _Factored(value.num, int(c), mono, tuple(exps))
+
+
+def _binomial_pairs(factors):
+    """(i, j, factors[i] * factors[j]) for disjoint pairs whose product
+    has two terms, such as (M - 1)(M + 1) = M^2 - 1."""
+    pairs = []
+    free = set(range(len(factors)))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if i in free and j in free:
+                prod = factors[i] * factors[j]
+                if len(prod.terms) == 2:
+                    pairs.append((i, j, prod))
+                    free -= {i, j}
+    return tuple(pairs)
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class TailEntry:
+    """Values entering a tail of any length: the carried f, o, p roles.
 
     f and o must be nonzero RatFunc, so that K (below) is defined; p may
-    be RatFunc or a pure-root QuadExt.
+    be RatFunc or a pure-root QuadExt.  base lists the polynomials the
+    denominators are expected to be products of (a family's reduction
+    candidates; symbolic values, whose denominators are monomials, need
+    none).  K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p (p.b
+    for a root) and K are worked out once, here, for every tail length.
+    A denominator factor outside base becomes one more entry of factors.
     """
 
     f: RatFunc
     o: RatFunc
     p: object
-    n: int
+    base: tuple = ()
+    factors: tuple = field(init=False, compare=False)
+    pairs: tuple = field(init=False, compare=False)
+    factored: tuple = field(init=False, compare=False)   # f, o, p or p.b, K
 
     def __post_init__(self):
-        f, o, p, n = self.f, self.o, self.p, self.n
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("tail length must be a positive integer")
+        f, o, p = self.f, self.o, self.p
         if not isinstance(f, RatFunc) or not isinstance(o, RatFunc):
             raise TypeError("f and o must be RatFunc")
         if f.is_zero() or o.is_zero():
@@ -104,6 +215,85 @@ class TailContext:
             raise TypeError("p must be RatFunc or QuadExt")
         if isinstance(p, QuadExt) and not p.is_pure_root():
             raise ValueError("a QuadExt p must be a pure root")
+        if any(not isinstance(b, Poly) or b.is_constant() for b in self.base):
+            raise ValueError("base entries must be non-constant Poly")
+        rational = isinstance(p, RatFunc)
+        psq = p * p if rational else p.b * p.b * p.rad
+        k = (f * f + o * o - psq) / (f * o)
+        factors = [b.primitive()[1] for b in self.base]
+        factored = [_factor(v, factors) for v in (f, o, p if rational else p.b, k)]
+        width = len(factors)
+        factored = tuple(v._replace(exps=v.exps + (0,) * (width - len(v.exps)))
+                         for v in factored)
+        for name, value in (("factors", tuple(factors)),
+                            ("pairs", _binomial_pairs(factors)),
+                            ("factored", factored)):
+            object.__setattr__(self, name, value)
+
+    def expand(self, exps, mono=None, c=1):
+        """c * x^mono * prod factors[i]^exps[i], as one Poly.
+
+        Each binomial pair is expanded as one binomial power, the rest of
+        each factor's exponent as a power of that factor, and the parts
+        are multiplied smallest first.
+        """
+        exps = list(exps)
+        parts = []
+        for i, j, binomial in self.pairs:
+            e = min(exps[i], exps[j])
+            if e:
+                parts.append(_power(binomial, e))
+                exps[i] -= e
+                exps[j] -= e
+        parts += [_power(b, e) for b, e in zip(self.factors, exps) if e]
+        vars = self.f.vars
+        out = Poly.monomial(vars, mono or (0,) * len(vars), c)
+        for part in sorted(parts, key=len):
+            out = out * part
+        return out
+
+    def _sub(self, a, b):
+        """a - b over the least common multiple of their factored forms."""
+        c = lcm(a.c, b.c)
+        mono = tuple(map(max, a.mono, b.mono))
+        exps = tuple(map(max, a.exps, b.exps))
+
+        def lift(v):
+            """v's numerator times its cofactor in the common denominator."""
+            cof = tuple(map(sub, exps, v.exps))
+            shift = tuple(map(sub, mono, v.mono))
+            if c == v.c and not any(cof) and not any(shift):
+                return v.num
+            return v.num * self.expand(cof, shift, c // v.c)
+
+        return _strip(lift(a) - lift(b), c, mono, exps)
+
+    def _ratfunc(self, v):
+        return RatFunc(v.num, self.expand(v.exps, v.mono, v.c))
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class TailContext:
+    """A tail: its entry values and its length n."""
+
+    entry: TailEntry
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.entry, TailEntry):
+            raise TypeError("entry must be a TailEntry")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError("tail length must be a positive integer")
+
+
+def _collapsed(ctx):
+    """x_(n+1) of x+ = K*x - x- from (x-, x) = (o, f), in factored form."""
+    entry = ctx.entry
+    f, o, _, k = entry.factored
+    older, newer = o, f
+    for _ in range(ctx.n):
+        older, newer = newer, entry._sub(_mul(k, newer), older)
+    return newer
 
 
 def tail_collapse(ctx):
@@ -111,16 +301,10 @@ def tail_collapse(ctx):
 
     n steps of x+ = K*x - x- from (x-, x) = (o, f).  The exchange
     x+ * x- = x^2 - p^2 keeps K = (x+ + x-)/x fixed at
-    (f^2 + o^2 - p^2)/(f*o), so after that one division every step is a
-    product and a subtraction.
+    (f^2 + o^2 - p^2)/(f*o), which the entry divides out once, so every
+    step is a product and a subtraction of factored values.
     """
-    f, o, p = ctx.f, ctx.o, ctx.p
-    psq = p * p if isinstance(p, RatFunc) else p.b * p.b * p.rad
-    k = (f * f + o * o - psq) / (f * o)
-    older, newer = o, f
-    for _ in range(ctx.n):
-        older, newer = newer, k * newer - older
-    return newer
+    return ctx.entry._ratfunc(_collapsed(ctx))
 
 
 def filling_poly(ctx):
@@ -128,16 +312,21 @@ def filling_poly(ctx):
 
     With S = f^(n-1) o^n and x the collapsed tail (tail_collapse), the
     value is (x - p)*S for rational p and QuadExt(x*S, -S*p.b, rad) for
-    pure-root p.  The products cross-cancel all four numerator and
-    denominator pairs, so the family runs come out in lowest terms with no
-    reduction here (the lowest-terms check certifies that).
+    pure-root p, each worked out in factored form and expanded once.  By
+    the Laurent phenomenon the expression is a polynomial in f, o and p,
+    so its denominator is a product of theirs.  The factored route
+    reaches exactly that denominator on every family run, so the runs
+    come out in lowest terms with no reduction here (the lowest-terms
+    check certifies that).
     """
-    p = ctx.p
-    scale = ctx.f ** (ctx.n - 1) * ctx.o ** ctx.n
-    x = tail_collapse(ctx)
-    if isinstance(p, QuadExt):
-        return QuadExt(x * scale, -(scale * p.b), p.rad)
-    return (x - p) * scale
+    entry, n = ctx.entry, ctx.n
+    f, o, p, _ = entry.factored
+    scale = _mul(_pow(f, n - 1), _pow(o, n))
+    x = _collapsed(ctx)
+    if isinstance(entry.p, QuadExt):
+        return QuadExt(entry._ratfunc(_mul(x, scale)),
+                       -entry._ratfunc(_mul(scale, p)), entry.p.rad)
+    return entry._ratfunc(_mul(entry._sub(x, p), scale))
 
 
 def h_recurrence_check(n):

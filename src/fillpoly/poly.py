@@ -441,7 +441,11 @@ def _sparse_divide(p, d):
     # largest first exponent): its check is one threshold on the key
     kmin = strides[0] * box[0][2] if nv else 0
     rest = box[1:]
-    cd, d = d.primitive()
+    if (d.terms[lexps] in (1, -1)
+            and Fraction not in set(map(type, d.terms.values()))):
+        cd = 1                      # content 1: primitive() would return d
+    else:
+        cd, d = d.primitive()
     cp = 1
     if Fraction in set(map(type, p.terms.values())):
         cp, p = p.primitive()       # keeps the term order cols was read in
@@ -488,9 +492,8 @@ def _sparse_divide(p, d):
     cols = [[k // st % rad for k in q] for st, rad, _, _ in box]
     exps = zip(*cols) if nv else [()] * len(q)
     quotient = Poly._raw(p.vars, dict(zip(exps, q.values())))
-    scale = cp / cd
-    if scale != 1:
-        quotient = quotient * scale
+    if cp != 1 or cd != 1:
+        quotient = quotient * (cp / cd)
     return quotient
 
 

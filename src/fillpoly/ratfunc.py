@@ -14,10 +14,12 @@ operands: each denominator against the other numerator, and each
 numerator against the other denominator.  So dividing by a value cancels
 its numerator into the dividend's numerator and its denominator into the
 dividend's denominator, instead of multiplying the latter into the
-numerator.  That keeps the iterated exchange of the tail construction
-fully reduced, where the denominators must stay plain monomials.  Sums
-are not cancelled this way, so reduced() cancels a caller's list of
-likely factors, each as often as it divides both sides.
+numerator.  That keeps the dividing exchange (hn.iterate_exchange, which
+the checks compare the tail against) fully reduced, where the
+denominators must stay plain monomials.  The tail itself carries its
+denominators factored (hn.TailEntry) and uses RatFunc only for K and its
+outputs.  Sums are not cancelled this way, so reduced() cancels a
+caller's list of likely factors, each as often as it divides both sides.
 
 poly_divides has one route for every divisor, the reduction candidates
 such as L - M and the factors of the cross-cancellation alike: sparse

@@ -11,9 +11,11 @@ from fillpoly.families import (FAMILIES, FillingResult, family_chain,
                                run_family_numeric, twist_A, twist_divisor,
                                twist_gap, twist_polys)
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
-from fillpoly.hn import TailContext, symbolic_tail_values
+from fillpoly.hn import (TailContext, TailEntry, exchange_step,
+                         symbolic_tail_values, tail_collapse)
 from fillpoly.poly import poly_divides
 from fillpoly.ptolemy import PVARS
+from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
                               substitute_basis)
 
@@ -49,19 +51,34 @@ def test_run_family_rejects_bad_m():
 
 
 def test_family_chain_is_solved_once_per_spec(monkeypatch):
-    solves = []
-    real = families.chain_solve
+    calls = {"chain_solve": [], "TailEntry": []}
+    for name, seen in calls.items():
+        def counting(*args, real=getattr(families, name), seen=seen):
+            seen.append(args)
+            return real(*args)
 
-    def counting(*args):
-        solves.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(families, "chain_solve", counting)
+        monkeypatch.setattr(families, name, counting)
     family_chain.cache_clear()
     spec = get_family("whitehead", "neg")
     for m in (1, 2, 3):
         run_family(spec, m)
-    assert len(solves) == 1
+    assert {name: len(seen) for name, seen in calls.items()} \
+        == {"chain_solve": 1, "TailEntry": 1}
+    family_chain.cache_clear()
+
+
+@pytest.mark.parametrize("name,sign", sorted(FAMILIES))
+def test_factored_tail_matches_iterated_exchange(name, sign):
+    # n dividing exchanges, one step at a time; both routes reach the same
+    # lowest-terms form, so numerators and denominators agree term by term
+    entry = family_chain(get_family(name, sign)).entry
+    older, newer = entry.o, entry.f
+    for n in (1, 2, 3):
+        older, newer = newer, exchange_step(newer, older, entry.p)
+        got = tail_collapse(TailContext(entry, n))
+        want = newer.a if isinstance(newer, QuadExt) else newer
+        assert newer == want
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_pretzel_runs_are_rational(family_runs):
@@ -157,7 +174,8 @@ def _value_objects():
         "Walk": walk,
         "StepLabels": walk_labels(walk)[1],
         "WordAnatomy": anatomy("LLRLL"),
-        "TailContext": TailContext(f, o, p, 3),
+        "TailEntry": TailEntry(f, o, p),
+        "TailContext": TailContext(TailEntry(f, o, p), 3),
         "PtolemyEq": spec.equations()["step0"],
         "Assignment": spec.base_assignment(),
         "FamilySpec": spec,

@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly.hn import (TailContext, exchange_step, filling_poly,
+from fillpoly.families import REDUCE_CANDIDATES
+from fillpoly.hn import (TailContext, TailEntry, exchange_step, filling_poly,
                          h_recurrence_check, iterate_exchange,
                          symbolic_tail_values, tail_collapse, tail_poly)
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
+from fillpoly.ptolemy import PVARS
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
 
 def rf(text):
     return parse_ratfunc(text, TAIL_VARS)
+
+
+def tail(f, o, p, n, base=()):
+    return TailContext(TailEntry(f, o, p, base), n)
 
 
 def test_tail_poly_small_forms():
@@ -74,7 +80,7 @@ def test_two_evaluation_routes_agree_on_random_values():
             continue
         n = rng.randint(1, 4)
         scale = f ** (n - 1) * o ** n
-        assert filling_poly(TailContext(f, o, p, n)) \
+        assert filling_poly(tail(f, o, p, n)) \
             == _closed_form_at(n, f, o, p * p) - scale * p
         done += 1
 
@@ -82,27 +88,76 @@ def test_two_evaluation_routes_agree_on_random_values():
 def test_tail_context_validation():
     f, o, p = symbolic_tail_values()
     with pytest.raises(ValueError):
-        TailContext(f, o, p, 0)
+        tail(f, o, p, 0)
     with pytest.raises(TypeError):
-        TailContext(Poly.one(TAIL_VARS), o, p, 2)
+        TailContext((f, o, p), 2)
     with pytest.raises(TypeError):
-        TailContext(f, o, "g_p", 2)
+        TailEntry(Poly.one(TAIL_VARS), o, p)
+    with pytest.raises(TypeError):
+        TailEntry(f, o, "g_p")
     mixed = QuadExt(rf("1"), rf("1"), rf("g_f"))
     with pytest.raises(ValueError):
-        TailContext(f, o, mixed, 2)
+        TailEntry(f, o, mixed)
+    with pytest.raises(ValueError):
+        TailEntry(f, o, p, (Poly.one(TAIL_VARS),))
 
 
 def test_tail_collapse_matches_iterated_exchange():
     f, o, p = symbolic_tail_values()
+    entry = TailEntry(f, o, p)
+    for n in range(1, 9):
+        assert tail_collapse(TailContext(entry, n)) == iterate_exchange(f, o, p, n)
+
+
+def _pvars_entry(base=REDUCE_CANDIDATES):
+    L, M = (RatFunc.variable(PVARS, v) for v in ("L", "M"))
+    return TailEntry(L, M, RatFunc.one(PVARS), base)
+
+
+def test_expand_is_the_product_of_base_powers():
+    entry = _pvars_entry()
+    assert entry.factors == REDUCE_CANDIDATES
+    # the pairs are found by multiplying, and include (M-1)(M+1) and
+    # (L-M)(L+M)
+    paired = {str(prod) for _, _, prod in entry.pairs}
+    assert {"M^2 - 1", "L^2 - M^2"} <= paired
+    nb = len(REDUCE_CANDIDATES)
+    for e in (0, 1, 2, 37, 102):
+        for i, b in enumerate(REDUCE_CANDIDATES):
+            exps = tuple(e if j == i else 0 for j in range(nb))
+            assert entry.expand(exps) == b ** e
+        for i, j, prod in entry.pairs:
+            for ei, ej in ((e, e), (e, 2), (1, e)):
+                exps = tuple(ei if k == i else ej if k == j else 0
+                             for k in range(nb))
+                want = REDUCE_CANDIDATES[i] ** ei * REDUCE_CANDIDATES[j] ** ej
+                assert entry.expand(exps) == want
+    exps = (3, 2, 5, 4, 4, 1, 2, 0)
+    want = Poly.monomial(PVARS, (2, 7), -3)
+    for b, e in zip(REDUCE_CANDIDATES, exps):
+        want = want * b ** e
+    assert entry.expand(exps, (2, 7), -3) == want
+
+
+@pytest.mark.parametrize("f,o,p", [
+    ("1/(L + M + 1)", "M", "L"),
+    ("(L - 2)/((L + M + 1)*(M - 1)^2)", "(M + 3)/(L*(L + M + 1)^2)",
+     "L/(2*L - 3*M^2)"),
+    ("L/(3*L + 3*M)", "(L - M)/(L^2 - M^3)^2", "M/(L + M + 1)")])
+def test_factor_outside_the_base_keeps_the_value(f, o, p):
+    # a denominator factor outside REDUCE_CANDIDATES becomes one more
+    # factor, and the tail gives the dividing exchange's value
+    f, o, p = (parse_ratfunc(t, PVARS) for t in (f, o, p))
+    entry = TailEntry(f, o, p, REDUCE_CANDIDATES)
+    assert len(entry.factors) > len(REDUCE_CANDIDATES)
     for n in (1, 2, 3):
-        ctx = TailContext(f, o, p, n)
-        assert tail_collapse(ctx) == iterate_exchange(f, o, p, n)
+        want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
+        assert filling_poly(TailContext(entry, n)) == want
 
 
 def test_filling_poly_rational_p():
     f, o, p = symbolic_tail_values()
-    ctx = TailContext(f, o, p, 2)
-    got = filling_poly(ctx)
+    got = filling_poly(tail(f, o, p, 2))
     want = RatFunc(tail_poly(2)) - rf("g_f * g_o^2 * g_p")
     assert got == want
 
@@ -114,9 +169,9 @@ def test_linear_tail_passes_through_a_zero_value(n):
     # divides and must still match the closed form
     for f, o in (symbolic_tail_values()[:2],
                  (rf("(g_f + 1)/g_p"), rf("g_o/(g_f - 2*g_p)"))):
-        assert tail_collapse(TailContext(f, o, f, 1)).is_zero()
-        assert tail_collapse(TailContext(f, o, f, 2)) == -f
-        got = filling_poly(TailContext(f, o, f, n))
+        assert tail_collapse(tail(f, o, f, 1)).is_zero()
+        assert tail_collapse(tail(f, o, f, 2)) == -f
+        got = filling_poly(tail(f, o, f, n))
         # tail_poly(n)(f, o, f), expanded with g_p's exponents moved onto g_f
         h = Poly.zero(TAIL_VARS)
         for (ef, eo, ep), c in tail_poly(n).terms.items():
@@ -134,7 +189,7 @@ def test_filling_poly_with_vanishing_f_or_o(f, o):
     # before filling_poly can run
     for p in (rf("g_p"), QuadExt.pure_root(rf("1"), rf("g_p"))):
         with pytest.raises(ValueError, match="nonzero"):
-            TailContext(rf(f), rf(o), p, 2)
+            TailEntry(rf(f), rf(o), p)
 
 
 def test_filling_poly_pure_root_p():
@@ -142,7 +197,7 @@ def test_filling_poly_pure_root_p():
     rad = rf("g_p")
     p = QuadExt.pure_root(rf("1"), rad)
     for n in (1, 2, 3, 4):
-        got = filling_poly(TailContext(f, o, p, n))
+        got = filling_poly(tail(f, o, p, n))
         assert isinstance(got, QuadExt)
         assert got.rad == rad
         # rational part: the tail numerator with p^2 = rad; root part:
@@ -165,10 +220,20 @@ def test_filling_poly_rational_quadext_p():
     for p in (QuadExt.rational(rf("g_p"), rad),
               QuadExt.rational(RatFunc.zero(TAIL_VARS), rad)):
         with pytest.raises(ValueError, match="pure root"):
-            TailContext(f, o, p, 2)
+            TailEntry(f, o, p)
 
 
 def test_h_recurrence():
     # the identity itself is the registry check h-product-recurrence
     with pytest.raises(ValueError):
         h_recurrence_check(3)
+
+
+def test_difference_lifts_both_sides_to_the_common_denominator():
+    # the recurrence's differences always have the larger exponents on the
+    # left, so each order is checked here directly
+    f, o = (parse_ratfunc(t, PVARS) for t in ("3/(M - 1)", "L/(2*(L - M)^2*M^3)"))
+    entry = TailEntry(f, o, RatFunc.one(PVARS), REDUCE_CANDIDATES)
+    ff, fo = entry.factored[:2]
+    assert entry._ratfunc(entry._sub(ff, fo)) == f - o
+    assert entry._ratfunc(entry._sub(fo, ff)) == o - f

@@ -33,8 +33,9 @@ def _chains(family, base):
     out = {"base": base, "eqs": load_equations(family + ".eqs"),
            "vals": load_values(family + "_values.txt")}
     for sign in ("pos", "neg"):
+        chain = family_chain(get_family(family, sign))
         out["labels_" + sign], out["step_" + sign], out[sign] = \
-            family_chain(get_family(family, sign))
+            chain.labels, chain.step_eqs, chain.asg
     return out
 
 
