@@ -25,12 +25,13 @@ from .families import (FAMILIES, REDUCE_CANDIDATES, divides_conjugate,
 from .farey import (FareyTriangle, Slope, Walk, _new_slope, anatomy,
                     crossing_count, crossing_count_oracle, is_neighbor,
                     walk_labels)
-from .hn import (TailContext, TailEntry, h_recurrence_check, iterate_exchange,
+from .hn import (TailEntry, h_recurrence_check, iterate_exchange,
                  symbolic_tail_values, tail_collapse, tail_poly)
 from .matchings import (TAIL_VARS, count_subsets, count_subsets_oracle,
                         enumerate_matchings, matching_step_check, matching_sum)
 from .poly import Poly, poly_divides
-from .ptolemy import PVARS, check_equation, gamma_name, load_values
+from .ptolemy import (BASE_EQ_LABELS, PVARS, check_equation, gamma_name,
+                      load_values)
 from .quadext import QuadExt
 from .ratfunc import PoleError, RatFunc, parse_ratfunc
 
@@ -506,7 +507,7 @@ def _tail_linear_recurrence(r, family_run):
         newer = iterate_exchange(f, o, p, n)
         if newer + older != invariant * x:
             return False, "x_%d + x_%d != K x_%d" % (n + 1, n - 1, n)
-        if tail_collapse(TailContext(entry, n)) != newer:
+        if tail_collapse(entry, n) != newer:
             return False, "tail_collapse != iterate_exchange at n=%d" % n
         older, x = x, newer
     return True, "k = 1..%d" % r.max_n
@@ -516,7 +517,7 @@ def _tail_linear_recurrence(r, family_run):
 def _collapse_crossings(r, family_run):
     entry = TailEntry(*symbolic_tail_values())
     for n in range(1, r.max_n + 1):
-        got = tail_collapse(TailContext(entry, n)).den.max_degrees()
+        got = tail_collapse(entry, n).den.max_degrees()
         h = Slope(1, n)
         want = (crossing_count(Slope(1, 0), h),
                 crossing_count(Slope(-1, 1), h),
@@ -535,16 +536,12 @@ def _h_recurrence(r, family_run):
     return True, "n = 4..%d" % r.h_recurrence_top
 
 
-_BASE_EQ_LABELS = {"pretzel238": ("tet0", "tet1"),
-                   "whitehead": ("link1", "link2", "link3")}
-
-
 @_check("chain-back-audit")
 def _chain_back_audit(r, family_run):
     for (name, sign), spec in FAMILIES.items():
         eqs = spec.equations()
         chain = family_chain(spec)
-        for label in _BASE_EQ_LABELS[name]:
+        for label in BASE_EQ_LABELS[name]:
             if not check_equation(eqs[label], chain.asg):
                 return False, "%s/%s: %s residual nonzero" % (name, sign, label)
         for k in sorted(chain.step_eqs):
@@ -575,7 +572,7 @@ def _fixture_table_audit(r, family_run):
             asg = asg.bind(fname, fixtures[fname])
         if fixtures["g_1/0"] != asg.value("g_1/0"):
             bad.append("%s: stored g_1/0 differs from the derived value" % sign)
-        for label in _BASE_EQ_LABELS["pretzel238"] + spec.step_labels:
+        for label in BASE_EQ_LABELS["pretzel238"] + spec.step_labels:
             if not check_equation(eqs[label], asg):
                 bad.append("%s: %s residual nonzero" % (sign, label))
     if bad:

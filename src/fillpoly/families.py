@@ -22,10 +22,11 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
-from .hn import TailContext, TailEntry, filling_poly, iterate_exchange
+from .hn import TailEntry, filling_poly, iterate_exchange
 from .poly import Poly, poly_divides
-from .ptolemy import (PVARS, chain_solve, gamma_name, load_equations,
-                      solve_pretzel_base, solve_whitehead_base)
+from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
+                      load_equations, solve_pretzel_base,
+                      solve_whitehead_base)
 from .quadext import QuadExt
 from .ratfunc import PoleError, RatFunc, parse_poly, substitute_basis
 
@@ -35,10 +36,10 @@ def _pp(text):
 
 
 # The irreducible factors the base values are built from.  They matter in
-# three places.  family_chain reduces the chain values entering the tail
-# by them: the chain solve's sums leave common factors there that products
-# alone do not cancel.  The tail entry is then factored over them
-# (hn.TailEntry): the denominators of f, o, p and K are a monomial times
+# three places.  The tail entry (hn.TailEntry) reduces the chain values
+# entering the tail by them: the chain solve's sums leave common factors
+# there that products alone do not cancel.  The entry is then factored
+# over them: the denominators of f, o, p and K are a monomial times
 # powers of these factors, with nothing left over in any family, so every
 # tail value's denominator is carried as an exponent vector over this list
 # and the outputs come out in lowest terms with no further reduction.  The
@@ -206,7 +207,7 @@ def family_chain(spec):
     labels are the walk's labels for tail length 1, step_eqs a read-only
     map from step index to step equation, asg the assignment after
     solving every step before the tail, and entry the values entering the
-    tail, reduced by REDUCE_CANDIDATES and factored over them.  The tail
+    tail, as solved, with REDUCE_CANDIDATES as its base.  The tail
     length only adds steps after the tail starts, so all four are the
     same for every m: each spec is solved once per process, and every
     caller gets the same objects, which none mutates (Assignment.bind
@@ -221,13 +222,9 @@ def family_chain(spec):
                       len(spec.step_labels) - 1)
     tail = labels[len(spec.step_labels)]
     assert (tail.f, tail.o, tail.p) == spec.tail_slopes
-    f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f").reduced(REDUCE_CANDIDATES)
-    o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o").reduced(REDUCE_CANDIDATES)
+    f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f")
+    o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o")
     p = asg.value(gamma_name(tail.p))
-    if isinstance(p, RatFunc):
-        p = p.reduced(REDUCE_CANDIDATES)
-    elif isinstance(p, QuadExt):
-        p = QuadExt.pure_root(p.b.reduced(REDUCE_CANDIDATES), p.rad)
     return FamilyChain(labels, step_eqs, asg,
                        TailEntry(f, o, p, REDUCE_CANDIDATES))
 
@@ -243,7 +240,7 @@ def run_family(spec, m):
     wa = anatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
     assert wa.tail_start_step == len(spec.step_labels)
-    expr = filling_poly(TailContext(family_chain(spec).entry, m))
+    expr = filling_poly(family_chain(spec).entry, m)
     if isinstance(expr, QuadExt):
         conj = expr.conj_product()
     else:
@@ -274,7 +271,7 @@ def _numeric_pretzel_base(eqs, point):
     one = Fraction(1)
     vals = {"g_3/1": one}
     rows = []
-    for label in ("tet0", "tet1"):
+    for label in BASE_EQ_LABELS["pretzel238"][:2]:
         a = b = c = Fraction(0)
         for coef, (x, y) in _numeric_terms(eqs[label], point):
             pair = frozenset((x, y))
@@ -297,7 +294,7 @@ def _numeric_pretzel_base(eqs, point):
         raise PoleError("vanishing 4/1 value at this point")
     vals["g_4/1"] = w
     vals["g_1/0"] = u / w
-    for label in ("tet0", "tet1"):
+    for label in BASE_EQ_LABELS["pretzel238"]:
         total = Fraction(0)
         for coef, (x, y) in _numeric_terms(eqs[label], point):
             total += coef * vals[x] * vals[y]
@@ -396,68 +393,58 @@ _A2_POS_TEXT = ("-L^2 + L^3 + 2*L^2*M^2 + L*M^4 + 2*L^2*M^4 - L*M^6"
 _A1_NEG_TEXT = "-L + L*M^2 + M^4 + 2*L*M^4 + L^2*M^4 + L*M^6 - L*M^8"
 
 
+# The n of each sequence's first seed.
+_TWIST_FIRST = {"pos": 1, "neg": 0}
+
+
 class TwistPolys:
     """The twist-knot sequences and their recurrence data.
 
-    Both sequences obey  A_n = x*A_(n-1) - y*A_(n-2); the positive one is
-    seeded at n=1,2 and the negative one at n=0,1.  Generated terms are
-    cached on the instance.
+    Both sequences obey  A_n = x*A_(n-1) - y*A_(n-2).  seqs[sign] holds
+    A_first, A_(first+1), ... as far as twist_A has generated them, and
+    gap[sign] is the extra factor of the sign's product identity.
     """
 
     def __init__(self):
         self.x = _pp(_X_TEXT)
         self.y = _pp(_Y_TEXT)
         self.z = _pp(_Z_TEXT)
-        self._pos = [_pp(_A1_POS_TEXT), _pp(_A2_POS_TEXT)]   # index n-1
-        self._neg = [Poly.one(PVARS), _pp(_A1_NEG_TEXT)]     # index n
-
-    def a_pos(self, n):
-        if n < 1:
-            raise ValueError("positive sequence starts at n=1")
-        while len(self._pos) < n:
-            self._pos.append(self.x * self._pos[-1] - self.y * self._pos[-2])
-        return self._pos[n - 1]
-
-    def a_neg(self, n):
-        if n < 0:
-            raise ValueError("negative sequence starts at n=0")
-        while len(self._neg) <= n:
-            self._neg.append(self.x * self._neg[-1] - self.y * self._neg[-2])
-        return self._neg[n]
+        self.seqs = {"pos": [_pp(_A1_POS_TEXT), _pp(_A2_POS_TEXT)],
+                     "neg": [Poly.one(PVARS), _pp(_A1_NEG_TEXT)]}
+        self.gap = {"pos": _pp("M^4 * (L + M^2)^3"), "neg": _pp("L + M^2")}
 
 
-_TWIST = None
-
-
+@lru_cache(maxsize=None)
 def twist_polys():
-    global _TWIST
-    if _TWIST is None:
-        _TWIST = TwistPolys()
-    return _TWIST
+    return TwistPolys()
+
+
+def _twist_first(sign):
+    try:
+        return _TWIST_FIRST[sign]
+    except KeyError:
+        raise ValueError("sign must be 'pos' or 'neg'") from None
 
 
 def twist_A(n, sign):
     """n-th twist-knot A-polynomial: sign 'pos' for J(2,2n), 'neg' for J(2,-2n)."""
+    first = _twist_first(sign)
+    if n < first:
+        raise ValueError("the %s sequence starts at n=%d" % (sign, first))
     tw = twist_polys()
-    if sign == "pos":
-        return tw.a_pos(n)
-    if sign == "neg":
-        return tw.a_neg(n)
-    raise ValueError("sign must be 'pos' or 'neg'")
+    seq = tw.seqs[sign]
+    while len(seq) <= n - first:
+        seq.append(tw.x * seq[-1] - tw.y * seq[-2])
+    return seq[n - first]
 
 
 def twist_gap(sign, n):
-    """Right side of the product identity: y^k * z * (extra factor)."""
+    """Right side of the product identity: y^(n-first-1) * z * gap[sign]."""
+    first = _twist_first(sign)
+    if n <= first:
+        raise ValueError("the %s identity needs n > %d" % (sign, first))
     tw = twist_polys()
-    if sign == "pos":
-        if n < 2:
-            raise ValueError("positive identity needs n > 1")
-        return tw.y ** (n - 2) * tw.z * _pp("M^4 * (L + M^2)^3")
-    if sign == "neg":
-        if n < 1:
-            raise ValueError("negative identity needs n > 0")
-        return tw.y ** (n - 1) * tw.z * _pp("L + M^2")
-    raise ValueError("sign must be 'pos' or 'neg'")
+    return tw.y ** (n - first - 1) * tw.z * tw.gap[sign]
 
 
 def twist_recurrence_check(n, sign):
@@ -469,11 +456,9 @@ def twist_recurrence_check(n, sign):
 
 def twist_base_identity_check(sign):
     """The proof's seed identity: x*A_a*A_b - y*A_a^2 - A_b^2 equals the
-    gap term at n = a + 1, with a = 1 (pos) or 0 (neg) and b = a + 1."""
+    gap term at n = b, with a the sign's first n and b = a + 1."""
+    first = _twist_first(sign)
     tw = twist_polys()
-    first = {"pos": 1, "neg": 0}.get(sign)
-    if first is None:
-        raise ValueError("sign must be 'pos' or 'neg'")
     a, b = twist_A(first, sign), twist_A(first + 1, sign)
     return tw.x * a * b - tw.y * a * a - b * b == twist_gap(sign, first + 1)
 
@@ -483,11 +468,11 @@ def twist_identities(max_n):
     in the order `twist verify` prints them."""
     checks = [("base identity %s" % sign,
                lambda sign=sign: twist_base_identity_check(sign))
-              for sign in ("pos", "neg")]
-    for sign, first in (("pos", 2), ("neg", 1)):
+              for sign in _TWIST_FIRST]
+    for sign, first in _TWIST_FIRST.items():
         checks += [("%s n=%d" % (sign, n),
                     lambda n=n, sign=sign: twist_recurrence_check(n, sign))
-                   for n in range(first, max_n + 1)]
+                   for n in range(first + 1, max_n + 1)]
     return checks
 
 

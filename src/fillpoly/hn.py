@@ -9,13 +9,14 @@ and its denominator is the exact monomial g_f^(n-1) * g_o^n.
 
 The exchange x+ * x- = x^2 - p^2 is a rank-2 cluster exchange, so
 K = (x+ + x-)/x stays (f^2 + o^2 - p^2)/(f*o) along the run, the linear
-recurrence of friezes.  A TailEntry divides once to get K, and rejects a
-vanishing f or o, where K is undefined; tail_collapse then steps
-x+ = K*x - x- with no further division.  filling_poly turns the collapsed
-run plus the final folding condition into the one polynomial whose
-vanishing characterizes the filled tail.  tail_poly stays the closed form
-the checks compare against, and iterate_exchange keeps the dividing
-exchange as the independent route of the numeric pipeline and the
+recurrence of friezes.  A TailEntry reduces f, o and p, divides once to
+get K, and rejects a vanishing f or o, where K is undefined; for a
+positive int n, tail_collapse(entry, n) steps x+ = K*x - x- n times with
+no further division, and filling_poly(entry, n) turns the collapsed run
+plus the final folding condition into the one polynomial whose vanishing
+characterizes the filled tail.  tail_poly stays the closed form the
+checks compare against, and iterate_exchange keeps the dividing exchange
+as the independent route of the numeric pipeline and the
 Laurent-denominator check.
 
 After K the recurrence never divides, so every tail value is a
@@ -192,9 +193,10 @@ class TailEntry:
     be RatFunc or a pure-root QuadExt.  base lists the polynomials the
     denominators are expected to be products of (a family's reduction
     candidates; symbolic values, whose denominators are monomials, need
-    none).  K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p (p.b
-    for a root) and K are worked out once, here, for every tail length.
-    A denominator factor outside base becomes one more entry of factors.
+    none).  f, o and p (p.b for a root) are stored reduced by base, and
+    K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p and K are worked
+    out once, here, for every tail length.  A denominator factor outside
+    base becomes one more entry of factors.
     """
 
     f: RatFunc
@@ -206,7 +208,7 @@ class TailEntry:
     factored: tuple = field(init=False, compare=False)   # f, o, p or p.b, K
 
     def __post_init__(self):
-        f, o, p = self.f, self.o, self.p
+        f, o, p, base = self.f, self.o, self.p, self.base
         if not isinstance(f, RatFunc) or not isinstance(o, RatFunc):
             raise TypeError("f and o must be RatFunc")
         if f.is_zero() or o.is_zero():
@@ -215,17 +217,21 @@ class TailEntry:
             raise TypeError("p must be RatFunc or QuadExt")
         if isinstance(p, QuadExt) and not p.is_pure_root():
             raise ValueError("a QuadExt p must be a pure root")
-        if any(not isinstance(b, Poly) or b.is_constant() for b in self.base):
+        if any(not isinstance(b, Poly) or b.is_constant() for b in base):
             raise ValueError("base entries must be non-constant Poly")
+        f, o = f.reduced(base), o.reduced(base)
         rational = isinstance(p, RatFunc)
-        psq = p * p if rational else p.b * p.b * p.rad
+        root = (p if rational else p.b).reduced(base)
+        p = root if rational else QuadExt.pure_root(root, p.rad)
+        psq = root * root if rational else root * root * p.rad
         k = (f * f + o * o - psq) / (f * o)
-        factors = [b.primitive()[1] for b in self.base]
-        factored = [_factor(v, factors) for v in (f, o, p if rational else p.b, k)]
+        factors = [b.primitive()[1] for b in base]
+        factored = [_factor(v, factors) for v in (f, o, root, k)]
         width = len(factors)
         factored = tuple(v._replace(exps=v.exps + (0,) * (width - len(v.exps)))
                          for v in factored)
-        for name, value in (("factors", tuple(factors)),
+        for name, value in (("f", f), ("o", o), ("p", p),
+                            ("factors", tuple(factors)),
                             ("pairs", _binomial_pairs(factors)),
                             ("factored", factored)):
             object.__setattr__(self, name, value)
@@ -272,31 +278,18 @@ class TailEntry:
         return RatFunc(v.num, self.expand(v.exps, v.mono, v.c))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class TailContext:
-    """A tail: its entry values and its length n."""
-
-    entry: TailEntry
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.entry, TailEntry):
-            raise TypeError("entry must be a TailEntry")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("tail length must be a positive integer")
-
-
-def _collapsed(ctx):
+def _collapsed(entry, n):
     """x_(n+1) of x+ = K*x - x- from (x-, x) = (o, f), in factored form."""
-    entry = ctx.entry
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("tail length must be a positive integer")
     f, o, _, k = entry.factored
     older, newer = o, f
-    for _ in range(ctx.n):
+    for _ in range(n):
         older, newer = newer, entry._sub(_mul(k, newer), older)
     return newer
 
 
-def tail_collapse(ctx):
+def tail_collapse(entry, n):
     """Value of the collapsed tail: tail_poly(n)(f, o, p) / (f^(n-1) o^n).
 
     n steps of x+ = K*x - x- from (x-, x) = (o, f).  The exchange
@@ -304,10 +297,10 @@ def tail_collapse(ctx):
     (f^2 + o^2 - p^2)/(f*o), which the entry divides out once, so every
     step is a product and a subtraction of factored values.
     """
-    return ctx.entry._ratfunc(_collapsed(ctx))
+    return entry._ratfunc(_collapsed(entry, n))
 
 
-def filling_poly(ctx):
+def filling_poly(entry, n):
     """The filling expression: tail_poly(n)(f, o, p) - f^(n-1) o^n p.
 
     With S = f^(n-1) o^n and x the collapsed tail (tail_collapse), the
@@ -319,10 +312,9 @@ def filling_poly(ctx):
     come out in lowest terms with no reduction here (the lowest-terms
     check certifies that).
     """
-    entry, n = ctx.entry, ctx.n
+    x = _collapsed(entry, n)
     f, o, p, _ = entry.factored
     scale = _mul(_pow(f, n - 1), _pow(o, n))
-    x = _collapsed(ctx)
     if isinstance(entry.p, QuadExt):
         return QuadExt(entry._ratfunc(_mul(x, scale)),
                        -entry._ratfunc(_mul(scale, p)), entry.p.rad)
@@ -344,6 +336,4 @@ def h_recurrence_check(n):
 
 def symbolic_tail_values(vars=TAIL_VARS):
     """The generic starting values (f, o, p) as plain RatFunc variables."""
-    return (RatFunc.variable(vars, vars[0]),
-            RatFunc.variable(vars, vars[1]),
-            RatFunc.variable(vars, vars[2]))
+    return tuple(RatFunc.variable(vars, v) for v in vars[:3])

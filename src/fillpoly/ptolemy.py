@@ -12,9 +12,11 @@ is bound.
 
 The step equations are close to, but not always exactly, the shape
   (new)(dropped) + (carried p)^2 - (carried f)^2 = 0
-suggested by the walk labels.  audit_step_roles reports how each
-transcribed equation differs from that shape (global sign, exchanged
-squares); the solvers never normalize those differences away.
+suggested by the walk labels.  Compared term by term with that shape,
+whitehead step1 has the opposite global sign, step2pos and step2neg have
+the p and f squares exchanged, and whitehead step0 and every pretzel238
+step, step3neg included, match it.  The solvers never normalize those
+differences away.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +28,11 @@ from .quadext import QuadExt
 from .ratfunc import RatFunc, parse_poly, parse_ratfunc
 
 PVARS = ("L", "M")
+
+# Each family's base equations, the head pair first: the base solvers
+# solve that pair and check every one.
+BASE_EQ_LABELS = {"pretzel238": ("tet0", "tet1"),
+                  "whitehead": ("link1", "link2", "link3")}
 
 
 def gamma_name(slope):
@@ -219,18 +226,13 @@ class Assignment:
         return "{%s}" % ", ".join(self.names())
 
 
-def equation_residual(eq, asg):
-    """The exact value of the equation's left side under the assignment."""
+def check_equation(eq, asg):
+    """Is the equation exactly satisfied?  Unbound names are an error."""
     total = None
     for coef, (x, y) in eq.terms:
         term = RatFunc(coef) * asg.value(x) * asg.value(y)
         total = term if total is None else total + term
-    return total
-
-
-def check_equation(eq, asg):
-    """Is the equation exactly satisfied?  Unbound names are an error."""
-    return equation_residual(eq, asg).is_zero()
+    return total.is_zero()
 
 
 def solve_linear_step(eq, asg, unknown):
@@ -312,13 +314,14 @@ def solve_pretzel_base(equations=None):
     solve fixes both and s = (s*w)/w.
     """
     eqs = equations or load_equations("pretzel238.eqs")
+    labels = BASE_EQ_LABELS["pretzel238"]
     unit, single, pair = "g_3/1", "g_4/1", ("g_1/0", "g_4/1")
-    w, sw = _solve_head_pair(eqs, ("tet0", "tet1"), unit, single, pair)
+    w, sw = _solve_head_pair(eqs, labels[:2], unit, single, pair)
     asg = (Assignment()
            .bind(unit, RatFunc.one(PVARS))
            .bind("g_1/0", sw / w)
            .bind(single, w))
-    return _check_closes(eqs, ("tet0", "tet1"), asg)
+    return _check_closes(eqs, labels, asg)
 
 
 def solve_whitehead_base(equations=None):
@@ -331,13 +334,14 @@ def solve_whitehead_base(equations=None):
     g_0(23) is +sqrt(R).
     """
     eqs = equations or load_equations("whitehead.eqs")
+    labels = BASE_EQ_LABELS["whitehead"]
     base_name = "g_1/0"
     single = "g_3/1"
     pair = ("g_0(23)", "g_2/1")
-    t, z = _solve_head_pair(eqs, ("link1", "link2"), base_name, single, pair)
+    t, z = _solve_head_pair(eqs, labels[:2], base_name, single, pair)
     # third equation: collect the coefficient of the squared pair head and
     # evaluate everything else to find the radicand
-    eq3 = eqs["link3"]
+    eq3 = eqs[labels[2]]
     head = pair[0]
     partial = (Assignment()
                .bind(base_name, RatFunc.one(PVARS))
@@ -347,21 +351,22 @@ def solve_whitehead_base(equations=None):
     for coef, (x, y) in eq3.terms:
         if x == head and y == head:
             if sq_coef is not None:
-                raise ValueError("two squared terms for %s in link3" % (head,))
+                raise ValueError("two squared terms for %s in %s"
+                                 % (head, eq3.label))
             sq_coef = RatFunc(coef)
         elif head in (x, y):
-            raise ValueError("%s appears unsquared in link3" % (head,))
+            raise ValueError("%s appears unsquared in %s" % (head, eq3.label))
         else:
             rest = rest + RatFunc(coef) * partial.value(x) * partial.value(y)
     if sq_coef is None or sq_coef.is_zero():
-        raise ValueError("link3 does not determine %s" % (head,))
+        raise ValueError("%s does not determine %s" % (eq3.label, head))
     rad = -(rest / sq_coef)
     if rad.is_zero():
         raise ValueError("radicand vanishes; the root would be rational")
     root = QuadExt.pure_root(RatFunc.one(PVARS), rad)
     second = QuadExt.rational(z, rad) / root
     asg = partial.bind(pair[0], root).bind(pair[1], second)
-    return _check_closes(eqs, ("link1", "link2", "link3"), asg)
+    return _check_closes(eqs, labels, asg)
 
 
 # --- the walk chain ------------------------------------------------------------
@@ -397,42 +402,3 @@ def chain_solve(labels, step_eqs, base, upto):
             raise ArithmeticError("step %d does not close after its solve" % (k,))
     return asg
 
-
-def audit_step_roles(eq, step):
-    """How far one transcribed step equation is from its labelled shape.
-
-    The labels suggest  (new)(dropped) + p^2 - f^2 = 0.  Returns a list of
-    notes, empty when the equation matches exactly; recognized deviations
-    are a global sign flip and exchanged p/f squares.  The notes are
-    reports, not corrections: solving always uses the equation verbatim.
-    """
-    expected = {
-        _pair_key(gamma_name(step.h), gamma_name(step.o)): 1,
-        _pair_key(gamma_name(step.p), gamma_name(step.p)): 1,
-        _pair_key(gamma_name(step.f), gamma_name(step.f)): -1,
-    }
-    actual = {}
-    for coef, (x, y) in eq.terms:
-        if not coef.is_constant():
-            return ["non-constant coefficient on %s*%s" % (x, y)]
-        key = _pair_key(x, y)
-        actual[key] = actual.get(key, 0) + coef.constant_value()
-    if actual == expected:
-        return []
-    flipped = {k: -v for k, v in expected.items()}
-    if actual == flipped:
-        return ["global sign flipped"]
-    swapped = {
-        _pair_key(gamma_name(step.h), gamma_name(step.o)): 1,
-        _pair_key(gamma_name(step.f), gamma_name(step.f)): 1,
-        _pair_key(gamma_name(step.p), gamma_name(step.p)): -1,
-    }
-    if actual == swapped:
-        return ["p and f squares exchanged"]
-    if actual == {k: -v for k, v in swapped.items()}:
-        return ["global sign flipped", "p and f squares exchanged"]
-    return ["unrecognized shape: %s" % (eq,)]
-
-
-def _pair_key(x, y):
-    return tuple(sorted((x, y)))

@@ -118,9 +118,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return QuadExt(self.a, -self.b, self.rad)
-
     def conj_product(self):
         """Product with the conjugate: a^2 - b^2 * rad, as a plain RatFunc."""
         return self.a * self.a - self.b * self.b * self.rad
@@ -142,21 +139,6 @@ class QuadExt:
         if other is None:
             return NotImplemented
         return other * self.reciprocal()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("QuadExt exponent must be int")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        result = QuadExt.rational(RatFunc.one(self.vars), self.rad)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     # --- rendering ---------------------------------------------------------
 

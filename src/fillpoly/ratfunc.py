@@ -265,8 +265,8 @@ def _normalize(num, den):
     cn, pn = num.primitive()
     cd, pd = den.primitive()
     ratio = cn / cd
-    num = pn * ratio.numerator
-    den = pd * ratio.denominator
+    num = pn if ratio.numerator == 1 else pn * ratio.numerator
+    den = pd if ratio.denominator == 1 else pd * ratio.denominator
     _, lead = den.leading_term()
     if lead < 0:
         num, den = -num, -den

@@ -11,8 +11,8 @@ from fillpoly.families import (FAMILIES, FillingResult, family_chain,
                                run_family_numeric, twist_A, twist_divisor,
                                twist_gap, twist_polys)
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
-from fillpoly.hn import (TailContext, TailEntry, exchange_step,
-                         symbolic_tail_values, tail_collapse)
+from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
+                         tail_collapse)
 from fillpoly.poly import poly_divides
 from fillpoly.ptolemy import PVARS
 from fillpoly.quadext import QuadExt
@@ -75,7 +75,7 @@ def test_factored_tail_matches_iterated_exchange(name, sign):
     older, newer = entry.o, entry.f
     for n in (1, 2, 3):
         older, newer = newer, exchange_step(newer, older, entry.p)
-        got = tail_collapse(TailContext(entry, n))
+        got = tail_collapse(entry, n)
         want = newer.a if isinstance(newer, QuadExt) else newer
         assert newer == want
         assert (got.num, got.den) == (want.num, want.den)
@@ -175,7 +175,6 @@ def _value_objects():
         "StepLabels": walk_labels(walk)[1],
         "WordAnatomy": anatomy("LLRLL"),
         "TailEntry": TailEntry(f, o, p),
-        "TailContext": TailContext(TailEntry(f, o, p), 3),
         "PtolemyEq": spec.equations()["step0"],
         "Assignment": spec.base_assignment(),
         "FamilySpec": spec,

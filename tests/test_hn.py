@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fillpoly.families import REDUCE_CANDIDATES
-from fillpoly.hn import (TailContext, TailEntry, exchange_step, filling_poly,
+from fillpoly.hn import (TailEntry, exchange_step, filling_poly,
                          h_recurrence_check, iterate_exchange,
                          symbolic_tail_values, tail_collapse, tail_poly)
 from fillpoly.matchings import TAIL_VARS
@@ -16,10 +16,6 @@ from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
 def rf(text):
     return parse_ratfunc(text, TAIL_VARS)
-
-
-def tail(f, o, p, n, base=()):
-    return TailContext(TailEntry(f, o, p, base), n)
 
 
 def test_tail_poly_small_forms():
@@ -80,17 +76,18 @@ def test_two_evaluation_routes_agree_on_random_values():
             continue
         n = rng.randint(1, 4)
         scale = f ** (n - 1) * o ** n
-        assert filling_poly(tail(f, o, p, n)) \
+        assert filling_poly(TailEntry(f, o, p), n) \
             == _closed_form_at(n, f, o, p * p) - scale * p
         done += 1
 
 
 def test_tail_context_validation():
     f, o, p = symbolic_tail_values()
+    entry = TailEntry(f, o, p)
     with pytest.raises(ValueError):
-        tail(f, o, p, 0)
-    with pytest.raises(TypeError):
-        TailContext((f, o, p), 2)
+        filling_poly(entry, 0)
+    with pytest.raises(ValueError):
+        tail_collapse(entry, 1.5)
     with pytest.raises(TypeError):
         TailEntry(Poly.one(TAIL_VARS), o, p)
     with pytest.raises(TypeError):
@@ -106,7 +103,7 @@ def test_tail_collapse_matches_iterated_exchange():
     f, o, p = symbolic_tail_values()
     entry = TailEntry(f, o, p)
     for n in range(1, 9):
-        assert tail_collapse(TailContext(entry, n)) == iterate_exchange(f, o, p, n)
+        assert tail_collapse(entry, n) == iterate_exchange(f, o, p, n)
 
 
 def _pvars_entry(base=REDUCE_CANDIDATES):
@@ -152,12 +149,29 @@ def test_factor_outside_the_base_keeps_the_value(f, o, p):
     assert len(entry.factors) > len(REDUCE_CANDIDATES)
     for n in (1, 2, 3):
         want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
-        assert filling_poly(TailContext(entry, n)) == want
+        assert filling_poly(entry, n) == want
+
+
+def test_entry_reduces_its_values_by_the_base():
+    # the chain hands over f, o and p as solved; the entry cancels the
+    # base factors they share before it factors anything
+    L, M = (Poly.variable(PVARS, v) for v in PVARS)
+    f = RatFunc((L - 1) * (L + 2), (L - 1) * M)
+    o = RatFunc(M + 2, L)
+    assert f.den == (L - 1) * M
+    root = QuadExt.pure_root(RatFunc((M + 1) * L, (M + 1) * M), RatFunc(L + M))
+    for p in (RatFunc(L + 3, M + 1), root):
+        entry = TailEntry(f, o, p, REDUCE_CANDIDATES)
+        assert entry.f.den == M
+        for n in (1, 2, 3):
+            want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
+            assert filling_poly(entry, n) == want
+    assert entry.p.b.den == M
 
 
 def test_filling_poly_rational_p():
     f, o, p = symbolic_tail_values()
-    got = filling_poly(tail(f, o, p, 2))
+    got = filling_poly(TailEntry(f, o, p), 2)
     want = RatFunc(tail_poly(2)) - rf("g_f * g_o^2 * g_p")
     assert got == want
 
@@ -169,9 +183,9 @@ def test_linear_tail_passes_through_a_zero_value(n):
     # divides and must still match the closed form
     for f, o in (symbolic_tail_values()[:2],
                  (rf("(g_f + 1)/g_p"), rf("g_o/(g_f - 2*g_p)"))):
-        assert tail_collapse(tail(f, o, f, 1)).is_zero()
-        assert tail_collapse(tail(f, o, f, 2)) == -f
-        got = filling_poly(tail(f, o, f, n))
+        assert tail_collapse(TailEntry(f, o, f), 1).is_zero()
+        assert tail_collapse(TailEntry(f, o, f), 2) == -f
+        got = filling_poly(TailEntry(f, o, f), n)
         # tail_poly(n)(f, o, f), expanded with g_p's exponents moved onto g_f
         h = Poly.zero(TAIL_VARS)
         for (ef, eo, ep), c in tail_poly(n).terms.items():
@@ -197,7 +211,7 @@ def test_filling_poly_pure_root_p():
     rad = rf("g_p")
     p = QuadExt.pure_root(rf("1"), rad)
     for n in (1, 2, 3, 4):
-        got = filling_poly(tail(f, o, p, n))
+        got = filling_poly(TailEntry(f, o, p), n)
         assert isinstance(got, QuadExt)
         assert got.rad == rad
         # rational part: the tail numerator with p^2 = rad; root part:

@@ -7,10 +7,10 @@ from fillpoly import ptolemy
 from fillpoly.families import family_chain, get_family
 from fillpoly.farey import Slope
 from fillpoly.poly import Poly
-from fillpoly.ptolemy import (PVARS, PtolemyEq, audit_step_roles,
-                              chain_solve, check_equation, gamma_name,
-                              load_equations, load_values, parse_equations,
-                              solve_pretzel_base, solve_whitehead_base)
+from fillpoly.ptolemy import (PVARS, PtolemyEq, chain_solve, check_equation,
+                              gamma_name, load_equations, load_values,
+                              parse_equations, solve_pretzel_base,
+                              solve_whitehead_base)
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
@@ -90,11 +90,29 @@ def test_pretzel_numeric_spot_values(pretzel):
     assert as_rf(pos.value("g_1/1")).evaluate(pt) == Fraction(8295767071, 1265625)
 
 
+def _shape(eq):
+    """The equation's constant coefficients, summed per sorted gamma pair."""
+    out = {}
+    for coef, pair in eq.terms:
+        key = tuple(sorted(pair))
+        out[key] = out.get(key, 0) + coef.constant_value()
+    return out
+
+
+def _labelled_shape(step, sign=1, exchanged=False):
+    """sign * ((new)(dropped) + p^2 - f^2), or with p and f exchanged."""
+    p, f = gamma_name(step.p), gamma_name(step.f)
+    if exchanged:
+        p, f = f, p
+    return {tuple(sorted((gamma_name(step.h), gamma_name(step.o)))): sign,
+            (p, p): sign, (f, f): -sign}
+
+
 def test_pretzel_step_equations_match_walk_roles(pretzel):
-    for k, eq in pretzel["step_pos"].items():
-        assert audit_step_roles(eq, pretzel["labels_pos"][k]) == []
-    for k, eq in pretzel["step_neg"].items():
-        assert audit_step_roles(eq, pretzel["labels_neg"][k]) == []
+    # every step, step3neg included, has its labelled shape
+    for sign in ("pos", "neg"):
+        for k, eq in pretzel["step_" + sign].items():
+            assert _shape(eq) == _labelled_shape(pretzel["labels_" + sign][k])
 
 
 def test_whitehead_base_values(whitehead):
@@ -133,12 +151,12 @@ def test_whitehead_numeric_spot_values(whitehead):
 def test_whitehead_step_audits(whitehead):
     eqs = whitehead["eqs"]
     lp, ln = whitehead["labels_pos"], whitehead["labels_neg"]
-    assert audit_step_roles(eqs["step0"], lp[0]) == []
-    assert audit_step_roles(eqs["step1"], lp[1]) == ["global sign flipped"]
-    assert audit_step_roles(eqs["step2pos"], lp[2]) \
-        == ["p and f squares exchanged"]
-    assert audit_step_roles(eqs["step2neg"], ln[2]) \
-        == ["p and f squares exchanged"]
+    # the deviations from the labelled shape that the module docstring
+    # records; the solvers use the equations as transcribed
+    assert _shape(eqs["step0"]) == _labelled_shape(lp[0])
+    assert _shape(eqs["step1"]) == _labelled_shape(lp[1], sign=-1)
+    assert _shape(eqs["step2pos"]) == _labelled_shape(lp[2], exchanged=True)
+    assert _shape(eqs["step2neg"]) == _labelled_shape(ln[2], exchanged=True)
 
 
 def test_chain_solve_refuses_to_rebind(pretzel):
