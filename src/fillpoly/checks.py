@@ -29,7 +29,7 @@ from .hn import (TailEntry, h_recurrence_check, iterate_exchange,
                  symbolic_tail_values, tail_collapse, tail_poly)
 from .matchings import (TAIL_VARS, count_subsets, count_subsets_oracle,
                         enumerate_matchings, matching_step_check, matching_sum)
-from .poly import Poly, poly_divides
+from .poly import Poly, divide_out, poly_divides
 from .ptolemy import (BASE_EQ_LABELS, PVARS, check_equation, gamma_name,
                       load_values)
 from .quadext import QuadExt
@@ -666,12 +666,9 @@ def lowest_terms_failure(value):
     den = value.den
     stripped = []
     for cand in REDUCE_CANDIDATES:
-        ok, q = poly_divides(cand, den)
-        if ok:
+        e, den = divide_out(cand, den)
+        if e:
             stripped.append(cand)
-        while ok:
-            den = q
-            ok, q = poly_divides(cand, den)
     if len(den.terms) != 1:
         return "denominator keeps a %d-term factor outside the candidates" \
             % len(den.terms)

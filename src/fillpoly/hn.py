@@ -24,55 +24,42 @@ polynomial in K, f and o, and the filling expression one in those and p:
 each denominator is a product of the denominators of those four entry
 values.  The tail therefore carries each value as
 num / (c * monomial * prod factor_i^e_i): the entry factors the four
-denominators once by trial division over a given base, a product adds
+denominators once over a given base (poly.divide_out), a product adds
 exponent vectors, a difference takes their elementwise maximum and
 multiplies each numerator by its cofactor, and each result's denominator
 is expanded once, factor pairs such as (M - 1)(M + 1) as one binomial
-power.  The products of factored values cancel nothing, so a result is
-in lowest terms exactly when that common multiple is the true
-denominator; for the families it is (the lowest-terms check certifies
-every output).
+power (Poly.__pow__).  The products of factored values cancel nothing,
+so a result is in lowest terms exactly when that common multiple is the
+true denominator; for the families it is (the lowest-terms check
+certifies every output).
 """
 
 from dataclasses import dataclass, field
-from math import comb, lcm
+from math import lcm
 from operator import add, sub
 from typing import NamedTuple
 
 from .matchings import TAIL_VARS, count_subsets
-from .poly import Poly, poly_divides
+from .poly import Poly, divide_out
 from .quadext import QuadExt
 from .ratfunc import RatFunc
 
 
-def tail_poly(n, vars=TAIL_VARS):
+def tail_poly(n):
     """Closed form for the collapsed-tail numerator after n exchanges.
 
-    The polynomial is even in every variable:
+    The polynomial in TAIL_VARS is even in every variable:
         f^(2n) + sum over a+b <= n-1 of
             (-1)^(n-a-b) count_subsets(n, a, b) f^(2a) o^(2b) p^(2(n-a-b))
     with count_subsets(n, a, b) = C(n-1-a, b) C(n-b, a).
     """
     if n < 1:
         raise ValueError("tail length must be at least 1")
-    f, o, p = (Poly.variable(vars, v) for v in vars[:3])
-    total = f ** (2 * n)
-    for a in range(n):
-        for b in range(n - a):
-            c = count_subsets(n, a, b)
-            if not c:
-                continue
-            sign = 1 if (n - a - b) % 2 == 0 else -1
-            total = total + Poly.monomial(
-                vars,
-                _exps(vars, 2 * a, 2 * b, 2 * (n - a - b)),
-                sign * c)
-    return total
-
-
-def _exps(vars, ef, eo, ep):
-    lookup = dict(zip(vars[:3], (ef, eo, ep)))
-    return tuple(lookup.get(v, 0) for v in vars)
+    terms = {(2 * a, 2 * b, 2 * (n - a - b)):
+             (-1) ** (n - a - b) * count_subsets(n, a, b)
+             for a in range(n) for b in range(n - a)}
+    terms[2 * n, 0, 0] = 1
+    return Poly(TAIL_VARS, terms)
 
 
 def exchange_step(f, o, p):
@@ -132,17 +119,6 @@ def _pow(a, e):
                      tuple(x * e for x in a.mono), tuple(x * e for x in a.exps))
 
 
-def _power(p, k):
-    """p^k, by the binomial theorem when p has two terms."""
-    if len(p.terms) != 2:
-        return p ** k
-    (ea, ca), (eb, cb) = p.terms.items()
-    return Poly(p.vars, {
-        tuple(i * x + (k - i) * y for x, y in zip(ea, eb)):
-            comb(k, i) * ca ** i * cb ** (k - i)
-        for i in range(k + 1)})
-
-
 def _factor(value, factors):
     """value as a _Factored over factors, which may grow by one entry.
 
@@ -155,11 +131,7 @@ def _factor(value, factors):
     rest = den.shift_down(mono)
     exps = []
     for b in factors:
-        e = 0
-        ok, q = poly_divides(b, rest)
-        while ok:
-            rest, e = q, e + 1
-            ok, q = poly_divides(b, rest)
+        e, rest = divide_out(b, rest)
         exps.append(e)
     if rest.is_constant():
         c = rest.constant_value()
@@ -248,10 +220,10 @@ class TailEntry:
         for i, j, binomial in self.pairs:
             e = min(exps[i], exps[j])
             if e:
-                parts.append(_power(binomial, e))
+                parts.append(binomial ** e)
                 exps[i] -= e
                 exps[j] -= e
-        parts += [_power(b, e) for b, e in zip(self.factors, exps) if e]
+        parts += [b ** e for b, e in zip(self.factors, exps) if e]
         vars = self.f.vars
         out = Poly.monomial(vars, mono or (0,) * len(vars), c)
         for part in sorted(parts, key=len):
@@ -334,6 +306,6 @@ def h_recurrence_check(n):
     return lhs == rhs
 
 
-def symbolic_tail_values(vars=TAIL_VARS):
+def symbolic_tail_values():
     """The generic starting values (f, o, p) as plain RatFunc variables."""
-    return tuple(RatFunc.variable(vars, v) for v in vars[:3])
+    return tuple(RatFunc.variable(TAIL_VARS, v) for v in TAIL_VARS)

@@ -19,7 +19,9 @@ the checks compare the tail against) fully reduced, where the
 denominators must stay plain monomials.  The tail itself carries its
 denominators factored (hn.TailEntry) and uses RatFunc only for K and its
 outputs.  Sums are not cancelled this way, so reduced() cancels a
-caller's list of likely factors, each as often as it divides both sides.
+caller's list of likely factors, each as often as it divides both sides
+(poly.divide_out).  substitute_basis builds each side's term map of the
+basis change L -> +-L*M^e, lift of M included, in one pass.
 
 poly_divides has one route for every divisor, the reduction candidates
 such as L - M and the factors of the cross-cancellation alike: sparse
@@ -31,7 +33,7 @@ any failed step proves non-divisibility.
 
 from fractions import Fraction
 
-from .poly import Poly, poly_divides
+from .poly import Poly, divide_out, poly_divides
 
 
 class PoleError(ArithmeticError):
@@ -203,8 +205,6 @@ class RatFunc:
             raise TypeError("RatFunc exponent must be int")
         if n < 0:
             return self.reciprocal() ** (-n)
-        if n == 0:
-            return RatFunc.one(self.vars)
         return RatFunc(self.num ** n, self.den ** n, _normalized=True)
 
     # --- extra reduction ---------------------------------------------------
@@ -214,23 +214,18 @@ class RatFunc:
 
         Normalization does no multivariate gcd, so pipelines that know
         which factors tend to appear pass them here to keep results small.
-        Value-preserving in all cases.
+        Each leaves the numerator, then at most as often the denominator
+        (poly.divide_out).  Value-preserving in all cases.
         """
         num, den = self.num, self.den
-        changed = False
         for cand in candidates:
-            if cand.is_constant():
+            if cand.is_constant() or num.is_zero():
                 continue
-            while not num.is_zero():
-                ok_n, qn = poly_divides(cand, num)
-                if not ok_n:
-                    break
-                ok_d, qd = poly_divides(cand, den)
-                if not ok_d:
-                    break
-                num, den = qn, qd
-                changed = True
-        if not changed:
+            e, qn = divide_out(cand, num)
+            k, qd = divide_out(cand, den, limit=e)
+            if k:
+                num, den = qn if k == e else qn * cand ** (e - k), qd
+        if den is self.den:
             return self
         return RatFunc(num, den)
 
@@ -276,49 +271,29 @@ def _normalize(num, den):
 # --- basis change -----------------------------------------------------------
 
 
-def substitute_basis(rf, sign, e, lname="L", mname="M"):
-    """Apply the monomial basis change  lname -> sign * lname * mname**e.
+def substitute_basis(rf, sign, e):
+    """Apply the monomial basis change  L -> sign * L * M**e.
 
-    sign must be +1 or -1; e may be negative.  Negative powers of mname
+    sign must be +1 or -1; e may be negative.  Negative powers of M
     produced by the substitution are cleared by the smallest value-preserving
-    power of mname applied to numerator and denominator together.
+    power of M applied to numerator and denominator together.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     vars = rf.vars
-    li = vars.index(lname)
-    mi = vars.index(mname)
-    mapped_num = _subst_terms(rf.num, sign, e, li, mi)
-    mapped_den = _subst_terms(rf.den, sign, e, li, mi)
-    low = min((exps[mi] for exps in list(mapped_num) + list(mapped_den)),
-              default=0)
-    lift = -low if low < 0 else 0
-    num = _lift_m(mapped_num, mi, lift, vars)
-    den = _lift_m(mapped_den, mi, lift, vars)
-    return RatFunc(num, den)
+    li, mi = vars.index("L"), vars.index("M")
+    lift = max(0, max(-exps[mi] - e * exps[li]
+                      for p in (rf.num, rf.den) for exps in p.terms))
 
-
-def _subst_terms(p, sign, e, li, mi):
-    out = {}
-    for exps, c in p.terms.items():
-        k = exps[li]
-        ne = list(exps)
-        ne[mi] = exps[mi] + e * k
-        if sign < 0 and k % 2:
-            c = -c
-        out[tuple(ne)] = c
-    return out
-
-
-def _lift_m(terms, mi, lift, vars):
-    if lift:
-        shifted = {}
-        for exps, c in terms.items():
+    def mapped(p):
+        out = {}
+        for exps, c in p.terms.items():
             ne = list(exps)
-            ne[mi] += lift
-            shifted[tuple(ne)] = c
-        terms = shifted
-    return Poly(vars, terms)
+            ne[mi] += e * exps[li] + lift
+            out[tuple(ne)] = c * sign ** exps[li]
+        return Poly(vars, out)
+
+    return RatFunc(mapped(rf.num), mapped(rf.den))
 
 
 # --- parsing -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from fillpoly.checks import divides_roundtrip, ring_axioms
 from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
-from fillpoly.poly import Poly, poly_divides
+from fillpoly.poly import Poly, divide_out, poly_divides
 from fillpoly.ptolemy import PVARS
 from fillpoly.ratfunc import parse_poly
 
@@ -89,6 +89,46 @@ def test_pow():
     y = Poly.variable(XY, "y")
     assert (x + y) ** 0 == Poly.one(XY)
     assert (x + y) ** 3 == x**3 + 3 * x**2 * y + 3 * x * y**2 + y**3
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): 1, (0, 1): -1},
+    {(2, 0): -7, (0, 0): 3},
+    {(3, 1): Fraction(2, 3), (0, 2): Fraction(-5, 4)},
+    {(1, 1): Fraction(1, 2), (0, 0): 2},
+])
+def test_two_term_pow_is_repeated_multiplication(terms):
+    p = P(XY, terms)
+    assert len(p) == 2
+    product = Poly.one(XY)
+    for k in range(38):
+        if k in (0, 1, 2, 37):
+            assert p ** k == product
+        product = product * p
+
+
+def test_divide_out_strips_the_multiplicity_up_to_the_limit():
+    x = Poly.variable(XY, "x")
+    y = Poly.variable(XY, "y")
+    d = x - y
+    rest = x**2 + y
+    p = rest * d * d * d
+    assert divide_out(d, p) == (3, rest)
+    assert divide_out(d, p, limit=5) == (3, rest)
+    assert divide_out(d, p, limit=2) == (2, rest * d)
+    assert divide_out(d, p, limit=0) == (0, p)
+    # a non-divisor leaves p as it is
+    assert divide_out(x + y, p) == (0, p)
+    assert divide_out(x, p) == (0, p)
+    # over the rationals: (x - 1/2)^2 = (2x - 1)^2 / 4
+    half = x - Fraction(1, 2)
+    assert divide_out(2 * x - 1, half * half) == (2, Poly.const(XY, Fraction(1, 4)))
+    zero = Poly.zero(XY)
+    assert divide_out(d, zero, limit=4) == (4, zero)
+    with pytest.raises(ValueError):
+        divide_out(d, zero)
+    with pytest.raises(ValueError):
+        divide_out(Poly.const(XY, 2), p)
 
 
 def test_str_canonical_order():

@@ -101,6 +101,24 @@ def test_reduced_cancels_listed_factors():
     assert out.den == parse_poly("M + 1", LM)
 
 
+def test_reduced_cancels_only_the_smaller_power():
+    cands = [parse_poly("M - 1", LM)]
+    r = RatFunc(parse_poly("L * (M - 1)^3", LM), parse_poly("(M - 1)^5", LM))
+    out = r.reduced(cands)
+    assert (out.num, out.den) == (parse_poly("L", LM),
+                                  parse_poly("(M - 1)^2", LM))
+    r = RatFunc(parse_poly("(M - 1)^5", LM), parse_poly("L * (M - 1)^3", LM))
+    out = r.reduced(cands)
+    assert (out.num, out.den) == (parse_poly("(M - 1)^2", LM),
+                                  parse_poly("L", LM))
+
+
+def test_reduced_of_zero_is_zero():
+    zero = RatFunc(Poly.zero(LM), parse_poly("(M - 1)^2", LM))
+    out = zero.reduced(REDUCE_CANDIDATES)
+    assert out.is_zero() and out.den == Poly.one(LM)
+
+
 def test_evaluate_and_poles():
     r = rf("(L^2 - 1)/(M - 2)")
     assert r.evaluate({"L": 3, "M": 4}) == 4
