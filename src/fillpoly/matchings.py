@@ -62,20 +62,36 @@ def matching_weight(n, selection):
             raise ValueError("overlapping pairs in %r" % (selection,))
         covered.add(i)
         covered.add(i + 1)
+    return _weigh(n, selection, _edge_weights(n))
+
+
+def _edge_weights(n):
+    """The n-rung ladder's pair weights and rung weights, indexed from 1."""
+    return ([None] + [pair_weight(i) for i in range(1, n)],
+            [None] + [rung_weight(j) for j in range(1, n + 1)])
+
+
+def _weigh(n, selection, weights):
+    """Product of the edge weights of a valid matching."""
+    pairs, rungs = weights
     w = Poly.one(TAIL_VARS)
+    covered = set()
     for i in selection:
-        w = w * pair_weight(i)
+        w = w * pairs[i]
+        covered.add(i)
+        covered.add(i + 1)
     for j in range(1, n + 1):
         if j not in covered:
-            w = w * rung_weight(j)
+            w = w * rungs[j]
     return w
 
 
 def matching_sum(n):
     """Sum of matching weights over the whole ladder, by enumeration."""
+    weights = _edge_weights(n)
     total = Poly.zero(TAIL_VARS)
     for sel in enumerate_matchings(n):
-        total = total + matching_weight(n, sel)
+        total = total + _weigh(n, sel, weights)
     return total
 
 

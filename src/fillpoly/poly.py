@@ -3,7 +3,8 @@
 A Poly owns an ordered tuple of variable names (the variable table) and a
 dict mapping exponent tuples to nonzero coefficients.  Coefficients are
 plain Python ints whenever they are integral and fractions.Fraction
-otherwise, so all arithmetic is exact.  The monomial order is
+otherwise, so all arithmetic is exact; the constructor refuses any other
+coefficient type (float, Decimal, bool).  The monomial order is
 lexicographic in the variable order; it fixes the canonical text form and
 the sign convention used by RatFunc.
 
@@ -15,7 +16,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import product, repeat
 from math import comb, gcd
 from operator import add, itemgetter, mul
 
@@ -27,8 +28,24 @@ def _clean_coef(c):
     return c
 
 
+def _canonical(vars, terms):
+    """Wrap terms built from canonical operands, collapsing integral Fractions.
+
+    The arithmetic below drops zero sums as it goes and builds keys as sums
+    of valid exponent tuples, so only the coefficient type can be off, and
+    only when the result holds a Fraction.
+    """
+    if Fraction in set(map(type, terms.values())):
+        terms = {e: _clean_coef(c) for e, c in terms.items()}
+    return Poly._raw(vars, terms)
+
+
 class Poly:
-    """Sparse exact polynomial in a fixed ordered set of variables."""
+    """Sparse exact polynomial in a fixed ordered set of variables.
+
+    The constructor validates its input; the arithmetic builds its results
+    in canonical form and wraps them without a second pass.
+    """
 
     __slots__ = ("vars", "terms")
 
@@ -40,7 +57,13 @@ class Poly:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = _clean_coef(c)
+                if type(c) is not int:
+                    # a float, Decimal or bool would enter inexact arithmetic
+                    # and fail far from here
+                    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                        raise TypeError("coefficient %r is neither an int nor a "
+                                        "Fraction" % (c,))
+                    c = _clean_coef(c)
                 if not c:
                     continue
                 exps = tuple(exps)
@@ -76,7 +99,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars, value):
-        if not isinstance(value, int):
+        if type(value) is not int:
             value = _clean_coef(Fraction(value))
         if not value:
             return cls(vars, {})
@@ -157,19 +180,21 @@ class Poly:
         return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.const(self.vars, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         self._check_same_vars(other)
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            s = _clean_coef(out.get(exps, 0) + c)
+            s = get(exps, 0) + c
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return Poly(self.vars, out)
+                del out[exps]
+        return _canonical(self.vars, out)
 
     __radd__ = __add__
 
@@ -184,14 +209,15 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _clean_coef(other if isinstance(other, int) else Fraction(other))
-            if not other:
-                return Poly.zero(self.vars)
-            return Poly._raw(self.vars,
-                             {e: _clean_coef(c * other) for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = _clean_coef(other if isinstance(other, int) else Fraction(other))
+                if not other:
+                    return Poly.zero(self.vars)
+                return _canonical(self.vars,
+                                  {e: c * other for e, c in self.terms.items()})
+            if not isinstance(other, Poly):
+                return NotImplemented
         self._check_same_vars(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars)
@@ -208,15 +234,16 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = {}
+        get = out.get
         for eb, cb in b.items():
             for ea, ca in a.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
+                key = tuple(map(add, ea, eb))
+                s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
-        return Poly(self.vars, out)
+                    del out[key]
+        return _canonical(self.vars, out)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -224,9 +251,10 @@ class Poly:
         if len(self.terms) == 2:
             # the binomial theorem: the 48 two-term powers of the six pretzel
             # runs (both signs, m = 1..3) took 0.0035 s, and 0.030 s by
-            # repeated squaring (2-vCPU Xeon, Python 3.11.7)
+            # repeated squaring (2-vCPU Xeon, Python 3.11.7); the exponent
+            # vectors of distinct i differ, so no two terms meet
             (ea, ca), (eb, cb) = self.terms.items()
-            return Poly(self.vars, {
+            return _canonical(self.vars, {
                 tuple(i * x + (n - i) * y for x, y in zip(ea, eb)):
                     comb(n, i) * ca ** i * cb ** (n - i)
                 for i in range(n + 1)})
@@ -527,7 +555,11 @@ def _sparse_divide(p, d):
 # The packed product writes each operand as one integer, its coefficients
 # as fixed-width digit groups at positions given by mixed-radix keys over
 # the product's degree box, multiplies the two integers once and reads the
-# product's coefficients back from the groups.
+# product's coefficients back from the groups.  An operand's keys are
+# computed a column of exponents at a time, as in _sparse_divide, and its
+# groups are joined into one digit string.  The product's groups, read in
+# key order, line up with itertools.product over the radices, which walks
+# the box in the same order, so the decode never unpacks a key.
 #
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
@@ -543,7 +575,10 @@ def _sparse_divide(p, d):
 #
 # Packing pays for every slot of the box, the dict loop for every pair of
 # terms, so packing is taken when the pairs are at least the slots, and
-# from _PACK_MIN_PAIRS pairs up.  Measured on a 2-vCPU Xeon, Python 3.11.7:
+# from _PACK_MIN_PAIRS pairs up.  The figures below were measured before
+# both engines stopped re-validating their results and the decode stopped
+# unpacking keys; the crossover has not been measured again since.
+# Measured on a 2-vCPU Xeon, Python 3.11.7:
 # - the 530 distinct integer products of 30 or more pairs that the three
 #   perfbench workloads make (seed 1), best of up to 5 runs each: below
 #   0.45 pairs per slot dict was faster on all 131 of 400 or more pairs
@@ -577,15 +612,6 @@ def _strides(radices):
     return strides, slots
 
 
-def _unpack(key, strides):
-    """Exponent list of a key packed with the given strides."""
-    exps = []
-    for st in strides:
-        e, key = divmod(key, st)
-        exps.append(e)
-    return exps
-
-
 def _packed_mul(a, b):
     """Product of a and b by one decimal multiplication, or None.
 
@@ -593,16 +619,13 @@ def _packed_mul(a, b):
     degree box with more slots than there are term pairs, or digit groups
     too wide for int().
     """
-    strides, slots = _strides([x + y + 1 for x, y in
-                               zip(a.max_degrees(), b.max_degrees())])
+    radices = [x + y + 1 for x, y in zip(a.max_degrees(), b.max_degrees())]
+    strides, slots = _strides(radices)
     if slots > len(a.terms) * len(b.terms):
         return None
-    for c in a.terms.values():
-        if not isinstance(c, int):
-            return None
-    for c in b.terms.values():
-        if not isinstance(c, int):
-            return None
+    if (set(map(type, a.terms.values())) != {int}
+            or set(map(type, b.terms.values())) != {int}):
+        return None
     maxa = max(map(abs, a.terms.values()))
     maxb = max(map(abs, b.terms.values()))
     bound = min(len(a.terms), len(b.terms)) * maxa * maxb
@@ -615,19 +638,23 @@ def _packed_mul(a, b):
     offset = Decimal(half_s * slots)
 
     def encode(poly):
-        buf = bytearray(half_s * slots, "ascii")
-        for exps, c in poly.terms.items():
-            idx = 0
-            for e, st in zip(exps, strides):
-                idx += e * st
-            off = (slots - 1 - idx) * w    # slot 0 is the last group
-            buf[off:off + w] = b"%d" % (c + half)
-        return _DEC.subtract(Decimal(buf.decode("ascii")), offset)
+        terms = poly.terms
+        keys = [0] * len(terms)
+        for i, st in enumerate(strides):
+            keys = list(map(add, keys, map(mul, map(itemgetter(i), terms),
+                                           repeat(st))))
+        groups = [half_s] * slots          # groups[k] is the slot of key k
+        for k, c in zip(keys, terms.values()):
+            groups[k] = str(c + half)
+        groups.reverse()                   # key 0 is the last group
+        return _DEC.subtract(Decimal("".join(groups)), offset)
 
     digits = str(_DEC.add(_DEC.multiply(encode(a), encode(b)), offset))
     out = {}
-    for idx, end in enumerate(range(slots * w, 0, -w)):
+    # product() walks the box in key order, the groups from the last one
+    # back; one group at a time, so no list of every slot is held
+    for exps, end in zip(product(*map(range, radices)), range(slots * w, 0, -w)):
         group = digits[end - w:end]
         if group != half_s:
-            out[tuple(_unpack(idx, strides))] = int(group) - half
+            out[exps] = int(group) - half
     return Poly._raw(a.vars, out)

@@ -56,6 +56,14 @@ def test_matching_sum_small():
     assert matching_sum(2) == g_f ** 2 - g_p ** 2
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_matching_sum_is_the_sum_of_matching_weights(n):
+    total = Poly.zero(TAIL_VARS)
+    for sel in enumerate_matchings(n):
+        total = total + matching_weight(n, sel)
+    assert matching_sum(n) == total
+
+
 def test_step_recurrence():
     # the recurrence itself is the registry check matching-step-recurrences
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -52,6 +53,15 @@ def test_constructor_rejects_bad_input():
         P(XY, {(1,): 1})
     with pytest.raises(ValueError):
         P(XY, {(-1, 0): 1})
+
+
+@pytest.mark.parametrize("coef", [2.5, 1.0, True, False, Decimal("0.5"),
+                                  Decimal(3), "1"])
+def test_constructor_rejects_inexact_coefficients(coef):
+    with pytest.raises(TypeError):
+        P(("x",), {(1,): coef})
+    with pytest.raises(TypeError):
+        Poly.monomial(XY, (1, 0), coef)
 
 
 def test_variable_and_monomial():
@@ -314,6 +324,50 @@ def test_large_multiplication_consistency(monkeypatch):
         check = check + a * Poly.monomial(XY, exps, c)
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
     assert a * b == check
+
+
+def _assert_canonical(r):
+    """r is as the validating constructor would build it, to the type."""
+    assert r == Poly(r.vars, dict(r.terms))
+    for c in r.terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("engine", ["dict", "packed"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arithmetic_results_are_canonical(engine, data):
+    vars = data.draw(st.sampled_from([("x",), XY, XYZ]))
+    p = data.draw(poly_strategy(vars))
+    q = data.draw(poly_strategy(vars))
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "dict":
+            mp.setattr(poly_mod, "_packed_mul", lambda a, b: None)
+        else:
+            # try packing on every product; a sparse box or a Fraction
+            # coefficient still falls back to dict convolution
+            mp.setattr(poly_mod, "_PACK_MIN_PAIRS", 0)
+        results = [p + q, p - q, -p, p * q, p ** k, (p + q) ** k,
+                   # cancelling: every term of p, the cross terms of the
+                   # product, and Fractions whose product is integral
+                   p - (p + q), (p + q) * (p - q), (p * 2) * (q * Fraction(1, 2)),
+                   p * Fraction(2, 3) * Fraction(3, 2)]
+        if engine == "packed":
+            results.append(poly_mod._packed_mul(p, q) or p * q)
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_fraction_product_collapses_to_int():
+    x, y = (Poly.variable(XY, v) for v in XY)
+    r = (x * Fraction(1, 2)) * (2 * y)
+    assert r.terms == {(1, 1): 1}
+    assert type(r.terms[(1, 1)]) is int
+    r = (x * Fraction(1, 2) + y) ** 2 - x * x * Fraction(1, 4)
+    assert r.terms == {(1, 1): 1, (0, 2): 1}
+    assert all(type(c) is int for c in r.terms.values())
 
 
 def _dense_box_poly(data, vars, coefs):
