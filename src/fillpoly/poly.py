@@ -3,10 +3,10 @@
 A Poly owns an ordered tuple of variable names (the variable table) and a
 dict mapping exponent tuples to nonzero coefficients.  Coefficients are
 plain Python ints whenever they are integral and fractions.Fraction
-otherwise, so all arithmetic is exact; the constructor refuses any other
-coefficient type (float, Decimal, bool).  The monomial order is
-lexicographic in the variable order; it fixes the canonical text form and
-the sign convention used by RatFunc.
+otherwise, so all arithmetic is exact; the constructor and const refuse
+any other coefficient type (float, Decimal, bool, str).  The monomial
+order is lexicographic in the variable order; it fixes the canonical text
+form and the sign convention used by RatFunc.
 
 Exponents are never negative here.  Expressions with negative powers live
 one level up, in RatFunc.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product, repeat
 from math import comb, gcd
-from operator import add, itemgetter, mul
+from operator import add, floordiv, itemgetter, mul, sub
 
 
 def _clean_coef(c):
@@ -26,6 +26,19 @@ def _clean_coef(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def exact_coef(c):
+    """c as a Poly stores it; TypeError unless an int (no bool) or a Fraction.
+
+    A float, Decimal or bool would enter inexact arithmetic and fail far
+    from here, and Fraction() would quietly turn a float or a string into
+    a value.
+    """
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient %r is neither an int nor a Fraction"
+                        % (c,))
+    return _clean_coef(c)
 
 
 def _canonical(vars, terms):
@@ -58,12 +71,7 @@ class Poly:
         if terms:
             for exps, c in terms.items():
                 if type(c) is not int:
-                    # a float, Decimal or bool would enter inexact arithmetic
-                    # and fail far from here
-                    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                        raise TypeError("coefficient %r is neither an int nor a "
-                                        "Fraction" % (c,))
-                    c = _clean_coef(c)
+                    c = exact_coef(c)
                 if not c:
                     continue
                 exps = tuple(exps)
@@ -99,8 +107,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars, value):
-        if type(value) is not int:
-            value = _clean_coef(Fraction(value))
+        value = exact_coef(value)
         if not value:
             return cls(vars, {})
         return cls(vars, {(0,) * len(tuple(vars)): value})
@@ -170,7 +177,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        # a bool is no coefficient, and compares unequal as a float does
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return self.__eq__(Poly.const(self.vars, other))
         return NotImplemented
 
@@ -258,15 +266,19 @@ class Poly:
                 tuple(i * x + (n - i) * y for x, y in zip(ea, eb)):
                     comb(n, i) * ca ** i * cb ** (n - i)
                 for i in range(n + 1)})
-        result = Poly.one(self.vars)
+        if not n:
+            return Poly.one(self.vars)
+        # repeated squaring; the first factor is taken as it is, not
+        # multiplied into 1
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # --- content and monomial normalization ------------------------------
 
@@ -554,12 +566,20 @@ def _sparse_divide(p, d):
 #
 # The packed product writes each operand as one integer, its coefficients
 # as fixed-width digit groups at positions given by mixed-radix keys over
-# the product's degree box, multiplies the two integers once and reads the
-# product's coefficients back from the groups.  An operand's keys are
-# computed a column of exponents at a time, as in _sparse_divide, and its
-# groups are joined into one digit string.  The product's groups, read in
-# key order, line up with itertools.product over the radices, which walks
-# the box in the same order, so the decode never unpacks a key.
+# the lattice the product occupies, multiplies the two integers once and
+# reads the product's coefficients back from the groups.  The lattice is
+# deflated per variable, as FLINT's mpoly deflate does before Kronecker
+# substitution: each operand's exponents are shifted down by its lowest
+# one and divided by g, the gcd of every such offset over both operands
+# (1 if all are 0), so the product's exponents are lo, lo + g, ... with
+# lo the sum of the two lowest.  A monomial content or a polynomial even
+# in M then costs no empty slots.  An operand's keys are computed a column
+# of exponents at a time, as in _sparse_divide, and its groups are joined
+# into one digit string.  The product's groups, read in key order, line up
+# with itertools.product over the lattice's ranges, which walks it in the
+# same order, so the decode never unpacks a key.  A square (b is a: each
+# squaring step of __pow__) is encoded once, and the one Decimal goes to
+# the multiply twice, so libmpdec transforms one operand, not two.
 #
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
@@ -573,23 +593,23 @@ def _sparse_divide(p, d):
 # A group wider than sys.get_int_max_str_digits() could not be read back
 # by int(), so such products fall back to dict convolution.
 #
-# Packing pays for every slot of the box, the dict loop for every pair of
-# terms, so packing is taken when the pairs are at least the slots, and
-# from _PACK_MIN_PAIRS pairs up.  The figures below were measured before
-# both engines stopped re-validating their results and the decode stopped
-# unpacking keys; the crossover has not been measured again since.
-# Measured on a 2-vCPU Xeon, Python 3.11.7:
-# - the 530 distinct integer products of 30 or more pairs that the three
-#   perfbench workloads make (seed 1), best of up to 5 runs each: below
-#   0.45 pairs per slot dict was faster on all 131 of 400 or more pairs
-#   (median 2-14x), from 0.65 to 1 packing won 17 of 38 (median 0.95x),
-#   from 1 to 1.5 it won 19 of 23 (1.43x), and above 1.5 161 of 168;
-# - random dense boxes of 1 or 2 variables with pairs about equal to the
-#   slots: dict and packed even at 25 pairs (33 us each), 56 and 55 us at
-#   36 pairs, 170 and 107 us at 100 pairs;
-# - the captured products under 5000 pairs, all run in turn: whitehead's
-#   took 0.77 s dict-only, 0.50 s with a floor of 36 pairs, 0.59 s with
-#   100; identities and pretzel moved by less than 0.05 s.
+# Packing pays for every slot of the deflated box, the dict loop for every
+# pair of terms, so packing is taken when the pairs are at least the slots,
+# and from _PACK_MIN_PAIRS pairs up.  Measured with deflation and
+# one-operand squares on a 2-vCPU Xeon, Python 3.11.7, over the 460
+# distinct integer products of 30 or more pairs that the three perfbench
+# workloads make (seed 1, 649 products in all), best of 5 runs each:
+# - below 1 pair per slot dict was faster on all 203 (30 to 23,716
+#   pairs); from 1 to 2 packing won 28 of 70, from 2 to 4 56 of 64
+#   (median 1.8x), and above 4 all 123 (median 10.7x);
+# - the 649 products took 1.096 s under this rule, 1.082 s taking the
+#   faster engine for each, 1.094 s with packing only from 2 pairs per
+#   slot and 1.095 s with a floor of 100 pairs: no other rule or floor
+#   saves more than 0.2%, so neither moved.  Dict convolution alone took
+#   21.6 s and packing alone 1.80 s;
+# - the 70 distinct squares that pack took 0.181 s from one operand and
+#   0.244 s from two equal copies (twist_A(18, "pos") ** 2, 1,260 terms:
+#   0.012-0.014 s against 0.016-0.020 s).
 
 _PACK_MIN_PAIRS = 36
 _DEC = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
@@ -615,11 +635,31 @@ def _strides(radices):
 def _packed_mul(a, b):
     """Product of a and b by one decimal multiplication, or None.
 
-    None means dict convolution should do it: a non-integer coefficient, a
-    degree box with more slots than there are term pairs, or digit groups
-    too wide for int().
+    None means dict convolution should do it: a zero operand, a non-integer
+    coefficient, a deflated box with more slots than there are term pairs,
+    or digit groups too wide for int().
     """
-    radices = [x + y + 1 for x, y in zip(a.max_degrees(), b.max_degrees())]
+    if not a.terms or not b.terms:
+        return None
+    square = b is a
+    nv = len(a.vars)
+    cols_a = [list(map(itemgetter(i), a.terms)) for i in range(nv)]
+    cols_b = cols_a if square else [list(map(itemgetter(i), b.terms))
+                                    for i in range(nv)]
+    # per variable: each operand's lowest exponent, the common stride of
+    # both operands' exponents above it, and the radix of the product's
+    # exponents lo, lo + g, ..., lo + g*(r - 1)
+    mins_a, mins_b, steps, radices = [], [], [], []
+    for ca, cb in zip(cols_a, cols_b):
+        la, lb = min(ca), min(cb)
+        g = gcd(*map(sub, ca, repeat(la)))
+        if not square:
+            g = gcd(g, *map(sub, cb, repeat(lb)))
+        g = g or 1
+        mins_a.append(la)
+        mins_b.append(lb)
+        steps.append(g)
+        radices.append((max(ca) - la) // g + (max(cb) - lb) // g + 1)
     strides, slots = _strides(radices)
     if slots > len(a.terms) * len(b.terms):
         return None
@@ -627,7 +667,7 @@ def _packed_mul(a, b):
             or set(map(type, b.terms.values())) != {int}):
         return None
     maxa = max(map(abs, a.terms.values()))
-    maxb = max(map(abs, b.terms.values()))
+    maxb = maxa if square else max(map(abs, b.terms.values()))
     bound = min(len(a.terms), len(b.terms)) * maxa * maxb
     w = len(str(Decimal(bound))) + 1
     limit = _int_digit_limit()
@@ -637,23 +677,26 @@ def _packed_mul(a, b):
     half_s = str(half)
     offset = Decimal(half_s * slots)
 
-    def encode(poly):
-        terms = poly.terms
-        keys = [0] * len(terms)
-        for i, st in enumerate(strides):
-            keys = list(map(add, keys, map(mul, map(itemgetter(i), terms),
-                                           repeat(st))))
+    def encode(poly, cols, mins):
+        keys = [0] * len(poly.terms)
+        for col, lo, g, st in zip(cols, mins, steps, strides):
+            keys = list(map(add, keys, map(mul, map(floordiv, map(
+                sub, col, repeat(lo)), repeat(g)), repeat(st))))
         groups = [half_s] * slots          # groups[k] is the slot of key k
-        for k, c in zip(keys, terms.values()):
+        for k, c in zip(keys, poly.terms.values()):
             groups[k] = str(c + half)
         groups.reverse()                   # key 0 is the last group
         return _DEC.subtract(Decimal("".join(groups)), offset)
 
-    digits = str(_DEC.add(_DEC.multiply(encode(a), encode(b)), offset))
+    x = encode(a, cols_a, mins_a)
+    y = x if square else encode(b, cols_b, mins_b)
+    digits = str(_DEC.add(_DEC.multiply(x, y), offset))
     out = {}
     # product() walks the box in key order, the groups from the last one
     # back; one group at a time, so no list of every slot is held
-    for exps, end in zip(product(*map(range, radices)), range(slots * w, 0, -w)):
+    walk = product(*[range(la + lb, la + lb + g * r, g) for la, lb, g, r
+                     in zip(mins_a, mins_b, steps, radices)])
+    for exps, end in zip(walk, range(slots * w, 0, -w)):
         group = digits[end - w:end]
         if group != half_s:
             out[exps] = int(group) - half

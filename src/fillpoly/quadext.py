@@ -72,7 +72,8 @@ class QuadExt:
         if isinstance(other, QuadExt):
             self._check_rad(other)
             return other
-        if isinstance(other, (int, Fraction, Poly, RatFunc)):
+        if (isinstance(other, (int, Fraction, Poly, RatFunc))
+                and type(other) is not bool):
             return QuadExt(_to_ratfunc(other, self.vars),
                            RatFunc.zero(self.vars), self.rad)
         return None

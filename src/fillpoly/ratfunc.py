@@ -33,7 +33,7 @@ any failed step proves non-divisibility.
 
 from fractions import Fraction
 
-from .poly import Poly, divide_out, poly_divides
+from .poly import Poly, divide_out, exact_coef, poly_divides
 
 
 class PoleError(ArithmeticError):
@@ -71,7 +71,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, vars, value):
-        value = Fraction(value)
+        value = Fraction(exact_coef(value))
         return cls(Poly.const(vars, value.numerator),
                    Poly.const(vars, value.denominator))
 
@@ -103,7 +103,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return RatFunc.const(self.vars, other)
         return None
 

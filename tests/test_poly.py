@@ -13,7 +13,7 @@ from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, divide_out, poly_divides
 from fillpoly.ptolemy import PVARS
-from fillpoly.ratfunc import parse_poly
+from fillpoly.ratfunc import RatFunc, parse_poly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -62,6 +62,19 @@ def test_constructor_rejects_inexact_coefficients(coef):
         P(("x",), {(1,): coef})
     with pytest.raises(TypeError):
         Poly.monomial(XY, (1, 0), coef)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, Decimal("0.5"), Decimal(0),
+                                   True, False, "1", "1/2", "0.1"])
+def test_const_rejects_what_the_constructor_rejects(value):
+    # Fraction() would take a float or a string and return a value
+    with pytest.raises(TypeError):
+        Poly.const(XY, value)
+    with pytest.raises(TypeError):
+        RatFunc.const(XY, value)
+    # comparing is not constructing: a value that is no coefficient is unequal
+    assert Poly.one(XY) != value
+    assert RatFunc.one(XY) != value
 
 
 def test_variable_and_monomial():
@@ -403,6 +416,58 @@ def test_packed_product_drops_cancelled_slots(monkeypatch):
                              for k, c in enumerate([1, 5, 10, 10, 5, 1])}
 
 
+def _lattice_poly(data, lattice, coefs):
+    """Every point of a lattice, each with a nonzero coefficient.
+
+    lattice holds, per variable, (offset, stride, count): the exponents
+    offset, offset + stride, ... .  The product of two such polynomials
+    with the same strides has at least as many term pairs as its deflated
+    box has slots, so _packed_mul never declines it as sparse.
+    """
+    box = list(product(*[range(lo, lo + g * n, g) for lo, g, n in lattice]))
+    values = data.draw(st.lists(coefs, min_size=len(box), max_size=len(box)))
+    return Poly(tuple("xyz"[:len(lattice)]), dict(zip(box, values)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_deflated_packed_product_matches_dict(data):
+    # per variable one stride for both operands, and each operand its own
+    # lowest exponent, so a and b may sit in even and odd powers; a count
+    # of 1 in every variable makes an operand a monomial or a constant
+    nv = data.draw(st.integers(1, 3))
+    coefs = st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool)
+    strides = data.draw(st.tuples(*[st.sampled_from([1, 2, 3])] * nv))
+    lattices = [[(data.draw(st.integers(0, 4)), g,
+                  data.draw(st.integers(1, 6 // nv))) for g in strides]
+                for _ in "ab"]
+    a, b = (_lattice_poly(data, lat, coefs) for lat in lattices)
+    got = poly_mod._packed_mul(a, b)
+    assert got is not None
+    assert got == a._mul_dict(b)
+    assert poly_mod._packed_mul(a, a) == a._mul_dict(a)
+
+
+def test_deflation_packs_what_the_full_box_would_not(monkeypatch):
+    x = Poly.variable(("x",), "x")
+    a, b = x ** 3 * (x ** 4 - 1) ** 5, (x ** 4 + 1) ** 5
+    expected = x ** 3 * (x ** 8 - 1) ** 5
+    # 36 term pairs: 44 slots over [0, 43], 11 over x^3, x^7, ..., x^43
+    full_box = a.max_degrees()[0] + b.max_degrees()[0] + 1
+    assert full_box > len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert a * b == expected
+
+
+def test_pow_squares_by_packing_alone(monkeypatch):
+    x, y = (Poly.variable(XY, v) for v in XY)
+    p = x * y ** 2 * (x ** 2 - 3 * y ** 2 + 7) ** 4
+    expected = p._mul_dict(Poly(XY, dict(p.terms)))
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert p ** 2 == expected
+    assert p * p == expected
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int digit limit")
 def test_packed_mul_falls_back_past_int_digit_limit():
@@ -420,7 +485,8 @@ def test_packed_mul_falls_back_past_int_digit_limit():
 
 
 def test_sparse_box_takes_dict_path():
-    # 23,564 term pairs against 309,465 slots of the degree box
+    # 23,564 term pairs against 40,425 slots of the deflated box (every
+    # exponent is even; 309,465 slots undeflated)
     a, b = tail_poly(18), tail_poly(16)
     assert len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
     assert poly_mod._packed_mul(a, b) is None
