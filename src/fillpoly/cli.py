@@ -210,15 +210,26 @@ def _value_json(value):
     return _rf_json(value)
 
 
+def _rendered(node):
+    """node with each leaf value replaced by the str() json.dumps prints."""
+    return {k: _rendered(v) if isinstance(v, dict) else str(v)
+            for k, v in node.items()}
+
+
 def _apoly_payload(result):
+    expression = _value_json(result.expression)
+    conjugate = _value_json(result.conjugate_product)
+    if result.conjugate_product is result.expression:
+        # one value in two fields (pretzel238): render its text once
+        expression = conjugate = _rendered(expression)
     return {
         "schema": 1,
         "family": result.family,
         "sign": result.sign,
         "m": result.m,
         "knot": result.knot,
-        "expression": _value_json(result.expression),
-        "conjugate_product": _value_json(result.conjugate_product),
+        "expression": expression,
+        "conjugate_product": conjugate,
         "basis_changed": _value_json(result.basis_changed),
     }
 

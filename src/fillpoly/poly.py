@@ -219,7 +219,7 @@ class Poly:
     def __mul__(self, other):
         if type(other) is not Poly:
             if isinstance(other, (int, Fraction)):
-                other = _clean_coef(other if isinstance(other, int) else Fraction(other))
+                other = exact_coef(other)           # TypeError for a bool
                 if not other:
                     return Poly.zero(self.vars)
                 return _canonical(self.vars,
@@ -581,6 +581,22 @@ def _sparse_divide(p, d):
 # squaring step of __pow__) is encoded once, and the one Decimal goes to
 # the multiply twice, so libmpdec transforms one operand, not two.
 #
+# A two-variable product is sheared as well: its deflated exponents
+# (u0, u1) are packed as (u0, (u1 + s*u0 - v) // h), with the integer s for
+# which _shear finds the span of u1 + s*u0 least, v the lowest value and h
+# the gcd of the values' offsets from it.  Kronecker substitution stays
+# exact under any unimodular change of exponents.  The family outputs are
+# products of A-polynomial factors, whose Newton polygons have slanted
+# edges (their slopes are boundary slopes), so their deflated boxes have
+# empty corners that the sheared lattice cuts off.  The sheared values of
+# some share a factor, as do those of the largest products of pretzel238
+# pos m = 4 and 6 and neg m = 5 (h = 2).  The shear adds to the first
+# stride and moves the second variable's lowest exponent, so the encode
+# changes only by a division of the keys by h.
+# The decode walks the sheared lattice a row of u0 at a time, each row one
+# range of second exponents, and builds a key only for a nonempty group.
+# When s is 0 the unsheared walk runs.
+#
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
 # of a few hundred thousand digits; decimal is libmpdec, whose multiply
@@ -593,23 +609,28 @@ def _sparse_divide(p, d):
 # A group wider than sys.get_int_max_str_digits() could not be read back
 # by int(), so such products fall back to dict convolution.
 #
-# Packing pays for every slot of the deflated box, the dict loop for every
-# pair of terms, so packing is taken when the pairs are at least the slots,
-# and from _PACK_MIN_PAIRS pairs up.  Measured with deflation and
-# one-operand squares on a 2-vCPU Xeon, Python 3.11.7, over the 460
-# distinct integer products of 30 or more pairs that the three perfbench
-# workloads make (seed 1, 649 products in all), best of 5 runs each:
-# - below 1 pair per slot dict was faster on all 203 (30 to 23,716
-#   pairs); from 1 to 2 packing won 28 of 70, from 2 to 4 56 of 64
-#   (median 1.8x), and above 4 all 123 (median 10.7x);
-# - the 649 products took 1.096 s under this rule, 1.082 s taking the
-#   faster engine for each, 1.094 s with packing only from 2 pairs per
-#   slot and 1.095 s with a floor of 100 pairs: no other rule or floor
-#   saves more than 0.2%, so neither moved.  Dict convolution alone took
-#   21.6 s and packing alone 1.80 s;
-# - the 70 distinct squares that pack took 0.181 s from one operand and
-#   0.244 s from two equal copies (twist_A(18, "pos") ** 2, 1,260 terms:
-#   0.012-0.014 s against 0.016-0.020 s).
+# Packing pays for every slot of the packed lattice, the dict loop for
+# every pair of terms, so packing is taken when the pairs are at least the
+# slots, and from _PACK_MIN_PAIRS pairs up.  Measured with shearing on a
+# 2-vCPU Xeon, Python 3.11.7, over the 404 distinct integer products of 30
+# or more pairs that the three perfbench workloads make (seed 1, 591
+# products in all), best of 5 runs each:
+# - below 1 pair per slot dict was faster on all 48 (30 to 23,716 pairs);
+#   from 1 to 2 packing won 13 of 111, from 2 to 4 73 of 95 (median
+#   1.2x), and above 4 146 of 150 (median 8.1x);
+# - the 591 products took 0.934 s under this rule (1.079 s at deflated
+#   slots without the shear), 0.907 s taking the faster engine for each,
+#   0.919 s with packing only from 2 pairs per slot, 0.913 s from 3 and
+#   0.929 s with a floor of 200 pairs.  Packing from 2 or 3 pairs per slot
+#   saves no workload more than 0.015 s, less than the spread between the
+#   quartiles of its wall time, so neither moved.  Dict convolution alone
+#   took 24.6 s and packing alone 1.10 s;
+# - shearing made 153 products of identities pack that did not, which
+#   took 0.040 s either way, and 48 of pretzel-fill, which took 0.008 s
+#   by dict convolution and 0.016 s packed;
+# - before the shear, the 70 distinct squares that packed took 0.181 s
+#   from one operand and 0.244 s from two equal copies (twist_A(18, "pos")
+#   ** 2, 1,260 terms: 0.012-0.014 s against 0.016-0.020 s).
 
 _PACK_MIN_PAIRS = 36
 _DEC = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
@@ -632,12 +653,69 @@ def _strides(radices):
     return strides, slots
 
 
+def _shear(cols_a, cols_b, mins_a, mins_b, steps, radix, square):
+    """(s, r, va, vb, h): the shear that packs a two-variable product tightest.
+
+    Packing u1 + s*u0 in place of u1, with u0 and u1 the deflated
+    exponents (e - low) // g, leaves the product's radix of u0 as it is.
+    The values of u1 + s*u0 span width over a + width over b, and each
+    width is a maximum minus a minimum of linear forms in s, so the span is
+    convex in s.  From s = 0, whose span is radix - 1, the search steps
+    towards +1 and then -1 while the span shrinks, and stops at the first
+    step that does not shrink it: that s gives the least span over all
+    integers.  va and vb are each operand's lowest u1 + s*u0, and h the
+    gcd of every value's offset from its operand's lowest (1 if s is 0,
+    where deflation has taken it out), so the product's values of
+    u1 + s*u0 are va + vb, va + vb + h, ..., r of them.
+
+    An operand's g0*e1 + s*g1*e0 is g0*g1 times u1 + s*u0 plus a constant;
+    it is kept as one list per operand, and a step adds or subtracts g1*e0.
+    """
+    (g0, g1), unit = steps, steps[0] * steps[1]
+    (a0, a1), (b0, b1) = cols_a, cols_b
+    if g0 != 1:
+        a1 = list(map(mul, a1, repeat(g0)))
+        b1 = a1 if square else list(map(mul, b1, repeat(g0)))
+    if g1 != 1:
+        a0 = list(map(mul, a0, repeat(g1)))
+        b0 = a0 if square else list(map(mul, b0, repeat(g1)))
+    best = (0, radix - 1, 0, 0, a1, b1)
+    for step, move in ((1, add), (-1, sub)):
+        s, fa, fb = 0, a1, b1
+        while True:
+            s += step
+            fa = list(map(move, fa, a0))
+            la = min(fa)
+            if square:
+                fb, lb = fa, la
+                span = 2 * (max(fa) - la) // unit
+            else:
+                fb = list(map(move, fb, b0))
+                lb = min(fb)
+                span = (max(fa) - la + max(fb) - lb) // unit
+            if span >= best[1]:
+                break
+            best = (s, span, la, lb, fa, fb)
+        if best[0]:
+            break
+    s, span, la, lb, fa, fb = best
+    if not s:
+        return 0, radix, 0, 0, 1
+    h = gcd(*map(sub, fa, repeat(la)))
+    if not square:
+        h = gcd(h, *map(sub, fb, repeat(lb)))
+    h = h // unit or 1
+    va = (la - g0 * mins_a[1] - s * g1 * mins_a[0]) // unit
+    vb = (lb - g0 * mins_b[1] - s * g1 * mins_b[0]) // unit
+    return s, span // h + 1, va, vb, h
+
+
 def _packed_mul(a, b):
     """Product of a and b by one decimal multiplication, or None.
 
     None means dict convolution should do it: a zero operand, a non-integer
-    coefficient, a deflated box with more slots than there are term pairs,
-    or digit groups too wide for int().
+    coefficient, a packed lattice with more slots than there are term
+    pairs, or digit groups too wide for int().
     """
     if not a.terms or not b.terms:
         return None
@@ -660,7 +738,20 @@ def _packed_mul(a, b):
         mins_b.append(lb)
         steps.append(g)
         radices.append((max(ca) - la) // g + (max(cb) - lb) // g + 1)
+    s, h = 0, 1
+    if nv == 2 and radices[0] > 1 and radices[1] > 1:
+        s, r, va, vb, h = _shear(cols_a, cols_b, mins_a, mins_b, steps,
+                                 radices[1], square)
+        if s:
+            # an operand's key u0*r + (u1 + s*u0 - va) // h is
+            # (u0*(r*h + s) + (u1 - va)) // h: the shear moves the second
+            # lowest exponent and the first stride, and divides by h
+            radices[1] = r
+            mins_a[1] += steps[1] * va
+            mins_b[1] += steps[1] * vb
     strides, slots = _strides(radices)
+    if s:
+        strides[0] = r * h + s
     if slots > len(a.terms) * len(b.terms):
         return None
     if (set(map(type, a.terms.values())) != {int}
@@ -682,6 +773,8 @@ def _packed_mul(a, b):
         for col, lo, g, st in zip(cols, mins, steps, strides):
             keys = list(map(add, keys, map(mul, map(floordiv, map(
                 sub, col, repeat(lo)), repeat(g)), repeat(st))))
+        if h != 1:
+            keys = list(map(floordiv, keys, repeat(h)))
         groups = [half_s] * slots          # groups[k] is the slot of key k
         for k, c in zip(keys, poly.terms.values()):
             groups[k] = str(c + half)
@@ -691,12 +784,30 @@ def _packed_mul(a, b):
     x = encode(a, cols_a, mins_a)
     y = x if square else encode(b, cols_b, mins_b)
     digits = str(_DEC.add(_DEC.multiply(x, y), offset))
+    lows = list(map(add, mins_a, mins_b))
     out = {}
-    # product() walks the box in key order, the groups from the last one
-    # back; one group at a time, so no list of every slot is held
-    walk = product(*[range(la + lb, la + lb + g * r, g) for la, lb, g, r
-                     in zip(mins_a, mins_b, steps, radices)])
-    for exps, end in zip(walk, range(slots * w, 0, -w)):
+    # groups are read from the last one back, key 0 first, so the lattice
+    # is walked in key order; one group at a time, so no list of every
+    # slot is held
+    ends = range(slots * w, 0, -w)
+    if s:
+        # row i of the sheared lattice holds the first exponent e0 + g0*i
+        # and the second exponents from e1 - g1*s*i in steps of g1*h; a
+        # slot whose second exponent is negative stays empty.  The rows
+        # share one iterator over the group ends, and a key is built only
+        # for a nonempty group
+        (r0, r1), (g0, g1), (e0, e1) = radices, steps, lows
+        ends = iter(ends)
+        for x0, lo in zip(range(e0, e0 + g0 * r0, g0),
+                          range(e1, e1 - g1 * s * r0, -g1 * s)):
+            for x1, end in zip(range(lo, lo + g1 * h * r1, g1 * h), ends):
+                group = digits[end - w:end]
+                if group != half_s:
+                    out[x0, x1] = int(group) - half
+        return Poly._raw(a.vars, out)
+    walk = product(*[range(lo, lo + g * r, g)
+                     for lo, g, r in zip(lows, steps, radices)])
+    for exps, end in zip(walk, ends):
         group = digits[end - w:end]
         if group != half_s:
             out[exps] = int(group) - half

@@ -2,6 +2,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -75,6 +76,16 @@ def test_const_rejects_what_the_constructor_rejects(value):
     # comparing is not constructing: a value that is no coefficient is unequal
     assert Poly.one(XY) != value
     assert RatFunc.one(XY) != value
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_arithmetic_rejects_a_bool_scalar(value):
+    # as the constructor does: p * True must not quietly return p
+    p = Poly.variable(XY, "x") + 1
+    for op in (lambda: p * value, lambda: value * p,
+               lambda: p + value, lambda: p - value, lambda: value - p):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_variable_and_monomial():
@@ -466,6 +477,127 @@ def test_pow_squares_by_packing_alone(monkeypatch):
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
     assert p ** 2 == expected
     assert p * p == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sheared_packed_product_matches_dict(data):
+    # two operands on strips of slope s: row i holds the second exponents
+    # lo + g1*(s*i + k*j) for j < width, so the deflated box is slanted,
+    # and with k > 1 the sheared values are spaced too; each operand has
+    # its own lowest exponents, both the same steps
+    s = data.draw(st.integers(-4, 4))
+    steps = data.draw(st.tuples(*[st.sampled_from([1, 2, 3])] * 2))
+    k = data.draw(st.sampled_from([1, 2, 3]))
+    coefs = st.integers(min_value=-10 ** 30, max_value=10 ** 30).filter(bool)
+
+    def strip():
+        (g0, g1), rows, width = steps, data.draw(st.integers(1, 4)), \
+            data.draw(st.integers(1, 4))
+        lo0 = data.draw(st.integers(0, 3))
+        lo1 = data.draw(st.integers(0, 3)) + g1 * max(0, -s) * (rows - 1)
+        box = [(lo0 + g0 * i, lo1 + g1 * (s * i + k * j))
+               for i in range(rows) for j in range(width)]
+        values = data.draw(st.lists(coefs, min_size=len(box),
+                                    max_size=len(box)))
+        return Poly(XY, dict(zip(box, values)))
+
+    a, b = strip(), strip()
+    got = poly_mod._packed_mul(a, b)
+    assert got is not None
+    assert got == a._mul_dict(b)
+    assert poly_mod._packed_mul(a, a) == a._mul_dict(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shear_descent_finds_the_least_radix(data):
+    # against brute force, on scattered and slanted operands
+    slope = data.draw(st.integers(-3, 3))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+        lambda e: (e[0], e[1] + slope * e[0] + 18))
+    a, b = (Poly(XY, dict.fromkeys(data.draw(st.sets(exps, min_size=1,
+                                                     max_size=12)), 1))
+            for _ in "ab")
+    square = data.draw(st.booleans())
+    if square:
+        b = a
+    cols_a, cols_b = ([list(c) for c in zip(*p.terms)] for p in (a, b))
+    mins_a, mins_b = list(map(min, cols_a)), list(map(min, cols_b))
+    steps = [gcd(*[e - la for e in ca], *[e - lb for e in cb]) or 1
+             for ca, cb, la, lb in zip(cols_a, cols_b, mins_a, mins_b)]
+
+    def deflated(p, mins):
+        return [tuple((e - lo) // g for e, lo, g in zip(exps, mins, steps))
+                for exps in p.terms]
+
+    def radix(s):
+        width = 0
+        for p, mins in ((a, mins_a), (b, mins_b)):
+            v = [u1 + s * u0 for u0, u1 in deflated(p, mins)]
+            width += max(v) - min(v)
+        return width + 1
+
+    # every shear from -8 to 8, and further when the second deflated
+    # exponents span S > 2 in an operand: with |s| > 3*S an operand of two
+    # or more rows is wider than the whole radix at s = 0.  Strides make
+    # such slopes: exponents (0, 9), (0, 10), (3, 0) pack tightest at s = 9
+    span = max(max(u1 for _, u1 in deflated(p, mins))
+               for p, mins in ((a, mins_a), (b, mins_b)))
+    bound = max(8, 3 * span)
+    brute = {s: radix(s) for s in range(-bound, bound + 1)}
+    s, r, va, vb, h = poly_mod._shear(cols_a, cols_b, mins_a, mins_b, steps,
+                                      brute[0], square)
+    assert (r - 1) * h + 1 == brute[s] == min(brute.values())
+    assert (va, vb) == tuple(min(u1 + s * u0 for u0, u1 in deflated(p, mins))
+                             for p, mins in ((a, mins_a), (b, mins_b)))
+    # the values of u1 + s*u0 are spaced by h, and by no larger step
+    offsets = [u1 + s * u0 - v
+               for p, mins, v in ((a, mins_a, va), (b, mins_b, vb))
+               for u0, u1 in deflated(p, mins)]
+    assert h == (gcd(*offsets) or 1 if s else 1)
+
+
+def test_shear_descent_has_no_window():
+    # strides turn a slope of 3 in the exponents into 9 in the deflated
+    # ones: b's are (0, 9), (0, 10) and (1, 0), narrowest at s = 9
+    a = Poly(XY, {(0, 18): 1})
+    b = Poly(XY, {(0, 18): 1, (0, 19): 1, (3, 9): 1})
+    cols_a, cols_b = [[0], [18]], [[0, 0, 3], [18, 19, 9]]
+    assert poly_mod._shear(cols_a, cols_b, [0, 18], [0, 9], [3, 1], 11,
+                           False) == (9, 2, 0, 9, 1)
+    assert poly_mod._packed_mul(b, b) == b._mul_dict(b)
+    assert a * b == b * a == b._mul_dict(a)
+
+
+def test_sheared_values_are_deflated(monkeypatch):
+    # x^i*y^(i + 2j): deflation finds no common step in y, but after the
+    # shear y^e -> y^(e - i) every exponent of y is even
+    x, y = (Poly.variable(XY, v) for v in XY)
+    t = x * y
+    a = (1 + y ** 2 + y ** 4) * (1 + t + t ** 2)
+    b = (1 - y ** 2 + y ** 4) * (1 - t + t ** 2)
+    cols = [[e[i] for e in a.terms] for i in (0, 1)]
+    assert poly_mod._shear(cols, cols, [0, 0], [0, 0], [1, 1], 13,
+                           True) == (-1, 5, 0, 0, 2)
+    expected = [(1 + y ** 4 + y ** 8) * (1 + t ** 2 + t ** 4),
+                (1 + y ** 2 + y ** 4) ** 2 * (1 + t + t ** 2) ** 2]
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert [a * b, a * a] == expected
+
+
+def test_shear_packs_what_the_deflated_box_would_not(monkeypatch):
+    x, y = (Poly.variable(XY, v) for v in XY)
+    t = x * y ** 3
+    a = (1 + y + y ** 2) * (1 + t + t ** 2)
+    b = (1 - y + y ** 2) * (1 - t + t ** 2)
+    expected = (1 + y ** 2 + y ** 4) * (1 + t ** 2 + t ** 4)
+    # 81 term pairs: the deflated box has 5 x 17 slots, sheared by
+    # y^j -> y^(j - 3i) it has 5 x 5
+    deflated_box = 5 * (a.max_degrees()[1] + b.max_degrees()[1] + 1)
+    assert deflated_box > len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert a * b == expected
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
