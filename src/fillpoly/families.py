@@ -403,6 +403,8 @@ class TwistPolys:
     Both sequences obey  A_n = x*A_(n-1) - y*A_(n-2).  seqs[sign] holds
     A_first, A_(first+1), ... as far as twist_A has generated them, and
     gap[sign] is the extra factor of the sign's product identity.
+    gaps[sign] is (n, that identity's right side at n) for the last n
+    twist_gap produced; the right side at n + 1 is y times it.
     """
 
     def __init__(self):
@@ -412,6 +414,7 @@ class TwistPolys:
         self.seqs = {"pos": [_pp(_A1_POS_TEXT), _pp(_A2_POS_TEXT)],
                      "neg": [Poly.one(PVARS), _pp(_A1_NEG_TEXT)]}
         self.gap = {"pos": _pp("M^4 * (L + M^2)^3"), "neg": _pp("L + M^2")}
+        self.gaps = {}
 
 
 @lru_cache(maxsize=None)
@@ -444,7 +447,13 @@ def twist_gap(sign, n):
     if n <= first:
         raise ValueError("the %s identity needs n > %d" % (sign, first))
     tw = twist_polys()
-    return tw.y ** (n - first - 1) * tw.z * tw.gap[sign]
+    k, gap = tw.gaps.get(sign, (n + 1, None))
+    if k > n:
+        k, gap = first + 1, tw.z * tw.gap[sign]
+    while k < n:
+        k, gap = k + 1, tw.y * gap
+    tw.gaps[sign] = k, gap
+    return gap
 
 
 def twist_recurrence_check(n, sign):

@@ -8,9 +8,16 @@ a horizontal pair at position i carries g_f^2 for odd i and g_o^2 for even
 i.  The weighted sum over all matchings gives a three-variable polynomial
 whose coefficients have a closed binomial form, verified here by brute
 force.
+
+Every edge weight is a single term, so a matching's weight is one term
+too: its exponents are the sum of its edges' exponents and its
+coefficient the product of theirs.  matching_sum walks every matching and
+adds its term into one dict, with no binomials and nothing shared between
+sub-ladders, so it stays an independent check of H(n) and of the
+two-term recurrence.
 """
 
-from math import comb
+from math import comb, prod
 
 from .poly import Poly
 
@@ -24,7 +31,9 @@ def enumerate_matchings(n):
     """All no-consecutive subsets of {1..n-1}, as sorted tuples.
 
     These are exactly the perfect matchings of the n-rung ladder.  The
-    count is the Fibonacci number F(n+1) with F(1) = F(2) = 1.
+    count is the Fibonacci number F(n+1) with F(1) = F(2) = 1.  A
+    depth-first walk visits each subset before its extensions and those
+    before its next sibling, so the list comes out sorted.
     """
     if n < 1:
         raise ValueError("ladder needs at least one rung")
@@ -32,11 +41,13 @@ def enumerate_matchings(n):
         raise ValueError("refusing to enumerate %d rungs (limit %d)"
                          % (n, MAX_ENUM_RUNGS))
     out = []
-    for mask in range(1 << (n - 1)):
-        if mask & (mask << 1):
-            continue
-        out.append(tuple(i + 1 for i in range(n - 1) if mask >> i & 1))
-    out.sort()
+
+    def walk(sel, start):
+        out.append(sel)
+        for i in range(start, n):
+            walk(sel + (i,), i + 2)
+
+    walk((), 1)
     return out
 
 
@@ -62,37 +73,40 @@ def matching_weight(n, selection):
             raise ValueError("overlapping pairs in %r" % (selection,))
         covered.add(i)
         covered.add(i + 1)
-    return _weigh(n, selection, _edge_weights(n))
+    exps, coef = _weigh(n, selection, _edge_weights(n))
+    return Poly(TAIL_VARS, {exps: coef})
+
+
+def _term(weight):
+    """The (exponents, coefficient) of a one-term edge weight."""
+    (term,) = weight.terms.items()
+    return term
 
 
 def _edge_weights(n):
-    """The n-rung ladder's pair weights and rung weights, indexed from 1."""
-    return ([None] + [pair_weight(i) for i in range(1, n)],
-            [None] + [rung_weight(j) for j in range(1, n + 1)])
+    """The n-rung ladder's pair and rung weights as terms, indexed from 1."""
+    return ([None] + [_term(pair_weight(i)) for i in range(1, n)],
+            [None] + [_term(rung_weight(j)) for j in range(1, n + 1)])
 
 
 def _weigh(n, selection, weights):
-    """Product of the edge weights of a valid matching."""
+    """Product of the edge weights of a valid matching, as one term."""
     pairs, rungs = weights
-    w = Poly.one(TAIL_VARS)
-    covered = set()
-    for i in selection:
-        w = w * pairs[i]
-        covered.add(i)
-        covered.add(i + 1)
-    for j in range(1, n + 1):
-        if j not in covered:
-            w = w * rungs[j]
-    return w
+    covered = set(selection).union([i + 1 for i in selection])
+    edges = [pairs[i] for i in selection]
+    edges += [rungs[j] for j in range(1, n + 1) if j not in covered]
+    return (tuple(map(sum, zip(*[e for e, _ in edges]))),
+            prod([c for _, c in edges]))
 
 
 def matching_sum(n):
     """Sum of matching weights over the whole ladder, by enumeration."""
     weights = _edge_weights(n)
-    total = Poly.zero(TAIL_VARS)
+    terms = {}
     for sel in enumerate_matchings(n):
-        total = total + _weigh(n, sel, weights)
-    return total
+        exps, coef = _weigh(n, sel, weights)
+        terms[exps] = terms.get(exps, 0) + coef
+    return Poly(TAIL_VARS, terms)
 
 
 def _sum_or_one(k):

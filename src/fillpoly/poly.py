@@ -286,6 +286,8 @@ class Poly:
         """Positive rational content: gcd of numerators over lcm of denominators."""
         if not self.terms:
             return Fraction(0)
+        if Fraction not in set(map(type, self.terms.values())):
+            return Fraction(gcd(*self.terms.values()))
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
@@ -384,9 +386,9 @@ class Poly:
 
     @staticmethod
     def _coef_str(c):
-        if isinstance(c, Fraction):
-            return "%d/%d" % (c.numerator, c.denominator)
-        return str(c)
+        if type(c) is int:
+            return str(c)
+        return "%d/%d" % (c.numerator, c.denominator)
 
     def _term_str(self, exps, coef):
         factors = []

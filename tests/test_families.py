@@ -132,6 +132,23 @@ def test_twist_recurrences_and_base_identities():
         twist_gap("pos", 1)
 
 
+@pytest.fixture
+def fresh_twist_polys():
+    """An empty twist_polys cache, so a test sees generation from the seeds."""
+    twist_polys.cache_clear()
+    yield
+    twist_polys.cache_clear()
+
+
+def test_twist_gap_out_of_order(fresh_twist_polys):
+    tw = twist_polys()
+    for sign, first in (("pos", 1), ("neg", 0)):
+        for n in [18, *range(first + 1, 19), 5]:
+            k = n - first - 1
+            assert twist_gap(sign, n) == tw.y ** k * tw.z * tw.gap[sign], \
+                (sign, n)
+
+
 def test_whitehead_divisibility_small():
     # the division itself is the registry check twist-divisibility
     with pytest.raises(ValueError):

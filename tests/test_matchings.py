@@ -19,6 +19,14 @@ def test_enumeration_no_consecutive():
         assert all(b - a >= 2 for a, b in zip(sel, sel[1:]))
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumeration_matches_mask_scan(n):
+    masks = [m for m in range(1 << (n - 1)) if not m & (m << 1)]
+    expected = sorted(tuple(i + 1 for i in range(n - 1) if m >> i & 1)
+                      for m in masks)
+    assert enumerate_matchings(n) == expected
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_matchings(0)
@@ -43,10 +51,11 @@ def test_matching_weight():
     assert matching_weight(3, (1,)) == g_f ** 2 * g_p
     # all rungs unpaired: product of alternating-sign rung weights
     assert matching_weight(2, ()) == -g_p ** 2
-    with pytest.raises(ValueError):
-        matching_weight(3, (3,))
-    with pytest.raises(ValueError):
-        matching_weight(4, (1, 2))
+    assert isinstance(matching_weight(5, (2, 4)), Poly)
+    for n, bad in ((3, (3,)), (3, (0,)), (4, (1, 2)), (6, (2, 3)),
+                   (5, (1, 1))):
+        with pytest.raises(ValueError):
+            matching_weight(n, bad)
 
 
 def test_matching_sum_small():
@@ -58,9 +67,18 @@ def test_matching_sum_small():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_matching_sum_is_the_sum_of_matching_weights(n):
+    # each weight is an explicit Poly product of the edge weights
     total = Poly.zero(TAIL_VARS)
     for sel in enumerate_matchings(n):
-        total = total + matching_weight(n, sel)
+        covered = set(sel) | {i + 1 for i in sel}
+        w = Poly.one(TAIL_VARS)
+        for i in sel:
+            w = w * pair_weight(i)
+        for j in range(1, n + 1):
+            if j not in covered:
+                w = w * rung_weight(j)
+        assert matching_weight(n, sel) == w
+        total = total + w
     assert matching_sum(n) == total
 
 

@@ -181,6 +181,35 @@ def test_degrees_and_content():
     assert c == 2 and prim.terms == {(2, 1): 2, (3, 2): -3}
 
 
+def _content_by_terms(p):
+    """Reference for content: gcd of numerators over lcm of denominators."""
+    num, den = 0, 1
+    for c in map(Fraction, p.terms.values()):
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
+@pytest.mark.parametrize("terms, expected", [
+    ({(2, 1): 4, (3, 2): -6, (0, 0): 10}, Fraction(2)),
+    ({(1, 0): Fraction(3, 4), (0, 1): 6, (0, 0): Fraction(9, 2)},
+     Fraction(3, 4)),
+    ({(1, 0): -4, (0, 1): -6}, Fraction(2)),
+    ({(2, 2): -7}, Fraction(7)),
+    ({(2, 2): Fraction(-7, 3)}, Fraction(7, 3)),
+    ({}, Fraction(0)),
+])
+def test_content_int_and_fraction_coefficients(terms, expected):
+    p = P(XY, terms)
+    c = p.content()
+    assert type(c) is Fraction and c == expected == _content_by_terms(p)
+
+
+@given(polys2)
+def test_content_matches_term_reference(p):
+    assert p.content() == _content_by_terms(p)
+
+
 def test_eval_at_matches_direct_substitution():
     p = P(XY, {(2, 1): 3, (0, 0): -7, (1, 3): Fraction(5, 2)})
     a, b = Fraction(2, 3), Fraction(-5, 4)
