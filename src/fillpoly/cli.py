@@ -29,7 +29,7 @@ from .ratfunc import RatFunc
 from .quadext import QuadExt
 from .farey import (Slope, FareyTriangle, Walk, walk_labels, anatomy,
                     crossing_count, crossing_count_oracle, _new_slope)
-from .matchings import enumerate_matchings, matching_weight, matching_sum
+from .matchings import enumerate_matchings, matching_sum, matching_weights
 from .hn import tail_poly
 from .families import (FAMILIES, get_family, run_family, twist_A,
                        twist_identities)
@@ -88,19 +88,18 @@ def cmd_pn(args):
 def cmd_matchings(args):
     w = sys.stdout.write
     sels = enumerate_matchings(args.n)
+    weights = matching_weights(args.n, sels) if args.list else ()
     if args.format == "json":
         payload = {"schema": 1, "n": args.n, "count": len(sels)}
         if args.list:
-            payload["matchings"] = [
-                {"pairs": list(sel), "weight": matching_weight(args.n, sel)}
-                for sel in sels]
+            payload["matchings"] = [{"pairs": list(sel), "weight": weight}
+                                    for sel, weight in zip(sels, weights)]
         _emit_json_doc(w, payload)
         return 0
     w("rungs: %d\nmatchings: %d\n" % (args.n, len(sels)))
-    if args.list:
-        for sel in sels:
-            key = ",".join(str(i) for i in sel) or "-"
-            w("%s: %s\n" % (key, matching_weight(args.n, sel)))
+    for sel, weight in zip(sels, weights):
+        key = ",".join(str(i) for i in sel) or "-"
+        w("%s: %s\n" % (key, weight))
     return 0
 
 

@@ -65,16 +65,29 @@ def rung_weight(i):
 
 def matching_weight(n, selection):
     """Weight of one matching, given its selected pair positions."""
-    covered = set()
-    for i in selection:
-        if not 1 <= i <= n - 1:
-            raise ValueError("pair position %d out of range for %d rungs" % (i, n))
-        if i in covered or i + 1 in covered:
-            raise ValueError("overlapping pairs in %r" % (selection,))
-        covered.add(i)
-        covered.add(i + 1)
-    exps, coef = _weigh(n, selection, _edge_weights(n))
-    return Poly(TAIL_VARS, {exps: coef})
+    return matching_weights(n, [selection])[0]
+
+
+def matching_weights(n, selections):
+    """Weights of matchings of the n-rung ladder, one per selection.
+
+    The ladder's edge weights are built once for the whole list.
+    """
+    weights = _edge_weights(n)
+    out = []
+    for selection in selections:
+        covered = set()
+        for i in selection:
+            if not 1 <= i <= n - 1:
+                raise ValueError("pair position %d out of range for %d rungs"
+                                 % (i, n))
+            if i in covered or i + 1 in covered:
+                raise ValueError("overlapping pairs in %r" % (selection,))
+            covered.add(i)
+            covered.add(i + 1)
+        exps, coef = _weigh(n, selection, weights)
+        out.append(Poly(TAIL_VARS, {exps: coef}))
+    return out
 
 
 def _term(weight):

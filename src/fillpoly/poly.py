@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product, repeat
 from math import comb, gcd
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, lt, mul, sub
 
 
 def _clean_coef(c):
@@ -163,10 +163,6 @@ class Poly:
         exps = max(self.terms)
         return exps, self.terms[exps]
 
-    def sorted_terms(self):
-        """Terms in descending lex order (the canonical print order)."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     # --- arithmetic -----------------------------------------------------
 
     def _check_same_vars(self, other):
@@ -229,11 +225,12 @@ class Poly:
         self._check_same_vars(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars)
-        if len(self.terms) * len(other.terms) >= _PACK_MIN_PAIRS:
-            packed = _packed_mul(self, other)
-            if packed is not None:
-                return packed
-        return self._mul_dict(other)
+        if len(self.vars) >= 3:
+            da = set(map(sum, self.terms))
+            db = da if other is self else set(map(sum, other.terms))
+            if len(da) == 1 and len(db) == 1:
+                return _homogeneous_mul(self, other, min(da) + min(db))
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -322,14 +319,22 @@ class Poly:
                      for i in range(len(self.vars)))
 
     def shift_down(self, shift):
-        """Divide by the monomial with the given exponent vector (must divide)."""
-        out = {}
-        for exps, c in self.terms.items():
-            nexps = tuple(e - s for e, s in zip(exps, shift))
-            if any(e < 0 for e in nexps):
-                raise ValueError("monomial %r does not divide all terms" % (shift,))
-            out[nexps] = c
-        return Poly._raw(self.vars, out)
+        """Divide by the monomial with the given exponent vector (must divide).
+
+        A column of exponents at a time: each shifted variable's lowest
+        exponent is checked once, and the column moved down by map.
+        """
+        cols = []
+        for i, s in enumerate(shift):
+            col = list(map(itemgetter(i), self.terms))
+            if s:
+                if col and min(col) < s:
+                    raise ValueError("monomial %r does not divide all terms"
+                                     % (shift,))
+                col = map(sub, col, repeat(s))
+            cols.append(col)
+        exps = zip(*cols) if cols else [()] * len(self.terms)
+        return Poly._raw(self.vars, dict(zip(exps, self.terms.values())))
 
     # --- evaluation ------------------------------------------------------
 
@@ -384,39 +389,29 @@ class Poly:
 
     # --- rendering -------------------------------------------------------
 
-    @staticmethod
-    def _coef_str(c):
-        if type(c) is int:
-            return str(c)
-        return "%d/%d" % (c.numerator, c.denominator)
-
-    def _term_str(self, exps, coef):
-        factors = []
-        for v, e in zip(self.vars, exps):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append("%s^%d" % (v, e))
-        if not factors:
-            return self._coef_str(abs(coef))
-        mono = "*".join(factors)
-        a = abs(coef)
-        if a == 1:
-            return mono
-        return "%s*%s" % (self._coef_str(a), mono)
-
     def __str__(self):
+        """Terms in descending lex order: "-3*x^2*y + x - 1/2".
+
+        Built a column at a time: each variable's factor text ("*v",
+        "*v^e" or "") is formatted once per distinct exponent, and the
+        coefficient and factor columns are joined by map, so with int
+        coefficients no Python code runs per term.  A unit coefficient is
+        written only without a monomial: "1*x" loses its "1*".
+        """
         if not self.terms:
             return "0"
-        parts = []
-        for i, (exps, coef) in enumerate(self.sorted_terms()):
-            neg = coef < 0
-            body = self._term_str(exps, coef)
-            if i == 0:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        keys = sorted(self.terms, reverse=True)
+        coefs = list(map(self.terms.__getitem__, keys))
+        cols = [map(str, map(abs, coefs))]
+        for i, v in enumerate(self.vars):
+            col = list(map(itemgetter(i), keys))
+            factor = {e: "*%s^%d" % (v, e) if e > 1 else "*" + v if e else ""
+                      for e in set(col)}
+            cols.append(map(factor.__getitem__, col))
+        texts = map(str.removeprefix, map("".join, zip(*cols)), repeat("1*"))
+        signs = map(("+ ", "- ").__getitem__, map(lt, coefs, repeat(0)))
+        text = " ".join(map(add, signs, texts))
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return "Poly(%s)" % (self,)
@@ -638,6 +633,40 @@ _PACK_MIN_PAIRS = 36
 _DEC = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 # Python 3.10 before 3.10.7 has no digit limit (0 means none)
 _int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _product(a, b):
+    """a * b for nonzero a and b over one table, by the engine the sizes pick."""
+    if len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS:
+        packed = _packed_mul(a, b)
+        if packed is not None:
+            return packed
+    return a._mul_dict(b)
+
+
+def _homogeneous_mul(a, b, degree):
+    """a * b for operands of one total degree each, summing to degree.
+
+    Every term of the product has total degree degree, so its last
+    exponent follows from the others.  Dropping it maps each operand
+    one-to-one onto a polynomial in one variable fewer; those are
+    multiplied (a square from one operand) and the last exponent restored
+    as degree minus the sum of the others.  The exponents of a homogeneous
+    polynomial lie on a plane, which the packed box of the full table
+    would fill with empty slots; dropped, they fill a box of their own
+    (the collapsed tails of hn.tail_poly, products of h_recurrence_check).
+    """
+    vars = a.vars[:-1]
+    head = itemgetter(slice(-1))
+
+    def drop(p):
+        return Poly._raw(vars, dict(zip(map(head, p.terms), p.terms.values())))
+
+    x = drop(a)
+    y = x if b is a else drop(b)
+    terms = _product(x, y).terms
+    last = zip(map(sub, repeat(degree), map(sum, terms)))
+    return Poly._raw(a.vars, dict(zip(map(add, terms, last), terms.values())))
 
 
 def _strides(radices):

@@ -20,8 +20,9 @@ denominators must stay plain monomials.  The tail itself carries its
 denominators factored (hn.TailEntry) and uses RatFunc only for K and its
 outputs.  Sums are not cancelled this way, so reduced() cancels a
 caller's list of likely factors, each as often as it divides both sides
-(poly.divide_out).  substitute_basis builds each side's term map of the
-basis change L -> +-L*M^e, lift of M included, in one pass.
+(poly.divide_out).  substitute_basis maps the exponent columns of the
+basis change L -> +-L*M^e and keeps the normal form it is given, fixing
+only the shared power of M and the denominator's leading sign.
 
 poly_divides has one route for every divisor, the reduction candidates
 such as L - M and the factors of the cross-cancellation alike: sparse
@@ -32,6 +33,8 @@ any failed step proves non-divisibility.
 """
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, and_, itemgetter, mul, sub
 
 from .poly import Poly, divide_out, exact_coef, poly_divides
 
@@ -277,23 +280,37 @@ def substitute_basis(rf, sign, e):
     sign must be +1 or -1; e may be negative.  Negative powers of M
     produced by the substitution are cleared by the smallest value-preserving
     power of M applied to numerator and denominator together.
+
+    The map works a column of exponents at a time.  It is one-to-one on
+    monomials and only flips coefficient signs, so rf's normal form
+    survives it but for two things, which are fixed here: the power of M
+    the two sides share, and the sign of the denominator's leading term.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     vars = rf.vars
     li, mi = vars.index("L"), vars.index("M")
-    lift = max(0, max(-exps[mi] - e * exps[li]
-                      for p in (rf.num, rf.den) for exps in p.terms))
-
-    def mapped(p):
-        out = {}
-        for exps, c in p.terms.items():
-            ne = list(exps)
-            ne[mi] += e * exps[li] + lift
-            out[tuple(ne)] = c * sign ** exps[li]
-        return Poly(vars, out)
-
-    return RatFunc(mapped(rf.num), mapped(rf.den))
+    sides = []
+    for p in (rf.num, rf.den):
+        cols = [list(map(itemgetter(i), p.terms)) for i in range(len(vars))]
+        cols[mi] = list(map(add, cols[mi], map(mul, cols[li], repeat(e))))
+        sides.append((p, cols))
+    # the lowest power of M on either side becomes M^0: a negative one
+    # lifts, a positive one is the shared monomial normalization strips
+    low = min(min(cols[mi]) for _, cols in sides if cols[mi])
+    out = []
+    for p, cols in sides:
+        if low:
+            cols[mi] = map(sub, cols[mi], repeat(low))
+        coefs = p.terms.values()
+        if sign == -1:
+            coefs = map(mul, coefs, map((1, -1).__getitem__,
+                                        map(and_, cols[li], repeat(1))))
+        out.append(Poly._raw(vars, dict(zip(zip(*cols), coefs))))
+    num, den = out
+    if den.leading_term()[1] < 0:
+        num, den = -num, -den
+    return RatFunc(num, den, _normalized=True)
 
 
 # --- parsing -----------------------------------------------------------------

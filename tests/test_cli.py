@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fillpoly import cli
 from fillpoly.cli import dispatch, parse_walk_spec
 from fillpoly.farey import Walk
-from fillpoly.matchings import matching_sum
+from fillpoly.matchings import (enumerate_matchings, matching_sum,
+                                matching_weight)
 
 
 def run(capsys, *argv):
@@ -62,6 +63,27 @@ def test_matchings_listing(capsys):
         "2: -g_o^2*g_p^2",
         "3: -g_f^2*g_p^2",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matchings_listing_matches_each_matching_weight(capsys, fmt):
+    # the listing shares one table of edge weights; its bytes are those of
+    # a listing that weighs each matching on its own
+    n = 12
+    sels = enumerate_matchings(n)
+    rc, out, _ = run(capsys, "matchings", "--n", str(n), "--list",
+                     "--format", fmt)
+    assert rc == 0
+    if fmt == "json":
+        doc = {"schema": 1, "n": n, "count": len(sels),
+               "matchings": [{"pairs": list(sel),
+                              "weight": str(matching_weight(n, sel))}
+                             for sel in sels]}
+        assert out == json.dumps(doc, indent=2) + "\n"
+    else:
+        assert out == "rungs: %d\nmatchings: %d\n" % (n, len(sels)) + "".join(
+            "%s: %s\n" % (",".join(map(str, sel)) or "-",
+                          matching_weight(n, sel)) for sel in sels)
 
 
 def test_farey_cross(capsys):

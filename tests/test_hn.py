@@ -250,6 +250,9 @@ def test_h_recurrence():
     # the identity itself is the registry check h-product-recurrence
     with pytest.raises(ValueError):
         h_recurrence_check(3)
+    # its products are homogeneous, so they multiply in (g_f, g_o) alone,
+    # and from n = 5 on they pack there
+    assert all(h_recurrence_check(n) for n in range(4, 25))
 
 
 def test_difference_lifts_both_sides_to_the_common_denominator():

@@ -3,7 +3,8 @@ import pytest
 from fillpoly.matchings import (MAX_ENUM_RUNGS, TAIL_VARS, binom,
                                 count_subsets, enumerate_matchings,
                                 matching_step_check, matching_sum,
-                                matching_weight, pair_weight, rung_weight)
+                                matching_weight, matching_weights,
+                                pair_weight, rung_weight)
 from fillpoly.poly import Poly
 
 
@@ -56,6 +57,14 @@ def test_matching_weight():
                    (5, (1, 1))):
         with pytest.raises(ValueError):
             matching_weight(n, bad)
+
+
+def test_matching_weights_share_one_table():
+    sels = enumerate_matchings(9)
+    assert matching_weights(9, sels) == [matching_weight(9, s) for s in sels]
+    assert matching_weights(9, []) == []
+    with pytest.raises(ValueError):
+        matching_weights(4, [(1,), (1, 2)])
 
 
 def test_matching_sum_small():

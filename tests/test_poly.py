@@ -30,6 +30,9 @@ coefs = st.one_of(
 )
 
 
+coefs_nonzero = coefs.filter(bool)
+
+
 def poly_strategy(vars, max_deg=3, max_terms=5):
     exps = st.tuples(*[st.integers(min_value=0, max_value=max_deg)
                        for _ in vars])
@@ -172,11 +175,79 @@ def test_str_canonical_order():
     assert str(p) == "-x^2 + 3*x*y + y^2 - 1/2"
 
 
+def _coef_text(c):
+    if type(c) is int:
+        return str(c)
+    return "%d/%d" % (c.numerator, c.denominator)
+
+
+def _str_by_terms(p):
+    """Reference renderer: each term formatted on its own, factor by factor."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for i, (exps, coef) in enumerate(sorted(p.terms.items(), reverse=True)):
+        factors = []
+        for v, e in zip(p.vars, exps):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append("%s^%d" % (v, e))
+        a = abs(coef)
+        if not factors:
+            body = _coef_text(a)
+        elif a == 1:
+            body = "*".join(factors)
+        else:
+            body = "%s*%s" % (_coef_text(a), "*".join(factors))
+        neg = coef < 0
+        if i == 0:
+            parts.append("-" + body if neg else body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)
+
+
+_str_coefs = st.one_of(
+    st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.fractions(max_denominator=50),
+)
+
+
+_x = Poly.variable(XY, "x")
+
+
+@pytest.mark.parametrize("p", [
+    Poly.zero(XY), Poly.zero(()), Poly.const((), 5),
+    Poly.const((), Fraction(-7, 3)), Poly.const(XY, -1), Poly.const(XYZ, 1),
+    _x - 1, 1 - _x, -_x + Fraction(1, 2),
+    P(XYZ, {(1, 1, 1): 1, (0, 0, 12): -1, (10, 0, 0): 11,
+            (0, 2, 0): Fraction(-1, 10), (0, 0, 0): -1}),
+], ids=str)
+def test_str_fixed_cases_match_term_by_term_rendering(p):
+    assert str(p) == _str_by_terms(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_str_matches_term_by_term_rendering(data):
+    vars = data.draw(st.sampled_from([(), ("x",), XY, XYZ]))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=12) for _ in vars])
+    p = Poly(vars, data.draw(st.dictionaries(exps, _str_coefs, max_size=8)))
+    assert str(p) == _str_by_terms(p)
+
+
 def test_degrees_and_content():
     p = P(XY, {(2, 1): 4, (3, 2): -6})
     assert p.max_degrees() == (3, 2)
     assert p.monomial_content() == (2, 1)
     assert p.shift_down((2, 1)).terms == {(0, 0): 4, (1, 1): -6}
+    assert p.shift_down((0, 0)) == p
+    assert P((), {(): 3}).shift_down(()) == P((), {(): 3})
+    for shift in ((3, 0), (0, 2), (2, 2)):
+        with pytest.raises(ValueError):
+            p.shift_down(shift)
     c, prim = p.primitive()
     assert c == 2 and prim.terms == {(2, 1): 2, (3, 2): -3}
 
@@ -651,6 +722,57 @@ def test_sparse_box_takes_dict_path():
     a, b = tail_poly(18), tail_poly(16)
     assert len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
     assert poly_mod._packed_mul(a, b) is None
+
+
+def test_homogeneous_product_packs_in_one_variable_fewer(monkeypatch):
+    # the same product through __mul__: both tails are homogeneous, so it
+    # is packed over (g_f, g_o) alone
+    a, b = tail_poly(18), tail_poly(16)
+    expected = a._mul_dict(b)
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    assert a * b == expected
+
+
+def _homogeneous_poly(data, vars, coefs):
+    """A polynomial whose terms all have one total degree.
+
+    The exponents of all but the last variable are drawn, and the last is
+    the drawn degree, at least the largest of their sums, less their sum.
+    """
+    heads = st.tuples(*[st.integers(min_value=0, max_value=3)
+                        for _ in vars[1:]])
+    terms = data.draw(st.dictionaries(heads, coefs, min_size=1, max_size=12))
+    degree = max(map(sum, terms)) + data.draw(st.integers(0, 2))
+    return Poly(vars, {h + (degree - sum(h),): c for h, c in terms.items()})
+
+
+@pytest.mark.parametrize("engine", ["default", "packed"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_homogeneous_product_matches_dict(engine, data):
+    vars = data.draw(st.sampled_from([XYZ, ("w", "x", "y", "z")]))
+    ints = st.integers(min_value=-10 ** 20, max_value=10 ** 20).filter(bool)
+    coefs = data.draw(st.sampled_from([ints, coefs_nonzero]))
+    a = _homogeneous_poly(data, vars, coefs)
+    b = _homogeneous_poly(data, vars, coefs)
+    # b with a term one degree above its own takes the general path
+    mixed = b + Poly.monomial(
+        vars, (0,) * (len(vars) - 1) + (sum(next(iter(b.terms))) + 1,))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "packed":
+            mp.setattr(poly_mod, "_PACK_MIN_PAIRS", 0)
+        mul = Poly.__mul__
+        mp.setattr(Poly, "__mul__",
+                   lambda p, q: calls.append(1) or mul(p, q))
+        got = [a * b, a * a, a * mixed]
+        # one product is one __mul__ call, so traced product counts stay
+        assert len(calls) == 3
+        got.append(a ** 3)
+    a2 = a._mul_dict(Poly(vars, dict(a.terms)))
+    assert got == [a._mul_dict(b), a2, a._mul_dict(mixed), a2._mul_dict(a)]
+    for r in got:
+        _assert_canonical(r)
 
 
 # --- binomial divisors: +-x^a plus a term free of x ----------------------

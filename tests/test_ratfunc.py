@@ -211,6 +211,73 @@ def test_substitute_basis_rejects_bad_sign():
         substitute_basis(rf("L"), 2, 1)
 
 
+def _substitute_by_terms(r, sign, e):
+    """Reference: map each term, then build and normalize the result anew."""
+    vars = r.vars
+    li, mi = vars.index("L"), vars.index("M")
+    lift = max(0, max(-exps[mi] - e * exps[li]
+                      for p in (r.num, r.den) for exps in p.terms))
+
+    def mapped(p):
+        out = {}
+        for exps, c in p.terms.items():
+            ne = list(exps)
+            ne[mi] += e * exps[li] + lift
+            out[tuple(ne)] = c * sign ** exps[li]
+        return Poly(vars, out)
+
+    return RatFunc(mapped(r.num), mapped(r.den))
+
+
+def _assert_same_form(got, want):
+    for a, b in ((got.num, want.num), (got.den, want.den)):
+        assert a.terms == b.terms
+        assert [type(c) for c in a.terms.values()] == [
+            type(b.terms[k]) for k in a.terms]
+
+
+@pytest.mark.parametrize("text, sign, e, expected", [
+    # a shared power of M appears, and is stripped
+    ("L/(M + L^2)", 1, 1, "(L)/(L^2*M + 1)"),
+    # negative powers of M are lifted
+    ("M/L", 1, -1, "(M^2)/(L)"),
+    # the denominator's leading term changes sign
+    ("1/(L + 1)", -1, 0, "(-1)/(L - 1)"),
+    # both at once
+    ("(L^2 - M)/(L + M^3)", -1, 2, "(-L^2*M^3 + 1)/(L*M - M^2)"),
+    # rational coefficients are scaled out before the map
+    ("(L/2 - 1/3)/(M^2 + L)", -1, -1, "(3*L + 2*M)/(6*L - 6*M^3)"),
+])
+def test_substitute_basis_fixed_cases(text, sign, e, expected):
+    r = rf(text)
+    got = substitute_basis(r, sign, e)
+    _assert_same_form(got, _substitute_by_terms(r, sign, e))
+    assert str(got) == expected
+
+
+def _side(vars):
+    coefs = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=6))
+    exps = st.tuples(*[st.integers(0, 4) for _ in vars])
+    return st.dictionaries(exps, coefs, max_size=6).map(
+        lambda d: Poly(vars, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_substitute_basis_matches_term_by_term_route(data):
+    # ("M", "L") orders M first, so the map can move the leading term
+    vars = data.draw(st.sampled_from([LM, ("M", "L"), ("L", "x", "M")]))
+    num = data.draw(_side(vars))
+    den = data.draw(_side(vars).filter(lambda p: not p.is_zero()))
+    r = RatFunc(num, den)
+    sign = data.draw(st.sampled_from([1, -1]))
+    e = data.draw(st.integers(-3, 3))
+    _assert_same_form(substitute_basis(r, sign, e),
+                      _substitute_by_terms(r, sign, e))
+
+
 def test_immutability():
     r = rf("L/M")
     with pytest.raises(AttributeError):
