@@ -474,7 +474,9 @@ def twist_base_identity_check(sign):
 
 def twist_identities(max_n):
     """(name, thunk) for the twist-knot base identities and recurrences,
-    in the order `twist verify` prints them."""
+    in the order `twist verify` prints them; max_n must be at least 1."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1, got %d" % max_n)
     checks = [("base identity %s" % sign,
                lambda sign=sign: twist_base_identity_check(sign))
               for sign in _TWIST_FIRST]

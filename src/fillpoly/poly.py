@@ -16,7 +16,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import product, repeat
+from itertools import count, product, repeat
 from math import comb, gcd
 from operator import add, floordiv, itemgetter, lt, mul, sub
 
@@ -225,12 +225,11 @@ class Poly:
         self._check_same_vars(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars)
-        if len(self.vars) >= 3:
-            da = set(map(sum, self.terms))
-            db = da if other is self else set(map(sum, other.terms))
-            if len(da) == 1 and len(db) == 1:
-                return _homogeneous_mul(self, other, min(da) + min(db))
-        return _product(self, other)
+        if len(self.terms) * len(other.terms) >= _PACK_MIN_PAIRS:
+            packed = _packed_mul(self, other)
+            if packed is not None:
+                return packed
+        return self._mul_dict(other)
 
     __rmul__ = __mul__
 
@@ -511,9 +510,7 @@ def _sparse_divide(p, d):
     cp = 1
     if Fraction in set(map(type, p.terms.values())):
         cp, p = p.primitive()       # keeps the term order cols was read in
-    keys = [0] * len(p.terms)
-    for col, st in zip(cols, strides):
-        keys = list(map(add, keys, map(mul, col, repeat(st))))
+    keys = _keys(cols, strides, len(p.terms))
     rem = dict(zip(keys, p.terms.values()))
     keys.sort(reverse=True)
     keys.append(-1)                 # below every key: the sorted list is spent
@@ -564,35 +561,39 @@ def _sparse_divide(p, d):
 # The packed product writes each operand as one integer, its coefficients
 # as fixed-width digit groups at positions given by mixed-radix keys over
 # the lattice the product occupies, multiplies the two integers once and
-# reads the product's coefficients back from the groups.  The lattice is
-# deflated per variable, as FLINT's mpoly deflate does before Kronecker
-# substitution: each operand's exponents are shifted down by its lowest
-# one and divided by g, the gcd of every such offset over both operands
-# (1 if all are 0), so the product's exponents are lo, lo + g, ... with
-# lo the sum of the two lowest.  A monomial content or a polynomial even
-# in M then costs no empty slots.  An operand's keys are computed a column
-# of exponents at a time, as in _sparse_divide, and its groups are joined
-# into one digit string.  The product's groups, read in key order, line up
-# with itertools.product over the lattice's ranges, which walks it in the
-# same order, so the decode never unpacks a key.  A square (b is a: each
-# squaring step of __pow__) is encoded once, and the one Decimal goes to
-# the multiply twice, so libmpdec transforms one operand, not two.
-#
-# A two-variable product is sheared as well: its deflated exponents
-# (u0, u1) are packed as (u0, (u1 + s*u0 - v) // h), with the integer s for
-# which _shear finds the span of u1 + s*u0 least, v the lowest value and h
-# the gcd of the values' offsets from it.  Kronecker substitution stays
-# exact under any unimodular change of exponents.  The family outputs are
-# products of A-polynomial factors, whose Newton polygons have slanted
-# edges (their slopes are boundary slopes), so their deflated boxes have
-# empty corners that the sheared lattice cuts off.  The sheared values of
-# some share a factor, as do those of the largest products of pretzel238
-# pos m = 4 and 6 and neg m = 5 (h = 2).  The shear adds to the first
-# stride and moves the second variable's lowest exponent, so the encode
-# changes only by a division of the keys by h.
-# The decode walks the sheared lattice a row of u0 at a time, each row one
-# range of second exponents, and builds a key only for a nonempty group.
-# When s is 0 the unsheared walk runs.
+# reads the product's coefficients back from the groups.  _packed_mul
+# alone decides that lattice, in three steps:
+# - the homogeneous drop.  When both operands have three or more
+#   variables and each has a single total degree, every term of the
+#   product has the sum of the two, so its last exponent follows from the
+#   others: that column is dropped before packing and restored after the
+#   decode.  The exponents of a homogeneous polynomial lie on a plane,
+#   which the full box would fill with empty slots (every hn.tail_poly is
+#   one, and so is each product of h_recurrence_check);
+# - deflation, as FLINT's mpoly deflate does before Kronecker
+#   substitution.  Each operand's exponent columns become packed
+#   coordinates u = (e - lo) // g, with lo the operand's lowest exponent
+#   and g the gcd of every such offset over both operands (1 if all are
+#   0), so the product's exponents are its lowest, then steps of g.  A
+#   monomial content or a polynomial even in M then costs no empty slots;
+# - the shear, for two packed columns.  The second is replaced by
+#   u1 + s*u0, with the integer s for which _shear finds its span least,
+#   and deflated again.  Kronecker substitution stays exact under any
+#   unimodular change of exponents.  The family outputs are products of
+#   A-polynomial factors, whose Newton polygons have slanted edges (their
+#   slopes are boundary slopes), so their deflated boxes have empty
+#   corners that the sheared lattice cuts off.  The sheared values of
+#   some share a factor h, as do those of the largest products of
+#   pretzel238 pos m = 4 and 6 and neg m = 5 (h = 2).
+# An operand's keys are computed a column at a time by _keys, as in
+# _sparse_divide, and its groups are joined into one digit string.  The
+# product's groups are read in key order, so the decode never unpacks a
+# key: two columns are walked a row of u0 at a time, each row one range of
+# second exponents, and a key is built only for a nonempty group; one
+# column, or three and more, are walked by itertools.product over the
+# lattice's ranges.  A square (b is a: each squaring step of __pow__) is
+# encoded once, and the one Decimal goes to the multiply twice, so
+# libmpdec transforms one operand, not two.
 #
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
@@ -635,40 +636,6 @@ _DEC = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 _int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _product(a, b):
-    """a * b for nonzero a and b over one table, by the engine the sizes pick."""
-    if len(a.terms) * len(b.terms) >= _PACK_MIN_PAIRS:
-        packed = _packed_mul(a, b)
-        if packed is not None:
-            return packed
-    return a._mul_dict(b)
-
-
-def _homogeneous_mul(a, b, degree):
-    """a * b for operands of one total degree each, summing to degree.
-
-    Every term of the product has total degree degree, so its last
-    exponent follows from the others.  Dropping it maps each operand
-    one-to-one onto a polynomial in one variable fewer; those are
-    multiplied (a square from one operand) and the last exponent restored
-    as degree minus the sum of the others.  The exponents of a homogeneous
-    polynomial lie on a plane, which the packed box of the full table
-    would fill with empty slots; dropped, they fill a box of their own
-    (the collapsed tails of hn.tail_poly, products of h_recurrence_check).
-    """
-    vars = a.vars[:-1]
-    head = itemgetter(slice(-1))
-
-    def drop(p):
-        return Poly._raw(vars, dict(zip(map(head, p.terms), p.terms.values())))
-
-    x = drop(a)
-    y = x if b is a else drop(b)
-    terms = _product(x, y).terms
-    last = zip(map(sub, repeat(degree), map(sum, terms)))
-    return Poly._raw(a.vars, dict(zip(map(add, terms, last), terms.values())))
-
-
 def _strides(radices):
     """Place values of mixed-radix keys over radices, and the radix product.
 
@@ -684,61 +651,69 @@ def _strides(radices):
     return strides, slots
 
 
-def _shear(cols_a, cols_b, mins_a, mins_b, steps, radix, square):
-    """(s, r, va, vb, h): the shear that packs a two-variable product tightest.
+def _keys(cols, strides, n):
+    """The mixed-radix keys of n terms, given their exponent columns."""
+    keys = [0] * n
+    for col, st in zip(cols, strides):
+        keys = list(map(add, keys, map(mul, col, repeat(st))))
+    return keys
 
-    Packing u1 + s*u0 in place of u1, with u0 and u1 the deflated
-    exponents (e - low) // g, leaves the product's radix of u0 as it is.
-    The values of u1 + s*u0 span width over a + width over b, and each
-    width is a maximum minus a minimum of linear forms in s, so the span is
-    convex in s.  From s = 0, whose span is radix - 1, the search steps
-    towards +1 and then -1 while the span shrinks, and stops at the first
-    step that does not shrink it: that s gives the least span over all
-    integers.  va and vb are each operand's lowest u1 + s*u0, and h the
-    gcd of every value's offset from its operand's lowest (1 if s is 0,
-    where deflation has taken it out), so the product's values of
-    u1 + s*u0 are va + vb, va + vb + h, ..., r of them.
 
-    An operand's g0*e1 + s*g1*e0 is g0*g1 times u1 + s*u0 plus a constant;
-    it is kept as one list per operand, and a step adds or subtracts g1*e0.
+def _deflate(ca, cb, square):
+    """(lo, g, ua, ub): one exponent column of both operands, deflated.
+
+    Each operand's column is shifted down by its lowest value and divided
+    by g, the gcd of every offset over both (1 if all are 0); lo is the sum
+    of the two lowest values, the product's.  A square (cb is ca) is
+    deflated once.
     """
-    (g0, g1), unit = steps, steps[0] * steps[1]
-    (a0, a1), (b0, b1) = cols_a, cols_b
-    if g0 != 1:
-        a1 = list(map(mul, a1, repeat(g0)))
-        b1 = a1 if square else list(map(mul, b1, repeat(g0)))
-    if g1 != 1:
-        a0 = list(map(mul, a0, repeat(g1)))
-        b0 = a0 if square else list(map(mul, b0, repeat(g1)))
-    best = (0, radix - 1, 0, 0, a1, b1)
+    la = min(ca)
+    ua = list(map(sub, ca, repeat(la))) if la else ca
+    if square:
+        lb, ub = la, ua
+        g = gcd(*ua) or 1
+    else:
+        lb = min(cb)
+        ub = list(map(sub, cb, repeat(lb))) if lb else cb
+        g = gcd(*ua, *ub) or 1
+    if g != 1:
+        ua = list(map(floordiv, ua, repeat(g)))
+        ub = ua if square else list(map(floordiv, ub, repeat(g)))
+    return la + lb, g, ua, ub
+
+
+def _shear(ua, ub, square):
+    """(s, fa, fb): the shear that packs a two-column product tightest.
+
+    ua and ub are the operands' deflated columns (u0, u1), each lowest at
+    0, and fa and fb their sheared second columns u1 + s*u0 (u1 itself at
+    s = 0).  Packing u1 + s*u0 in place of u1 leaves the product's radix
+    of u0 as it is.  The values of u1 + s*u0 span width over a + width
+    over b, and each width is a maximum minus a minimum of linear forms in
+    s, so the span is convex in s.  From s = 0 the search steps towards +1
+    and then -1 while the span shrinks, and stops at the first step that
+    does not shrink it: that s gives the least span over all integers.
+    """
+    (a0, a1), (b0, b1) = ua, ub
+    best = (0, max(a1) + max(b1), a1, b1)
     for step, move in ((1, add), (-1, sub)):
         s, fa, fb = 0, a1, b1
         while True:
             s += step
             fa = list(map(move, fa, a0))
-            la = min(fa)
             if square:
-                fb, lb = fa, la
-                span = 2 * (max(fa) - la) // unit
+                fb = fa
+                span = 2 * (max(fa) - min(fa))
             else:
                 fb = list(map(move, fb, b0))
-                lb = min(fb)
-                span = (max(fa) - la + max(fb) - lb) // unit
+                span = max(fa) - min(fa) + max(fb) - min(fb)
             if span >= best[1]:
                 break
-            best = (s, span, la, lb, fa, fb)
+            best = (s, span, fa, fb)
         if best[0]:
             break
-    s, span, la, lb, fa, fb = best
-    if not s:
-        return 0, radix, 0, 0, 1
-    h = gcd(*map(sub, fa, repeat(la)))
-    if not square:
-        h = gcd(h, *map(sub, fb, repeat(lb)))
-    h = h // unit or 1
-    va = (la - g0 * mins_a[1] - s * g1 * mins_a[0]) // unit
-    vb = (lb - g0 * mins_b[1] - s * g1 * mins_b[0]) // unit
-    return s, span // h + 1, va, vb, h
+    s, _, fa, fb = best
+    return s, fa, fb
 
 
 def _packed_mul(a, b):
@@ -752,37 +727,33 @@ def _packed_mul(a, b):
         return None
     square = b is a
     nv = len(a.vars)
-    cols_a = [list(map(itemgetter(i), a.terms)) for i in range(nv)]
-    cols_b = cols_a if square else [list(map(itemgetter(i), b.terms))
-                                    for i in range(nv)]
-    # per variable: each operand's lowest exponent, the common stride of
-    # both operands' exponents above it, and the radix of the product's
-    # exponents lo, lo + g, ..., lo + g*(r - 1)
-    mins_a, mins_b, steps, radices = [], [], [], []
-    for ca, cb in zip(cols_a, cols_b):
-        la, lb = min(ca), min(cb)
-        g = gcd(*map(sub, ca, repeat(la)))
-        if not square:
-            g = gcd(g, *map(sub, cb, repeat(lb)))
-        g = g or 1
-        mins_a.append(la)
-        mins_b.append(lb)
+    degree = None
+    if nv >= 3:
+        da = set(map(sum, a.terms))
+        db = da if square else set(map(sum, b.terms))
+        if len(da) == 1 and len(db) == 1:
+            degree, nv = min(da) + min(db), nv - 1
+    # per packed column: the product's lowest exponent, the step g of its
+    # exponents and both operands' deflated coordinates
+    lows, steps, ua, ub = [], [], [], []
+    for i in range(nv):
+        ca = list(map(itemgetter(i), a.terms))
+        cb = ca if square else list(map(itemgetter(i), b.terms))
+        lo, g, col_a, col_b = _deflate(ca, cb, square)
+        lows.append(lo)
         steps.append(g)
-        radices.append((max(ca) - la) // g + (max(cb) - lb) // g + 1)
-    s, h = 0, 1
+        ua.append(col_a)
+        ub.append(col_b)
+    radices = [max(col_a) + max(col_b) + 1 for col_a, col_b in zip(ua, ub)]
+    # row u0 of a two-column lattice holds the second exponents from
+    # lows[1] + g1*(v - s*u0) in steps of g1*h
+    s, v, h = 0, 0, 1
     if nv == 2 and radices[0] > 1 and radices[1] > 1:
-        s, r, va, vb, h = _shear(cols_a, cols_b, mins_a, mins_b, steps,
-                                 radices[1], square)
+        s, fa, fb = _shear(ua, ub, square)
         if s:
-            # an operand's key u0*r + (u1 + s*u0 - va) // h is
-            # (u0*(r*h + s) + (u1 - va)) // h: the shear moves the second
-            # lowest exponent and the first stride, and divides by h
-            radices[1] = r
-            mins_a[1] += steps[1] * va
-            mins_b[1] += steps[1] * vb
+            v, h, ua[1], ub[1] = _deflate(fa, fb, square)
+            radices[1] = max(ua[1]) + max(ub[1]) + 1
     strides, slots = _strides(radices)
-    if s:
-        strides[0] = r * h + s
     if slots > len(a.terms) * len(b.terms):
         return None
     if (set(map(type, a.terms.values())) != {int}
@@ -799,47 +770,41 @@ def _packed_mul(a, b):
     half_s = str(half)
     offset = Decimal(half_s * slots)
 
-    def encode(poly, cols, mins):
-        keys = [0] * len(poly.terms)
-        for col, lo, g, st in zip(cols, mins, steps, strides):
-            keys = list(map(add, keys, map(mul, map(floordiv, map(
-                sub, col, repeat(lo)), repeat(g)), repeat(st))))
-        if h != 1:
-            keys = list(map(floordiv, keys, repeat(h)))
+    def encode(poly, cols):
         groups = [half_s] * slots          # groups[k] is the slot of key k
-        for k, c in zip(keys, poly.terms.values()):
+        for k, c in zip(_keys(cols, strides, len(poly.terms)),
+                        poly.terms.values()):
             groups[k] = str(c + half)
         groups.reverse()                   # key 0 is the last group
         return _DEC.subtract(Decimal("".join(groups)), offset)
 
-    x = encode(a, cols_a, mins_a)
-    y = x if square else encode(b, cols_b, mins_b)
+    x = encode(a, ua)
+    y = x if square else encode(b, ub)
     digits = str(_DEC.add(_DEC.multiply(x, y), offset))
-    lows = list(map(add, mins_a, mins_b))
     out = {}
     # groups are read from the last one back, key 0 first, so the lattice
     # is walked in key order; one group at a time, so no list of every
     # slot is held
     ends = range(slots * w, 0, -w)
-    if s:
-        # row i of the sheared lattice holds the first exponent e0 + g0*i
-        # and the second exponents from e1 - g1*s*i in steps of g1*h; a
-        # slot whose second exponent is negative stays empty.  The rows
-        # share one iterator over the group ends, and a key is built only
-        # for a nonempty group
+    if nv == 2:
+        # the rows share one iterator over the group ends; a slot whose
+        # second exponent is negative stays empty
         (r0, r1), (g0, g1), (e0, e1) = radices, steps, lows
         ends = iter(ends)
         for x0, lo in zip(range(e0, e0 + g0 * r0, g0),
-                          range(e1, e1 - g1 * s * r0, -g1 * s)):
+                          count(e1 + g1 * v, -g1 * s)):
             for x1, end in zip(range(lo, lo + g1 * h * r1, g1 * h), ends):
                 group = digits[end - w:end]
                 if group != half_s:
                     out[x0, x1] = int(group) - half
-        return Poly._raw(a.vars, out)
-    walk = product(*[range(lo, lo + g * r, g)
-                     for lo, g, r in zip(lows, steps, radices)])
-    for exps, end in zip(walk, ends):
-        group = digits[end - w:end]
-        if group != half_s:
-            out[exps] = int(group) - half
+    else:
+        walk = product(*[range(lo, lo + g * r, g)
+                         for lo, g, r in zip(lows, steps, radices)])
+        for exps, end in zip(walk, ends):
+            group = digits[end - w:end]
+            if group != half_s:
+                out[exps] = int(group) - half
+    if degree is not None:
+        last = zip(map(sub, repeat(degree), map(sum, out)))
+        out = dict(zip(map(add, out, last), out.values()))
     return Poly._raw(a.vars, out)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillpoly import cli
+from fillpoly import checks, cli
+from fillpoly.checks import FULL, QUICK
 from fillpoly.cli import dispatch, parse_walk_spec
+from fillpoly.families import twist_identities
 from fillpoly.farey import Walk
 from fillpoly.matchings import (enumerate_matchings, matching_sum,
                                 matching_weight)
@@ -187,6 +190,37 @@ def test_twist_subcommand(capsys):
     assert run(capsys, "twist")[0] == 2
 
 
+@pytest.mark.parametrize("max_n", [0, -5])
+def test_twist_verify_needs_max_n_at_least_1(capsys, max_n):
+    # below 1 only the two base identities would run, and pass
+    with pytest.raises(ValueError):
+        twist_identities(max_n)
+    rc, out, err = run(capsys, "twist", "verify", "--max-n", str(max_n))
+    assert rc == 2 and out == ""
+    assert err == "error: max_n must be at least 1, got %d\n" % max_n
+
+
+@pytest.mark.parametrize("flags, base, sizes", [
+    (("--quick", "--max-m", "9"), QUICK, {}),      # --quick only shrinks
+    (("--max-m", "2"), FULL, {"max_m": 2}),
+    (("--quick", "--samples", "3"), QUICK, {"samples": 3}),
+    (("--bound", "7"), FULL, {"bound": 7}),
+])
+def test_selftest_size_flags(flags, base, sizes):
+    args = cli.build_parser().parse_args(["selftest", *flags])
+    assert cli._selftest_ranges(args) == replace(base, **sizes)
+
+
+def test_selftest_rejects_zero_samples(capsys, monkeypatch):
+    def registry_runs():
+        raise AssertionError("the registry ran")
+
+    monkeypatch.setattr(checks, "family_runner", registry_runs)
+    rc, out, err = run(capsys, "selftest", "--samples", "0")
+    assert rc == 2 and out == ""
+    assert err == "error: sample count must be at least 1\n"
+
+
 def test_format_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FILLPOLY_FORMAT", "json")
     rc, out, _ = run(capsys, "pn", "--n", "1")
@@ -295,6 +329,15 @@ STDOUT_SHA256 = {
         ("farey", "cross", "--from", "-7/3", "--to", "5/2", "--oracle-bound",
          "40", "--format", "json"),
         "51580bf3cf6a38513414a9758e029bb1d4c3fd1e084c90b94576dfeaa936ec61"),
+    "twist-pos-json": (
+        ("twist", "--n", "6", "--sign", "pos", "--format", "json"),
+        "174d9ab1ae89ffdfce1ca2548566e3c6c37b5821611830bf8ebf4a032f68ad72"),
+    "twist-verify-json": (
+        ("twist", "verify", "--max-n", "8", "--format", "json"),
+        "c64ef4e7f788d769150022804e9f985669fc6e0168f9f5cec35ba8c80133d492"),
+    "hn-check-matchings-json": (
+        ("hn", "--n", "5", "--check-matchings", "--format", "json"),
+        "4a245187fb4552177495289932560c88cfe4ce194eed600cc1c3d80c8df28136"),
 }
 
 

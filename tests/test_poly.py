@@ -646,15 +646,19 @@ def test_shear_descent_finds_the_least_radix(data):
                for p, mins in ((a, mins_a), (b, mins_b)))
     bound = max(8, 3 * span)
     brute = {s: radix(s) for s in range(-bound, bound + 1)}
-    s, r, va, vb, h = poly_mod._shear(cols_a, cols_b, mins_a, mins_b, steps,
-                                      brute[0], square)
-    assert (r - 1) * h + 1 == brute[s] == min(brute.values())
-    assert (va, vb) == tuple(min(u1 + s * u0 for u0, u1 in deflated(p, mins))
+    ua, ub = ([list(c) for c in zip(*deflated(p, mins))]
+              for p, mins in ((a, mins_a), (b, mins_b)))
+    s, fa, fb = poly_mod._shear(ua, ua if square else ub, square)
+    assert (fa, fb) == tuple([u1 + s * u0 for u0, u1 in deflated(p, mins)]
                              for p, mins in ((a, mins_a), (b, mins_b)))
+    # the sheared column, deflated again: the product's values of
+    # u1 + s*u0 are v, v + h, ..., r of them
+    v, h, wa, wb = poly_mod._deflate(fa, fb, square)
+    r = max(wa) + max(wb) + 1
+    assert (r - 1) * h + 1 == brute[s] == min(brute.values())
+    assert v == min(fa) + min(fb)
     # the values of u1 + s*u0 are spaced by h, and by no larger step
-    offsets = [u1 + s * u0 - v
-               for p, mins, v in ((a, mins_a, va), (b, mins_b, vb))
-               for u0, u1 in deflated(p, mins)]
+    offsets = [f - min(fa) for f in fa] + [f - min(fb) for f in fb]
     assert h == (gcd(*offsets) or 1 if s else 1)
 
 
@@ -663,9 +667,13 @@ def test_shear_descent_has_no_window():
     # ones: b's are (0, 9), (0, 10) and (1, 0), narrowest at s = 9
     a = Poly(XY, {(0, 18): 1})
     b = Poly(XY, {(0, 18): 1, (0, 19): 1, (3, 9): 1})
-    cols_a, cols_b = [[0], [18]], [[0, 0, 3], [18, 19, 9]]
-    assert poly_mod._shear(cols_a, cols_b, [0, 18], [0, 9], [3, 1], 11,
-                           False) == (9, 2, 0, 9, 1)
+    assert poly_mod._deflate([0], [0, 0, 3], False) == (0, 3, [0], [0, 0, 1])
+    assert poly_mod._deflate([18], [18, 19, 9], False) == (27, 1, [0],
+                                                           [9, 10, 0])
+    s, fa, fb = poly_mod._shear([[0], [0]], [[0, 0, 1], [9, 10, 0]], False)
+    assert (s, fa, fb) == (9, [0], [9, 10, 9])
+    # lowest values 0 and 9, step 1, a radix of 2
+    assert poly_mod._deflate(fa, fb, False) == (9, 1, [0], [0, 1, 0])
     assert poly_mod._packed_mul(b, b) == b._mul_dict(b)
     assert a * b == b * a == b._mul_dict(a)
 
@@ -678,8 +686,12 @@ def test_sheared_values_are_deflated(monkeypatch):
     a = (1 + y ** 2 + y ** 4) * (1 + t + t ** 2)
     b = (1 - y ** 2 + y ** 4) * (1 - t + t ** 2)
     cols = [[e[i] for e in a.terms] for i in (0, 1)]
-    assert poly_mod._shear(cols, cols, [0, 0], [0, 0], [1, 1], 13,
-                           True) == (-1, 5, 0, 0, 2)
+    assert [poly_mod._deflate(c, c, True)[:2] for c in cols] == [(0, 1),
+                                                                 (0, 1)]
+    s, fa, fb = poly_mod._shear(cols, cols, True)
+    assert s == -1 and fb is fa
+    v, h, wa, wb = poly_mod._deflate(fa, fb, True)
+    assert (v, h, max(wa) + max(wb) + 1) == (0, 2, 5)
     expected = [(1 + y ** 4 + y ** 8) * (1 + t ** 2 + t ** 4),
                 (1 + y ** 2 + y ** 4) ** 2 * (1 + t + t ** 2) ** 2]
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
@@ -717,9 +729,10 @@ def test_packed_mul_falls_back_past_int_digit_limit():
 
 
 def test_sparse_box_takes_dict_path():
-    # 23,564 term pairs against 40,425 slots of the deflated box (every
-    # exponent is even; 309,465 slots undeflated)
-    a, b = tail_poly(18), tail_poly(16)
+    # 23,874 term pairs against 40,425 slots of the deflated box (every
+    # exponent is even; 309,465 slots undeflated); the constant terms make
+    # the operands inhomogeneous, so no column is dropped
+    a, b = tail_poly(18) + 1, tail_poly(16) + 1
     assert len(a) * len(b) >= poly_mod._PACK_MIN_PAIRS
     assert poly_mod._packed_mul(a, b) is None
 
