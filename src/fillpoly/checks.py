@@ -544,8 +544,8 @@ def _chain_back_audit(r, family_run):
         for label in BASE_EQ_LABELS[name]:
             if not check_equation(eqs[label], chain.asg):
                 return False, "%s/%s: %s residual nonzero" % (name, sign, label)
-        for k in sorted(chain.step_eqs):
-            if not check_equation(chain.step_eqs[k], chain.asg):
+        for k, eq in enumerate(chain.step_eqs):
+            if not check_equation(eq, chain.asg):
                 return False, "%s/%s: step %d residual nonzero" % (name, sign, k)
     return True, "every consumed equation, all four runs"
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import random
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
@@ -195,7 +194,7 @@ class FamilyChain(NamedTuple):
     """What every tail length of one family shares (see family_chain)."""
 
     labels: tuple
-    step_eqs: MappingProxyType
+    step_eqs: tuple
     asg: object
     entry: TailEntry
 
@@ -204,22 +203,20 @@ class FamilyChain(NamedTuple):
 def family_chain(spec):
     """Walk labels, consumed step equations, solved chain and tail entry.
 
-    labels are the walk's labels for tail length 1, step_eqs a read-only
-    map from step index to step equation, asg the assignment after
-    solving every step before the tail, and entry the values entering the
-    tail, as solved, with REDUCE_CANDIDATES as its base.  The tail
-    length only adds steps after the tail starts, so all four are the
-    same for every m: each spec is solved once per process, and every
-    caller gets the same objects, which none mutates (Assignment.bind
-    returns a new assignment).
+    labels are the walk's labels for tail length 1, step_eqs the step
+    equations in step order, asg the assignment after solving every step
+    before the tail, and entry the values entering the tail, as solved,
+    with REDUCE_CANDIDATES as its base.  The tail length only adds steps
+    after the tail starts, so all four are the same for every m: each
+    spec is solved once per process, and every caller gets the same
+    objects, which none mutates (Assignment.bind returns a new
+    assignment).
     """
     labels = tuple(walk_labels(Walk(spec.triangle0, spec.triangle1,
                                     spec.word(1))))
     eqs = spec.equations()
-    step_eqs = MappingProxyType(
-        {k: eqs[label] for k, label in enumerate(spec.step_labels)})
-    asg = chain_solve(labels, step_eqs, spec.base_assignment(),
-                      len(spec.step_labels) - 1)
+    step_eqs = tuple(eqs[label] for label in spec.step_labels)
+    asg = chain_solve(labels, step_eqs, spec.base_assignment())
     tail = labels[len(spec.step_labels)]
     assert (tail.f, tail.o, tail.p) == spec.tail_slopes
     f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f")
@@ -396,6 +393,12 @@ _A1_NEG_TEXT = "-L + L*M^2 + M^4 + 2*L*M^4 + L^2*M^4 + L*M^6 - L*M^8"
 # The n of each sequence's first seed.
 _TWIST_FIRST = {"pos": 1, "neg": 0}
 
+# Largest n twist_A generates.  A_n has about 4n^2 terms: `twist --n 30`
+# takes 0.3 s and `twist verify --max-n 30` 3.8 s, against 3.4 s and 11 s
+# at n = 60 and 40 (2-vCPU Xeon).  The identities workload generates up
+# to n = 19.
+MAX_TWIST_N = 32
+
 
 class TwistPolys:
     """The twist-knot sequences and their recurrence data.
@@ -434,6 +437,9 @@ def twist_A(n, sign):
     first = _twist_first(sign)
     if n < first:
         raise ValueError("the %s sequence starts at n=%d" % (sign, first))
+    if n > MAX_TWIST_N:
+        raise ValueError("n=%d too large: twist_A allows at most %d"
+                         % (n, MAX_TWIST_N))
     tw = twist_polys()
     seq = tw.seqs[sign]
     while len(seq) <= n - first:
@@ -474,9 +480,14 @@ def twist_base_identity_check(sign):
 
 def twist_identities(max_n):
     """(name, thunk) for the twist-knot base identities and recurrences,
-    in the order `twist verify` prints them; max_n must be at least 1."""
+    in the order `twist verify` prints them; max_n must be at least 1,
+    and below MAX_TWIST_N, since the identity at n uses A_(n+1)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
+    if max_n >= MAX_TWIST_N:
+        raise ValueError("max_n %d too large: the identities use A_(max_n+1)"
+                         " and twist_A allows at most %d"
+                         % (max_n, MAX_TWIST_N))
     checks = [("base identity %s" % sign,
                lambda sign=sign: twist_base_identity_check(sign))
               for sign in _TWIST_FIRST]

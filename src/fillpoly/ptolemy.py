@@ -2,13 +2,17 @@
 
 Every equation used here was transcribed once into a data file and is
 consumed verbatim: each is a sum of terms, each term a monomial
-coefficient in L and M times exactly two gamma factors.  The base solvers
-pin down the starting values from the two- or three-equation systems of
-each family, both through one 2x2 Cramer solve of the head pair and an
-exact check of every base equation.  chain_solve then walks the step
-equations in walk order, binding one new value per step by solving the
-equation that is linear in it, and checks that equation once the value
-is bound.
+coefficient in L and M times exactly two gamma factors.  One collector
+reads every equation: it sums the terms by the unknown names each holds,
+multiplying out the bound values, and each solver reads the parts it
+expects from that sum.  A check is the part with no unknowns; a step
+solve divides the part without the unknown by the part linear in it.
+The base solvers pin down the starting values from the two- or
+three-equation systems of each family, both through one 2x2 Cramer solve
+of the head pair and an exact check of every base equation.  chain_solve
+then walks the step equations in walk order, binding one new value per
+step by solving the equation that is linear in it, and checks that
+equation once the value is bound.
 
 The step equations are close to, but not always exactly, the shape
   (new)(dropped) + (carried p)^2 - (carried f)^2 = 0
@@ -226,13 +230,30 @@ class Assignment:
         return "{%s}" % ", ".join(self.names())
 
 
+def _collect(eq, asg, unknowns=()):
+    """The equation's terms summed by the unknown names each holds.
+
+    Keys are the sorted tuple of a term's names in unknowns, values the
+    coefficient times the term's other, bound values.  An unbound name
+    outside unknowns is a KeyError, as in Assignment.value.
+    """
+    out = {}
+    for coef, gammas in eq.terms:
+        term = RatFunc(coef)
+        held = []
+        for name in gammas:
+            if name in unknowns:
+                held.append(name)
+            else:
+                term = term * asg.value(name)
+        key = tuple(sorted(held))
+        out[key] = out[key] + term if key in out else term
+    return out
+
+
 def check_equation(eq, asg):
     """Is the equation exactly satisfied?  Unbound names are an error."""
-    total = None
-    for coef, (x, y) in eq.terms:
-        term = RatFunc(coef) * asg.value(x) * asg.value(y)
-        total = term if total is None else total + term
-    return total.is_zero()
+    return _collect(eq, asg)[()].is_zero()
 
 
 def solve_linear_step(eq, asg, unknown):
@@ -241,55 +262,38 @@ def solve_linear_step(eq, asg, unknown):
     Errors: the unknown appearing squared, the unknown missing entirely,
     or a vanishing linear coefficient.
     """
-    lin = None
-    const = None
-    for coef, (x, y) in eq.terms:
-        hits = (x == unknown) + (y == unknown)
-        base = RatFunc(coef)
-        if hits == 2:
-            raise ValueError("%s appears squared in %s" % (unknown, eq.label))
-        if hits == 1:
-            other = y if x == unknown else x
-            term = base * asg.value(other)
-            lin = term if lin is None else lin + term
-        else:
-            term = base * asg.value(x) * asg.value(y)
-            const = term if const is None else const + term
+    parts = _collect(eq, asg, (unknown,))
+    if (unknown, unknown) in parts:
+        raise ValueError("%s appears squared in %s" % (unknown, eq.label))
+    lin = parts.get((unknown,))
     if lin is None:
         raise ValueError("%s does not appear in %s" % (unknown, eq.label))
     if lin.is_zero():
         raise ValueError("linear coefficient of %s vanishes in %s"
                          % (unknown, eq.label))
-    if const is None:
-        const = RatFunc.zero(PVARS)
-    return -(const / lin)
+    return -(parts.get((), RatFunc.zero(PVARS)) / lin)
 
 
 # --- base solvers -------------------------------------------------------------
 
 
-def _solve_head_pair(eqs, labels, unit, single, pair):
+def _solve_head_pair(eqs, labels, partial, single, pair):
     """Cramer solve of two head equations a*t + b*z + c = 0.
 
-    With the value at `unit` fixed at 1, every term must be unit*single
-    (t is the value at single), the product of the two names in pair (z is
-    that product) or unit^2.  Returns (t, z); a term of another shape or a
-    singular system is a ValueError.
+    partial binds the unit value to 1; every term must then hold the name
+    single (t is its value), both names in pair (z is their product) or
+    neither.  Returns (t, z); a term of another shape or a singular system
+    is a ValueError.
     """
     rows = []
+    zero = RatFunc.zero(PVARS)
     for label in labels:
-        a = b = c = RatFunc.zero(PVARS)
-        for coef, (x, y) in eqs[label].terms:
-            names = {x, y}
-            if names == {unit, single}:
-                a = a + RatFunc(coef)
-            elif names == set(pair):
-                b = b + RatFunc(coef)
-            elif names == {unit}:
-                c = c + RatFunc(coef)
-            else:
-                raise ValueError("unexpected term %s*%s in %s" % (x, y, label))
-        rows.append((a, b, c))
+        parts = _collect(eqs[label], partial, (single,) + pair)
+        rows.append(tuple(parts.pop(key, zero)
+                          for key in ((single,), tuple(sorted(pair)), ())))
+        if parts:
+            raise ValueError("unexpected term %s in %s"
+                             % ("*".join(min(parts)), label))
     (a1, b1, c1), (a2, b2, c2) = rows
     det = a1 * b2 - a2 * b1
     if det.is_zero():
@@ -315,12 +319,10 @@ def solve_pretzel_base(equations=None):
     """
     eqs = equations or load_equations("pretzel238.eqs")
     labels = BASE_EQ_LABELS["pretzel238"]
-    unit, single, pair = "g_3/1", "g_4/1", ("g_1/0", "g_4/1")
-    w, sw = _solve_head_pair(eqs, labels[:2], unit, single, pair)
-    asg = (Assignment()
-           .bind(unit, RatFunc.one(PVARS))
-           .bind("g_1/0", sw / w)
-           .bind(single, w))
+    single, pair = "g_4/1", ("g_1/0", "g_4/1")
+    partial = Assignment().bind("g_3/1", RatFunc.one(PVARS))
+    w, sw = _solve_head_pair(eqs, labels[:2], partial, single, pair)
+    asg = partial.bind("g_1/0", sw / w).bind(single, w)
     return _check_closes(eqs, labels, asg)
 
 
@@ -335,61 +337,49 @@ def solve_whitehead_base(equations=None):
     """
     eqs = equations or load_equations("whitehead.eqs")
     labels = BASE_EQ_LABELS["whitehead"]
-    base_name = "g_1/0"
-    single = "g_3/1"
-    pair = ("g_0(23)", "g_2/1")
-    t, z = _solve_head_pair(eqs, labels[:2], base_name, single, pair)
-    # third equation: collect the coefficient of the squared pair head and
-    # evaluate everything else to find the radicand
+    single, pair = "g_3/1", ("g_0(23)", "g_2/1")
+    partial = Assignment().bind("g_1/0", RatFunc.one(PVARS))
+    t, z = _solve_head_pair(eqs, labels[:2], partial, single, pair)
+    # the third equation gives the squared head's coefficient and, from
+    # every other term, the radicand
     eq3 = eqs[labels[2]]
     head = pair[0]
-    partial = (Assignment()
-               .bind(base_name, RatFunc.one(PVARS))
-               .bind(single, t))
-    sq_coef = None
-    rest = RatFunc.zero(PVARS)
-    for coef, (x, y) in eq3.terms:
-        if x == head and y == head:
-            if sq_coef is not None:
-                raise ValueError("two squared terms for %s in %s"
-                                 % (head, eq3.label))
-            sq_coef = RatFunc(coef)
-        elif head in (x, y):
-            raise ValueError("%s appears unsquared in %s" % (head, eq3.label))
-        else:
-            rest = rest + RatFunc(coef) * partial.value(x) * partial.value(y)
+    partial = partial.bind(single, t)
+    parts = _collect(eq3, partial, (head,))
+    if (head,) in parts:
+        raise ValueError("%s appears unsquared in %s" % (head, eq3.label))
+    sq_coef = parts.get((head, head))
     if sq_coef is None or sq_coef.is_zero():
         raise ValueError("%s does not determine %s" % (eq3.label, head))
-    rad = -(rest / sq_coef)
+    rad = -(parts.get((), RatFunc.zero(PVARS)) / sq_coef)
     if rad.is_zero():
         raise ValueError("radicand vanishes; the root would be rational")
     root = QuadExt.pure_root(RatFunc.one(PVARS), rad)
     second = QuadExt.rational(z, rad) / root
-    asg = partial.bind(pair[0], root).bind(pair[1], second)
+    asg = partial.bind(head, root).bind(pair[1], second)
     return _check_closes(eqs, labels, asg)
 
 
 # --- the walk chain ------------------------------------------------------------
 
 
-def chain_solve(labels, step_eqs, base, upto):
+def chain_solve(labels, step_eqs, base):
     """Bind the new value of each walk step from its transcribed equation.
 
-    labels come from walk_labels; step_eqs maps step index -> PtolemyEq,
-    transcribed verbatim.  Steps 0..upto are solved in order, each binding
-    the gamma at that step's new slope, and each step's equation is checked
-    once right after its bind: values are immutable and never rebound, so
-    an equation that closed stays closed.  Values must stay pure: entirely
-    rational or an exact multiple of the shared root.
+    labels come from walk_labels; step_eqs holds one PtolemyEq per step,
+    in step order, transcribed verbatim, and may stop before the walk
+    does.  Each step binds the gamma at that step's new slope, and its
+    equation is checked once right after the bind: values are immutable
+    and never rebound, so an equation that closed stays closed.  Values
+    must stay pure: entirely rational or an exact multiple of the shared
+    root.
     """
-    if upto < 0 or upto >= len(labels):
-        raise ValueError("upto out of range")
+    if len(step_eqs) > len(labels):
+        raise ValueError("%d step equations for a walk of %d steps"
+                         % (len(step_eqs), len(labels)))
     asg = base
-    for k in range(upto + 1):
-        if k not in step_eqs:
-            raise ValueError("no equation supplied for step %d" % (k,))
-        eq = step_eqs[k]
-        unknown = gamma_name(labels[k].h)
+    for k, (label, eq) in enumerate(zip(labels, step_eqs)):
+        unknown = gamma_name(label.h)
         if unknown in asg:
             raise ValueError("step %d wants to rebind %s" % (k, unknown))
         value = solve_linear_step(eq, asg, unknown)
@@ -401,4 +391,3 @@ def chain_solve(labels, step_eqs, base, upto):
         if not check_equation(eq, asg):
             raise ArithmeticError("step %d does not close after its solve" % (k,))
     return asg
-

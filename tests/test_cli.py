@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillpoly import checks, cli
+from fillpoly import checks, cli, families, hn
 from fillpoly.checks import FULL, QUICK
 from fillpoly.cli import dispatch, parse_walk_spec
 from fillpoly.families import twist_identities
@@ -198,6 +198,36 @@ def test_twist_verify_needs_max_n_at_least_1(capsys, max_n):
     rc, out, err = run(capsys, "twist", "verify", "--max-n", str(max_n))
     assert rc == 2 and out == ""
     assert err == "error: max_n must be at least 1, got %d\n" % max_n
+
+
+def _never(*args):
+    raise AssertionError("generation started")
+
+
+@pytest.mark.parametrize("argv, where, name", [
+    (("twist", "--n", str(families.MAX_TWIST_N + 1), "--sign", "pos"),
+     families, "twist_polys"),
+    (("twist", "--n", "1000", "--sign", "neg"), families, "twist_polys"),
+    (("twist", "verify", "--max-n", str(families.MAX_TWIST_N)),
+     families, "twist_polys"),
+    (("twist", "verify", "--max-n", "1000"), families, "twist_polys"),
+    (("hn", "--n", str(hn.MAX_TAIL_N + 1)), hn, "count_subsets"),
+    (("hn", "--n", "1000", "--check-matchings"), hn, "count_subsets")])
+def test_oversized_sequence_index_exits_2_before_generating(
+        capsys, monkeypatch, argv, where, name):
+    monkeypatch.setattr(where, name, _never)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_sequence_limits_admit_what_the_checks_use():
+    # the identities benchmark generates A_n up to n = 19, and the tests
+    # reach tail_poly(23) through h_recurrence_check(24)
+    assert families.MAX_TWIST_N >= 19 and hn.MAX_TAIL_N >= 24
+    twist_identities(families.MAX_TWIST_N - 1)
+    n = hn.MAX_TAIL_N
+    assert len(hn.tail_poly(n).terms) == n * (n + 1) // 2 + 1
 
 
 @pytest.mark.parametrize("flags, base, sizes", [

@@ -7,10 +7,10 @@ from fillpoly import ptolemy
 from fillpoly.families import family_chain, get_family
 from fillpoly.farey import Slope
 from fillpoly.poly import Poly
-from fillpoly.ptolemy import (PVARS, PtolemyEq, chain_solve, check_equation,
-                              gamma_name, load_equations, load_values,
-                              parse_equations, solve_pretzel_base,
-                              solve_whitehead_base)
+from fillpoly.ptolemy import (PVARS, Assignment, PtolemyEq, chain_solve,
+                              check_equation, gamma_name, load_equations,
+                              load_values, parse_equations, solve_linear_step,
+                              solve_pretzel_base, solve_whitehead_base)
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_ratfunc
 
@@ -111,7 +111,7 @@ def _labelled_shape(step, sign=1, exchanged=False):
 def test_pretzel_step_equations_match_walk_roles(pretzel):
     # every step, step3neg included, has its labelled shape
     for sign in ("pos", "neg"):
-        for k, eq in pretzel["step_" + sign].items():
+        for k, eq in enumerate(pretzel["step_" + sign]):
             assert _shape(eq) == _labelled_shape(pretzel["labels_" + sign][k])
 
 
@@ -162,7 +162,56 @@ def test_whitehead_step_audits(whitehead):
 def test_chain_solve_refuses_to_rebind(pretzel):
     with pytest.raises(ValueError):
         chain_solve(pretzel["labels_pos"], pretzel["step_pos"],
-                    pretzel["pos"], 3)
+                    pretzel["pos"])
+
+
+def test_chain_solve_refuses_more_equations_than_walk_steps(pretzel):
+    labels, steps = pretzel["labels_pos"], pretzel["step_pos"]
+    extra = steps + (steps[0],) * (len(labels) + 1 - len(steps))
+    with pytest.raises(ValueError, match="step equations for a walk of"):
+        chain_solve(labels, extra, solve_pretzel_base())
+
+
+def _ones(*names):
+    asg = Assignment()
+    for name in names:
+        asg = asg.bind(name, RatFunc.one(PVARS))
+    return asg
+
+
+@pytest.mark.parametrize("text,message", [
+    ("e: g_a^2 - g_b*g_c = 0", "g_a appears squared in e"),
+    ("e: g_b*g_c - g_b^2 = 0", "g_a does not appear in e"),
+    ("e: g_a*g_b - g_a*g_c + g_b^2 = 0",
+     "linear coefficient of g_a vanishes in e")])
+def test_solve_linear_step_errors(text, message):
+    eq = parse_equations(text)["e"]
+    with pytest.raises(ValueError, match=message):
+        solve_linear_step(eq, _ones("g_b", "g_c"), "g_a")
+
+
+def test_solve_linear_step_sums_every_linear_term():
+    eq = parse_equations("e: g_a*g_b + L*g_c*g_a - g_b^2 = 0")["e"]
+    assert solve_linear_step(eq, _ones("g_b", "g_c"), "g_a") \
+        == rf("1 / (1 + L)")
+
+
+_HEAD = ("g_0(23)", "g_0(23)")
+
+
+@pytest.mark.parametrize("keep,extra,message", [
+    (lambda pair: True, [("g_0(23)", "g_1/0")],
+     r"g_0\(23\) appears unsquared in link3"),
+    (lambda pair: pair != _HEAD, [], r"link3 does not determine g_0\(23\)"),
+    (lambda pair: pair == _HEAD, [], "radicand vanishes")])
+def test_whitehead_radicand_step_errors(keep, extra, message):
+    # link3 cut to the terms keep accepts, plus a unit term per extra pair
+    eqs = dict(load_equations("whitehead.eqs"))
+    eqs["link3"] = PtolemyEq("link3", tuple(
+        t for t in eqs["link3"].terms if keep(t[1]))
+        + tuple((Poly.one(PVARS), pair) for pair in extra))
+    with pytest.raises(ValueError, match=message):
+        solve_whitehead_base(eqs)
 
 
 # family -> (base solver, its two head labels, a product of no head-term
