@@ -19,16 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cli import _apoly_payload, _emit_json_doc
-from .families import (FAMILIES, REDUCE_CANDIDATES, divides_conjugate,
-                       family_chain, get_family, numeric_agreement, run_family,
-                       twist_identities)
-from .farey import (FareyTriangle, Slope, Walk, _new_slope, anatomy,
-                    crossing_count, crossing_count_oracle, is_neighbor,
-                    walk_labels)
+from .families import (FAMILIES, MAX_TWIST_N, REDUCE_CANDIDATES,
+                       divides_conjugate, family_chain, get_family,
+                       numeric_agreement, run_family, twist_identities)
+from .farey import (ORACLE_MAX_BOUND, FareyTriangle, Slope, Walk, _new_slope,
+                    anatomy, crossing_count, crossing_count_oracle,
+                    is_neighbor, walk_labels)
 from .hn import (TailEntry, h_recurrence_check, iterate_exchange,
                  symbolic_tail_values, tail_collapse, tail_poly)
-from .matchings import (TAIL_VARS, count_subsets, count_subsets_oracle,
-                        enumerate_matchings, matching_step_check, matching_sum)
+from .matchings import (MAX_ENUM_RUNGS, TAIL_VARS, count_subsets,
+                        count_subsets_oracle, enumerate_matchings,
+                        matching_step_check, matching_sum)
 from .poly import Poly, divide_out, poly_divides
 from .ptolemy import (BASE_EQ_LABELS, PVARS, check_equation, gamma_name,
                       load_values)
@@ -38,7 +39,11 @@ from .ratfunc import PoleError, RatFunc, parse_ratfunc
 
 @dataclass(frozen=True)
 class Ranges:
-    """How far each check reaches.  bound None means 4 * max_n + 1."""
+    """How far each check reaches.  bound None means 4 * max_n + 1.
+
+    A size beyond what a check's module accepts is refused here, so that
+    selftest rejects it before any check runs.
+    """
 
     samples: int            # random draws per sampled check
     max_n: int              # size ceiling of the symbolic checks
@@ -57,6 +62,18 @@ class Ranges:
             raise ValueError("sample count must be at least 1")
         if self.max_n < 1 or self.max_m < 1:
             raise ValueError("size limits must be at least 1")
+        if 2 * self.max_n > MAX_ENUM_RUNGS:
+            raise ValueError("max_n %d needs %d ladder rungs in "
+                             "hn-equals-matching-sum; enumeration stops at %d"
+                             % (self.max_n, 2 * self.max_n, MAX_ENUM_RUNGS))
+        if self.max_n >= MAX_TWIST_N:
+            raise ValueError("max_n %d needs A_%d in twist-recurrences; "
+                             "twist polynomials stop at n = %d"
+                             % (self.max_n, self.max_n + 1, MAX_TWIST_N))
+        if self.oracle_bound() > ORACLE_MAX_BOUND:
+            raise ValueError("crossing-oracle bound %d is above the oracle's "
+                             "limit of %d"
+                             % (self.oracle_bound(), ORACLE_MAX_BOUND))
 
     def oracle_bound(self):
         return 4 * self.max_n + 1 if self.bound is None else self.bound

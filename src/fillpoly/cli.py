@@ -365,19 +365,19 @@ def build_parser():
     p.add_argument("--check-matchings", action="store_true",
                    help="verify H(n) equals the 2n-rung matching sum")
     _add_common(p)
-    p.set_defaults(func=cmd_hn)
+    p.set_defaults(command_fn="cmd_hn")
 
     p = sub.add_parser("pn", help="ladder matching sum by enumeration")
     p.add_argument("--n", type=int, required=True, help="rung count (>= 1)")
     _add_common(p)
-    p.set_defaults(func=cmd_pn)
+    p.set_defaults(command_fn="cmd_pn")
 
     p = sub.add_parser("matchings", help="enumerate ladder matchings")
     p.add_argument("--n", type=int, required=True, help="rung count (>= 1)")
     p.add_argument("--list", action="store_true",
                    help="list every matching with its weight")
     _add_common(p)
-    p.set_defaults(func=cmd_matchings)
+    p.set_defaults(command_fn="cmd_matchings")
 
     p = sub.add_parser("farey", help="crossing counts and triangle walks")
     fsub = p.add_subparsers(dest="farey_cmd", required=True,
@@ -391,13 +391,13 @@ def build_parser():
                     help="also run the brute-force oracle at this bound "
                          "and the next")
     _add_common(pc)
-    pc.set_defaults(func=cmd_farey_cross)
+    pc.set_defaults(command_fn="cmd_farey_cross")
     pw = fsub.add_parser("walk", help="label a triangle walk")
     pw.add_argument("spec",
                     help="walk spec, e.g. 'triangle=3/1,4/1,1/0;word=LLRLL' "
                          "(first slope = dropped by step 0)")
     _add_common(pw)
-    pw.set_defaults(func=cmd_farey_walk)
+    pw.set_defaults(command_fn="cmd_farey_walk")
 
     p = sub.add_parser("apoly", help="run one family filling end to end")
     p.add_argument("--family", required=True,
@@ -410,7 +410,7 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="shorthand for --format json")
     _add_common(p)
-    p.set_defaults(func=cmd_apoly)
+    p.set_defaults(command_fn="cmd_apoly")
 
     p = sub.add_parser("twist", help="twist-knot A-polynomial sequences")
     p.add_argument("mode", nargs="?", choices=("verify",),
@@ -422,7 +422,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=8,
                    help="largest n for verify mode (default 8)")
     _add_common(p)
-    p.set_defaults(func=cmd_twist)
+    p.set_defaults(command_fn="cmd_twist")
 
     p = sub.add_parser("selftest",
                        help="run every module invariant, print a table")
@@ -437,7 +437,7 @@ def build_parser():
     p.add_argument("--quick", action="store_true",
                    help="shrink every range for a fast smoke pass")
     _add_common(p)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(command_fn="cmd_selftest")
 
     return parser
 
@@ -473,14 +473,24 @@ def _join_slope_flags(argv):
     return out
 
 
+# built at the first dispatch, not at import, and kept for the process
+_parser = None
+
+
 def dispatch(argv=None):
-    """Parse argv and run one subcommand; returns the process exit code."""
+    """Parse argv and run one subcommand; returns the process exit code.
+
+    The subcommand's function is looked up by name in this module at each
+    call, so a replaced cmd_* function is the one that runs.
+    """
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_slope_flags(list(argv))
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -488,7 +498,7 @@ def dispatch(argv=None):
         return code if isinstance(code, int) else 2
     try:
         args.format = _output_format(args)
-        return args.func(args)
+        return globals()[args.command_fn](args)
     except BrokenPipeError:
         return 1
     except (ValueError, TypeError, KeyError) as exc:

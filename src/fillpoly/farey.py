@@ -264,8 +264,11 @@ def crossing_count(s, h):
     """Number of triangulation edges separating two distinct slopes.
 
     Computed by moving s to infinity with a determinant-1 change of
-    coordinates and walking the mediant tree down to the image of h; the
-    number of refinement steps is the number of separating edges.
+    coordinates.  Each step of the mediant walk from the two integers
+    around the image a/b down to it crosses one edge separating a/b from
+    1/0.  The walk turns at the partial quotients [0; a1, ..., ak] of
+    a/b's fractional part and takes a1 + ... + ak - 1 steps, a sum that
+    Euclid's algorithm gives in O(log b) steps.
     """
     if not isinstance(s, Slope) or not isinstance(h, Slope):
         raise TypeError("crossing_count expects two Slopes")
@@ -281,20 +284,12 @@ def crossing_count(s, h):
         raise ValueError("slopes coincide after reduction")
     if b == 1:
         return 0
-    lo = a // b
-    lo_p, lo_q = lo, 1
-    hi_p, hi_q = lo + 1, 1
-    count = 0
-    while True:
-        mp, mq = lo_p + hi_p, lo_q + hi_q
-        count += 1
-        cmp = a * mq - mp * b
-        if cmp == 0:
-            return count
-        if cmp < 0:
-            hi_p, hi_q = mp, mq
-        else:
-            lo_p, lo_q = mp, mq
+    count = -1
+    r, t = b, a % b
+    while t:
+        count += r // t
+        r, t = t, r % t
+    return count
 
 
 def _bezout(p, q):

@@ -418,24 +418,53 @@ class Poly:
 
 # --- exact division ------------------------------------------------------
 #
-# poly_divides is sparse division on a max-heap of the remainder's
-# monomials, a plain form of the heap division of Monagan and Pearce (2011)
-# that keeps the remainder in a dict.  It rests on what holds in an
-# integral domain: the leading term of a product is the product of the
-# leading terms, and degrees add per variable.  The divisor is scaled to
-# its primitive integer part, and a dividend with a non-integer coefficient
-# to its own.  When a primitive integer polynomial divides an integer
-# polynomial over the rationals, the quotient has integer coefficients
-# (Gauss's lemma), so each quotient coefficient is an integer divmod by the
-# divisor's leading coefficient, and a nonzero remainder proves
-# non-divisibility.  Because degrees add, an exact quotient has every
-# exponent in the box [pmin - dmin, pmax - dmax] (componentwise minimum and
-# maximum exponents of dividend and divisor), so a quotient monomial
-# outside it proves non-divisibility as well.  The products of box
-# monomials with divisor monomials stay in the dividend's box [pmin, pmax],
-# where keys packed over that box keep lex order and never alias.  The
-# rational contents rejoin at the end as a constant factor on the
-# quotient.
+# poly_divides is sparse division in the manner of Monagan and Pearce
+# (2011): the remainder's terms are taken largest monomial first.  It rests
+# on what holds in an integral domain: the leading term of a product is the
+# product of the leading terms, and degrees add per variable.  The divisor
+# is scaled to its primitive integer part, and a dividend with a
+# non-integer coefficient to its own.  When a primitive integer polynomial
+# divides an integer polynomial over the rationals, the quotient has
+# integer coefficients (Gauss's lemma), so each quotient coefficient is an
+# integer divmod by the divisor's leading coefficient, and a nonzero
+# remainder proves non-divisibility.  Because degrees add, an exact
+# quotient has every exponent in the box [pmin - dmin, pmax - dmax]
+# (componentwise minimum and maximum exponents of dividend and divisor),
+# so a quotient monomial outside it proves non-divisibility as well.  The
+# products of box monomials with divisor monomials stay in the dividend's
+# box [pmin, pmax], where keys packed over that box, shifted down by pmin,
+# keep lex order and never alias.  The rational contents rejoin at the end
+# as a constant factor on the quotient.
+#
+# Two walks hold the remainder.  The heap walk keeps it in a dict and
+# merges the dividend's sorted keys with a max-heap of the keys the
+# division adds; each term pair costs a dict lookup and often a heappush.
+# The dense walk keeps it in a list with one entry per slot of the box,
+# walked from the top key down past empty slots; each term pair costs one
+# list update.  The quotient has about qslots * |p| / slots terms (qslots
+# the slots of the quotient box, slots those of the dividend's box), so
+# about |d| * qslots * |p| / slots term pairs, and the dense walk is taken
+# when those reach the slots: the list then holds at most |d| * |p|
+# entries.  Measured on a 2-vCPU Xeon, Python 3.11.7, best of 3 per call
+# over every division the perfbench workloads (seed 1, jobs and oracles)
+# and the tier-1 tests make, two runs each:
+# - whitehead-fill's oracle, 80 divisions of the basis-changed numerator
+#   by the twist divisor (182 by 2,947 terms at pos m = 4, 11,025 slots):
+#   all take the dense walk, 0.855 / 0.977 s by the heap, 0.538 / 0.588 s
+#   under the rule;
+# - whitehead-fill's jobs, 598 divisions (420 with an empty quotient box,
+#   28 dense): 0.012 / 0.014 s either way.  pretzel-fill's jobs, 656
+#   divisions (294 empty, 3 dense): 0.043 / 0.061 s by the heap, 0.040 /
+#   0.056 s under the rule.  identities divides nothing;
+# - tier-1, 14,879 divisions (8,008 empty, 1,150 dense): 1.97 / 1.85 s by
+#   the heap, 1.73 / 1.62 s under the rule and 2.37 / 2.19 s dense on
+#   every call.  The faster walk for each call would take 1.61 / 1.52 s;
+# - taking the dense walk from a quarter of a pair per slot would save
+#   0.07 s of tier-1, 0.0001 to 0.0009 s of each workload's divisions and
+#   nothing of the oracle, and a list up to 4 * |d| * |p| long, so the
+#   rule stays at one.
+
+_DENSE_PAIRS_PER_SLOT = 1
 
 
 def poly_divides(d, p):
@@ -475,33 +504,35 @@ def divide_out(d, p, limit=None):
 def _sparse_divide(p, d):
     """Exact quotient of p by a nonzero divisor d, or None.
 
-    The remainder is a dict keyed by packed monomials.  Its terms are taken
-    largest key first, and each must be the divisor's leading term times
-    the next quotient term.  The dividend's keys are sorted once.  The keys
-    the division adds, products of a quotient term with the divisor's lower
-    terms and so smaller than the key being taken, go on a max-heap, which
-    is merged with the sorted list.  A key already in the remainder is
-    updated in place, so each key is taken once.
+    Monomials are packed into keys over the dividend's box shifted down to
+    its lowest exponents.  The remainder's terms are taken largest key
+    first, and each must be the divisor's leading term times the next
+    quotient term; subtracting that term times the divisor's lower terms
+    only changes smaller keys.  One of two walks holds the remainder,
+    chosen from the estimated term pairs against the box's slots.
     """
     nv = len(p.vars)
     cols = [list(map(itemgetter(i), p.terms)) for i in range(nv)]
     pmin, pmax = list(map(min, cols)), list(map(max, cols))
     dmin, dmax = d.monomial_content(), d.max_degrees()
     lexps, _ = d.leading_term()
-    strides, _ = _strides([e + 1 for e in pmax])
-    # per variable: stride, radix, and the remainder's leading exponents
-    # that give a quotient term in the box
+    radices = [hi - lo + 1 for lo, hi in zip(pmin, pmax)]
+    strides, slots = _strides(radices)
+    # per variable: stride, radix, and the remainder's leading exponents,
+    # less pmin, that give a quotient term in the box
     box = []
+    qslots = 1
     for i in range(nv):
         qlo, qhi = pmin[i] - dmin[i], pmax[i] - dmax[i]
         if qlo < 0 or qlo > qhi:
             return None
-        box.append((strides[i], pmax[i] + 1, qlo + lexps[i], qhi + lexps[i]))
+        qslots *= qhi - qlo + 1
+        box.append((strides[i], radices[i],
+                    qlo + lexps[i] - pmin[i], qhi + lexps[i] - pmin[i]))
     # keys are taken in descending order, so the first exponent never
     # rises, and its upper bound is pmax[0] (d's leading term has d's
     # largest first exponent): its check is one threshold on the key
     kmin = strides[0] * box[0][2] if nv else 0
-    rest = box[1:]
     if (d.terms[lexps] in (1, -1)
             and Fraction not in set(map(type, d.terms.values()))):
         cd = 1                      # content 1: primitive() would return d
@@ -511,13 +542,40 @@ def _sparse_divide(p, d):
     if Fraction in set(map(type, p.terms.values())):
         cp, p = p.primitive()       # keeps the term order cols was read in
     keys = _keys(cols, strides, len(p.terms))
-    rem = dict(zip(keys, p.terms.values()))
-    keys.sort(reverse=True)
-    keys.append(-1)                 # below every key: the sorted list is spent
-    heap = [1]                      # the same sentinel, negated
+    low = sum(map(mul, pmin, strides))
+    if low:
+        keys = list(map(sub, keys, repeat(low)))
     lk, lc = sum(map(mul, lexps, strides)), d.terms[lexps]
     tail = [(sum(map(mul, e, strides)) - lk, c)
             for e, c in d.terms.items() if e != lexps]
+    dense = (len(d.terms) * qslots * len(p.terms)
+             >= _DENSE_PAIRS_PER_SLOT * slots * slots)
+    walk = _dense_walk if dense else _heap_walk
+    q = walk(keys, p.terms.values(), slots, kmin, box[1:], lc, tail)
+    if q is None:
+        return None
+    # q is keyed by the remainder's key each quotient term was taken at
+    cols = [[k // st % rad + lo - e for k in q]
+            for (st, rad, _, _), lo, e in zip(box, pmin, lexps)]
+    exps = zip(*cols) if nv else [()] * len(q)
+    quotient = Poly._raw(p.vars, dict(zip(exps, q.values())))
+    if cp != 1 or cd != 1:
+        quotient = quotient * (cp / cd)
+    return quotient
+
+
+def _heap_walk(keys, coefs, slots, kmin, rest, lc, tail):
+    """The quotient terms by remainder key, or None: the remainder in a dict,
+    which needs no slot count.
+
+    The dividend's keys are sorted once.  The keys the division adds go on
+    a max-heap, which is merged with the sorted list.  A key already in the
+    remainder is updated in place, so each key is taken once.
+    """
+    rem = dict(zip(keys, coefs))
+    keys.sort(reverse=True)
+    keys.append(-1)                 # below every key: the sorted list is spent
+    heap = [1]                      # the same sentinel, negated
     q = {}
     i = 0
     while True:
@@ -525,7 +583,7 @@ def _sparse_divide(p, d):
         if -heap[0] > k:
             k = -heappop(heap)
         elif k < 0:
-            break
+            return q
         else:
             i += 1
         c = rem.pop(k)
@@ -539,7 +597,7 @@ def _sparse_divide(p, d):
         for st, rad, lo, hi in rest:
             if not lo <= k // st % rad <= hi:
                 return None
-        q[k - lk] = qc
+        q[k] = qc
         for off, dc in tail:
             kk = k + off
             v = rem.get(kk)
@@ -548,12 +606,29 @@ def _sparse_divide(p, d):
                 heappush(heap, -kk)
             else:
                 rem[kk] = v - qc * dc
-    cols = [[k // st % rad for k in q] for st, rad, _, _ in box]
-    exps = zip(*cols) if nv else [()] * len(q)
-    quotient = Poly._raw(p.vars, dict(zip(exps, q.values())))
-    if cp != 1 or cd != 1:
-        quotient = quotient * (cp / cd)
-    return quotient
+
+
+def _dense_walk(keys, coefs, slots, kmin, rest, lc, tail):
+    """The quotient terms by remainder key, or None: the remainder in a list
+    with one entry per slot of the box, walked from the top key down."""
+    rem = [0] * slots
+    for k, c in zip(keys, coefs):
+        rem[k] = c
+    q = {}
+    for k in range(max(keys), kmin - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        qc, r = divmod(c, lc)
+        if r:
+            return None
+        for st, rad, lo, hi in rest:
+            if not lo <= k // st % rad <= hi:
+                return None
+        q[k] = qc
+        for off, dc in tail:
+            rem[k + off] -= qc * dc
+    return None if any(rem[:kmin]) else q
 
 
 # --- packed (Kronecker substitution) multiplication ----------------------

@@ -251,6 +251,59 @@ def test_selftest_rejects_zero_samples(capsys, monkeypatch):
     assert err == "error: sample count must be at least 1\n"
 
 
+def _registry_fails(*args):
+    pytest.fail("a selftest check ran")
+
+
+@pytest.mark.parametrize("flags, limits, message", [
+    (("--max-n", "13"), {},
+     "max_n 13 needs 26 ladder rungs in hn-equals-matching-sum; "
+     "enumeration stops at 24"),
+    # under the real limits every max_n the rungs admit is below
+    # MAX_TWIST_N, and 4 * max_n + 1 below ORACLE_MAX_BOUND
+    (("--max-n", "10"), {"MAX_TWIST_N": 10},
+     "max_n 10 needs A_11 in twist-recurrences; twist polynomials stop at "
+     "n = 10"),
+    (("--bound", "501"), {},
+     "crossing-oracle bound 501 is above the oracle's limit of 500"),
+    (("--max-n", "5"), {"ORACLE_MAX_BOUND": 20},
+     "crossing-oracle bound 21 is above the oracle's limit of 20"),
+])
+def test_selftest_refuses_sizes_its_checks_cannot_run(
+        capsys, monkeypatch, flags, limits, message):
+    monkeypatch.setattr(checks, "CHECKS", [("stub", _registry_fails)])
+    monkeypatch.setattr(checks, "family_runner", _registry_fails)
+    for name, value in limits.items():
+        monkeypatch.setattr(checks, name, value)
+    rc, out, err = run(capsys, "selftest", *flags)
+    assert rc == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_selftest_size_limits_admit_the_largest_sizes():
+    args = cli.build_parser().parse_args(
+        ["selftest", "--max-n", "12", "--bound", "500"])
+    assert cli._selftest_ranges(args) == replace(FULL, max_n=12, bound=500)
+    # --quick shrinks the flag before the limits apply
+    args = cli.build_parser().parse_args(["selftest", "--quick", "--max-n", "13"])
+    assert cli._selftest_ranges(args) == QUICK
+
+
+def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, "pn", "--n", "1")[:2] == (0, "g_p\n")
+    assert run(capsys, "hn", "--n", "1")[0] == 0
+    assert len(built) == 1
+
+
 def test_format_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FILLPOLY_FORMAT", "json")
     rc, out, _ = run(capsys, "pn", "--n", "1")
@@ -399,3 +452,17 @@ def test_memory_error_exits_cleanly(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def test_replaced_command_runs_after_an_earlier_dispatch(capsys, monkeypatch):
+    # the parser built by the first dispatch names the command, so the
+    # replacement below is what the second one runs
+    assert run(capsys, "farey", "cross", "--from", "0/1", "--to", "1/0")[:2] \
+        == (0, "0\n")
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_farey_cross", exhausted)
+    rc, out, err = run(capsys, "farey", "cross", "--from", "0/1", "--to", "1/0")
+    assert (rc, out, err) == (2, "", "error: out of memory\n")

@@ -1,6 +1,8 @@
 import ast
 import pathlib
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +151,65 @@ def test_crossing_count_against_oracle():
         for bound in (need, need + 1, need + 4, need + 9):
             assert got == crossing_count_oracle(a, b, bound), (sa, sb, bound)
             assert got == crossing_count_oracle(b, a, bound), (sb, sa, bound)
+
+
+def _mediant_walk_count(s, h):
+    """The count by walking the mediant tree, one step per separating edge:
+    crossing_count's former route, kept as a reference."""
+    u, v = farey._bezout(s.p, s.q)
+    a = u * h.p + v * h.q
+    b = -s.q * h.p + s.p * h.q
+    if b < 0:
+        a, b = -a, -b
+    if b == 1:
+        return 0
+    lo = a // b
+    lo_p, lo_q = lo, 1
+    hi_p, hi_q = lo + 1, 1
+    count = 0
+    while True:
+        mp, mq = lo_p + hi_p, lo_q + hi_q
+        count += 1
+        cmp = a * mq - mp * b
+        if cmp == 0:
+            return count
+        if cmp < 0:
+            hi_p, hi_q = mp, mq
+        else:
+            lo_p, lo_q = mp, mq
+
+
+wide_slopes = st.tuples(st.integers(min_value=-80, max_value=80),
+                        st.integers(min_value=0, max_value=80)).filter(
+    any).map(lambda pq: Slope(*pq))
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_slopes, wide_slopes)
+def test_crossing_count_matches_the_mediant_walk(a, b):
+    if a != b:
+        assert crossing_count(a, b) == _mediant_walk_count(a, b)
+
+
+def test_crossing_count_against_oracle_on_random_pairs():
+    rng = random.Random(26)
+    pool = sorted({Slope(rng.randint(-12, 12), rng.randint(0, 12))
+                   for _ in range(60)} - {Slope(1, 0)}, key=str)
+    pool.append(Slope(1, 0))
+    for _ in range(40):
+        a, b = rng.sample(pool, 2)
+        # entries of at most 12 need a bound of at most 48
+        assert crossing_count(a, b) == crossing_count_oracle(a, b, 60), (a, b)
+
+
+def test_crossing_count_of_a_400_digit_slope():
+    n = 10 ** 399 + 7
+    start = time.perf_counter()
+    # n/(n + 1) has fractional part [0; 1, n]: 1 + n - 1 crossings
+    assert crossing_count(S("1/0"), Slope(n, n + 1)) == n
+    a, b = Slope(3 * n + 2, 5 * n - 1), Slope(-7, 3)
+    assert crossing_count(a, b) == crossing_count(b, a)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_oracle_rejects_small_bound():

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fillpoly import poly as poly_mod
 from fillpoly.checks import divides_roundtrip, ring_axioms
-from fillpoly.families import REDUCE_CANDIDATES
+from fillpoly.families import (REDUCE_CANDIDATES, divides_conjugate,
+                               family_chain, get_family)
 from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, divide_out, poly_divides
@@ -977,3 +978,86 @@ def test_two_term_divisors_of_other_shapes(text):
     ok, got = poly_divides(d, q * d)
     assert ok and got == q
     assert poly_divides(d, q * d + M) == (False, None)
+
+
+# --- the two remainder walks -----------------------------------------------
+
+# _DENSE_PAIRS_PER_SLOT values that force one walk: the rule compares the
+# estimated term pairs with this many per slot
+WALKS = {"heap": float("inf"), "dense": 0}
+
+
+def _divides_by(walk, d, p):
+    """poly_divides(d, p) with the remainder walk forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_mod, "_DENSE_PAIRS_PER_SLOT", WALKS[walk])
+        return poly_divides(d, p)
+
+
+def _walk_fails(*args):
+    raise AssertionError("this remainder walk was taken")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_remainder_walks_agree(data):
+    vars = data.draw(st.sampled_from(VARSETS))
+    nv = len(vars)
+    d = Poly(vars, data.draw(_terms(nv, 3, half_coefs.filter(bool), 1)))
+    if data.draw(st.booleans()):
+        d = -d
+    q = Poly(vars, data.draw(_terms(nv, 3, half_coefs)))
+    # r is often empty (a hit) and otherwise usually a miss
+    r = Poly(vars, data.draw(_terms(nv, 4, half_coefs)))
+    p = q * d + r
+    heap = _divides_by("heap", d, p)
+    assert _divides_by("dense", d, p) == heap
+    ok, got = heap
+    if r.is_zero():
+        assert ok and got == q
+    if ok:
+        assert got * d == p
+        _assert_clean(got)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_remainder_walk_fixed_cases(walk):
+    x, y, z = (Poly.variable(XYZ, v) for v in XYZ)
+    # x^2 + y^2 leaves 2*y^2 by x - y, whose x-exponent is below the
+    # divisor's leading one: a nonzero remainder below kmin
+    assert _divides_by(walk, x - y, x**2 + y**2) == (False, None)
+    # the leading x*z^2 asks for the quotient term z^2, whose z-exponent is
+    # above the box's z^1
+    assert _divides_by(walk, x + z, x * z**2 + y) == (False, None)
+    # a Fraction dividend and a negative leading coefficient
+    d, q = -2 * x * y + z + 3, x * z * Fraction(1, 2) - y**2
+    assert _divides_by(walk, d, q * d) == (True, q)
+    assert _divides_by(walk, d, q * d + z * Fraction(1, 3)) == (False, None)
+
+
+def test_empty_quotient_box_takes_no_walk(monkeypatch):
+    monkeypatch.setattr(poly_mod, "_heap_walk", _walk_fails)
+    monkeypatch.setattr(poly_mod, "_dense_walk", _walk_fails)
+    x, y = (Poly.variable(XY, v) for v in XY)
+    # x-degree of p below d's; y-degree of p below d's; y content of d
+    # above p's
+    assert poly_divides(x**2 + 1, x + 1) == (False, None)
+    assert poly_divides(x + y**2, x * y + 1) == (False, None)
+    assert poly_divides(x * y + y, x + 1) == (False, None)
+
+
+def test_divisor_check_takes_the_dense_walk(family_runs, monkeypatch):
+    # whitehead pos m = 4: 182 divisor terms, 2,947 dividend terms and a
+    # 1,422-term quotient, in a dividend box of 11,025 slots
+    result = family_runs("whitehead", "pos", 4)
+    monkeypatch.setattr(poly_mod, "_heap_walk", _walk_fails)
+    assert divides_conjugate(get_family("whitehead", "pos"), 4, result)
+
+
+def test_sparse_chain_value_takes_the_heap_walk(monkeypatch):
+    # 212 terms times L - M: 424 terms in a 40 x 62 box, about a third of
+    # an estimated term pair per slot
+    f = family_chain(get_family("pretzel238", "pos")).entry.f.num
+    d = parse_poly("L - M", PVARS)
+    monkeypatch.setattr(poly_mod, "_dense_walk", _walk_fails)
+    assert poly_divides(d, f * d) == (True, f)
