@@ -37,6 +37,16 @@ from .quadext import QuadExt
 from .ratfunc import PoleError, RatFunc, parse_ratfunc
 
 
+def _slope_pool(max_entry):
+    pool = [Slope(1, 0)]
+    for q in range(1, max_entry + 1):
+        for p in range(-max_entry, max_entry + 1):
+            s = Slope(p, q)
+            if abs(s.p) <= max_entry and s.q <= max_entry and s not in pool:
+                pool.append(s)
+    return pool
+
+
 @dataclass(frozen=True)
 class Ranges:
     """How far each check reaches.  bound None means 4 * max_n + 1.
@@ -70,10 +80,16 @@ class Ranges:
             raise ValueError("max_n %d needs A_%d in twist-recurrences; "
                              "twist polynomials stop at n = %d"
                              % (self.max_n, self.max_n + 1, MAX_TWIST_N))
-        if self.oracle_bound() > ORACLE_MAX_BOUND:
+        bound = self.oracle_bound()
+        if bound > ORACLE_MAX_BOUND:
             raise ValueError("crossing-oracle bound %d is above the oracle's "
-                             "limit of %d"
-                             % (self.oracle_bound(), ORACLE_MAX_BOUND))
+                             "limit of %d" % (bound, ORACLE_MAX_BOUND))
+        # the oracle needs abs(p) + q of both slopes of a pair
+        need = 2 * max(abs(s.p) + s.q for s in _slope_pool(self.max_n))
+        if bound < need:
+            raise ValueError("crossing-oracle bound %d is below the %d that "
+                             "the slope pool of max_n %d needs"
+                             % (bound, need, self.max_n))
 
     def oracle_bound(self):
         return 4 * self.max_n + 1 if self.bound is None else self.bound
@@ -179,16 +195,6 @@ def _rand_walk(rng, min_len=2, max_len=10, forced_tail=0):
     if forced_tail:
         word += word[-1] * forced_tail
     return Walk(FareyTriangle(o0, p0, f0), FareyTriangle(h0, p0, f0), word)
-
-
-def _slope_pool(max_entry):
-    pool = [Slope(1, 0)]
-    for q in range(1, max_entry + 1):
-        for p in range(-max_entry, max_entry + 1):
-            s = Slope(p, q)
-            if abs(s.p) <= max_entry and s.q <= max_entry and s not in pool:
-                pool.append(s)
-    return pool
 
 
 # --- predicates over one drawn input -----------------------------------------

@@ -306,8 +306,7 @@ def _selftest_ranges(args):
         value = getattr(args, field)
         if value is not None:
             sizes[field] = min(value, getattr(ranges, field)) if args.quick else value
-    return replace(ranges, bound=args.bound, seed=getattr(args, "seed", 0),
-                   **sizes)
+    return replace(ranges, bound=args.bound, seed=args.seed, **sizes)
 
 
 def cmd_selftest(args):
@@ -346,8 +345,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json"),
                      default=argparse.SUPPRESS,
                      help="output format (default: $%s or text)" % FORMAT_ENV)
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="random seed for sampled checks (default 0)")
 
 
 def build_parser():
@@ -436,6 +433,8 @@ def build_parser():
                    help="crossing-oracle bound override")
     p.add_argument("--quick", action="store_true",
                    help="shrink every range for a fast smoke pass")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed for sampled checks (default 0)")
     _add_common(p)
     p.set_defaults(command_fn="cmd_selftest")
 

@@ -49,7 +49,7 @@ def _pp(text):
 # normalization, so no bare variables.
 #
 # Each entry is a binomial +-x^a +- t with t free of x, which poly_divides
-# tests by heap division like any other divisor.  Each entry is used: over
+# tests by sparse division like any other divisor.  Each entry is used: over
 # both families, both signs and m <= 4, the tail-entry reductions cancel
 # M - 1, M + 1 and L^2 -+ M^3 (pretzel238) and L + M^2 (whitehead), and the
 # output denominators strip L - 1, M -+ 1 and L -+ M.  Five earlier entries

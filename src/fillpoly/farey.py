@@ -177,7 +177,9 @@ def walk_labels(walk):
     after = [s for s in shared if _circular_key(s) > kh]
     ordered = after + [s for s in shared if _circular_key(s) <= kh]
     p0, f0 = ordered[0], ordered[1]
-    _check_flip(o0, h0, p0, f0)
+    if _new_slope(o0, p0, f0) != h0:
+        raise ValueError("inconsistent step: %s,%s do not combine to %s and %s"
+                         % (p0, f0, o0, h0))
     labels = [StepLabels(0, o0, h0, p0, f0)]
     prev_letter = "R"
     for k, letter in enumerate(walk.word, start=1):
@@ -190,13 +192,6 @@ def walk_labels(walk):
         labels.append(StepLabels(k, o, h, p, f))
         prev_letter = letter
     return labels
-
-
-def _check_flip(o, h, p, f):
-    cands = {_combine(p, f), _combine(p, f, sub=True)}
-    if cands != {o, h}:
-        raise ValueError("inconsistent step: %s,%s do not combine to %s and %s"
-                         % (p, f, o, h))
 
 
 def _new_slope(o, p, f):

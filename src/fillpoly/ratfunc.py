@@ -26,15 +26,17 @@ only the shared power of M and the denominator's leading sign.
 
 poly_divides has one route for every divisor, the reduction candidates
 such as L - M and the factors of the cross-cancellation alike: sparse
-division on a heap of packed monomial keys over integer coefficients.
-It is sound because in an integral domain the leading term of a product
-is the product of the leading terms and degrees add per variable, so
-any failed step proves non-divisibility.
+division of packed monomial keys, the remainder in a heap or, in a dense
+box, a flat list.  It is sound because in an integral domain the leading
+term of a product is the product of the leading terms and degrees add
+per variable, so any failed step proves non-divisibility.
 """
 
+import ast
+import re
 from fractions import Fraction
 from itertools import repeat
-from operator import add, and_, itemgetter, mul, sub
+from operator import add, and_, itemgetter, mul, sub, truediv
 
 from .poly import Poly, divide_out, exact_coef, poly_divides
 
@@ -315,147 +317,84 @@ def substitute_basis(rf, sign, e):
 
 # --- parsing -----------------------------------------------------------------
 #
-# One small recursive-descent parser covers all the textual inputs in the
-# package: transcribed fixtures in factored form (possibly with negative
-# powers), polynomial constants, and test expressions.  Grammar, loosest
-# binding first:
-#
-#   expr   := term (('+'|'-') term)*
-#   term   := unary (('*'|'/')? unary)*        adjacency multiplies
-#   unary  := '-' unary | power
-#   power  := atom ('^' '-'? INT)?
-#   atom   := '(' expr ')' | NAME | INT
-#
-# Variables must belong to the declared table; anything else is an error.
+# Every text the package reads (the transcribed fixtures in factored form,
+# polynomial constants, test expressions) is Python arithmetic with '^' for
+# powers.  It may use only ASCII letters, digits, '_', '+ - * / ^ ( )' and
+# whitespace.  '^' becomes '**', the top-level sum is cut at the +/- that
+# follow an operand outside parentheses, and ast.parse reads each term, so
+# a sum's length costs no parser depth.  The walk accepts only + - * /, **
+# by a decimal int or its negation, unary minus, names from the table and
+# decimal ints; anything else is an error.
+
+_ALPHABET = re.compile(r"[A-Za-z0-9_+\-*/^() ]*")
+_MARKS = re.compile(r"[()]|(?<=[\w)]) ?([+-]) ?")
+_BINOPS = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 
 
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("INT", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("NAME", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(("OP", ch))
-            i += 1
-            continue
-        raise ValueError("unexpected character %r in %r" % (ch, text))
-    toks.append(("END", ""))
-    return toks
+def _terms(text):
+    """Yield (add or sub, text) for each term of the top-level sum."""
+    depth = start = 0
+    op = add
+    for m in _MARKS.finditer(text):
+        if m[1] is None:            # a parenthesis
+            depth += 1 if m[0] == "(" else -1
+        elif not depth:
+            yield op, text[start:m.start()]
+            op, start = (add if m[1] == "+" else sub), m.end()
+    yield op, text[start:]
 
 
-class _Parser:
-    def __init__(self, text, vars):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.vars = tuple(vars)
+def _read_term(term, vars):
+    def decimal(node):
+        return (type(node) is ast.Constant
+                and term[node.col_offset:node.end_col_offset].isdigit())
 
-    def peek(self):
-        return self.toks[self.pos]
+    def exponent(node):
+        neg = type(node) is ast.UnaryOp and type(node.op) is ast.USub
+        if not decimal(node.operand if neg else node):
+            raise ValueError("bad exponent in %r" % (term,))
+        return -node.operand.value if neg else node.value
 
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+    def walk(node):
+        # a chain of + - * / is walked down its left side in a loop: its
+        # length costs no recursion, and deep recursion is slow
+        chain = []
+        while type(node) is ast.BinOp and type(node.op) in _BINOPS:
+            chain.append(node)
+            node = node.left
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) is ast.Pow:
+            value = walk(node.left) ** exponent(node.right)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            value = -walk(node.operand)
+        elif kind is ast.Name:
+            value = RatFunc.variable(vars, node.id)
+        elif decimal(node):
+            value = RatFunc.const(vars, node.value)
+        else:
+            raise ValueError("unsupported %s in %r" % (kind.__name__, term))
+        for link in reversed(chain):
+            value = _BINOPS[type(link.op)](value, walk(link.right))
+        return value
 
-    def expect_op(self, ch):
-        kind, val = self.next()
-        if kind != "OP" or val != ch:
-            raise ValueError("expected %r in %r" % (ch, self.text))
-
-    def parse(self):
-        result = self.expr()
-        if self.peek()[0] != "END":
-            raise ValueError("trailing input in %r" % (self.text,))
-        return result
-
-    def expr(self):
-        result = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "OP" and val in "+-":
-                self.next()
-                rhs = self.term()
-                result = result + rhs if val == "+" else result - rhs
-            else:
-                return result
-
-    def term(self):
-        result = self.unary()
-        while True:
-            kind, val = self.peek()
-            if kind == "OP" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                result = result * rhs if val == "*" else result / rhs
-            elif kind in ("NAME", "INT") or (kind == "OP" and val == "("):
-                result = result * self.unary()
-            else:
-                return result
-
-    def unary(self):
-        kind, val = self.peek()
-        if kind == "OP" and val == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "OP" and val == "^":
-            self.next()
-            neg = False
-            kind, val = self.next()
-            if kind == "OP" and val == "-":
-                neg = True
-                kind, val = self.next()
-            if kind != "INT":
-                raise ValueError("bad exponent in %r" % (self.text,))
-            exp = int(val)
-            return base ** (-exp if neg else exp)
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "OP" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "NAME":
-            if val not in self.vars:
-                raise ValueError("unknown variable %r (table is %r)"
-                                 % (val, self.vars))
-            return RatFunc.variable(self.vars, val)
-        if kind == "INT":
-            return RatFunc.const(self.vars, int(val))
-        raise ValueError("unexpected token %r in %r" % (val, self.text))
+    return walk(ast.parse(term, mode="eval").body)
 
 
 def parse_ratfunc(text, vars):
     """Parse an expression (negative powers and '/' allowed) into a RatFunc."""
+    vars = tuple(vars)
+    clean = " ".join(text.split())
+    if not _ALPHABET.fullmatch(clean) or "**" in clean:
+        raise ValueError("unexpected character in %r" % (text,))
+    result = RatFunc.zero(vars)
     try:
-        return _Parser(text, vars).parse()
+        for op, term in _terms(clean.replace("^", "**")):
+            result = op(result, _read_term(term, vars))
     except ZeroDivisionError:
         raise ValueError("division by zero in %r" % (text,)) from None
+    except (SyntaxError, RecursionError, MemoryError):
+        raise ValueError("cannot parse %r" % (text,)) from None
+    return result
 
 
 def parse_poly(text, vars):

@@ -234,7 +234,7 @@ def test_sequence_limits_admit_what_the_checks_use():
     (("--quick", "--max-m", "9"), QUICK, {}),      # --quick only shrinks
     (("--max-m", "2"), FULL, {"max_m": 2}),
     (("--quick", "--samples", "3"), QUICK, {"samples": 3}),
-    (("--bound", "7"), FULL, {"bound": 7}),
+    (("--bound", "30"), FULL, {"bound": 30}),    # the least FULL admits
 ])
 def test_selftest_size_flags(flags, base, sizes):
     args = cli.build_parser().parse_args(["selftest", *flags])
@@ -268,6 +268,12 @@ def _registry_fails(*args):
      "crossing-oracle bound 501 is above the oracle's limit of 500"),
     (("--max-n", "5"), {"ORACLE_MAX_BOUND": 20},
      "crossing-oracle bound 21 is above the oracle's limit of 20"),
+    (("--quick", "--bound", "3"), {},
+     "crossing-oracle bound 3 is below the 14 that the slope pool of max_n 4 "
+     "needs"),
+    (("--bound", "29"), {},
+     "crossing-oracle bound 29 is below the 30 that the slope pool of max_n 8 "
+     "needs"),
 ])
 def test_selftest_refuses_sizes_its_checks_cannot_run(
         capsys, monkeypatch, flags, limits, message):
@@ -287,6 +293,25 @@ def test_selftest_size_limits_admit_the_largest_sizes():
     # --quick shrinks the flag before the limits apply
     args = cli.build_parser().parse_args(["selftest", "--quick", "--max-n", "13"])
     assert cli._selftest_ranges(args) == QUICK
+
+
+def test_selftest_oracle_floor_is_the_largest_need_over_pool_pairs():
+    for max_n in range(1, 9):
+        pool = checks._slope_pool(max_n)
+        need = max(abs(s.p) + s.q + abs(h.p) + h.q
+                   for i, s in enumerate(pool) for h in pool[i + 1:])
+        assert replace(QUICK, max_n=max_n, bound=need).oracle_bound() == need
+        with pytest.raises(ValueError, match="below the %d" % need):
+            replace(QUICK, max_n=max_n, bound=need - 1)
+
+
+def test_seed_is_a_selftest_flag_only(capsys, monkeypatch):
+    assert run(capsys, "hn", "--n", "2", "--seed", "5")[0] == 2
+    assert run(capsys, "--seed", "5", "hn", "--n", "2")[0] == 2
+    monkeypatch.setattr(checks, "CHECKS", [
+        ("seed", lambda r, family_run: (True, "seed %d" % r.seed))])
+    rc, out, _ = run(capsys, "selftest", "--quick", "--seed", "1")
+    assert rc == 0 and out.splitlines()[0] == "PASS seed seed 1"
 
 
 def test_dispatch_builds_the_parser_once(capsys, monkeypatch):

@@ -167,6 +167,46 @@ def test_parser_division_by_zero_is_a_value_error():
         parse_poly("(L + 1)/(0*M)", LM)
 
 
+@pytest.mark.parametrize("text", [
+    "L**2", "+L", "L # 1", "2 L", "(L)(M)", "L^M", "L^(1/2)", "L^2^3",
+    "L.real", "L[0]", "abs(L)", "1.5", "0x10", "1_0", '"L"', "L % 2",
+    "L // 2", "~L", "007", "L if M else 1", "not L", "True", "2j", "1e5",
+    "L -", "L) + (M", "L + + M", ""])
+def test_parser_rejects_what_the_whitelist_leaves_out(text):
+    with pytest.raises(ValueError):
+        parse_ratfunc(text, LM)
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "L" + ")" * 300,
+                                  "-" * 3000 + "L"])
+def test_parser_deep_nesting_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        parse_ratfunc(text, LM)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("L - -M", "L + M"),
+    ("2 - 3 - 4 + 1", "-4"),
+    ("-L^2 - M", "-(L^2) - M"),
+    ("(L - 1)-M+(M)", "L - 1"),
+    ("L*-M - 1", "-(L*M) - 1"),
+    ("L^-2-1", "1/L^2 - 1"),
+    ("L^(2)", "L^2"),
+    ("L^(-2)", "1/L^2"),
+    ("\tL *\n M\r\n- 1 ", "L*M - 1"),
+])
+def test_parser_splits_the_sum_at_binary_signs_only(text, value):
+    assert rf(text) == rf(value)
+
+
+def test_parser_reads_a_sum_longer_than_ast_parse_nests():
+    # ast.parse alone fails near 3,000 terms; the sum is split first
+    p = Poly(LM, {(i, j): (-1) ** (i + j) * (i + 2 * j + 1)
+                  for i in range(60) for j in range(59)})
+    assert len(p.terms) == 3540
+    assert parse_poly(str(p), LM) == p
+
+
 # Exponents stay small: a power applies to an atom only, at most cubed, and
 # token soup joins single digits with spaces, so no digit string grows.
 _atoms = st.sampled_from(["L", "M", "0", "1", "2", "(L - L)", "(M - 1)"])
