@@ -11,7 +11,11 @@ recurrence), so the two pipelines check each other.
 
 The twist-knot A-polynomial recurrence lives here too: twist_A generates
 the sequences from their seeds and twist_recurrence_check verifies the
-three-term product identities that the generated polynomials satisfy.
+three-term product identities that the generated polynomials satisfy,
+A_(n-1)*A_(n+1) = A_n^2 + gap, like a cluster exchange relation.  Each is
+one exact poly.identity_holds test: the five operands are packed on one
+lattice and the two sides compared as two integers, so the products are
+never expanded into terms.  The two base identities, small, multiply out.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from .hn import TailEntry, filling_poly, iterate_exchange
-from .poly import Poly, poly_divides
+from .poly import Poly, identity_holds, poly_divides
 from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
                       load_equations, solve_pretzel_base,
                       solve_whitehead_base)
@@ -464,9 +468,9 @@ def twist_gap(sign, n):
 
 def twist_recurrence_check(n, sign):
     """Does A_(n-1) * A_(n+1) == A_n^2 + the sign's gap term, exactly?"""
-    lhs = twist_A(n - 1, sign) * twist_A(n + 1, sign)
-    rhs = twist_A(n, sign) ** 2 + twist_gap(sign, n)
-    return lhs == rhs
+    a = twist_A(n, sign)
+    return identity_holds(twist_A(n - 1, sign), twist_A(n + 1, sign), a, a,
+                          twist_gap(sign, n))
 
 
 def twist_base_identity_check(sign):

@@ -16,8 +16,8 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count, product, repeat
-from math import comb, gcd
+from itertools import chain, count, product, repeat
+from math import comb, gcd, isqrt, prod
 from operator import add, floordiv, itemgetter, lt, mul, sub
 
 
@@ -636,51 +636,60 @@ def _dense_walk(keys, coefs, slots, kmin, rest, lc, tail):
 # The packed product writes each operand as one integer, its coefficients
 # as fixed-width digit groups at positions given by mixed-radix keys over
 # the lattice the product occupies, multiplies the two integers once and
-# reads the product's coefficients back from the groups.  _packed_mul
-# alone decides that lattice, in three steps:
-# - the homogeneous drop.  When both operands have three or more
-#   variables and each has a single total degree, every term of the
-#   product has the sum of the two, so its last exponent follows from the
-#   others: that column is dropped before packing and restored after the
-#   decode.  The exponents of a homogeneous polynomial lie on a plane,
-#   which the full box would fill with empty slots (every hn.tail_poly is
-#   one, and so is each product of h_recurrence_check);
+# reads the product's coefficients back from the groups.  _lattice alone
+# decides that lattice, for a list of products (the factors of each, a
+# polynomial alone being a product of one), in three steps:
+# - the homogeneous drop.  When the operands have three or more variables,
+#   each has a single total degree and every product the same sum of
+#   them, each term's last exponent follows from the others: that column
+#   is dropped before packing and restored after the decode.  The
+#   exponents of a homogeneous polynomial lie on a plane, which the full
+#   box would fill with empty slots (every hn.tail_poly is one, and so is
+#   each product of h_recurrence_check);
 # - deflation, as FLINT's mpoly deflate does before Kronecker
 #   substitution.  Each operand's exponent columns become packed
 #   coordinates u = (e - lo) // g, with lo the operand's lowest exponent
-#   and g the gcd of every such offset over both operands (1 if all are
-#   0), so the product's exponents are its lowest, then steps of g.  A
-#   monomial content or a polynomial even in M then costs no empty slots;
+#   and g the gcd of every such offset over all operands and of each
+#   product's lowest exponent less the lowest over the products (1 if all
+#   are 0), so every product's exponents are that lowest, then steps of g.
+#   A monomial content or a polynomial even in M then costs no empty slots;
 # - the shear, for two packed columns.  The second is replaced by
-#   u1 + s*u0, with the integer s for which _shear finds its span least,
-#   and deflated again.  Kronecker substitution stays exact under any
-#   unimodular change of exponents.  The family outputs are products of
-#   A-polynomial factors, whose Newton polygons have slanted edges (their
-#   slopes are boundary slopes), so their deflated boxes have empty
-#   corners that the sheared lattice cuts off.  The sheared values of
-#   some share a factor h, as do those of the largest products of
-#   pretzel238 pos m = 4 and 6 and neg m = 5 (h = 2).
-# An operand's keys are computed a column at a time by _keys, as in
-# _sparse_divide, and its groups are joined into one digit string.  The
-# product's groups are read in key order, so the decode never unpacks a
-# key: two columns are walked a row of u0 at a time, each row one range of
-# second exponents, and a key is built only for a nonempty group; one
-# column, or three and more, are walked by itertools.product over the
-# lattice's ranges.  A square (b is a: each squaring step of __pow__) is
-# encoded once, and the one Decimal goes to the multiply twice, so
-# libmpdec transforms one operand, not two.
+#   u1 + s*u0, with the integer s for which _shear finds its span over the
+#   products least, and deflated again.  Kronecker substitution stays
+#   exact under any unimodular change of exponents.  The family outputs
+#   are products of A-polynomial factors, whose Newton polygons have
+#   slanted edges (their slopes are boundary slopes), so their deflated
+#   boxes have empty corners that the sheared lattice cuts off.  The
+#   sheared values of some share a factor h, as do those of the largest
+#   products of pretzel238 pos m = 4 and 6 and neg m = 5 (h = 2).
+# _packed_mul asks for the lattice of one product, and identity_holds for
+# that of a*b, c*d and e together, whose products start at offsets from
+# the lowest key.  An operand's keys are computed a column at a time by
+# _keys, as in _sparse_divide, and its groups are joined into one digit
+# string.  The product's groups are read in key order, so the decode
+# never unpacks a key: two columns are walked a row of u0 at a time, each
+# row one range of second exponents, and a key is built only for a
+# nonempty group; one column, or three and more, are walked by
+# itertools.product over the lattice's ranges.  A square (b is a: each
+# squaring step of __pow__) is encoded once, and the one Decimal goes to
+# the multiply twice, so libmpdec transforms one operand, not two.
 #
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
 # of a few hundred thousand digits; decimal is libmpdec, whose multiply
 # switches to a number-theoretic transform, O(n log n), for large operands.
 # A group is w = len(str(bound)) + 1 digits wide and holds c + 5*10^(w-1):
-# bound caps every product coefficient, so each group of the product stays
-# in (4*10^(w-1), 6*10^(w-1)) and never carries into its neighbour.  The
-# context has the largest precision and exponent range, and traps Inexact,
-# so a product that had to round raises rather than returns wrong digits.
-# A group wider than sys.get_int_max_str_digits() could not be read back
-# by int(), so such products fall back to dict convolution.
+# bound caps every product coefficient (_coef_bound: the smaller of
+# min(|a|, |b|)*max|a|*max|b| and, by Cauchy-Schwarz, isqrt(sum a^2 *
+# sum b^2) + 1), so each group of the product stays in (4*10^(w-1),
+# 6*10^(w-1)) and never carries into its neighbour.  The context has the
+# largest precision and exponent range, and traps Inexact, so a product
+# that had to round raises rather than returns wrong digits.  A group
+# wider than sys.get_int_max_str_digits() could not be read back by
+# int(), so such products fall back to dict convolution.  The Cauchy-
+# Schwarz bound narrowed 79 of pretzel-fill's 123 packed products, its
+# three largest from 36, 27 and 24 digits per group to 34, 25 and 23, and
+# twist_A(17) * twist_A(19) and twist_A(18)**2 from 23-25 to 22.
 #
 # Packing pays for every slot of the packed lattice, the dict loop for
 # every pair of terms, so packing is taken when the pairs are at least the
@@ -734,61 +743,175 @@ def _keys(cols, strides, n):
     return keys
 
 
-def _deflate(ca, cb, square):
-    """(lo, g, ua, ub): one exponent column of both operands, deflated.
+def _deflate(cols, groups, bases):
+    """(lo, g, offsets, cols): one exponent column of every product, deflated.
 
-    Each operand's column is shifted down by its lowest value and divided
-    by g, the gcd of every offset over both (1 if all are 0); lo is the sum
-    of the two lowest values, the product's.  A square (cb is ca) is
-    deflated once.
+    cols[k] is factor k's column, groups[i] the indices of product i's
+    factors, and product i's values in the column are bases[i] plus its
+    factors'.  Each factor's column is shifted down by its lowest value,
+    and lo is the lowest value over the products.  g is the gcd of every
+    shifted value and of every product's lowest value less lo (1 if all
+    are 0); the columns and offsets[i], product i's lowest value less lo,
+    are divided by it.
     """
-    la = min(ca)
-    ua = list(map(sub, ca, repeat(la))) if la else ca
-    if square:
-        lb, ub = la, ua
-        g = gcd(*ua) or 1
-    else:
-        lb = min(cb)
-        ub = list(map(sub, cb, repeat(lb))) if lb else cb
-        g = gcd(*ua, *ub) or 1
+    mins = list(map(min, cols))
+    lows = [base + sum(map(mins.__getitem__, grp))
+            for base, grp in zip(bases, groups)]
+    lo = min(lows)
+    offsets = [low - lo for low in lows]
+    cols = [list(map(sub, col, repeat(m))) if m else col
+            for col, m in zip(cols, mins)]
+    g = gcd(*offsets, *chain.from_iterable(cols)) or 1
     if g != 1:
-        ua = list(map(floordiv, ua, repeat(g)))
-        ub = ua if square else list(map(floordiv, ub, repeat(g)))
-    return la + lb, g, ua, ub
+        cols = [list(map(floordiv, col, repeat(g))) for col in cols]
+        offsets = [off // g for off in offsets]
+    return lo, g, offsets, cols
 
 
-def _shear(ua, ub, square):
-    """(s, fa, fb): the shear that packs a two-column product tightest.
+def _span(cols, groups, bases):
+    """The largest value of a column over the products less the least."""
+    his, los = list(map(max, cols)), list(map(min, cols))
+    return (max(base + sum(map(his.__getitem__, grp))
+                for base, grp in zip(bases, groups))
+            - min(base + sum(map(los.__getitem__, grp))
+                  for base, grp in zip(bases, groups)))
 
-    ua and ub are the operands' deflated columns (u0, u1), each lowest at
-    0, and fa and fb their sheared second columns u1 + s*u0 (u1 itself at
-    s = 0).  Packing u1 + s*u0 in place of u1 leaves the product's radix
-    of u0 as it is.  The values of u1 + s*u0 span width over a + width
-    over b, and each width is a maximum minus a minimum of linear forms in
-    s, so the span is convex in s.  From s = 0 the search steps towards +1
-    and then -1 while the span shrinks, and stops at the first step that
-    does not shrink it: that s gives the least span over all integers.
+
+def _shear(u0, u1, groups, off0, off1, span):
+    """(s, f): the shear that packs a two-column lattice tightest.
+
+    u0 and u1 hold each factor's deflated columns, off0 and off1 each
+    product's offsets, span the span of u1 over the products, and f[k] is
+    factor k's sheared second column u1 + s*u0 (u1 itself at s = 0).
+    Product i's values of u1 + s*u0 are off1[i] + s*off0[i] plus its
+    factors', and packing them in place of u1 leaves the radix of u0 as it
+    is.  Their span over the products is a maximum of linear forms in s
+    less a minimum of them, so it is convex in s.  From s = 0 the search
+    steps towards +1 and then -1 while the span shrinks, and stops at the
+    first step that does not shrink it: that s gives the least span over
+    all integers.
     """
-    (a0, a1), (b0, b1) = ua, ub
-    best = (0, max(a1) + max(b1), a1, b1)
+    best = (0, span, u1)
     for step, move in ((1, add), (-1, sub)):
-        s, fa, fb = 0, a1, b1
+        s, f = 0, u1
         while True:
             s += step
-            fa = list(map(move, fa, a0))
-            if square:
-                fb = fa
-                span = 2 * (max(fa) - min(fa))
-            else:
-                fb = list(map(move, fb, b0))
-                span = max(fa) - min(fa) + max(fb) - min(fb)
+            f = [list(map(move, fk, uk)) for fk, uk in zip(f, u0)]
+            span = _span(f, groups, [o1 + s * o0
+                                     for o0, o1 in zip(off0, off1)])
             if span >= best[1]:
                 break
-            best = (s, span, fa, fb)
+            best = (s, span, f)
         if best[0]:
             break
-    s, _, fa, fb = best
-    return s, fa, fb
+    return best[0], best[2]
+
+
+def _radix(cols, groups, offsets):
+    """One more than the largest packed value of a column over the products."""
+    his = list(map(max, cols))
+    return max(off + sum(map(his.__getitem__, grp))
+               for off, grp in zip(offsets, groups)) + 1
+
+
+def _lattice(ops, groups):
+    """(degree, lows, steps, shear, radices, cols, offsets): one packed
+    lattice for every product of a sum.
+
+    ops are nonzero polynomials over one variable table, each listed
+    once, and groups[i] holds the indices in ops of product i's factors: a
+    square is (k, k) and a polynomial alone (k,).  Returned:
+    - degree, the total degree of every term of every product when the
+      last exponent column was dropped, else None;
+    - lows[j] and steps[j], packed column j's lowest exponent over the
+      products and the step g of its exponents;
+    - shear, (s, v, h): with s nonzero the second column packs
+      (u1 + s*u0 - v) / h in place of u1;
+    - radices[j], the radix of packed column j;
+    - cols[k], factor k's packed coordinate columns, each lowest at 0;
+    - offsets[i], product i's lowest packed coordinate per column, so its
+      keys are shifted up by the sum of offsets[i] times the strides (all
+      0 for a single product).
+    """
+    nv = len(ops[0].vars)
+    degree = None
+    if nv >= 3:
+        degs = [set(map(sum, p.terms)) for p in ops]
+        if all(len(d) == 1 for d in degs):
+            totals = {sum(min(degs[k]) for k in grp) for grp in groups}
+            if len(totals) == 1:
+                degree, nv = totals.pop(), nv - 1
+    # per packed column: the lowest exponent over the products, the step g
+    # of its exponents, each product's offset and each factor's deflated
+    # coordinates
+    lows, steps, offs, cols = [], [], [], []
+    zeros = [0] * len(groups)
+    for i in range(nv):
+        lo, g, off, col = _deflate([list(map(itemgetter(i), p.terms))
+                                    for p in ops], groups, zeros)
+        lows.append(lo)
+        steps.append(g)
+        offs.append(off)
+        cols.append(col)
+    radices = [_radix(col, groups, off) for col, off in zip(cols, offs)]
+    # row u0 of a two-column lattice holds the second exponents from
+    # lows[1] + g1*(v - s*u0) in steps of g1*h
+    s, v, h = 0, 0, 1
+    if nv == 2 and radices[0] > 1 and radices[1] > 1:
+        s, f = _shear(cols[0], cols[1], groups, offs[0], offs[1],
+                      radices[1] - 1)
+        if s:
+            bases = [o1 + s * o0 for o0, o1 in zip(offs[0], offs[1])]
+            v, h, offs[1], cols[1] = _deflate(f, groups, bases)
+            radices[1] = _radix(cols[1], groups, offs[1])
+    return (degree, lows, steps, (s, v, h), radices,
+            [[col[k] for col in cols] for k in range(len(ops))],
+            [[off[i] for off in offs] for i in range(len(groups))])
+
+
+def _int_coefs(ops):
+    return all(set(map(type, p.terms.values())) == {int} for p in ops)
+
+
+def _coef_bound(a, b):
+    """A bound on every coefficient of a*b, for int coefficients.
+
+    Each coefficient is a sum of at most min(|a|, |b|) products of two
+    coefficients, and by Cauchy-Schwarz at most sqrt(sum a^2 * sum b^2),
+    which isqrt(...) + 1 exceeds; the smaller of the two is returned.
+    """
+    va, vb = a.terms.values(), b.terms.values()
+    sa = sum(map(mul, va, va))
+    sb = sa if b is a else sum(map(mul, vb, vb))
+    return min(min(len(va), len(vb)) * max(map(abs, va)) * max(map(abs, vb)),
+               isqrt(sa * sb) + 1)
+
+
+def _group_width(bound):
+    """Digits per group for values of absolute value at most bound, or None.
+
+    bound < 10^(w-1), so a group holding c + 5*10^(w-1) stays within its
+    w digits.  None means str() and int() could not convert such a group.
+    """
+    w = len(str(Decimal(bound))) + 1
+    limit = _int_digit_limit()
+    return None if limit and w > limit else w
+
+
+def _encode(poly, cols, strides, slots, half, offset):
+    """poly as one Decimal, its coefficient at key k times 10^(w*k).
+
+    The digit string holds c + half in the group of key k and half in
+    every empty group, key 0 last; offset, half in every group, is then
+    subtracted.
+    """
+    half_s = str(half)
+    groups = [half_s] * slots              # groups[k] is the slot of key k
+    for k, c in zip(_keys(cols, strides, len(poly.terms)),
+                    poly.terms.values()):
+        groups[k] = str(c + half)
+    groups.reverse()                       # key 0 is the last group
+    return _DEC.subtract(Decimal("".join(groups)), offset)
 
 
 def _packed_mul(a, b):
@@ -801,67 +924,26 @@ def _packed_mul(a, b):
     if not a.terms or not b.terms:
         return None
     square = b is a
-    nv = len(a.vars)
-    degree = None
-    if nv >= 3:
-        da = set(map(sum, a.terms))
-        db = da if square else set(map(sum, b.terms))
-        if len(da) == 1 and len(db) == 1:
-            degree, nv = min(da) + min(db), nv - 1
-    # per packed column: the product's lowest exponent, the step g of its
-    # exponents and both operands' deflated coordinates
-    lows, steps, ua, ub = [], [], [], []
-    for i in range(nv):
-        ca = list(map(itemgetter(i), a.terms))
-        cb = ca if square else list(map(itemgetter(i), b.terms))
-        lo, g, col_a, col_b = _deflate(ca, cb, square)
-        lows.append(lo)
-        steps.append(g)
-        ua.append(col_a)
-        ub.append(col_b)
-    radices = [max(col_a) + max(col_b) + 1 for col_a, col_b in zip(ua, ub)]
-    # row u0 of a two-column lattice holds the second exponents from
-    # lows[1] + g1*(v - s*u0) in steps of g1*h
-    s, v, h = 0, 0, 1
-    if nv == 2 and radices[0] > 1 and radices[1] > 1:
-        s, fa, fb = _shear(ua, ub, square)
-        if s:
-            v, h, ua[1], ub[1] = _deflate(fa, fb, square)
-            radices[1] = max(ua[1]) + max(ub[1]) + 1
+    ops, groups = ([a], [(0, 0)]) if square else ([a, b], [(0, 1)])
+    degree, lows, steps, (s, v, h), radices, cols, _ = _lattice(ops, groups)
     strides, slots = _strides(radices)
-    if slots > len(a.terms) * len(b.terms):
+    if slots > len(a.terms) * len(b.terms) or not _int_coefs(ops):
         return None
-    if (set(map(type, a.terms.values())) != {int}
-            or set(map(type, b.terms.values())) != {int}):
-        return None
-    maxa = max(map(abs, a.terms.values()))
-    maxb = maxa if square else max(map(abs, b.terms.values()))
-    bound = min(len(a.terms), len(b.terms)) * maxa * maxb
-    w = len(str(Decimal(bound))) + 1
-    limit = _int_digit_limit()
-    if limit and w > limit:
+    w = _group_width(_coef_bound(a, b))
+    if w is None:
         return None
     half = 5 * 10 ** (w - 1)
     half_s = str(half)
     offset = Decimal(half_s * slots)
-
-    def encode(poly, cols):
-        groups = [half_s] * slots          # groups[k] is the slot of key k
-        for k, c in zip(_keys(cols, strides, len(poly.terms)),
-                        poly.terms.values()):
-            groups[k] = str(c + half)
-        groups.reverse()                   # key 0 is the last group
-        return _DEC.subtract(Decimal("".join(groups)), offset)
-
-    x = encode(a, ua)
-    y = x if square else encode(b, ub)
+    x = _encode(a, cols[0], strides, slots, half, offset)
+    y = x if square else _encode(b, cols[1], strides, slots, half, offset)
     digits = str(_DEC.add(_DEC.multiply(x, y), offset))
     out = {}
     # groups are read from the last one back, key 0 first, so the lattice
     # is walked in key order; one group at a time, so no list of every
     # slot is held
     ends = range(slots * w, 0, -w)
-    if nv == 2:
+    if len(radices) == 2:
         # the rows share one iterator over the group ends; a slot whose
         # second exponent is negative stays empty
         (r0, r1), (g0, g1), (e0, e1) = radices, steps, lows
@@ -883,3 +965,50 @@ def _packed_mul(a, b):
         last = zip(map(sub, repeat(degree), map(sum, out)))
         out = dict(zip(map(add, out, last), out.values()))
     return Poly._raw(a.vars, out)
+
+
+def identity_holds(a, b, c, d, e):
+    """Does a*b == c*d + e hold exactly?
+
+    With int coefficients the five operands are packed on one lattice:
+    each side is one integer, made by two decimal multiplies and one add,
+    and the two are compared, so no product is decoded.  Every coefficient
+    of a*b - c*d - e is at most the sum of the two products' bounds and
+    max|e|, below 10^(w-1), so the difference of the two integers is 0
+    only if every coefficient is.  Other coefficients, a lattice with more
+    slots than term pairs, or groups too wide for str() expand the
+    products instead.
+    """
+    for p in (b, c, d, e):
+        a._check_same_vars(p)
+    products = [(fs, side) for fs, side in (((a, b), 0), ((c, d), 1), ((e,), 1))
+                if all(p.terms for p in fs)]
+    if len(products) < 2:
+        # a product of nonzero polynomials is nonzero
+        return not products
+    ops = list({id(p): p for fs, _ in products for p in fs}.values())
+    index = {id(p): k for k, p in enumerate(ops)}
+    groups = [tuple(index[id(p)] for p in fs) for fs, _ in products]
+    pairs = sum(prod(len(p.terms) for p in fs) for fs, _ in products)
+    if _int_coefs(ops):
+        _, _, _, _, radices, cols, offsets = _lattice(ops, groups)
+        strides, slots = _strides(radices)
+        w = _group_width(sum(_coef_bound(*fs) if len(fs) == 2
+                             else max(map(abs, fs[0].terms.values()))
+                             for fs, _ in products))
+        if slots <= pairs and w is not None:
+            half = 5 * 10 ** (w - 1)
+            offset = Decimal(str(half) * slots)
+            packed = [_encode(p, col, strides, slots, half, offset)
+                      for p, col in zip(ops, cols)]
+            sides = [Decimal(0), Decimal(0)]
+            for (_, side), grp, off in zip(products, groups, offsets):
+                x = packed[grp[0]]
+                if len(grp) == 2:
+                    x = _DEC.multiply(x, packed[grp[1]])
+                key = sum(map(mul, off, strides))
+                if key:
+                    x = _DEC.scaleb(x, w * key)
+                sides[side] = _DEC.add(sides[side], x)
+            return sides[0] == sides[1]
+    return a * b == c * d + e

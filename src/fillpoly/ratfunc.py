@@ -35,7 +35,7 @@ per variable, so any failed step proves non-divisibility.
 import ast
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, and_, itemgetter, mul, sub, truediv
 
 from .poly import Poly, divide_out, exact_coef, poly_divides
@@ -326,6 +326,15 @@ def substitute_basis(rf, sign, e):
 # by a decimal int or its negation, unary minus, names from the table and
 # decimal ints; anything else is an error.
 
+# The largest degree a power of a base other than a unit monomial (such as
+# L, M^3 or 1/L) may reach, a constant base counting as degree 1: text such
+# as (L + 1)^99999 or ((L + 1)^30)^40 is refused before it is computed.  A
+# unit monomial's power is one term at any exponent.  The data files and
+# twist seeds take other bases to degree 17 at most, (L - M)^-17 in
+# pretzel238_values.txt, and unit monomials to 30; the tests read unit
+# monomials up to degree 59.
+MAX_POWER_DEGREE = 1000
+
 _ALPHABET = re.compile(r"[A-Za-z0-9_+\-*/^() ]*")
 _MARKS = re.compile(r"[()]|(?<=[\w)]) ?([+-]) ?")
 _BINOPS = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
@@ -342,6 +351,20 @@ def _terms(text):
             yield op, text[start:m.start()]
             op, start = (add if m[1] == "+" else sub), m.end()
     yield op, text[start:]
+
+
+def _power(base, k, term):
+    """base ** k, refused unless base is a unit monomial or its degree
+    times |k| is at most MAX_POWER_DEGREE (a constant counts as degree 1)."""
+    num, den = base.num.terms, base.den.terms
+    unit = (len(num) == len(den) == 1
+            and set(map(abs, (*num.values(), *den.values()))) == {1})
+    if not unit:
+        degree = max(1, *map(sum, chain(num, den))) * abs(k)
+        if degree > MAX_POWER_DEGREE:
+            raise ValueError("power of degree %d above %d in %r"
+                             % (degree, MAX_POWER_DEGREE, term))
+    return base ** k
 
 
 def _read_term(term, vars):
@@ -364,7 +387,7 @@ def _read_term(term, vars):
             node = node.left
         kind = type(node)
         if kind is ast.BinOp and type(node.op) is ast.Pow:
-            value = walk(node.left) ** exponent(node.right)
+            value = _power(walk(node.left), exponent(node.right), term)
         elif kind is ast.UnaryOp and type(node.op) is ast.USub:
             value = -walk(node.operand)
         elif kind is ast.Name:
@@ -380,21 +403,75 @@ def _read_term(term, vars):
     return walk(ast.parse(term, mode="eval").body)
 
 
+def _sum(pieces, vars):
+    """The sum of (add or sub, RatFunc) pieces, in the form that adding them
+    one at a time gives.
+
+    Adding a value whose denominator is a constant changes only the sum's
+    numerator over the same denominator, and the normal form that results
+    depends on the new value and that denominator alone.  So each run of
+    such pieces is summed into one dict of coefficients and added at once.
+    After a sum with a constant denominator (a polynomial), the run starts
+    from its value.  The one other case is a partial sum of zero, which
+    normalizes to 0/1 and so drops its denominator: that needs the sum
+    before the run to be a polynomial over a denominator that divides it,
+    and its quotient, summed along with the run in shadow, finds the zero.
+    """
+    result = RatFunc.zero(vars)
+    run, shadow, started = {}, None, False
+    for op, value in pieces:
+        # a piece added to a zero sum is the sum, as it is
+        if not value.den.is_constant() or not run and result.is_zero():
+            if run:
+                result = result + RatFunc(Poly(vars, run))
+            result = op(result, value)
+            run, shadow, started = {}, None, False
+            continue
+        if not started:
+            started = True
+            if result.den.is_constant():
+                d = result.den.constant_value()
+                run = {e: c if d == 1 else Fraction(c, d)
+                       for e, c in result.num.terms.items()}
+                result = RatFunc.zero(vars)
+            else:
+                ok, q = poly_divides(result.den, result.num)
+                shadow = dict(q.terms) if ok else None
+        d = value.den.constant_value()
+        if op is sub:
+            d = -d
+        terms = value.num.terms
+        if d != 1:
+            terms = {e: c * d if d == -1 else Fraction(c, d)
+                     for e, c in terms.items()}
+        for sums in (run,) if shadow is None else (run, shadow):
+            get = sums.get
+            for e, c in terms.items():
+                c += get(e, 0)
+                if c:
+                    sums[e] = c
+                else:
+                    del sums[e]
+        if shadow is not None and not shadow:
+            result, run, shadow = RatFunc.zero(vars), {}, None
+    if run:
+        result = result + RatFunc(Poly(vars, run))
+    return result
+
+
 def parse_ratfunc(text, vars):
     """Parse an expression (negative powers and '/' allowed) into a RatFunc."""
     vars = tuple(vars)
     clean = " ".join(text.split())
     if not _ALPHABET.fullmatch(clean) or "**" in clean:
         raise ValueError("unexpected character in %r" % (text,))
-    result = RatFunc.zero(vars)
     try:
-        for op, term in _terms(clean.replace("^", "**")):
-            result = op(result, _read_term(term, vars))
+        return _sum(((op, _read_term(term, vars))
+                     for op, term in _terms(clean.replace("^", "**"))), vars)
     except ZeroDivisionError:
         raise ValueError("division by zero in %r" % (text,)) from None
     except (SyntaxError, RecursionError, MemoryError):
         raise ValueError("cannot parse %r" % (text,)) from None
-    return result
 
 
 def parse_poly(text, vars):

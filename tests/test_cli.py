@@ -12,6 +12,8 @@ from fillpoly.families import twist_identities
 from fillpoly.farey import Walk
 from fillpoly.matchings import (enumerate_matchings, matching_sum,
                                 matching_weight)
+from fillpoly.poly import Poly
+from fillpoly.ptolemy import PVARS
 
 
 def run(capsys, *argv):
@@ -188,6 +190,17 @@ def test_twist_subcommand(capsys):
     assert rc == 0
     assert "twist verify:" in out and "ok" in out
     assert run(capsys, "twist")[0] == 2
+
+
+def test_twist_verify_reports_a_gap_off_by_a_monomial(capsys, monkeypatch):
+    gap = families.twist_gap
+    monkeypatch.setattr(families, "twist_gap",
+                        lambda sign, n: gap(sign, n) * Poly.variable(PVARS, "L"))
+    rc, out, _ = run(capsys, "twist", "verify", "--max-n", "4")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[-1] == "twist verify: 0/9 ok"
+    assert all(line.startswith("FAIL ") for line in lines[:-1])
 
 
 @pytest.mark.parametrize("max_n", [0, -5])

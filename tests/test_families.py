@@ -13,7 +13,7 @@ from fillpoly.families import (FAMILIES, FillingResult, family_chain,
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
                          tail_collapse)
-from fillpoly.poly import poly_divides
+from fillpoly.poly import Poly, identity_holds, poly_divides
 from fillpoly.ptolemy import PVARS
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
@@ -124,6 +124,21 @@ def test_twist_sequences_seed_values():
         twist_A(-1, "neg")
     with pytest.raises(ValueError):
         twist_A(1, "up")
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+def test_twist_recurrence_checks_agree_with_expanded_products(sign):
+    # every n the identities allow; a gap off by a factor M must fail
+    first = families._TWIST_FIRST[sign]
+    for n in range(first + 1, families.MAX_TWIST_N):
+        a, gap = twist_A(n, sign), twist_gap(sign, n)
+        expanded = twist_A(n - 1, sign) * twist_A(n + 1, sign) == a ** 2 + gap
+        assert families.twist_recurrence_check(n, sign) is expanded is True
+    for n in (first + 1, 10, families.MAX_TWIST_N - 1):
+        a, gap = twist_A(n, sign), twist_gap(sign, n)
+        shifted = gap * Poly.variable(PVARS, "M")
+        assert not identity_holds(twist_A(n - 1, sign), twist_A(n + 1, sign),
+                                  a, a, shifted)
 
 
 def test_twist_recurrences_and_base_identities():

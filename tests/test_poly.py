@@ -649,13 +649,19 @@ def test_shear_descent_finds_the_least_radix(data):
     brute = {s: radix(s) for s in range(-bound, bound + 1)}
     ua, ub = ([list(c) for c in zip(*deflated(p, mins))]
               for p, mins in ((a, mins_a), (b, mins_b)))
-    s, fa, fb = poly_mod._shear(ua, ua if square else ub, square)
+    cols, groups = ([ua], [(0, 0)]) if square else ([ua, ub], [(0, 1)])
+    s, f = poly_mod._shear([c[0] for c in cols], [c[1] for c in cols],
+                           groups, [0], [0],
+                           poly_mod._radix([c[1] for c in cols], groups, [0]) - 1)
+    fa, fb = f[0], f[-1]
     assert (fa, fb) == tuple([u1 + s * u0 for u0, u1 in deflated(p, mins)]
                              for p, mins in ((a, mins_a), (b, mins_b)))
     # the sheared column, deflated again: the product's values of
     # u1 + s*u0 are v, v + h, ..., r of them
-    v, h, wa, wb = poly_mod._deflate(fa, fb, square)
-    r = max(wa) + max(wb) + 1
+    v, h, offsets, w = poly_mod._deflate(f, groups, [0])
+    assert offsets == [0]
+    r = poly_mod._radix(w, groups, offsets)
+    assert r == max(w[0]) + max(w[-1]) + 1
     assert (r - 1) * h + 1 == brute[s] == min(brute.values())
     assert v == min(fa) + min(fb)
     # the values of u1 + s*u0 are spaced by h, and by no larger step
@@ -668,13 +674,16 @@ def test_shear_descent_has_no_window():
     # ones: b's are (0, 9), (0, 10) and (1, 0), narrowest at s = 9
     a = Poly(XY, {(0, 18): 1})
     b = Poly(XY, {(0, 18): 1, (0, 19): 1, (3, 9): 1})
-    assert poly_mod._deflate([0], [0, 0, 3], False) == (0, 3, [0], [0, 0, 1])
-    assert poly_mod._deflate([18], [18, 19, 9], False) == (27, 1, [0],
-                                                           [9, 10, 0])
-    s, fa, fb = poly_mod._shear([[0], [0]], [[0, 0, 1], [9, 10, 0]], False)
-    assert (s, fa, fb) == (9, [0], [9, 10, 9])
+    pair = [(0, 1)]
+    assert poly_mod._deflate([[0], [0, 0, 3]], pair, [0]) == (
+        0, 3, [0], [[0], [0, 0, 1]])
+    assert poly_mod._deflate([[18], [18, 19, 9]], pair, [0]) == (
+        27, 1, [0], [[0], [9, 10, 0]])
+    s, f = poly_mod._shear([[0], [0, 0, 1]], [[0], [9, 10, 0]], pair,
+                           [0], [0], 10)
+    assert (s, f) == (9, [[0], [9, 10, 9]])
     # lowest values 0 and 9, step 1, a radix of 2
-    assert poly_mod._deflate(fa, fb, False) == (9, 1, [0], [0, 1, 0])
+    assert poly_mod._deflate(f, pair, [0]) == (9, 1, [0], [[0], [0, 1, 0]])
     assert poly_mod._packed_mul(b, b) == b._mul_dict(b)
     assert a * b == b * a == b._mul_dict(a)
 
@@ -687,12 +696,14 @@ def test_sheared_values_are_deflated(monkeypatch):
     a = (1 + y ** 2 + y ** 4) * (1 + t + t ** 2)
     b = (1 - y ** 2 + y ** 4) * (1 - t + t ** 2)
     cols = [[e[i] for e in a.terms] for i in (0, 1)]
-    assert [poly_mod._deflate(c, c, True)[:2] for c in cols] == [(0, 1),
-                                                                 (0, 1)]
-    s, fa, fb = poly_mod._shear(cols, cols, True)
-    assert s == -1 and fb is fa
-    v, h, wa, wb = poly_mod._deflate(fa, fb, True)
-    assert (v, h, max(wa) + max(wb) + 1) == (0, 2, 5)
+    square = [(0, 0)]
+    assert [poly_mod._deflate([c], square, [0])[:2] for c in cols] == [
+        (0, 1), (0, 1)]
+    s, f = poly_mod._shear([cols[0]], [cols[1]], square, [0], [0],
+                           2 * max(cols[1]))
+    assert s == -1 and len(f) == 1
+    v, h, offsets, w = poly_mod._deflate(f, square, [0])
+    assert (v, h, poly_mod._radix(w, square, offsets)) == (0, 2, 5)
     expected = [(1 + y ** 4 + y ** 8) * (1 + t ** 2 + t ** 4),
                 (1 + y ** 2 + y ** 4) ** 2 * (1 + t + t ** 2) ** 2]
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
@@ -787,6 +798,126 @@ def test_homogeneous_product_matches_dict(engine, data):
     assert got == [a._mul_dict(b), a2, a._mul_dict(mixed), a2._mul_dict(a)]
     for r in got:
         _assert_canonical(r)
+
+
+# --- the packed identity test: a*b == c*d + e ------------------------------
+
+# small, large and flat coefficients; with all coefficients equal, the
+# middle coefficient of a product reaches the Cauchy-Schwarz bound
+_identity_coefs = st.sampled_from([
+    st.integers(-9, 9).filter(bool),
+    st.integers(-10 ** 30, 10 ** 30).filter(bool),
+    st.just(10 ** 12 - 1)])
+
+
+def _identity_operand(data, strides, coefs, reach=3):
+    """Every point of a lattice with the given steps and a drawn offset of
+    at most reach, so the lowest exponents are often nonzero."""
+    lattice = [(data.draw(st.integers(0, reach)), g,
+                data.draw(st.integers(1, 4 // len(strides) + 1)))
+               for g in strides]
+    return _lattice_poly(data, lattice, coefs)
+
+
+def _expanded(a, b, c, d, e):
+    return a._mul_dict(b) == c._mul_dict(d) + e
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_identity_holds_matches_expanded(data):
+    nv = data.draw(st.integers(1, 3))
+    strides = data.draw(st.tuples(*[st.sampled_from([1, 2, 3])] * nv))
+    coefs = data.draw(_identity_coefs)
+    a, b, c = (_identity_operand(data, strides, coefs) for _ in "abc")
+    d = c if data.draw(st.booleans()) else _identity_operand(data, strides,
+                                                              coefs)
+    mode = data.draw(st.sampled_from(["exact", "zero", "other", "near"]))
+    vars = a.vars
+    if mode == "zero":
+        c, d, e = a, b, Poly.zero(vars)
+    elif mode == "other":
+        # on its own lattice, possibly off the products' or outside their box
+        own = data.draw(st.tuples(*[st.sampled_from([1, 2, 5])] * nv))
+        e = _identity_operand(data, own, coefs, reach=12)
+    else:
+        e = a._mul_dict(b) - c._mul_dict(d)
+        if mode == "near":
+            stray = data.draw(st.tuples(*[st.integers(0, 12)] * nv))
+            e = e + Poly.monomial(vars, stray,
+                                  data.draw(st.sampled_from([1, -1])))
+    expected = _expanded(a, b, c, d, e)
+    assert poly_mod.identity_holds(a, b, c, d, e) is expected
+    if not expected:
+        return
+    # mutations of a true identity: one coefficient of e or of a moved by
+    # one, e times a monomial, e negated
+    unit = Poly.monomial(vars, next(iter(a.terms)), 1)
+    for sign in (1, -1):
+        assert not poly_mod.identity_holds(a, b, c, d, e + sign * unit)
+        assert not poly_mod.identity_holds(a + sign * unit, b, c, d, e)
+    if e.terms:
+        shift = Poly.monomial(vars, data.draw(st.tuples(
+            *[st.integers(0, 2)] * nv).filter(any)))
+        assert not poly_mod.identity_holds(a, b, c, d, e * shift)
+        assert not poly_mod.identity_holds(a, b, c, d, -e)
+
+
+def test_identity_holds_packs_without_expanding(monkeypatch):
+    # every case here packs: the test fails if a product is expanded
+    x, y, z = (Poly.variable(XYZ, v) for v in XYZ)
+    f, g = (x + 2 * y - 3 * z) ** 3, (x * y - 5 * z ** 2 + y * z) ** 2
+    h, k = (x - y) ** 4 * z, (3 * x + y + z) * x
+    m = k * k + x * y * z * x
+    u, v = (Poly.variable(XY, w) for w in XY)
+    sheared = (u * v ** 3 + 1 - v) ** 3
+    cases = [(f, g, h, k), (k, k * k * k, m, m), (h, k, k, h),
+             (sheared, sheared ** 2, sheared ** 3, Poly.one(XY))]
+    expected = [(p._mul_dict(q), r._mul_dict(s)) for p, q, r, s in cases]
+    # e starts 3 above the products in v and reaches 2 above their top, so
+    # a radix that left out its offset would put v^6 on u*v
+    t = (1 + u + v) ** 2
+    diff = v ** 3 + 2 * u * v ** 4 + 5 * u * v
+    above = (t, t, Poly.one(XY), t._mul_dict(t) - diff)
+    moved = diff - 5 * u * v + 5 * v ** 6
+    strays = [((u + v + 1) ** 4 * (u * v) ** 2, (u - 2 * v + 3) ** 4),
+              ((u ** 2 + v ** 2 + 1) ** 4, (u ** 2 - 2 * v ** 2 + 3) ** 4)]
+    monkeypatch.setattr(Poly, "__mul__", _no_dict_mul)
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    for (a, b, c, d), (ab, cd) in zip(cases, expected):
+        e = ab - cd
+        assert poly_mod.identity_holds(a, b, c, d, e)
+        # moved by a monomial of the products' degree, so still homogeneous
+        unit = Poly.monomial(a.vars, next(iter(ab.terms)))
+        assert not poly_mod.identity_holds(a, b, c, d, e + unit)
+        assert not poly_mod.identity_holds(a, b, c, d, -e) or not e.terms
+    # the homogeneous drop: f*g and h*k both have total degree 7
+    assert poly_mod._lattice([f, g, h, k], [(0, 1), (2, 3)])[0] == 7
+    # e = 0, and an e below the products' box or off their lattice (the
+    # products of p and q have even exponents only)
+    assert poly_mod.identity_holds(f, g, g, f, Poly.zero(XYZ))
+    assert poly_mod.identity_holds(*above, diff)
+    assert not poly_mod.identity_holds(*above, moved)
+    for a, b in strays:
+        assert poly_mod.identity_holds(a, b, b, a, Poly.zero(XY))
+        for stray in (Poly.one(XY), Poly.variable(XY, "x")):
+            assert not poly_mod.identity_holds(a, b, b, a, stray)
+
+
+def test_identity_holds_zero_operands_and_fractions():
+    x, y = (Poly.variable(XY, v) for v in XY)
+    zero = Poly.zero(XY)
+    p = (x + y + 1) ** 3
+    assert poly_mod.identity_holds(zero, p, zero, p, zero)
+    assert poly_mod.identity_holds(zero, p, p, zero, zero)
+    assert poly_mod.identity_holds(zero, p, p, p, -(p * p))
+    assert not poly_mod.identity_holds(p, p, zero, zero, zero)
+    assert not poly_mod.identity_holds(zero, zero, zero, p, p)
+    half = p * Fraction(1, 2)
+    assert poly_mod.identity_holds(half, p, half, p, zero)
+    assert not poly_mod.identity_holds(half, p, p, p, zero)
+    with pytest.raises(ValueError):
+        poly_mod.identity_holds(p, p, p, p, Poly.zero(XYZ))
 
 
 # --- binomial divisors: +-x^a plus a term free of x ----------------------

@@ -1,13 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly import families, ptolemy, ratfunc
 from fillpoly.checks import evaluate_ring_hom
 from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.poly import Poly
-from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly, parse_ratfunc,
-                              substitute_basis)
+from fillpoly.ratfunc import (MAX_POWER_DEGREE, PoleError, RatFunc, parse_poly,
+                              parse_ratfunc, substitute_basis)
 
 LM = ("L", "M")
 XY = ("x", "y")
@@ -205,6 +207,38 @@ def test_parser_reads_a_sum_longer_than_ast_parse_nests():
                   for i in range(60) for j in range(59)})
     assert len(p.terms) == 3540
     assert parse_poly(str(p), LM) == p
+
+
+@pytest.mark.parametrize("text", [
+    "(L+1)^99999", "((L + 1)^30)^40", "((L*M - 2)^-20)^60", "2^99999999",
+    "(L + M + 1)^1001", "(1/(L - 1))^-1001"])
+def test_parser_refuses_a_power_above_the_degree_bound(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power of degree"):
+        parse_ratfunc(text, LM)
+    assert time.perf_counter() - start < 1
+
+
+def test_parser_power_bound_admits_unit_monomials_and_the_bound():
+    assert parse_poly("L^99999", LM) == Poly.monomial(LM, (99999, 0))
+    assert rf("(L^2/M)^-400") == rf("M^400/L^800")
+    assert len(parse_poly("(L + 1)^%d" % MAX_POWER_DEGREE, LM)) == 1001
+    assert parse_poly("(-1)^1000 - 2^1000", LM) == 1 - 2 ** 1000
+
+
+def test_every_fixture_parses_under_the_power_bound(monkeypatch):
+    # the data files and twist seeds raise a base other than a unit
+    # monomial to degree 17 at most, far below the bound: they still parse
+    # with the bound set at 17
+    monkeypatch.setattr(ratfunc, "MAX_POWER_DEGREE", 17)
+    for name in ("pretzel238.eqs", "whitehead.eqs"):
+        assert ptolemy.load_equations.__wrapped__(name)
+    for name in ("pretzel238_values.txt", "whitehead_values.txt"):
+        assert ptolemy.load_values.__wrapped__(name)
+    families.TwistPolys()
+    monkeypatch.setattr(ratfunc, "MAX_POWER_DEGREE", 16)
+    with pytest.raises(ValueError, match="power of degree 17"):
+        ptolemy.load_values.__wrapped__("pretzel238_values.txt")
 
 
 # Exponents stay small: a power applies to an atom only, at most cubed, and
