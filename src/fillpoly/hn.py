@@ -40,7 +40,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .matchings import TAIL_VARS, count_subsets
-from .poly import Poly, divide_out
+from .poly import Poly, divide_out, identity_holds
 from .quadext import QuadExt
 from .ratfunc import RatFunc
 
@@ -306,13 +306,15 @@ def h_recurrence_check(n):
     """Three-term product identity between collapsed tails (n >= 4):
 
         T(n-1) T(n-3) == T(n-2)^2 - (g_f^(n-3) g_o^(n-2) g_p)^2
+
+    checked by one poly.identity_holds test, so no tail product is expanded.
     """
     if n < 4:
         raise ValueError("identity needs n >= 4")
-    lhs = tail_poly(n - 1) * tail_poly(n - 3)
     cross = Poly.monomial(TAIL_VARS, (n - 3, n - 2, 1))
-    rhs = tail_poly(n - 2) ** 2 - cross * cross
-    return lhs == rhs
+    mid = tail_poly(n - 2)
+    return identity_holds(tail_poly(n - 1), tail_poly(n - 3), mid, mid,
+                          -(cross * cross))
 
 
 def symbolic_tail_values():

@@ -1,8 +1,11 @@
 """Step-by-step solving of the transcribed triangulation equations.
 
 Every equation used here was transcribed once into a data file and is
-consumed verbatim: each is a sum of terms, each term a monomial
-coefficient in L and M times exactly two gamma factors.  One collector
+consumed verbatim: each is a polynomial in L, M and the gamma names,
+read by the package's one polynomial reader (ratfunc.parse_poly) with
+each gamma name as a variable, and each of its terms holds exactly two
+gamma factors.  parse_equations groups the terms by their gamma pair,
+each group's coefficient a polynomial in L and M.  One collector
 reads every equation: it sums the terms by the unknown names each holds,
 multiplying out the bound values, and each solver reads the parts it
 expects from that sum.  A check is the part with no unknowns; a step
@@ -23,6 +26,7 @@ step, step3neg included, match it.  The solvers never normalize those
 differences away.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -82,10 +86,11 @@ class PtolemyEq:
 def parse_equations(text):
     """Parse an equation file into an ordered dict label -> PtolemyEq.
 
-    Lines look like  label: term +- term ... = 0  with gamma factors
-    written g_<name> (optionally ^2) and monomial coefficients in L, M.
-    Binary operators are space-separated; gamma names may contain an
-    unspaced minus sign.
+    Lines look like  label: sum = 0,  a polynomial in L, M and the gamma
+    names g_<slope> (such as g_1/0, g_-1/1 or g_0(23)).  Each gamma name
+    becomes a placeholder variable, the sum is read as one polynomial, and
+    its terms are grouped by the gamma pair each holds, in order of first
+    appearance; PtolemyEq refuses a term of another gamma degree.
     """
     out = {}
     for raw in text.splitlines():
@@ -99,57 +104,37 @@ def parse_equations(text):
         rest = rest.strip()
         if not rest.endswith("= 0"):
             raise ValueError("equation %r must end with '= 0'" % (label,))
-        body = rest[:-3].strip()
-        terms = []
-        for sign, chunk in _signed_chunks(body):
-            coef, gammas = _parse_term(chunk, label)
-            terms.append((coef * sign, gammas))
         if label in out:
             raise ValueError("duplicate label %r" % (label,))
+        try:
+            terms = _gamma_terms(rest[:-3])
+        except ValueError as err:
+            raise ValueError("%s, reading %r" % (err, line)) from None
         out[label] = PtolemyEq(label, terms)
     return out
 
 
-def _signed_chunks(body):
-    """Split on space-padded +/- only, tracking signs."""
-    pieces = body.split(" ")
-    sign = 1
-    current = []
-    first = True
-    for piece in pieces:
-        if piece == "+" or piece == "-":
-            if not current:
-                raise ValueError("dangling operator in %r" % (body,))
-            yield sign, "".join(current)
-            sign = 1 if piece == "+" else -1
-            current = []
-            continue
-        if first and piece.startswith("-"):
-            sign = -1
-            piece = piece[1:]
-        current.append(piece)
-        first = False
-    if not current:
-        raise ValueError("empty term in %r" % (body,))
-    yield sign, "".join(current)
+# A gamma name: g_ and a slope, or a name such as g_0(23).  Every name that
+# starts g_ is a gamma, so the placeholders g_0, g_1, ... meet no name of
+# the text.
+_GAMMA = re.compile(r"\bg_-?[\w/]+(?:\(\w+\))?")
 
 
-def _parse_term(chunk, label):
-    coef_factors = []
-    gammas = []
-    for factor in chunk.split("*"):
-        if not factor:
-            raise ValueError("empty factor in %r (%s)" % (chunk, label))
-        if factor.startswith("g_"):
-            if factor.endswith("^2"):
-                name = factor[:-2]
-                gammas.extend([name, name])
-            else:
-                gammas.append(factor)
-        else:
-            coef_factors.append(factor)
-    coef = parse_poly("*".join(coef_factors) or "1", PVARS)
-    return coef, tuple(gammas)
+def _gamma_terms(body):
+    """(coefficient, gamma pair) terms of a sum: the terms that hold the same
+    gammas are summed, and each gamma pair is written in the order its
+    names first appear."""
+    names = {}
+    body = _GAMMA.sub(
+        lambda m: "g_%d" % names.setdefault(m[0], len(names)), body)
+    vars = PVARS + tuple("g_%d" % i for i in range(len(names)))
+    n = len(PVARS)
+    coefs = {}
+    for exps, c in parse_poly(body, vars).terms.items():
+        pair = tuple(name for name, k in zip(names, exps[n:])
+                     for _ in range(k))
+        coefs.setdefault(pair, {})[exps[:n]] = c
+    return [(Poly(PVARS, terms), pair) for pair, terms in coefs.items()]
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,8 @@ per variable, so any failed step proves non-divisibility.
 import ast
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
+from math import prod
 from operator import add, and_, itemgetter, mul, sub, truediv
 
 from .poly import Poly, divide_out, exact_coef, poly_divides
@@ -324,7 +325,9 @@ def substitute_basis(rf, sign, e):
 # follow an operand outside parentheses, and ast.parse reads each term, so
 # a sum's length costs no parser depth.  The walk accepts only + - * /, **
 # by a decimal int or its negation, unary minus, names from the table and
-# decimal ints; anything else is an error.
+# decimal ints; anything else is an error.  A term is read with Poly
+# arithmetic and becomes a RatFunc only at a '/' or a negative power, so a
+# polynomial term builds and normalizes no RatFunc.
 
 # The largest degree a power of a base other than a unit monomial (such as
 # L, M^3 or 1/L) may reach, a constant base counting as degree 1: text such
@@ -334,6 +337,12 @@ def substitute_basis(rf, sign, e):
 # pretzel238_values.txt, and unit monomials to 30; the tests read unit
 # monomials up to degree 59.
 MAX_POWER_DEGREE = 1000
+# The most terms such a power may hold, estimated before it is computed as
+# the product over the variables of |k| times the base's degree in that
+# variable, plus one: as many as (L + 1)^MAX_POWER_DEGREE holds.  In two
+# variables that refuses (L + M + 1)^31, whose box has 1,024 slots; the
+# data files' largest power, (L - M)^-17, has 324.
+MAX_POWER_TERMS = MAX_POWER_DEGREE + 1
 
 _ALPHABET = re.compile(r"[A-Za-z0-9_+\-*/^() ]*")
 _MARKS = re.compile(r"[()]|(?<=[\w)]) ?([+-]) ?")
@@ -354,20 +363,27 @@ def _terms(text):
 
 
 def _power(base, k, term):
-    """base ** k, refused unless base is a unit monomial or its degree
-    times |k| is at most MAX_POWER_DEGREE (a constant counts as degree 1)."""
-    num, den = base.num.terms, base.den.terms
-    unit = (len(num) == len(den) == 1
-            and set(map(abs, (*num.values(), *den.values()))) == {1})
-    if not unit:
-        degree = max(1, *map(sum, chain(num, den))) * abs(k)
+    """base ** k for a Poly or RatFunc base, refused unless base is a unit
+    monomial or the power stays within MAX_POWER_DEGREE (a constant counts
+    as degree 1) and MAX_POWER_TERMS.  A negative k gives a RatFunc."""
+    sides = (base.num, base.den) if type(base) is RatFunc else (base,)
+    coefs = {abs(c) for p in sides for c in p.terms.values()}
+    if any(len(p.terms) != 1 for p in sides) or coefs != {1}:
+        degree = max([1, *(sum(e) for p in sides for e in p.terms)]) * abs(k)
         if degree > MAX_POWER_DEGREE:
             raise ValueError("power of degree %d above %d in %r"
                              % (degree, MAX_POWER_DEGREE, term))
-    return base ** k
+        size = prod(abs(k) * max(d) + 1
+                    for d in zip(*map(Poly.max_degrees, sides)))
+        if size > MAX_POWER_TERMS:
+            raise ValueError("power of up to %d terms above %d in %r"
+                             % (size, MAX_POWER_TERMS, term))
+    return _ratfunc(base) ** k if k < 0 else base ** k
 
 
 def _read_term(term, vars):
+    """The value of one term: a Poly, or a RatFunc once a '/' or a
+    negative power has made one."""
     def decimal(node):
         return (type(node) is ast.Constant
                 and term[node.col_offset:node.end_col_offset].isdigit())
@@ -391,72 +407,49 @@ def _read_term(term, vars):
         elif kind is ast.UnaryOp and type(node.op) is ast.USub:
             value = -walk(node.operand)
         elif kind is ast.Name:
-            value = RatFunc.variable(vars, node.id)
+            value = Poly.variable(vars, node.id)
         elif decimal(node):
-            value = RatFunc.const(vars, node.value)
+            value = Poly.const(vars, node.value)
         else:
             raise ValueError("unsupported %s in %r" % (kind.__name__, term))
         for link in reversed(chain):
-            value = _BINOPS[type(link.op)](value, walk(link.right))
+            op, right = _BINOPS[type(link.op)], walk(link.right)
+            # both sides become RatFunc together, so a quotient is built as
+            # it would be from two RatFunc operands
+            if op is truediv or RatFunc in (type(value), type(right)):
+                value, right = _ratfunc(value), _ratfunc(right)
+            value = op(value, right)
         return value
 
     return walk(ast.parse(term, mode="eval").body)
 
 
-def _sum(pieces, vars):
-    """The sum of (add or sub, RatFunc) pieces, in the form that adding them
-    one at a time gives.
+def _ratfunc(value):
+    return value if type(value) is RatFunc else RatFunc(value)
 
-    Adding a value whose denominator is a constant changes only the sum's
-    numerator over the same denominator, and the normal form that results
-    depends on the new value and that denominator alone.  So each run of
-    such pieces is summed into one dict of coefficients and added at once.
-    After a sum with a constant denominator (a polynomial), the run starts
-    from its value.  The one other case is a partial sum of zero, which
-    normalizes to 0/1 and so drops its denominator: that needs the sum
-    before the run to be a polynomial over a denominator that divides it,
-    and its quotient, summed along with the run in shadow, finds the zero.
+
+def _sum(pieces, vars):
+    """The sum of (add or sub, Poly or RatFunc) pieces.
+
+    A polynomial, or a quotient over a constant, is summed into one term
+    map; every other quotient is added in order, and the map is added once
+    at the end, so a long polynomial costs one normalization.
     """
-    result = RatFunc.zero(vars)
-    run, shadow, started = {}, None, False
+    total, quotients = {}, RatFunc.zero(vars)
+    get = total.get
     for op, value in pieces:
-        # a piece added to a zero sum is the sum, as it is
-        if not value.den.is_constant() or not run and result.is_zero():
-            if run:
-                result = result + RatFunc(Poly(vars, run))
-            result = op(result, value)
-            run, shadow, started = {}, None, False
-            continue
-        if not started:
-            started = True
-            if result.den.is_constant():
-                d = result.den.constant_value()
-                run = {e: c if d == 1 else Fraction(c, d)
-                       for e, c in result.num.terms.items()}
-                result = RatFunc.zero(vars)
+        if type(value) is RatFunc:
+            if not value.den.is_constant():
+                quotients = op(quotients, value)
+                continue
+            value = value.num * Fraction(1, value.den.constant_value())
+        for e, c in value.terms.items():
+            c = op(get(e, 0), c)
+            if c:
+                total[e] = c
             else:
-                ok, q = poly_divides(result.den, result.num)
-                shadow = dict(q.terms) if ok else None
-        d = value.den.constant_value()
-        if op is sub:
-            d = -d
-        terms = value.num.terms
-        if d != 1:
-            terms = {e: c * d if d == -1 else Fraction(c, d)
-                     for e, c in terms.items()}
-        for sums in (run,) if shadow is None else (run, shadow):
-            get = sums.get
-            for e, c in terms.items():
-                c += get(e, 0)
-                if c:
-                    sums[e] = c
-                else:
-                    del sums[e]
-        if shadow is not None and not shadow:
-            result, run, shadow = RatFunc.zero(vars), {}, None
-    if run:
-        result = result + RatFunc(Poly(vars, run))
-    return result
+                del total[e]
+    return quotients + RatFunc(Poly(vars, total))
 
 
 def parse_ratfunc(text, vars):

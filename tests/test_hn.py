@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fillpoly import hn
 from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.hn import (TailEntry, exchange_step, filling_poly,
                          h_recurrence_check, iterate_exchange,
@@ -253,6 +254,18 @@ def test_h_recurrence():
     # its products are homogeneous, so they multiply in (g_f, g_o) alone,
     # and from n = 5 on they pack there
     assert all(h_recurrence_check(n) for n in range(4, 25))
+
+
+@pytest.mark.parametrize("var", TAIL_VARS)
+def test_h_recurrence_fails_with_the_cross_term_times_a_variable(
+        monkeypatch, var):
+    # identity_holds(a, b, c, d, e) gets e = -cross^2; with cross times a
+    # variable the identity must fail
+    real = hn.identity_holds
+    v = Poly.variable(TAIL_VARS, var)
+    monkeypatch.setattr(hn, "identity_holds",
+                        lambda a, b, c, d, e: real(a, b, c, d, e * v * v))
+    assert not any(h_recurrence_check(n) for n in range(4, 20))
 
 
 def test_difference_lifts_both_sides_to_the_common_denominator():

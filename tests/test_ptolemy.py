@@ -1,10 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fillpoly import ptolemy
-from fillpoly.families import family_chain, get_family
+from fillpoly.families import (REDUCE_CANDIDATES, TwistPolys, family_chain,
+                               get_family)
 from fillpoly.farey import Slope
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import (PVARS, Assignment, PtolemyEq, chain_solve,
@@ -261,6 +263,24 @@ def test_each_base_and_step_equation_is_checked_once(monkeypatch, family,
     assert sorted(checked) == sorted(heads + spec.step_labels)
 
 
+def test_parse_equations_sums_the_terms_of_each_gamma_pair():
+    eq = parse_equations(
+        "e: L*g_a*g_1/0 - g_-1/1^2 + 2*g_1/0*g_a*M + g_0(23)*g_a = 0")["e"]
+    assert [(str(coef), pair) for coef, pair in eq.terms] == [
+        ("L + 2*M", ("g_a", "g_1/0")), ("-1", ("g_-1/1", "g_-1/1")),
+        ("1", ("g_a", "g_0(23)"))]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e: L*g_a*g_b - g_b*L*g_a = 0", "has no terms"),
+    ("e: g_a^2 + M*g_a*g_b - g_a*g_a - g_b*M*g_a = 0", "has no terms"),
+    ("e: g_a*g_b + g_c = 0", "gamma degree 1"),
+    ("e: (g_a + 1)*g_b*g_c = 0", "gamma degree 3")])
+def test_parse_equations_refuses_a_line_without_gamma_pairs(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_equations(text)
+
+
 def test_parse_equations_division_by_zero_is_a_value_error():
     with pytest.raises(ValueError, match="division by zero"):
         parse_equations("e: (1/0)*g_a*g_b + g_c^2 = 0")
@@ -287,3 +307,27 @@ def test_parse_equations_returns_a_value_or_raises_value_error(text):
     except ValueError:
         return
     assert all(isinstance(eq, PtolemyEq) for eq in eqs.values())
+
+
+# sha256 of every text the package parses, as parsed: the values files'
+# entries, the equations' terms (coefficient and sorted gamma pair, in
+# order), REDUCE_CANDIDATES and the twist seeds
+PARSED_TEXTS_SHA256 = \
+    "3155391787b8abd85fc5773de5184eaecac987758063524640c6c4fb09b454df"
+
+
+def test_the_package_texts_parse_as_pinned():
+    lines = []
+    for name in ("pretzel238_values.txt", "whitehead_values.txt"):
+        for key, value in load_values(name).items():
+            lines.append("%s %s %s" % (name, key, value))
+    for name in ("pretzel238.eqs", "whitehead.eqs"):
+        for label, eq in load_equations(name).items():
+            for coef, pair in eq.terms:
+                lines.append("%s %s %s %s" % (name, label, coef, sorted(pair)))
+    lines.extend(map(str, REDUCE_CANDIDATES))
+    tw = TwistPolys()
+    lines.extend(map(str, (tw.x, tw.y, tw.z, *tw.seqs["pos"], *tw.seqs["neg"],
+                           tw.gap["pos"], tw.gap["neg"])))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSED_TEXTS_SHA256

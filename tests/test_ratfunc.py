@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +227,21 @@ def test_parser_power_bound_admits_unit_monomials_and_the_bound():
     assert parse_poly("(-1)^1000 - 2^1000", LM) == 1 - 2 ** 1000
 
 
+@pytest.mark.parametrize("text", ["(L + M + 1)^400", "(L + M + 1)^1000"])
+def test_parser_refuses_a_power_above_the_size_bound(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="terms above"):
+        parse_ratfunc(text, LM)
+    assert time.perf_counter() - start < 1
+
+
+def test_parser_power_size_bound_in_two_variables():
+    assert ratfunc.MAX_POWER_TERMS == MAX_POWER_DEGREE + 1
+    assert len(parse_poly("(L + M + 1)^30", LM)) == 496
+    with pytest.raises(ValueError, match="1024 terms above 1001"):
+        parse_poly("(L + M + 1)^31", LM)
+
+
 def test_every_fixture_parses_under_the_power_bound(monkeypatch):
     # the data files and twist seeds raise a base other than a unit
     # monomial to degree 17 at most, far below the bound: they still parse
@@ -263,6 +279,26 @@ def test_parse_ratfunc_returns_a_value_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(value, RatFunc)
+
+
+def test_reading_a_polynomial_normalizes_a_fixed_number_of_times(
+        monkeypatch):
+    counts = []
+    real = ratfunc._normalize
+
+    def counting(num, den):
+        counts[-1] += 1
+        return real(num, den)
+
+    monkeypatch.setattr(ratfunc, "_normalize", counting)
+    for rows in (2, 20):
+        # 10 * rows terms, each a product of a coefficient and two powers
+        p = Poly(LM, {(i, j): (-1) ** j * (i + j + 2)
+                      for i in range(rows) for j in range(10)})
+        counts.append(0)
+        assert parse_poly(str(p), LM) == p
+    assert len(p) == 200
+    assert counts[0] == counts[1] <= 2
 
 
 def test_substitute_basis_values_match():
@@ -350,6 +386,29 @@ def test_substitute_basis_matches_term_by_term_route(data):
     e = data.draw(st.integers(-3, 3))
     _assert_same_form(substitute_basis(r, sign, e),
                       _substitute_by_terms(r, sign, e))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_a_sum_is_its_terms_added_one_at_a_time(data):
+    # polynomial terms, quotients over a constant and quotients over a
+    # polynomial, each in parentheses; some come back with the other sign,
+    # so partial sums cancel
+    side = _side(LM).map("({})".format)
+    dens = st.sampled_from(["3", "(L - 1)", "(L - M)", "(M^2 + 2*L)",
+                            "((L - 1)^2*M)"])
+    quotient = st.tuples(side, dens).map("/".join)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from([add, sub]),
+                                         st.one_of(side, quotient)),
+                               min_size=1, max_size=6))
+    back = data.draw(st.lists(st.sampled_from(terms), max_size=3))
+    terms += [(sub if op is add else add, t) for op, t in back]
+    text = " ".join("%s %s" % ("+" if op is add else "-", t)
+                    for op, t in terms).removeprefix("+ ")
+    want = RatFunc.zero(LM)
+    for op, t in terms:
+        want = op(want, rf(t))
+    assert rf(text) == want
 
 
 def test_immutability():
