@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cli import _apoly_payload, _emit_json_doc
-from .families import (FAMILIES, MAX_TWIST_N, REDUCE_CANDIDATES,
-                       divides_conjugate, family_chain, get_family,
-                       numeric_agreement, run_family, twist_identities)
+from .families import (FAMILIES, MAX_TWIST_N, divides_conjugate,
+                       family_chain, get_family, numeric_agreement,
+                       run_family, twist_identities)
 from .farey import (ORACLE_MAX_BOUND, FareyTriangle, Slope, Walk, _new_slope,
                     anatomy, crossing_count, crossing_count_oracle,
                     is_neighbor, walk_labels)
@@ -30,7 +30,8 @@ from .hn import (TailEntry, h_recurrence_check, iterate_exchange,
 from .matchings import (MAX_ENUM_RUNGS, TAIL_VARS, count_subsets,
                         count_subsets_oracle, enumerate_matchings,
                         matching_step_check, matching_sum)
-from .poly import Poly, divide_out, poly_divides
+from .newton import binomial_factors
+from .poly import Poly, poly_divides
 from .ptolemy import (BASE_EQ_LABELS, PVARS, check_equation, gamma_name,
                       load_values)
 from .quadext import QuadExt
@@ -614,7 +615,7 @@ def _normalization_independence(r, family_run):
         for gname in asg.names():
             v = asg.value(gname)
             parts = (v,) if isinstance(v, RatFunc) else (v.a, v.b)
-            if any(x.reduced(REDUCE_CANDIDATES) != x for x in parts):
+            if any(x.reduced() != x for x in parts):
                 return False, "%s/%s %s changes under reduction" \
                     % (name, sign, gname)
     return True, "chain values are normalization-independent"
@@ -680,24 +681,21 @@ def _numeric_agreement(r, family_run):
 def lowest_terms_failure(value):
     """Certify that a RatFunc is in lowest terms, or say why not.
 
-    Strips every REDUCE_CANDIDATES factor from the denominator as often as
-    it divides; what remains must be a single term, no stripped factor may
-    divide the numerator, and the two sides may share no variable in their
-    monomial content.  The candidates are irreducible, so that proves gcd 1
-    without computing a gcd.  Returns the failure detail or None.
+    Strips the binomial factors of the denominator
+    (newton.binomial_factors); what remains must be a single term, no
+    stripped factor may divide the numerator, and the two sides may share
+    no variable in their monomial content.  Each binomial factor is
+    irreducible (its Newton polygon is a segment with no lattice point
+    inside), so that proves gcd 1 without computing a gcd.  Returns the
+    failure detail or None.
     """
-    den = value.den
-    stripped = []
-    for cand in REDUCE_CANDIDATES:
-        e, den = divide_out(cand, den)
-        if e:
-            stripped.append(cand)
+    found, den = binomial_factors(value.den)
     if len(den.terms) != 1:
-        return "denominator keeps a %d-term factor outside the candidates" \
-            % len(den.terms)
-    for cand in stripped:
-        if poly_divides(cand, value.num)[0]:
-            return "%s divides numerator and denominator" % cand
+        return ("denominator keeps a %d-term factor outside its binomial"
+                " factors" % len(den.terms))
+    for b, _ in found:
+        if poly_divides(b, value.num)[0]:
+            return "%s divides numerator and denominator" % b
     shared = [v for v, a, b in zip(value.vars, value.num.monomial_content(),
                                    value.den.monomial_content()) if a and b]
     if shared:

@@ -38,34 +38,6 @@ def _pp(text):
     return parse_poly(text, PVARS)
 
 
-# The irreducible factors the base values are built from.  They matter in
-# three places.  The tail entry (hn.TailEntry) reduces the chain values
-# entering the tail by them: the chain solve's sums leave common factors
-# there that products alone do not cancel.  The entry is then factored
-# over them: the denominators of f, o, p and K are a monomial times
-# powers of these factors, with nothing left over in any family, so every
-# tail value's denominator is carried as an exponent vector over this list
-# and the outputs come out in lowest terms with no further reduction.  The
-# lowest-terms check certifies that by stripping these factors from each
-# output denominator down to a monomial.  reduced() only cancels a
-# candidate after exact division succeeds on both sides, so the list never
-# changes a value.  Shared monomials are already stripped by
-# normalization, so no bare variables.
-#
-# Each entry is a binomial +-x^a +- t with t free of x, which poly_divides
-# tests by sparse division like any other divisor.  Each entry is used: over
-# both families, both signs and m <= 4, the tail-entry reductions cancel
-# M - 1, M + 1 and L^2 -+ M^3 (pretzel238) and L + M^2 (whitehead), and the
-# output denominators strip L - 1, M -+ 1 and L -+ M.  Five earlier entries
-# are gone: M^2 - 1 can never cancel, because M - 1 and M + 1 come first
-# and strip their whole common multiplicity; M^2 + 1, L + M^4, L - M^2 and
-# L - M^4 cancelled nothing and divided no output denominator.
-REDUCE_CANDIDATES = tuple(_pp(t) for t in (
-    "L - 1", "M - 1", "M + 1",
-    "L - M", "L + M", "L + M^2",
-    "L^2 - M^3", "L^2 + M^3"))
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class FamilySpec:
     """Static description of one family and filling direction.
@@ -210,11 +182,11 @@ def family_chain(spec):
     labels are the walk's labels for tail length 1, step_eqs the step
     equations in step order, asg the assignment after solving every step
     before the tail, and entry the values entering the tail, as solved,
-    with REDUCE_CANDIDATES as its base.  The tail length only adds steps
-    after the tail starts, so all four are the same for every m: each
-    spec is solved once per process, and every caller gets the same
-    objects, which none mutates (Assignment.bind returns a new
-    assignment).
+    with the binomial factors of their denominators as its factors.  The
+    tail length only adds steps after the tail starts, so all four are
+    the same for every m: each spec is solved once per process, and every
+    caller gets the same objects, which none mutates (Assignment.bind
+    returns a new assignment).
     """
     labels = tuple(walk_labels(Walk(spec.triangle0, spec.triangle1,
                                     spec.word(1))))
@@ -226,8 +198,7 @@ def family_chain(spec):
     f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f")
     o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o")
     p = asg.value(gamma_name(tail.p))
-    return FamilyChain(labels, step_eqs, asg,
-                       TailEntry(f, o, p, REDUCE_CANDIDATES))
+    return FamilyChain(labels, step_eqs, asg, TailEntry(f, o, p))
 
 
 def run_family(spec, m):

@@ -24,7 +24,7 @@ polynomial in K, f and o, and the filling expression one in those and p:
 each denominator is a product of the denominators of those four entry
 values.  The tail therefore carries each value as
 num / (c * monomial * prod factor_i^e_i): the entry factors the four
-denominators once over a given base (poly.divide_out), a product adds
+denominators once into binomials (newton.binomial_factors), a product adds
 exponent vectors, a difference takes their elementwise maximum and
 multiplies each numerator by its cofactor, and each result's denominator
 is expanded once, factor pairs such as (M - 1)(M + 1) as one binomial
@@ -40,6 +40,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .matchings import TAIL_VARS, count_subsets
+from .newton import binomial_factors
 from .poly import Poly, divide_out, identity_holds
 from .quadext import QuadExt
 from .ratfunc import RatFunc
@@ -129,25 +130,32 @@ def _pow(a, e):
 
 
 def _factor(value, factors):
-    """value as a _Factored over factors, which may grow by one entry.
+    """value as a _Factored over factors, which may grow.
 
-    Strips the monomial, then each factor by trial division as often as
-    it divides.  A non-constant rest is appended to factors as one more
-    entry, so any denominator is carried exactly.
+    Strips the monomial, then the binomial factors of the rest
+    (newton.binomial_factors), appending each new one to factors, then
+    each factor met before as often as it divides, so that a non-binomial
+    one met again is carried as a power.  A non-constant rest is appended
+    as one more factor, so any denominator is carried exactly.
     """
     den = value.den
     mono = den.monomial_content()
-    rest = den.shift_down(mono)
-    exps = []
+    found, rest = binomial_factors(den.shift_down(mono))
     for b in factors:
         e, rest = divide_out(b, rest)
-        exps.append(e)
+        if e:
+            found.append((b, e))
     if rest.is_constant():
         c = rest.constant_value()
     else:
         c, rest = rest.primitive()
-        factors.append(rest)
-        exps.append(1)
+        found.append((rest, 1))
+    exps = [0] * len(factors)
+    for b, e in found:
+        if b not in factors:
+            factors.append(b)
+            exps.append(0)
+        exps[factors.index(b)] = e
     return _Factored(value.num, int(c), mono, tuple(exps))
 
 
@@ -171,25 +179,23 @@ class TailEntry:
     """Values entering a tail of any length: the carried f, o, p roles.
 
     f and o must be nonzero RatFunc, so that K (below) is defined; p may
-    be RatFunc or a pure-root QuadExt.  base lists the polynomials the
-    denominators are expected to be products of (a family's reduction
-    candidates; symbolic values, whose denominators are monomials, need
-    none).  f, o and p (p.b for a root) are stored reduced by base, and
-    K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p and K are worked
-    out once, here, for every tail length.  A denominator factor outside
-    base becomes one more entry of factors.
+    be RatFunc or a pure-root QuadExt.  f, o and p (p.b for a root) are
+    stored reduced (RatFunc.reduced), and K = (f^2 + o^2 - p^2)/(f*o) and
+    the factored f, o, p and K are worked out once, here, for every tail
+    length.  factors lists the binomial factors of their denominators in
+    the order met, and one more entry for each non-binomial rest not met
+    before.
     """
 
     f: RatFunc
     o: RatFunc
     p: object
-    base: tuple = ()
     factors: tuple = field(init=False, compare=False)
     pairs: tuple = field(init=False, compare=False)
     factored: tuple = field(init=False, compare=False)   # f, o, p or p.b, K
 
     def __post_init__(self):
-        f, o, p, base = self.f, self.o, self.p, self.base
+        f, o, p = self.f, self.o, self.p
         if not isinstance(f, RatFunc) or not isinstance(o, RatFunc):
             raise TypeError("f and o must be RatFunc")
         if f.is_zero() or o.is_zero():
@@ -198,15 +204,13 @@ class TailEntry:
             raise TypeError("p must be RatFunc or QuadExt")
         if isinstance(p, QuadExt) and not p.is_pure_root():
             raise ValueError("a QuadExt p must be a pure root")
-        if any(not isinstance(b, Poly) or b.is_constant() for b in base):
-            raise ValueError("base entries must be non-constant Poly")
-        f, o = f.reduced(base), o.reduced(base)
+        f, o = f.reduced(), o.reduced()
         rational = isinstance(p, RatFunc)
-        root = (p if rational else p.b).reduced(base)
+        root = (p if rational else p.b).reduced()
         p = root if rational else QuadExt.pure_root(root, p.rad)
         psq = root * root if rational else root * root * p.rad
         k = (f * f + o * o - psq) / (f * o)
-        factors = [b.primitive()[1] for b in base]
+        factors = []
         factored = [_factor(v, factors) for v in (f, o, root, k)]
         width = len(factors)
         factored = tuple(v._replace(exps=v.exps + (0,) * (width - len(v.exps)))

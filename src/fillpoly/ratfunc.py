@@ -18,16 +18,17 @@ numerator.  That keeps the dividing exchange (hn.iterate_exchange, which
 the checks compare the tail against) fully reduced, where the
 denominators must stay plain monomials.  The tail itself carries its
 denominators factored (hn.TailEntry) and uses RatFunc only for K and its
-outputs.  Sums are not cancelled this way, so reduced() cancels a
-caller's list of likely factors, each as often as it divides both sides
-(poly.divide_out).  substitute_basis maps the exponent columns of the
-basis change L -> +-L*M^e and keeps the normal form it is given, fixing
-only the shared power of M and the denominator's leading sign.
+outputs.  Sums are not cancelled this way, so reduced() cancels the
+binomial factors of the denominator (newton.binomial_factors), each as
+often as it divides the numerator.  substitute_basis maps the exponent
+columns of the basis change L -> +-L*M^e and keeps the normal form it is
+given, fixing only the shared power of M and the denominator's leading
+sign.
 
-poly_divides has one route for every divisor, the reduction candidates
-such as L - M and the factors of the cross-cancellation alike: sparse
-division of packed monomial keys, the remainder in a heap or, in a dense
-box, a flat list.  It is sound because in an integral domain the leading
+poly_divides has one route for every divisor, binomials such as L - M
+and the factors of the cross-cancellation alike: sparse division of
+packed monomial keys, the remainder in a heap or, in a dense box, a flat
+list.  It is sound because in an integral domain the leading
 term of a product is the product of the leading terms and degrees add
 per variable, so any failed step proves non-divisibility.
 """
@@ -36,9 +37,10 @@ import ast
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import prod
+from math import comb, prod
 from operator import add, and_, itemgetter, mul, sub, truediv
 
+from .newton import binomial_factors
 from .poly import Poly, divide_out, exact_coef, poly_divides
 
 
@@ -215,22 +217,18 @@ class RatFunc:
 
     # --- extra reduction ---------------------------------------------------
 
-    def reduced(self, candidates):
-        """Cancel every candidate polynomial that divides both sides.
+    def reduced(self):
+        """Cancel every binomial factor of the denominator
+        (newton.binomial_factors) as often as it divides the numerator.
 
-        Normalization does no multivariate gcd, so pipelines that know
-        which factors tend to appear pass them here to keep results small.
-        Each leaves the numerator, then at most as often the denominator
-        (poly.divide_out).  Value-preserving in all cases.
+        Normalization does no multivariate gcd, so a sum can keep such a
+        common factor.  Value-preserving in all cases.
         """
         num, den = self.num, self.den
-        for cand in candidates:
-            if cand.is_constant() or num.is_zero():
-                continue
-            e, qn = divide_out(cand, num)
-            k, qd = divide_out(cand, den, limit=e)
-            if k:
-                num, den = qn if k == e else qn * cand ** (e - k), qd
+        for b, k in binomial_factors(den)[0]:
+            e, num = divide_out(b, num, limit=k)
+            if e:
+                den = divide_out(b, den, limit=e)[1]
         if den is self.den:
             return self
         return RatFunc(num, den)
@@ -337,11 +335,15 @@ def substitute_basis(rf, sign, e):
 # pretzel238_values.txt, and unit monomials to 30; the tests read unit
 # monomials up to degree 59.
 MAX_POWER_DEGREE = 1000
-# The most terms such a power may hold, estimated before it is computed as
-# the product over the variables of |k| times the base's degree in that
-# variable, plus one: as many as (L + 1)^MAX_POWER_DEGREE holds.  In two
-# variables that refuses (L + M + 1)^31, whose box has 1,024 slots; the
-# data files' largest power, (L - M)^-17, has 324.
+# The most terms such a power may hold: as many as (L + 1)^MAX_POWER_DEGREE
+# holds.  It is estimated before the power is computed as the smaller of
+# two upper bounds: the product over the variables of |k| times the base's
+# degree in that variable, plus one, and the number of monomials of degree
+# |k| in t unknowns, C(|k| + t - 1, t - 1), for a base of t terms.  In two
+# variables that admits (L + M + 1)^43 (990 terms) and refuses
+# (L + M + 1)^44 (1,035); a binomial's power holds |k| + 1, so
+# (L*M + 1)^500 is read, and the data files' largest power, (L - M)^-17,
+# is estimated at 18.
 MAX_POWER_TERMS = MAX_POWER_DEGREE + 1
 
 _ALPHABET = re.compile(r"[A-Za-z0-9_+\-*/^() ]*")
@@ -373,8 +375,10 @@ def _power(base, k, term):
         if degree > MAX_POWER_DEGREE:
             raise ValueError("power of degree %d above %d in %r"
                              % (degree, MAX_POWER_DEGREE, term))
-        size = prod(abs(k) * max(d) + 1
-                    for d in zip(*map(Poly.max_degrees, sides)))
+        t = max(1, *map(len, sides))        # a zero base counts as 1
+        size = min(prod(abs(k) * max(d) + 1
+                        for d in zip(*map(Poly.max_degrees, sides))),
+                   comb(abs(k) + t - 1, t - 1))
         if size > MAX_POWER_TERMS:
             raise ValueError("power of up to %d terms above %d in %r"
                              % (size, MAX_POWER_TERMS, term))

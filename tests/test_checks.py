@@ -44,9 +44,12 @@ def test_lowest_terms_certifies_a_reduced_value():
 @pytest.mark.parametrize("num,den,detail", [
     ("(L - M) * (L + 2)", "M * (L - M)^2",
      "L - M divides numerator and denominator"),
-    ("L + 2", "M * (L - M) * (M + 3)",
-     "denominator keeps a 2-term factor outside the candidates"),
+    ("L + 2", "M * (L - M) * (L + M + 1)",
+     "denominator keeps a 3-term factor outside its binomial factors"),
+    ("(M + 3) * (L + 2)", "M * (L - M) * (M + 3)",
+     "M + 3 divides numerator and denominator"),
     ("M * (L + 2)", "M * (L - 1)", "M divides numerator and denominator"),
-], ids=["shared-candidate", "foreign-factor", "shared-variable"])
+], ids=["shared-candidate", "foreign-factor", "found-factor",
+        "shared-variable"])
 def test_lowest_terms_names_the_shared_factor(num, den, detail):
     assert lowest_terms_failure(_raw(num, den)) == detail

@@ -12,12 +12,22 @@ from fillpoly.families import (FAMILIES, FillingResult, family_chain,
                                twist_gap, twist_polys)
 from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
-                         tail_collapse)
+                         tail_collapse, tail_poly)
+from fillpoly.matchings import TAIL_VARS
+from fillpoly.newton import binomial_factors
 from fillpoly.poly import Poly, identity_holds, poly_divides
-from fillpoly.ptolemy import PVARS
+from fillpoly.ptolemy import PVARS, gamma_name
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
                               substitute_basis)
+
+
+# The binomials that the denominators of the values entering the four
+# tails, as solved, are built from: the factor base fillpoly once listed
+# by hand, kept here as expected data (test_ptolemy's parsed-text digest
+# and test_poly's BINOMIALS read it too).
+FAMILY_BINOMIALS = ("L - 1", "M - 1", "M + 1", "L - M", "L + M", "L + M^2",
+                    "L^2 - M^3", "L^2 + M^3")
 
 
 def test_registry_contents():
@@ -190,6 +200,69 @@ def test_negative_control_wrong_divisor(family_runs):
     wrong = _unit_normal(twist_A(1 + offset + 1, tsign))
     target = _unit_normal(res.basis_changed.num)
     assert poly_divides(wrong, target)[0] is False
+
+
+def _solved_den_binomials(spec):
+    """Texts of the binomial factors of the denominators of f, o and p
+    entering spec's tail, as solved, before TailEntry reduces them."""
+    chain = family_chain(spec)
+    tail = chain.labels[len(spec.step_labels)]
+    found = set()
+    for slope in (tail.f, tail.o, tail.p):
+        v = chain.asg.value(gamma_name(slope))
+        for part in (v,) if isinstance(v, RatFunc) else (v.a, v.b):
+            found |= {str(b) for b, _ in binomial_factors(part.den)[0]}
+    return found
+
+
+def test_the_factor_base_is_derived_as_measured():
+    # each family's base, and their union is the hand-listed one; the
+    # entry carries only the factors its reduction leaves
+    pretzel = {"M - 1", "M + 1", "L - M", "L + M", "L^2 - M^3", "L^2 + M^3"}
+    want = {"pretzel238": pretzel, "whitehead": {"L - 1", "L + M^2"}}
+    carried = {"pretzel238": {"M - 1", "M + 1", "L - M", "L + M"},
+               "whitehead": {"L - 1"}}
+    union = set()
+    for (name, sign), spec in FAMILIES.items():
+        base = _solved_den_binomials(spec)
+        assert base == want[name], (name, sign)
+        factors = {str(b) for b in family_chain(spec).entry.factors}
+        assert factors == carried[name], (name, sign)
+        union |= base
+    assert union == set(FAMILY_BINOMIALS)
+
+
+def _factored_den(den, factors):
+    """den as its monomial's exponents, then its multiplicity of each of
+    factors; every binomial factor of den must be one of them."""
+    found, rest = binomial_factors(den)
+    assert len(rest.terms) == 1
+    assert all(b in factors for b, _ in found)
+    exps = [next((e for b, e in found if b == f), 0) for f in factors]
+    return next(iter(rest.terms)) + tuple(exps)
+
+
+def _denominator_law(d_f, d_o, d_p, m):
+    """Entrywise max of i*d_f + j*d_o + k*d_p over the terms
+    g_f^i g_o^j g_p^k of tail_poly(m) - g_f^(m-1) g_o^m g_p."""
+    poly = tail_poly(m) - Poly.monomial(TAIL_VARS, (m - 1, m, 1))
+    return tuple(max(i * a + j * b + k * c for i, j, k in poly.terms)
+                 for a, b, c in zip(d_f, d_o, d_p))
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+def test_pretzel_denominators_follow_the_tail_polynomial(sign, family_runs):
+    # the paper's denominator law in L and M: the expression's denominator
+    # is the support function of the filling polynomial's Newton polytope
+    # at the entry's denominator vectors
+    entry = family_chain(get_family("pretzel238", sign)).entry
+    d_f, d_o, d_p = (v.mono + v.exps for v in entry.factored[:3])
+    bumped = (d_f[0] + 1,) + d_f[1:]
+    for m in range(1, 5):
+        den = family_runs("pretzel238", sign, m).expression.den
+        got = _factored_den(den, entry.factors)
+        assert got == _denominator_law(d_f, d_o, d_p, m)
+        assert got != _denominator_law(bumped, d_o, d_p, m)
 
 
 def _value_objects():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_families import FAMILY_BINOMIALS
 from fillpoly import hn
-from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.hn import (TailEntry, exchange_step, filling_poly,
                          h_recurrence_check, iterate_exchange,
                          symbolic_tail_values, tail_collapse, tail_poly)
@@ -96,8 +96,6 @@ def test_tail_context_validation():
     mixed = QuadExt(rf("1"), rf("1"), rf("g_f"))
     with pytest.raises(ValueError):
         TailEntry(f, o, mixed)
-    with pytest.raises(ValueError):
-        TailEntry(f, o, p, (Poly.one(TAIL_VARS),))
 
 
 def test_tail_collapse_matches_iterated_exchange():
@@ -107,9 +105,12 @@ def test_tail_collapse_matches_iterated_exchange():
         assert tail_collapse(entry, n) == iterate_exchange(f, o, p, n)
 
 
-def _pvars_entry(base=REDUCE_CANDIDATES):
+def _pvars_entry():
+    """An entry whose f denominator holds all of FAMILY_BINOMIALS."""
     L, M = (RatFunc.variable(PVARS, v) for v in ("L", "M"))
-    return TailEntry(L, M, RatFunc.one(PVARS), base)
+    den = parse_ratfunc(" * ".join("(%s)" % t for t in FAMILY_BINOMIALS),
+                        PVARS)
+    return TailEntry(L / den, M, RatFunc.one(PVARS))
 
 
 def _repeated_power(b, e):
@@ -122,26 +123,27 @@ def _repeated_power(b, e):
 
 def test_expand_is_the_product_of_base_powers():
     entry = _pvars_entry()
-    assert entry.factors == REDUCE_CANDIDATES
+    factors = entry.factors
+    assert sorted(map(str, factors)) == sorted(FAMILY_BINOMIALS)
     # the pairs are found by multiplying, and include (M-1)(M+1) and
     # (L-M)(L+M)
     paired = {str(prod) for _, _, prod in entry.pairs}
     assert {"M^2 - 1", "L^2 - M^2"} <= paired
-    nb = len(REDUCE_CANDIDATES)
+    nb = len(factors)
     for e in (0, 1, 2, 37, 102):
-        for i, b in enumerate(REDUCE_CANDIDATES):
+        for i, b in enumerate(factors):
             exps = tuple(e if j == i else 0 for j in range(nb))
             assert entry.expand(exps) == _repeated_power(b, e)
         for i, j, prod in entry.pairs:
             for ei, ej in ((e, e), (e, 2), (1, e)):
                 exps = tuple(ei if k == i else ej if k == j else 0
                              for k in range(nb))
-                want = (_repeated_power(REDUCE_CANDIDATES[i], ei)
-                        * _repeated_power(REDUCE_CANDIDATES[j], ej))
+                want = (_repeated_power(factors[i], ei)
+                        * _repeated_power(factors[j], ej))
                 assert entry.expand(exps) == want
     exps = (3, 2, 5, 4, 4, 1, 2, 0)
     want = Poly.monomial(PVARS, (2, 7), -3)
-    for b, e in zip(REDUCE_CANDIDATES, exps):
+    for b, e in zip(factors, exps):
         want = want * _repeated_power(b, e)
     assert entry.expand(exps, (2, 7), -3) == want
 
@@ -152,11 +154,13 @@ def test_expand_is_the_product_of_base_powers():
      "L/(2*L - 3*M^2)"),
     ("L/(3*L + 3*M)", "(L - M)/(L^2 - M^3)^2", "M/(L + M + 1)")])
 def test_factor_outside_the_base_keeps_the_value(f, o, p):
-    # a denominator factor outside REDUCE_CANDIDATES becomes one more
+    # a denominator factor that is not a binomial becomes one lumped
     # factor, and the tail gives the dividing exchange's value
     f, o, p = (parse_ratfunc(t, PVARS) for t in (f, o, p))
-    entry = TailEntry(f, o, p, REDUCE_CANDIDATES)
-    assert len(entry.factors) > len(REDUCE_CANDIDATES)
+    entry = TailEntry(f, o, p)
+    # a power of it met later is carried as a power of the same factor
+    lumped = [b for b in entry.factors if len(b) > 2]
+    assert lumped == [parse_ratfunc("L + M + 1", PVARS).num]
     for n in (1, 2, 3):
         want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
         assert filling_poly(entry, n) == want
@@ -164,14 +168,14 @@ def test_factor_outside_the_base_keeps_the_value(f, o, p):
 
 def test_entry_reduces_its_values_by_the_base():
     # the chain hands over f, o and p as solved; the entry cancels the
-    # base factors they share before it factors anything
+    # binomial factors they share before it factors anything
     L, M = (Poly.variable(PVARS, v) for v in PVARS)
     f = RatFunc((L - 1) * (L + 2), (L - 1) * M)
     o = RatFunc(M + 2, L)
     assert f.den == (L - 1) * M
     root = QuadExt.pure_root(RatFunc((M + 1) * L, (M + 1) * M), RatFunc(L + M))
     for p in (RatFunc(L + 3, M + 1), root):
-        entry = TailEntry(f, o, p, REDUCE_CANDIDATES)
+        entry = TailEntry(f, o, p)
         assert entry.f.den == M
         for n in (1, 2, 3):
             want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
@@ -272,7 +276,7 @@ def test_difference_lifts_both_sides_to_the_common_denominator():
     # the recurrence's differences always have the larger exponents on the
     # left, so each order is checked here directly
     f, o = (parse_ratfunc(t, PVARS) for t in ("3/(M - 1)", "L/(2*(L - M)^2*M^3)"))
-    entry = TailEntry(f, o, RatFunc.one(PVARS), REDUCE_CANDIDATES)
+    entry = TailEntry(f, o, RatFunc.one(PVARS))
     ff, fo = entry.factored[:2]
     assert entry._ratfunc(entry._sub(ff, fo)) == f - o
     assert entry._ratfunc(entry._sub(fo, ff)) == o - f

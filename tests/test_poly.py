@@ -7,10 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from test_families import FAMILY_BINOMIALS
 from fillpoly import poly as poly_mod
 from fillpoly.checks import divides_roundtrip, ring_axioms
-from fillpoly.families import (REDUCE_CANDIDATES, divides_conjugate,
-                               family_chain, get_family)
+from fillpoly.families import divides_conjugate, family_chain, get_family
 from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, divide_out, poly_divides
@@ -923,7 +923,7 @@ def test_identity_holds_zero_operands_and_fractions():
 # --- binomial divisors: +-x^a plus a term free of x ----------------------
 
 # (divisor text, variable table, variable the divisor is monic in, degree)
-BINOMIALS = [(str(c), PVARS, None, None) for c in REDUCE_CANDIDATES] + [
+BINOMIALS = [(t, PVARS, None, None) for t in FAMILY_BINOMIALS] + [
     ("L - M^2", PVARS, None, None),
     ("L - M^4", PVARS, None, None),
     ("-L + M", PVARS, "M", 1),

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_families import FAMILY_BINOMIALS
 from fillpoly import ptolemy
-from fillpoly.families import (REDUCE_CANDIDATES, TwistPolys, family_chain,
-                               get_family)
+from fillpoly.families import TwistPolys, family_chain, get_family
 from fillpoly.farey import Slope
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import (PVARS, Assignment, PtolemyEq, chain_solve,
@@ -14,7 +14,7 @@ from fillpoly.ptolemy import (PVARS, Assignment, PtolemyEq, chain_solve,
                               load_values, parse_equations, solve_linear_step,
                               solve_pretzel_base, solve_whitehead_base)
 from fillpoly.quadext import QuadExt
-from fillpoly.ratfunc import RatFunc, parse_ratfunc
+from fillpoly.ratfunc import RatFunc, parse_poly, parse_ratfunc
 
 
 def rf(text):
@@ -311,7 +311,7 @@ def test_parse_equations_returns_a_value_or_raises_value_error(text):
 
 # sha256 of every text the package parses, as parsed: the values files'
 # entries, the equations' terms (coefficient and sorted gamma pair, in
-# order), REDUCE_CANDIDATES and the twist seeds
+# order), the families' factor base and the twist seeds
 PARSED_TEXTS_SHA256 = \
     "3155391787b8abd85fc5773de5184eaecac987758063524640c6c4fb09b454df"
 
@@ -325,7 +325,7 @@ def test_the_package_texts_parse_as_pinned():
         for label, eq in load_equations(name).items():
             for coef, pair in eq.terms:
                 lines.append("%s %s %s %s" % (name, label, coef, sorted(pair)))
-    lines.extend(map(str, REDUCE_CANDIDATES))
+    lines.extend(str(parse_poly(t, PVARS)) for t in FAMILY_BINOMIALS)
     tw = TwistPolys()
     lines.extend(map(str, (tw.x, tw.y, tw.z, *tw.seqs["pos"], *tw.seqs["neg"],
                            tw.gap["pos"], tw.gap["neg"])))

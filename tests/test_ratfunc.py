@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from fillpoly import families, ptolemy, ratfunc
 from fillpoly.checks import evaluate_ring_hom
-from fillpoly.families import REDUCE_CANDIDATES
 from fillpoly.poly import Poly
 from fillpoly.ratfunc import (MAX_POWER_DEGREE, PoleError, RatFunc, parse_poly,
                               parse_ratfunc, substitute_basis)
@@ -99,26 +98,25 @@ def test_division_cancels_divisor_denominator():
 def test_reduced_cancels_listed_factors():
     r = RatFunc(parse_poly("(M - 1)^2 * L", LM),
                 parse_poly("(M - 1) * (M + 1)", LM))
-    out = r.reduced([parse_poly("M - 1", LM)])
+    out = r.reduced()
     assert out == r
     assert out.den == parse_poly("M + 1", LM)
 
 
 def test_reduced_cancels_only_the_smaller_power():
-    cands = [parse_poly("M - 1", LM)]
     r = RatFunc(parse_poly("L * (M - 1)^3", LM), parse_poly("(M - 1)^5", LM))
-    out = r.reduced(cands)
+    out = r.reduced()
     assert (out.num, out.den) == (parse_poly("L", LM),
                                   parse_poly("(M - 1)^2", LM))
     r = RatFunc(parse_poly("(M - 1)^5", LM), parse_poly("L * (M - 1)^3", LM))
-    out = r.reduced(cands)
+    out = r.reduced()
     assert (out.num, out.den) == (parse_poly("(M - 1)^2", LM),
                                   parse_poly("L", LM))
 
 
 def test_reduced_of_zero_is_zero():
     zero = RatFunc(Poly.zero(LM), parse_poly("(M - 1)^2", LM))
-    out = zero.reduced(REDUCE_CANDIDATES)
+    out = zero.reduced()
     assert out.is_zero() and out.den == Poly.one(LM)
 
 
@@ -237,9 +235,17 @@ def test_parser_refuses_a_power_above_the_size_bound(text):
 
 def test_parser_power_size_bound_in_two_variables():
     assert ratfunc.MAX_POWER_TERMS == MAX_POWER_DEGREE + 1
-    assert len(parse_poly("(L + M + 1)^30", LM)) == 496
-    with pytest.raises(ValueError, match="1024 terms above 1001"):
-        parse_poly("(L + M + 1)^31", LM)
+    assert len(parse_poly("(L + M + 1)^43", LM)) == 990
+    with pytest.raises(ValueError, match="1035 terms above 1001"):
+        parse_poly("(L + M + 1)^44", LM)
+    # a sparse power is estimated from its base's term count, not its box
+    assert len(parse_poly("(L - M)^31", LM)) == 32
+    assert len(parse_poly("(L*M + 1)^500", LM)) == 501
+    for k in (400, 1000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="terms above 1001"):
+            parse_poly("(L + M + 1)^%d" % k, LM)
+        assert time.perf_counter() - start < 1
 
 
 def test_every_fixture_parses_under_the_power_bound(monkeypatch):
@@ -420,11 +426,11 @@ def test_immutability():
 def test_reduced_strips_full_common_multiplicity_and_no_more():
     r = RatFunc(parse_poly("(L - M)^3 * (M + 1)", LM),
                 parse_poly("(L - M)^2 * (M - 1) * (L + 1)", LM))
-    out = r.reduced(REDUCE_CANDIDATES)
+    out = r.reduced()
     assert out.num == parse_poly("(L - M) * (M + 1)", LM)
     assert out.den == parse_poly("(M - 1) * (L + 1)", LM)
     r = rf("(L - M)^3 * (M + 1) / ((L - M)^2 * M)")
-    out = r.reduced(REDUCE_CANDIDATES)
+    out = r.reduced()
     assert (out.num, out.den) == (parse_poly("(L - M) * (M + 1)", LM),
                                   parse_poly("M", LM))
     assert str(out) == "(L*M + L - M^2 - M)/(M)"
