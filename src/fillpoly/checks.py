@@ -50,7 +50,7 @@ def _slope_pool(max_entry):
 
 @dataclass(frozen=True)
 class Ranges:
-    """How far each check reaches.  bound None means 4 * max_n + 1.
+    """How far each check reaches.
 
     A size beyond what a check's module accepts is refused here, so that
     selftest rejects it before any check runs.
@@ -65,7 +65,6 @@ class Ranges:
     product_top: int        # two-step matching recurrence, n = 3..top
     gap_top: int            # matching product gap identity, n = 4..top
     coefficient_top: int    # coefficient counts of P(2n), n = 1..top
-    bound: int | None = None    # crossing-oracle bound
     seed: int = 0
 
     def __post_init__(self):
@@ -85,15 +84,11 @@ class Ranges:
         if bound > ORACLE_MAX_BOUND:
             raise ValueError("crossing-oracle bound %d is above the oracle's "
                              "limit of %d" % (bound, ORACLE_MAX_BOUND))
-        # the oracle needs abs(p) + q of both slopes of a pair
-        need = 2 * max(abs(s.p) + s.q for s in _slope_pool(self.max_n))
-        if bound < need:
-            raise ValueError("crossing-oracle bound %d is below the %d that "
-                             "the slope pool of max_n %d needs"
-                             % (bound, need, self.max_n))
 
     def oracle_bound(self):
-        return 4 * self.max_n + 1 if self.bound is None else self.bound
+        """The oracle needs abs(p) + q of both slopes of a pair, summed,
+        which over the slope pool of max_n is at most 4 * max_n."""
+        return 4 * self.max_n + 1
 
 
 FULL = Ranges(samples=20, max_n=8, max_m=4, h_recurrence_top=10,

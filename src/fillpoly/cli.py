@@ -11,16 +11,14 @@ Subcommands expose each pipeline plus the brute-force oracles:
   selftest   run the whole invariant battery and print a pass/fail table
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic for a fixed argv and --seed.  The FILLPOLY_FORMAT
-environment variable picks the default output format (text or json).
-Text output prints each polynomial, rational function or quadratic
-extension value in its canonical str() form; JSON output is one
-json.dumps document (indent 2) that carries the same strings.
+deterministic for a fixed argv and --seed.  Text output prints each
+polynomial, rational function or quadratic extension value in its
+canonical str() form; JSON output is one json.dumps document (indent 2)
+that carries the same strings.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -33,8 +31,6 @@ from .matchings import enumerate_matchings, matching_sum, matching_weights
 from .hn import tail_poly
 from .families import (FAMILIES, get_family, run_family, twist_A,
                        twist_identities)
-
-FORMAT_ENV = "FILLPOLY_FORMAT"
 
 
 # --- rendering ----------------------------------------------------------
@@ -306,7 +302,7 @@ def _selftest_ranges(args):
         value = getattr(args, field)
         if value is not None:
             sizes[field] = min(value, getattr(ranges, field)) if args.quick else value
-    return replace(ranges, bound=args.bound, seed=args.seed, **sizes)
+    return replace(ranges, seed=args.seed, **sizes)
 
 
 def cmd_selftest(args):
@@ -344,7 +340,7 @@ def cmd_selftest(args):
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json"),
                      default=argparse.SUPPRESS,
-                     help="output format (default: $%s or text)" % FORMAT_ENV)
+                     help="output format (default: text)")
 
 
 def build_parser():
@@ -429,8 +425,6 @@ def build_parser():
                    help="size ceiling for the symbolic checks (default 8)")
     p.add_argument("--max-m", type=int, default=None,
                    help="largest tail length for the family runs (default 4)")
-    p.add_argument("--bound", type=int, default=None,
-                   help="crossing-oracle bound override")
     p.add_argument("--quick", action="store_true",
                    help="shrink every range for a fast smoke pass")
     p.add_argument("--seed", type=int, default=0,
@@ -442,16 +436,9 @@ def build_parser():
 
 
 def _output_format(args):
-    """The --format flag, then apoly's --json, then $FILLPOLY_FORMAT, then
-    text."""
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "json" if getattr(args, "json", False) \
-            else os.environ.get(FORMAT_ENV, "text")
-    if fmt not in ("text", "json"):
-        raise ValueError("output format must be text or json, not %r"
-                         % (fmt,))
-    return fmt
+    """The --format flag, then json for apoly's --json, then text."""
+    return getattr(args, "format",
+                   "json" if getattr(args, "json", False) else "text")
 
 
 _SLOPE_FLAGS = ("--from", "--to")

@@ -48,7 +48,6 @@ class FamilySpec:
 
     name: str
     sign: str
-    eq_file: str
     triangle0: FareyTriangle
     triangle1: FareyTriangle
     body_word: str
@@ -82,7 +81,7 @@ class FamilySpec:
         return self.basis_sign, a * m + b
 
     def equations(self):
-        return load_equations(self.eq_file)
+        return load_equations(self.name + ".eqs")
 
     def base_assignment(self):
         if self.name == "pretzel238":
@@ -95,7 +94,7 @@ class FamilySpec:
 
 FAMILIES = {
     ("pretzel238", "pos"): FamilySpec(
-        "pretzel238", "pos", "pretzel238.eqs",
+        "pretzel238", "pos",
         ("3/1", "4/1", "1/0"), ("3/1", "1/0", "2/1"),
         "LLR", "L",
         ("step0", "step1", "step2", "step3pos"),
@@ -103,7 +102,7 @@ FAMILIES = {
         "T(5,%d,2,2)", (-5, -14),
         1, (-25, -67)),
     ("pretzel238", "neg"): FamilySpec(
-        "pretzel238", "neg", "pretzel238.eqs",
+        "pretzel238", "neg",
         ("3/1", "4/1", "1/0"), ("3/1", "1/0", "2/1"),
         "LLL", "R",
         ("step0", "step1", "step2", "step3neg"),
@@ -111,7 +110,7 @@ FAMILIES = {
         "T(5,%d,2,2)", (5, 11),
         1, (25, 58)),
     ("whitehead", "pos"): FamilySpec(
-        "whitehead", "pos", "whitehead.eqs",
+        "whitehead", "pos",
         ("3/1", "2/1", "1/0"), ("2/1", "1/0", "1/1"),
         "LR", "L",
         ("step0", "step1", "step2pos"),
@@ -120,7 +119,7 @@ FAMILIES = {
         -1, (0, -2),
         twist_link=(3, "pos")),
     ("whitehead", "neg"): FamilySpec(
-        "whitehead", "neg", "whitehead.eqs",
+        "whitehead", "neg",
         ("3/1", "2/1", "1/0"), ("2/1", "1/0", "1/1"),
         "LL", "R",
         ("step0", "step1", "step2neg"),

@@ -226,7 +226,11 @@ class TailEntry:
 
         Each binomial pair is expanded as one binomial power, the rest of
         each factor's exponent as a power of that factor, and the parts
-        are multiplied smallest first.
+        are multiplied smallest first.  The pairs change only speed: the
+        six pretzel238 apoly jobs at m = 1..3, run in one process, took
+        0.282-0.314 s with them against 0.324-0.331 s without (min of 5
+        per round, 6 alternating rounds, faster in all 6; 2-vCPU Xeon,
+        Python 3.11.7).
         """
         exps = list(exps)
         parts = []

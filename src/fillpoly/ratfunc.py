@@ -19,8 +19,8 @@ the checks compare the tail against) fully reduced, where the
 denominators must stay plain monomials.  The tail itself carries its
 denominators factored (hn.TailEntry) and uses RatFunc only for K and its
 outputs.  Sums are not cancelled this way, so reduced() cancels the
-binomial factors of the denominator (newton.binomial_factors), each as
-often as it divides the numerator.  substitute_basis maps the exponent
+binomial factors of the denominator (newton.edge_binomials), each as
+often as it divides both parts.  substitute_basis maps the exponent
 columns of the basis change L -> +-L*M^e and keeps the normal form it is
 given, fixing only the shared power of M and the denominator's leading
 sign.
@@ -40,7 +40,7 @@ from itertools import repeat
 from math import comb, prod
 from operator import add, and_, itemgetter, mul, sub, truediv
 
-from .newton import binomial_factors
+from .newton import edge_binomials
 from .poly import Poly, divide_out, exact_coef, poly_divides
 
 
@@ -218,17 +218,25 @@ class RatFunc:
     # --- extra reduction ---------------------------------------------------
 
     def reduced(self):
-        """Cancel every binomial factor of the denominator
-        (newton.binomial_factors) as often as it divides the numerator.
+        """Cancel every binomial factor of the denominator as often as it
+        divides both parts.
 
         Normalization does no multivariate gcd, so a sum can keep such a
-        common factor.  Value-preserving in all cases.
+        common factor.  Each edge binomial b of the denominator
+        (newton.edge_binomials) divides it at most g times, so the
+        numerator is divided first, at most g times; only when that gives
+        e > 0 is the denominator divided, at most e times, and if it held
+        only k < e, b^(e-k) goes back into the numerator.  A denominator
+        factor the numerator lacks costs one failed division, not a full
+        strip.  Value-preserving in all cases; self when nothing cancels.
         """
         num, den = self.num, self.den
-        for b, k in binomial_factors(den)[0]:
-            e, num = divide_out(b, num, limit=k)
+        for b, g in edge_binomials(den):
+            e, q = divide_out(b, num, limit=g)
             if e:
-                den = divide_out(b, den, limit=e)[1]
+                k, den = divide_out(b, den, limit=e)
+                if k:
+                    num = q if k == e else q * b ** (e - k)
         if den is self.den:
             return self
         return RatFunc(num, den)

@@ -247,7 +247,6 @@ def test_sequence_limits_admit_what_the_checks_use():
     (("--quick", "--max-m", "9"), QUICK, {}),      # --quick only shrinks
     (("--max-m", "2"), FULL, {"max_m": 2}),
     (("--quick", "--samples", "3"), QUICK, {"samples": 3}),
-    (("--bound", "30"), FULL, {"bound": 30}),    # the least FULL admits
 ])
 def test_selftest_size_flags(flags, base, sizes):
     args = cli.build_parser().parse_args(["selftest", *flags])
@@ -277,16 +276,8 @@ def _registry_fails(*args):
     (("--max-n", "10"), {"MAX_TWIST_N": 10},
      "max_n 10 needs A_11 in twist-recurrences; twist polynomials stop at "
      "n = 10"),
-    (("--bound", "501"), {},
-     "crossing-oracle bound 501 is above the oracle's limit of 500"),
     (("--max-n", "5"), {"ORACLE_MAX_BOUND": 20},
      "crossing-oracle bound 21 is above the oracle's limit of 20"),
-    (("--quick", "--bound", "3"), {},
-     "crossing-oracle bound 3 is below the 14 that the slope pool of max_n 4 "
-     "needs"),
-    (("--bound", "29"), {},
-     "crossing-oracle bound 29 is below the 30 that the slope pool of max_n 8 "
-     "needs"),
 ])
 def test_selftest_refuses_sizes_its_checks_cannot_run(
         capsys, monkeypatch, flags, limits, message):
@@ -300,22 +291,27 @@ def test_selftest_refuses_sizes_its_checks_cannot_run(
 
 
 def test_selftest_size_limits_admit_the_largest_sizes():
-    args = cli.build_parser().parse_args(
-        ["selftest", "--max-n", "12", "--bound", "500"])
-    assert cli._selftest_ranges(args) == replace(FULL, max_n=12, bound=500)
+    args = cli.build_parser().parse_args(["selftest", "--max-n", "12"])
+    assert cli._selftest_ranges(args) == replace(FULL, max_n=12)
     # --quick shrinks the flag before the limits apply
     args = cli.build_parser().parse_args(["selftest", "--quick", "--max-n", "13"])
     assert cli._selftest_ranges(args) == QUICK
 
 
 def test_selftest_oracle_floor_is_the_largest_need_over_pool_pairs():
-    for max_n in range(1, 9):
+    for max_n in range(1, 13):
         pool = checks._slope_pool(max_n)
         need = max(abs(s.p) + s.q + abs(h.p) + h.q
                    for i, s in enumerate(pool) for h in pool[i + 1:])
-        assert replace(QUICK, max_n=max_n, bound=need).oracle_bound() == need
-        with pytest.raises(ValueError, match="below the %d" % need):
-            replace(QUICK, max_n=max_n, bound=need - 1)
+        assert replace(QUICK, max_n=max_n).oracle_bound() >= need
+
+
+def test_selftest_has_no_bound_flag(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "CHECKS", [("stub", _registry_fails)])
+    monkeypatch.setattr(checks, "family_runner", _registry_fails)
+    rc, out, err = run(capsys, "selftest", "--bound", "30")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --bound 30" in err
 
 
 def test_seed_is_a_selftest_flag_only(capsys, monkeypatch):
@@ -342,21 +338,10 @@ def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_format_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FILLPOLY_FORMAT", "json")
-    rc, out, _ = run(capsys, "pn", "--n", "1")
-    assert rc == 0
-    assert json.loads(out)["poly"] == "g_p"
-    # an explicit flag wins over the environment
-    rc, out, _ = run(capsys, "pn", "--n", "1", "--format", "text")
-    assert rc == 0 and out == "g_p\n"
-
-
-def test_format_env_var_rejects_unknown_format(capsys, monkeypatch):
-    monkeypatch.setenv("FILLPOLY_FORMAT", "yaml")
-    rc, out, err = run(capsys, "pn", "--n", "1")
-    assert rc == 2 and out == ""
-    assert err == "error: output format must be text or json, not 'yaml'\n"
+def test_output_format_ignores_the_environment(capsys, monkeypatch):
+    for value in ("json", "yaml"):
+        monkeypatch.setenv("FILLPOLY_FORMAT", value)
+        assert run(capsys, "pn", "--n", "1") == (0, "g_p\n", "")
 
 
 def test_format_flag_placement(capsys):

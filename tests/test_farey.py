@@ -253,3 +253,27 @@ def test_package_imports_only_the_standard_library():
             found += [(path.name, name) for name in names
                       if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+def test_package_reads_no_environment():
+    # output is a function of argv alone: no module imports os or names
+    # the process environment
+    src = pathlib.Path(fillpoly.__file__).parent
+    banned = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").partition(".")[0]]
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name == "os" or name in banned]
+    assert found == []

@@ -5,7 +5,7 @@ from operator import add, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillpoly import families, ptolemy, ratfunc
+from fillpoly import families, poly, ptolemy, ratfunc
 from fillpoly.checks import evaluate_ring_hom
 from fillpoly.poly import Poly
 from fillpoly.ratfunc import (MAX_POWER_DEGREE, PoleError, RatFunc, parse_poly,
@@ -434,3 +434,26 @@ def test_reduced_strips_full_common_multiplicity_and_no_more():
     assert (out.num, out.den) == (parse_poly("(L - M) * (M + 1)", LM),
                                   parse_poly("M", LM))
     assert str(out) == "(L*M + L - M^2 - M)/(M)"
+
+
+def test_reduced_tries_the_numerator_before_the_denominator(monkeypatch):
+    # the denominator's (L - M)^17 is not in the numerator: one failed
+    # division per edge binomial, and no strip of the denominator
+    r = rf("(L^2 + L*M + 3*M^2 + 1)/((L - M)^17 * (M - 1))")
+    calls = []
+    real = poly._sparse_divide
+
+    def counting(p, d):
+        calls.append(1)
+        return real(p, d)
+
+    monkeypatch.setattr(poly, "_sparse_divide", counting)
+    assert r.reduced() is r
+    assert len(calls) <= 2
+    # the edge of M - 1 has length 3, so the numerator gives up three
+    # factors and the denominator holds only two: one goes back
+    r = RatFunc(parse_poly("L * (M - 1)^3", LM),
+                parse_poly("(M - 1)^2 * (M - 2)", LM))
+    out = r.reduced()
+    assert (out.num, out.den) == (parse_poly("L * (M - 1)", LM),
+                                  parse_poly("M - 2", LM))
