@@ -276,6 +276,9 @@ def _registry_fails(*args):
     (("--max-n", "10"), {"MAX_TWIST_N": 10},
      "max_n 10 needs A_11 in twist-recurrences; twist polynomials stop at "
      "n = 10"),
+    # the guard holds at --quick too, and refuses a need one past the limit
+    (("--quick",), {"ORACLE_MAX_BOUND": 16},
+     "crossing-oracle bound 17 is above the oracle's limit of 16"),
     (("--max-n", "5"), {"ORACLE_MAX_BOUND": 20},
      "crossing-oracle bound 21 is above the oracle's limit of 20"),
 ])
@@ -338,10 +341,22 @@ def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_output_format_ignores_the_environment(capsys, monkeypatch):
-    for value in ("json", "yaml"):
-        monkeypatch.setenv("FILLPOLY_FORMAT", value)
-        assert run(capsys, "pn", "--n", "1") == (0, "g_p\n", "")
+def test_format_env_var(capsys, monkeypatch):
+    # the environment does not choose the output format: argv alone does
+    monkeypatch.setenv("FILLPOLY_FORMAT", "json")
+    assert run(capsys, "pn", "--n", "1") == (0, "g_p\n", "")
+    rc, out, _ = run(capsys, "pn", "--n", "1", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["poly"] == "g_p"
+
+
+def test_format_env_var_rejects_unknown_format(capsys, monkeypatch):
+    # an unknown format is refused only where it can be given, in argv
+    monkeypatch.setenv("FILLPOLY_FORMAT", "yaml")
+    assert run(capsys, "pn", "--n", "1") == (0, "g_p\n", "")
+    rc, out, err = run(capsys, "pn", "--n", "1", "--format", "yaml")
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'yaml'" in err
 
 
 def test_format_flag_placement(capsys):
