@@ -108,9 +108,18 @@ class FareyTriangle:
     __repr__ = __str__
 
 
+# Most letters a walk word may hold.  Each label of an alternating word
+# is a pair of Fibonacci-sized slopes, so a label's text grows linearly
+# with the step and a walk's trace quadratically: `farey walk` printed
+# 0.87 MB for 1,000 alternating letters in 0.17 s, and 53.8 MB for 8,000
+# in 2.0 s (a fresh process each, 2-vCPU Xeon, Python 3.11.7).
+MAX_WALK_LETTERS = 1000
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Walk:
-    """A start triangle, the triangle entered first, and an L/R word."""
+    """A start triangle, the triangle entered first, and an L/R word of
+    at most MAX_WALK_LETTERS letters."""
 
     t0: FareyTriangle
     t1: FareyTriangle
@@ -125,6 +134,9 @@ class Walk:
             raise ValueError("triangles must share exactly one edge, got %s and %s"
                              % (t0, t1))
         word = str(self.word)
+        if len(word) > MAX_WALK_LETTERS:
+            raise ValueError("walk word of %d letters too large: walks allow "
+                             "at most %d" % (len(word), MAX_WALK_LETTERS))
         if any(ch not in "LR" for ch in word):
             raise ValueError("walk word must use only L and R: %r" % (word,))
         object.__setattr__(self, "word", word)

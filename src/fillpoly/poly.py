@@ -636,9 +636,16 @@ def _dense_walk(keys, coefs, slots, kmin, rest, lc, tail):
 # The packed product writes each operand as one integer, its coefficients
 # as fixed-width digit groups at positions given by mixed-radix keys over
 # the lattice the product occupies, multiplies the two integers once and
-# reads the product's coefficients back from the groups.  _lattice alone
-# decides that lattice, for a list of products (the factors of each, a
-# polynomial alone being a product of one), in three steps:
+# reads the product's coefficients back from the groups.  _pack makes the
+# whole packing decision for a list of products of one or two factors:
+# _packed_mul's one product a*b, and identity_holds' a*b, c*d and e, which
+# start at offsets of whole keys from the lowest one.  It refuses a
+# non-int coefficient, asks _lattice for the lattice, refuses one with
+# more slots than term pairs, sizes the groups for the sum of the
+# products' coefficient bounds, and encodes each distinct factor once (by
+# identity: a square, each squaring step of __pow__, is encoded once, and
+# the one Decimal goes to the multiply twice, so libmpdec transforms one
+# operand, not two).  _lattice alone decides the lattice, in three steps:
 # - the homogeneous drop.  When the operands have three or more variables,
 #   each has a single total degree and every product the same sum of
 #   them, each term's last exponent follows from the others: that column
@@ -662,17 +669,13 @@ def _dense_walk(keys, coefs, slots, kmin, rest, lc, tail):
 #   boxes have empty corners that the sheared lattice cuts off.  The
 #   sheared values of some share a factor h, as do those of the largest
 #   products of pretzel238 pos m = 4 and 6 and neg m = 5 (h = 2).
-# _packed_mul asks for the lattice of one product, and identity_holds for
-# that of a*b, c*d and e together, whose products start at offsets from
-# the lowest key.  An operand's keys are computed a column at a time by
-# _keys, as in _sparse_divide, and its groups are joined into one digit
-# string.  The product's groups are read in key order, so the decode
-# never unpacks a key: two columns are walked a row of u0 at a time, each
-# row one range of second exponents, and a key is built only for a
-# nonempty group; one column, or three and more, are walked by
-# itertools.product over the lattice's ranges.  A square (b is a: each
-# squaring step of __pow__) is encoded once, and the one Decimal goes to
-# the multiply twice, so libmpdec transforms one operand, not two.
+# An operand's keys are computed a column at a time by _keys, as in
+# _sparse_divide, and its groups are joined into one digit string.  The
+# product's groups are read in key order, so the decode never unpacks a
+# key: one walk serves every lattice, a row for each point of every column
+# but the last (by itertools.product), each row one range of the last
+# column, whose start only the shear of two columns moves; a key is built
+# only for a nonempty group.
 #
 # The integers are decimal.Decimal, not int.  CPython multiplies big ints
 # by Karatsuba, O(n^1.58), which is almost all the time of a packed product
@@ -807,13 +810,6 @@ def _shear(u0, u1, groups, off0, off1, span):
     return best[0], best[2]
 
 
-def _radix(cols, groups, offsets):
-    """One more than the largest packed value of a column over the products."""
-    his = list(map(max, cols))
-    return max(off + sum(map(his.__getitem__, grp))
-               for off, grp in zip(offsets, groups)) + 1
-
-
 def _lattice(ops, groups):
     """(degree, lows, steps, shear, radices, cols, offsets): one packed
     lattice for every product of a sum.
@@ -853,7 +849,7 @@ def _lattice(ops, groups):
         steps.append(g)
         offs.append(off)
         cols.append(col)
-    radices = [_radix(col, groups, off) for col, off in zip(cols, offs)]
+    radices = [_span(col, groups, off) + 1 for col, off in zip(cols, offs)]
     # row u0 of a two-column lattice holds the second exponents from
     # lows[1] + g1*(v - s*u0) in steps of g1*h
     s, v, h = 0, 0, 1
@@ -863,14 +859,10 @@ def _lattice(ops, groups):
         if s:
             bases = [o1 + s * o0 for o0, o1 in zip(offs[0], offs[1])]
             v, h, offs[1], cols[1] = _deflate(f, groups, bases)
-            radices[1] = _radix(cols[1], groups, offs[1])
+            radices[1] = _span(cols[1], groups, offs[1]) + 1
     return (degree, lows, steps, (s, v, h), radices,
             [[col[k] for col in cols] for k in range(len(ops))],
             [[off[i] for off in offs] for i in range(len(groups))])
-
-
-def _int_coefs(ops):
-    return all(set(map(type, p.terms.values())) == {int} for p in ops)
 
 
 def _coef_bound(a, b):
@@ -885,17 +877,6 @@ def _coef_bound(a, b):
     sb = sa if b is a else sum(map(mul, vb, vb))
     return min(min(len(va), len(vb)) * max(map(abs, va)) * max(map(abs, vb)),
                isqrt(sa * sb) + 1)
-
-
-def _group_width(bound):
-    """Digits per group for values of absolute value at most bound, or None.
-
-    bound < 10^(w-1), so a group holding c + 5*10^(w-1) stays within its
-    w digits.  None means str() and int() could not convert such a group.
-    """
-    w = len(str(Decimal(bound))) + 1
-    limit = _int_digit_limit()
-    return None if limit and w > limit else w
 
 
 def _encode(poly, cols, strides, slots, half, offset):
@@ -914,53 +895,73 @@ def _encode(poly, cols, strides, slots, half, offset):
     return _DEC.subtract(Decimal("".join(groups)), offset)
 
 
-def _packed_mul(a, b):
-    """Product of a and b by one decimal multiplication, or None.
+def _pack(products):
+    """(lattice, strides, w, offset, codes): products on one packed
+    lattice, or None when they should be expanded instead.
 
-    None means dict convolution should do it: a zero operand, a non-integer
-    coefficient, a packed lattice with more slots than there are term
-    pairs, or digit groups too wide for int().
+    products holds tuples of one or two nonzero polynomials over one
+    variable table.  None means a non-int coefficient, more slots than
+    term pairs, or groups too wide for int() to read.  Otherwise lattice
+    is as _lattice returns it, w the digits per group, offset the Decimal
+    with half = 5*10^(w-1) in every group, and codes[i] the Decimals of
+    product i's factors.  A factor listed twice, by identity, is encoded
+    once.  The groups cover the sum of the products' bounds (a lone
+    factor's is its largest coefficient), so neither a product nor a sum
+    of shifted products carries between groups.
     """
-    if not a.terms or not b.terms:
+    ops = list({id(p): p for fs in products for p in fs}.values())
+    if any(set(map(type, p.terms.values())) != {int} for p in ops):
         return None
-    square = b is a
-    ops, groups = ([a], [(0, 0)]) if square else ([a, b], [(0, 1)])
-    degree, lows, steps, (s, v, h), radices, cols, _ = _lattice(ops, groups)
-    strides, slots = _strides(radices)
-    if slots > len(a.terms) * len(b.terms) or not _int_coefs(ops):
+    index = {id(p): k for k, p in enumerate(ops)}
+    groups = [tuple(index[id(p)] for p in fs) for fs in products]
+    lattice = _lattice(ops, groups)
+    strides, slots = _strides(lattice[4])
+    if slots > sum(prod(map(len, fs)) for fs in products):
         return None
-    w = _group_width(_coef_bound(a, b))
-    if w is None:
+    bound = sum(_coef_bound(*fs) if len(fs) == 2
+                else max(map(abs, fs[0].terms.values())) for fs in products)
+    # bound < 10^(w-1), so c + half keeps to w digits; the digits are
+    # counted by Decimal, as str() of a big int could pass the limit
+    w = len(str(Decimal(bound))) + 1
+    limit = _int_digit_limit()
+    if limit and w > limit:
         return None
     half = 5 * 10 ** (w - 1)
-    half_s = str(half)
-    offset = Decimal(half_s * slots)
-    x = _encode(a, cols[0], strides, slots, half, offset)
-    y = x if square else _encode(b, cols[1], strides, slots, half, offset)
+    offset = Decimal(str(half) * slots)
+    codes = [_encode(p, col, strides, slots, half, offset)
+             for p, col in zip(ops, lattice[5])]
+    return (lattice, strides, w, offset,
+            [[codes[k] for k in grp] for grp in groups])
+
+
+def _packed_mul(a, b):
+    """Product of two nonzero polynomials in one or more variables by one
+    decimal multiplication, or None when _pack declines them."""
+    packed = _pack([(a, b)])
+    if packed is None:
+        return None
+    lattice, _, w, offset, [(x, y)] = packed
+    degree, lows, steps, (s, v, h), radices, _, _ = lattice
     digits = str(_DEC.add(_DEC.multiply(x, y), offset))
+    half = 5 * 10 ** (w - 1)
+    half_s = str(half)
     out = {}
-    # groups are read from the last one back, key 0 first, so the lattice
-    # is walked in key order; one group at a time, so no list of every
-    # slot is held
-    ends = range(slots * w, 0, -w)
-    if len(radices) == 2:
-        # the rows share one iterator over the group ends; a slot whose
-        # second exponent is negative stays empty
-        (r0, r1), (g0, g1), (e0, e1) = radices, steps, lows
-        ends = iter(ends)
-        for x0, lo in zip(range(e0, e0 + g0 * r0, g0),
-                          count(e1 + g1 * v, -g1 * s)):
-            for x1, end in zip(range(lo, lo + g1 * h * r1, g1 * h), ends):
-                group = digits[end - w:end]
-                if group != half_s:
-                    out[x0, x1] = int(group) - half
-    else:
-        walk = product(*[range(lo, lo + g * r, g)
-                         for lo, g, r in zip(lows, steps, radices)])
-        for exps, end in zip(walk, ends):
+    # every group of the sum has w digits; they are read from the last one
+    # back, key 0 first, so the lattice is walked in key order, and one at a
+    # time, so no list of every slot is held: a row for each point of every
+    # column but the last, each row a range of the last column, whose start
+    # the shear moves by -g*s per row (s is 0 but for two columns)
+    g = steps[-1]
+    starts, step = count(lows[-1] + g * v, -g * s), g * h
+    width = step * radices[-1]
+    rows = product(*[range(lo, lo + st * r, st)
+                     for lo, st, r in zip(lows[:-1], steps, radices)])
+    ends = iter(range(len(digits), 0, -w))
+    for head, lo in zip(rows, starts):
+        for x, end in zip(range(lo, lo + width, step), ends):
             group = digits[end - w:end]
             if group != half_s:
-                out[exps] = int(group) - half
+                out[head + (x,)] = int(group) - half
     if degree is not None:
         last = zip(map(sub, repeat(degree), map(sum, out)))
         out = dict(zip(map(add, out, last), out.values()))
@@ -970,14 +971,13 @@ def _packed_mul(a, b):
 def identity_holds(a, b, c, d, e):
     """Does a*b == c*d + e hold exactly?
 
-    With int coefficients the five operands are packed on one lattice:
-    each side is one integer, made by two decimal multiplies and one add,
-    and the two are compared, so no product is decoded.  Every coefficient
-    of a*b - c*d - e is at most the sum of the two products' bounds and
-    max|e|, below 10^(w-1), so the difference of the two integers is 0
-    only if every coefficient is.  Other coefficients, a lattice with more
-    slots than term pairs, or groups too wide for str() expand the
-    products instead.
+    The nonzero products among a*b, c*d and e are packed on one lattice
+    (_pack): each side is one integer, made by two decimal multiplies and
+    one add, and the two are compared, so no product is decoded.  Every
+    coefficient of a*b - c*d - e is at most the sum of the products'
+    bounds, below 10^(w-1), so the difference of the two integers is 0
+    only if every coefficient is.  When _pack declines, the products are
+    expanded instead.
     """
     for p in (b, c, d, e):
         a._check_same_vars(p)
@@ -986,29 +986,15 @@ def identity_holds(a, b, c, d, e):
     if len(products) < 2:
         # a product of nonzero polynomials is nonzero
         return not products
-    ops = list({id(p): p for fs, _ in products for p in fs}.values())
-    index = {id(p): k for k, p in enumerate(ops)}
-    groups = [tuple(index[id(p)] for p in fs) for fs, _ in products]
-    pairs = sum(prod(len(p.terms) for p in fs) for fs, _ in products)
-    if _int_coefs(ops):
-        _, _, _, _, radices, cols, offsets = _lattice(ops, groups)
-        strides, slots = _strides(radices)
-        w = _group_width(sum(_coef_bound(*fs) if len(fs) == 2
-                             else max(map(abs, fs[0].terms.values()))
-                             for fs, _ in products))
-        if slots <= pairs and w is not None:
-            half = 5 * 10 ** (w - 1)
-            offset = Decimal(str(half) * slots)
-            packed = [_encode(p, col, strides, slots, half, offset)
-                      for p, col in zip(ops, cols)]
-            sides = [Decimal(0), Decimal(0)]
-            for (_, side), grp, off in zip(products, groups, offsets):
-                x = packed[grp[0]]
-                if len(grp) == 2:
-                    x = _DEC.multiply(x, packed[grp[1]])
-                key = sum(map(mul, off, strides))
-                if key:
-                    x = _DEC.scaleb(x, w * key)
-                sides[side] = _DEC.add(sides[side], x)
-            return sides[0] == sides[1]
-    return a * b == c * d + e
+    packed = _pack([fs for fs, _ in products])
+    if packed is None:
+        return a * b == c * d + e
+    lattice, strides, w, _, codes = packed
+    sides = [Decimal(0), Decimal(0)]
+    for (_, side), xs, off in zip(products, codes, lattice[6]):
+        x = _DEC.multiply(*xs) if len(xs) == 2 else xs[0]
+        key = sum(map(mul, off, strides))
+        if key:
+            x = _DEC.scaleb(x, w * key)
+        sides[side] = _DEC.add(sides[side], x)
+    return sides[0] == sides[1]

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillpoly import checks, cli, families, hn
+from fillpoly import checks, cli, families, farey, hn
 from fillpoly.checks import FULL, QUICK
 from fillpoly.cli import dispatch, parse_walk_spec
 from fillpoly.families import twist_identities
@@ -20,6 +22,34 @@ def run(capsys, *argv):
     rc = dispatch(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def _readme_cli_lines():
+    """Each `fillpoly ...` line of the README's CLI block, as an argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("fillpoly ")]
+
+
+README_CLI = _readme_cli_lines()
+
+
+def test_readme_cli_block_is_read():
+    # the examples test below would pass on an empty reading
+    assert len(README_CLI) >= 10
+    assert ["selftest"] in README_CLI
+    assert ["farey", "walk", "triangle=3/1,4/1,1/0;word=LLRLL"] in README_CLI
+
+
+# selftest has its own tests
+@pytest.mark.parametrize("argv", [argv for argv in README_CLI
+                                  if argv[0] != "selftest"], ids=" ".join)
+def test_readme_cli_examples_exit_0(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out
 
 
 def test_exit_code_success(capsys):
@@ -134,6 +164,31 @@ def test_farey_walk_trace(capsys):
     assert lines[8] == "step 5: o=1/2 h=1/4 p=0/1 f=1/3"
     assert lines[-1] == ("anatomy: body=LLR tail=L tip=L tail_start_step=4"
                          " tip_matches_tail=True")
+
+
+@pytest.mark.parametrize("letters", [farey.MAX_WALK_LETTERS + 1, 80000])
+def test_farey_walk_refuses_a_word_above_the_limit(capsys, monkeypatch,
+                                                   letters):
+    def labels_built(walk):
+        raise AssertionError("walk labels were built")
+
+    monkeypatch.setattr(cli, "walk_labels", labels_built)
+    monkeypatch.setattr(farey, "walk_labels", labels_built)
+    word = ("LR" * letters)[:letters]
+    rc, out, err = run(capsys, "farey", "walk",
+                       "triangle=4/1,3/1,1/0;word=" + word)
+    assert rc == 2 and out == ""
+    assert err == ("error: walk word of %d letters too large: walks allow "
+                   "at most %d\n" % (letters, farey.MAX_WALK_LETTERS))
+
+
+def test_farey_walk_admits_the_longest_word(capsys):
+    word = ("LR" * farey.MAX_WALK_LETTERS)[:farey.MAX_WALK_LETTERS]
+    rc, out, err = run(capsys, "farey", "walk",
+                       "triangle=4/1,3/1,1/0;word=" + word)
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-2].startswith(
+        "step %d: " % farey.MAX_WALK_LETTERS)
 
 
 _walk_slopes = st.sampled_from(["3/1", "4/1", "1/0", "2/1", "1/1", "0/1",
@@ -281,6 +336,14 @@ def _registry_fails(*args):
      "crossing-oracle bound 17 is above the oracle's limit of 16"),
     (("--max-n", "5"), {"ORACLE_MAX_BOUND": 20},
      "crossing-oracle bound 21 is above the oracle's limit of 20"),
+    (("--samples", str(checks.MAX_SAMPLES + 1)), {},
+     "sample count %d is above the limit of %d"
+     % (checks.MAX_SAMPLES + 1, checks.MAX_SAMPLES)),
+    (("--samples", "100000000"), {},
+     "sample count 100000000 is above the limit of %d" % checks.MAX_SAMPLES),
+    (("--max-m", str(checks.MAX_M + 1)), {},
+     "max_m %d is above the family runs' limit of %d"
+     % (checks.MAX_M + 1, checks.MAX_M)),
 ])
 def test_selftest_refuses_sizes_its_checks_cannot_run(
         capsys, monkeypatch, flags, limits, message):
@@ -296,6 +359,11 @@ def test_selftest_refuses_sizes_its_checks_cannot_run(
 def test_selftest_size_limits_admit_the_largest_sizes():
     args = cli.build_parser().parse_args(["selftest", "--max-n", "12"])
     assert cli._selftest_ranges(args) == replace(FULL, max_n=12)
+    args = cli.build_parser().parse_args(
+        ["selftest", "--samples", str(checks.MAX_SAMPLES),
+         "--max-m", str(checks.MAX_M)])
+    assert cli._selftest_ranges(args) == replace(
+        FULL, samples=checks.MAX_SAMPLES, max_m=checks.MAX_M)
     # --quick shrinks the flag before the limits apply
     args = cli.build_parser().parse_args(["selftest", "--quick", "--max-n", "13"])
     assert cli._selftest_ranges(args) == QUICK

@@ -652,7 +652,7 @@ def test_shear_descent_finds_the_least_radix(data):
     cols, groups = ([ua], [(0, 0)]) if square else ([ua, ub], [(0, 1)])
     s, f = poly_mod._shear([c[0] for c in cols], [c[1] for c in cols],
                            groups, [0], [0],
-                           poly_mod._radix([c[1] for c in cols], groups, [0]) - 1)
+                           poly_mod._span([c[1] for c in cols], groups, [0]))
     fa, fb = f[0], f[-1]
     assert (fa, fb) == tuple([u1 + s * u0 for u0, u1 in deflated(p, mins)]
                              for p, mins in ((a, mins_a), (b, mins_b)))
@@ -660,7 +660,7 @@ def test_shear_descent_finds_the_least_radix(data):
     # u1 + s*u0 are v, v + h, ..., r of them
     v, h, offsets, w = poly_mod._deflate(f, groups, [0])
     assert offsets == [0]
-    r = poly_mod._radix(w, groups, offsets)
+    r = poly_mod._span(w, groups, offsets) + 1
     assert r == max(w[0]) + max(w[-1]) + 1
     assert (r - 1) * h + 1 == brute[s] == min(brute.values())
     assert v == min(fa) + min(fb)
@@ -703,7 +703,7 @@ def test_sheared_values_are_deflated(monkeypatch):
                            2 * max(cols[1]))
     assert s == -1 and len(f) == 1
     v, h, offsets, w = poly_mod._deflate(f, square, [0])
-    assert (v, h, poly_mod._radix(w, square, offsets)) == (0, 2, 5)
+    assert (v, h, poly_mod._span(w, square, offsets) + 1) == (0, 2, 5)
     expected = [(1 + y ** 4 + y ** 8) * (1 + t ** 2 + t ** 4),
                 (1 + y ** 2 + y ** 4) ** 2 * (1 + t + t ** 2) ** 2]
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
@@ -902,6 +902,37 @@ def test_identity_holds_packs_without_expanding(monkeypatch):
         assert poly_mod.identity_holds(a, b, b, a, Poly.zero(XY))
         for stray in (Poly.one(XY), Poly.variable(XY, "x")):
             assert not poly_mod.identity_holds(a, b, b, a, stray)
+
+
+def test_packing_encodes_each_distinct_operand_once(monkeypatch):
+    # a square, or an operand passed twice, is one Decimal: libmpdec then
+    # transforms it once
+    x, y = (Poly.variable(XY, v) for v in XY)
+    p, q = (x + 2 * y + 3) ** 5, (x - y + 1) ** 4
+    c, d = (2 * x + y - 1) ** 3, (x * y + y - 2) ** 2
+    square, pq = p._mul_dict(Poly(XY, dict(p.terms))), p._mul_dict(q)
+    e1 = pq - c._mul_dict(c)
+    e2 = square - c._mul_dict(d)
+    encoded = []
+    encode = poly_mod._encode
+
+    def counted(op, *args):
+        encoded.append(op)
+        return encode(op, *args)
+
+    monkeypatch.setattr(poly_mod, "_encode", counted)
+    monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
+    cases = [(lambda: p * p, square, [p]),
+             (lambda: p ** 2, square, [p]),
+             (lambda: p * q, pq, [p, q]),
+             (lambda: poly_mod.identity_holds(p, q, c, c, e1), True,
+              [p, q, c, e1]),
+             (lambda: poly_mod.identity_holds(p, p, c, d, e2), True,
+              [p, c, d, e2])]
+    for call, expected, operands in cases:
+        encoded.clear()
+        assert call() == expected
+        assert list(map(id, encoded)) == list(map(id, operands))
 
 
 def test_identity_holds_zero_operands_and_fractions():
