@@ -31,7 +31,7 @@ from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
                       load_equations, solve_pretzel_base,
                       solve_whitehead_base)
 from .quadext import QuadExt
-from .ratfunc import PoleError, RatFunc, parse_poly, substitute_basis
+from .ratfunc import PoleError, parse_poly, substitute_basis
 
 
 def _pp(text):
@@ -156,15 +156,6 @@ class FillingResult:
             self.family, self.sign, self.m, self.knot)
 
 
-def _rational_part(value, role):
-    """Unwrap a rational QuadExt back to RatFunc; reject mixed values."""
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, QuadExt) and value.is_rational():
-        return value.a
-    raise ValueError("the %s value must be rational, got %s" % (role, value))
-
-
 class FamilyChain(NamedTuple):
     """What every tail length of one family shares (see family_chain)."""
 
@@ -180,8 +171,9 @@ def family_chain(spec):
 
     labels are the walk's labels for tail length 1, step_eqs the step
     equations in step order, asg the assignment after solving every step
-    before the tail, and entry the values entering the tail, as solved,
-    with the binomial factors of their denominators as its factors.  The
+    before the tail, and entry the values entering the tail, as the
+    assignment stores them (reduced; a rational one as a RatFunc), with
+    the binomial factors of their denominators as its factors.  The
     tail length only adds steps after the tail starts, so all four are
     the same for every m: each spec is solved once per process, and every
     caller gets the same objects, which none mutates (Assignment.bind
@@ -194,10 +186,9 @@ def family_chain(spec):
     asg = chain_solve(labels, step_eqs, spec.base_assignment())
     tail = labels[len(spec.step_labels)]
     assert (tail.f, tail.o, tail.p) == spec.tail_slopes
-    f = _rational_part(asg.value(gamma_name(tail.f)), "tail-f")
-    o = _rational_part(asg.value(gamma_name(tail.o)), "tail-o")
-    p = asg.value(gamma_name(tail.p))
-    return FamilyChain(labels, step_eqs, asg, TailEntry(f, o, p))
+    entry = TailEntry(*(asg.value(gamma_name(s))
+                        for s in (tail.f, tail.o, tail.p)))
+    return FamilyChain(labels, step_eqs, asg, entry)
 
 
 def run_family(spec, m):
@@ -328,10 +319,9 @@ def random_rational_point(rng):
     return {"L": pick(), "M": pick()}
 
 
-def numeric_agreement(spec, m, count, seed, result=None):
-    """Symbolic vs numeric pipeline at `count` non-singular sample points."""
-    if result is None:
-        result = run_family(spec, m)
+def numeric_agreement(spec, m, count, seed, result):
+    """Symbolic vs numeric pipeline at `count` non-singular sample points;
+    result is run_family(spec, m)."""
     expr = result.expression
     if isinstance(expr, QuadExt):
         raise ValueError("numeric agreement is defined for rational results only")
@@ -496,7 +486,7 @@ def twist_divisor(spec, m):
     return _unit_normal(twist_A(m + offset, tsign))
 
 
-def divides_conjugate(spec, m, result=None):
+def divides_conjugate(spec, m, result):
     """Does the twist polynomial divide the basis-changed conjugate product?
 
     The family's basis change carries the conjugate product into the frame
@@ -504,10 +494,8 @@ def divides_conjugate(spec, m, result=None):
     monomial content, integer content and sign on both sides.  Because the
     basis change is an invertible monomial substitution, checking the same
     statement with the inverse substitution applied to the divisor instead
-    gives the same verdict.
+    gives the same verdict.  result is run_family(spec, m).
     """
-    if result is None:
-        result = run_family(spec, m)
     divisor = twist_divisor(spec, m)
     target = _unit_normal(result.basis_changed.num)
     ok, _ = poly_divides(divisor, target)

@@ -300,18 +300,11 @@ def crossing_count(s, h):
 
 
 def _bezout(p, q):
-    """(u, v) with u*p + v*q == 1 for coprime p, q."""
-    old_r, r = p, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_u, u = u, old_u - quo * u
-        old_v, v = v, old_v - quo * v
-    if old_r == -1:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
+    """(u, v) with u*p + v*q == 1 for coprime p and q >= 0."""
+    if not q:
+        return p, 0     # p is 1 or -1
+    u = pow(p, -1, q)
+    return u, (1 - u * p) // q
 
 
 # Largest bound crossing_count_oracle accepts.  The edge table grows

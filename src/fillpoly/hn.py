@@ -9,7 +9,8 @@ and its denominator is the exact monomial g_f^(n-1) * g_o^n.
 
 The exchange x+ * x- = x^2 - p^2 is a rank-2 cluster exchange, so
 K = (x+ + x-)/x stays (f^2 + o^2 - p^2)/(f*o) along the run, the linear
-recurrence of friezes.  A TailEntry reduces f, o and p, divides once to
+recurrence of friezes.  A TailEntry takes f, o and p as given (a
+family's are reduced when its assignment stores them), divides once to
 get K, and rejects a vanishing f or o, where K is undefined; for a
 positive int n, tail_collapse(entry, n) steps x+ = K*x - x- n times with
 no further division, and filling_poly(entry, n) turns the collapsed run
@@ -179,12 +180,13 @@ class TailEntry:
     """Values entering a tail of any length: the carried f, o, p roles.
 
     f and o must be nonzero RatFunc, so that K (below) is defined; p may
-    be RatFunc or a pure-root QuadExt.  f, o and p (p.b for a root) are
-    stored reduced (RatFunc.reduced), and K = (f^2 + o^2 - p^2)/(f*o) and
-    the factored f, o, p and K are worked out once, here, for every tail
-    length.  factors lists the binomial factors of their denominators in
-    the order met, and one more entry for each non-binomial rest not met
-    before.
+    be RatFunc or a pure-root QuadExt.  f, o and p are taken as given: a
+    family's come reduced, as its assignment stores them (Assignment.bind),
+    and unreduced ones give the same values, possibly not in lowest terms.
+    K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p (p.b for a root)
+    and K are worked out once, here, for every tail length.  factors lists
+    the binomial factors of their denominators in the order met, and one
+    more entry for each non-binomial rest not met before.
     """
 
     f: RatFunc
@@ -204,19 +206,17 @@ class TailEntry:
             raise TypeError("p must be RatFunc or QuadExt")
         if isinstance(p, QuadExt) and not p.is_pure_root():
             raise ValueError("a QuadExt p must be a pure root")
-        f, o = f.reduced(), o.reduced()
-        rational = isinstance(p, RatFunc)
-        root = (p if rational else p.b).reduced()
-        p = root if rational else QuadExt.pure_root(root, p.rad)
-        psq = root * root if rational else root * root * p.rad
+        if isinstance(p, RatFunc):
+            root, psq = p, p * p
+        else:
+            root, psq = p.b, p.b * p.b * p.rad
         k = (f * f + o * o - psq) / (f * o)
         factors = []
         factored = [_factor(v, factors) for v in (f, o, root, k)]
         width = len(factors)
         factored = tuple(v._replace(exps=v.exps + (0,) * (width - len(v.exps)))
                          for v in factored)
-        for name, value in (("f", f), ("o", o), ("p", p),
-                            ("factors", tuple(factors)),
+        for name, value in (("factors", tuple(factors)),
                             ("pairs", _binomial_pairs(factors)),
                             ("factored", factored)):
             object.__setattr__(self, name, value)

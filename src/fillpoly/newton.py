@@ -11,14 +11,16 @@ The segment holds no lattice point inside, so the binomial cannot split
 into two non-monomial factors: it is irreducible.
 
 edge_binomials reads every edge, and takes each rational root by the
-rational root test.  The binomial's multiplicity in p is at most that
-root's multiplicity, so at most the edge's lattice length g (the gcd of
-its step): the edge polynomial has degree g.  binomial_factors strips
-each binomial by exact division (poly.divide_out), at most g times.
-The one-variable binomials are stripped first: on
-the 40 output denominators of the family runs at m <= 4, taking L -+ M
-before M -+ 1 made the stripping four times slower (1.6 s against
-0.38 s, 2-vCPU Xeon, Python 3.11.7).
+rational root test: read off directly on an edge of lattice length 1,
+searched on a longer one whose end coefficients are at most MAX_ROOT_END
+(a longer edge past it proposes nothing).  The binomial's multiplicity
+in p is at most that root's multiplicity, so at most the edge's lattice
+length g (the gcd of its step): the edge polynomial has degree g.
+binomial_factors strips each binomial by exact division
+(poly.divide_out), at most g times.  The one-variable binomials are
+stripped first: on the 40 output denominators of the family runs at
+m <= 4, taking L -+ M before M -+ 1 made the stripping four times slower
+(1.6 s against 0.38 s, 2-vCPU Xeon, Python 3.11.7).
 """
 
 from math import gcd, isqrt
@@ -46,6 +48,14 @@ def hull(points):
     return half(pts) + half(reversed(pts))
 
 
+# Largest end coefficient of an edge of lattice length 2 or more whose
+# rational roots are searched.  The search trial-divides both end
+# coefficients up to their square roots, at most 1,000 steps each here;
+# past the bound the edge proposes no binomial, so such a factor stays in
+# binomial_factors' rest.  No family run meets an end coefficient above 1.
+MAX_ROOT_END = 10 ** 6
+
+
 def _divisors(n):
     n = abs(n)
     small = [d for d in range(1, isqrt(n) + 1) if not n % d]
@@ -54,10 +64,20 @@ def _divisors(n):
 
 def _rational_roots(coefs):
     """Coprime (a, b), b > 0, with sum c_i a^i b^(g-i) == 0: the roots a/b
-    of sum c_i t^i, whose end coefficients are nonzero ints."""
+    of sum c_i t^i, whose end coefficients are nonzero ints.  The roots of
+    an edge of length 2 or more are searched only up to MAX_ROOT_END."""
+    content = gcd(*coefs)
+    coefs = [c // content for c in coefs]
+    if len(coefs) == 2:
+        c0, c1 = coefs
+        yield (-c0, c1) if c1 > 0 else (c0, -c1)
+        return
+    if max(abs(coefs[0]), abs(coefs[-1])) > MAX_ROOT_END:
+        return
     g = len(coefs) - 1
+    heads = _divisors(coefs[0])
     for b in _divisors(coefs[-1]):
-        for a in _divisors(coefs[0]):
+        for a in heads:
             if gcd(a, b) != 1:
                 continue
             for a in (a, -a):
@@ -72,9 +92,10 @@ def edge_binomials(p):
     that gives each, the one-variable binomials first.
 
     Each binomial is primitive with a positive leading coefficient.  Every
-    binomial factor of p is among them, and divides p at most g times; a
-    binomial listed need not divide p.  Only a polynomial in exactly two
-    variables has edges; any other gives [].
+    binomial factor of p is among them, unless the edge it lies along is
+    longer than 1 and has an end coefficient past MAX_ROOT_END, and
+    divides p at most g times; a binomial listed need not divide p.  Only
+    a polynomial in exactly two variables has edges; any other gives [].
     """
     if len(p.vars) != 2:
         return []

@@ -175,6 +175,11 @@ class Assignment:
 
     Values are RatFunc or QuadExt; all QuadExt values in one assignment
     must share a radicand, which the assignment carries once bound.
+    bind stores each value in one normal form: a RatFunc reduced
+    (RatFunc.reduced), a QuadExt with a zero root part as that reduced
+    RatFunc, and a pure root b*sqrt(rad) with b reduced and rad as given.
+    It refuses a value with both parts nonzero.  Every reader takes the
+    values as stored.
     """
 
     _vals: dict = field(default_factory=dict)
@@ -195,6 +200,15 @@ class Assignment:
             elif rad != value.rad:
                 raise ValueError("radicand of %s differs from the assignment's"
                                  % (name,))
+            if value.is_rational():
+                value = value.a
+            elif value.is_pure_root():
+                value = QuadExt.pure_root(value.b.reduced(), value.rad)
+            else:
+                raise ValueError("value for %s mixes rational and root parts"
+                                 % (name,))
+        if isinstance(value, RatFunc):
+            value = value.reduced()
         vals = dict(self._vals)
         vals[name] = value
         return Assignment(vals, rad)
@@ -356,8 +370,8 @@ def chain_solve(labels, step_eqs, base):
     does.  Each step binds the gamma at that step's new slope, and its
     equation is checked once right after the bind: values are immutable
     and never rebound, so an equation that closed stays closed.  Values
-    must stay pure: entirely rational or an exact multiple of the shared
-    root.
+    must stay pure, entirely rational or an exact multiple of the shared
+    root, as Assignment.bind requires.
     """
     if len(step_eqs) > len(labels):
         raise ValueError("%d step equations for a walk of %d steps"
@@ -367,12 +381,7 @@ def chain_solve(labels, step_eqs, base):
         unknown = gamma_name(label.h)
         if unknown in asg:
             raise ValueError("step %d wants to rebind %s" % (k, unknown))
-        value = solve_linear_step(eq, asg, unknown)
-        if isinstance(value, QuadExt) and not (value.is_rational()
-                                               or value.is_pure_root()):
-            raise ArithmeticError("value at step %d mixes rational and root parts"
-                                  % (k,))
-        asg = asg.bind(unknown, value)
+        asg = asg.bind(unknown, solve_linear_step(eq, asg, unknown))
         if not check_equation(eq, asg):
             raise ArithmeticError("step %d does not close after its solve" % (k,))
     return asg

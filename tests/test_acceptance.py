@@ -13,7 +13,6 @@ from fillpoly.hn import iterate_exchange, symbolic_tail_values, tail_poly
 from fillpoly.matchings import TAIL_VARS, matching_sum
 from fillpoly.poly import Poly, poly_divides
 from fillpoly.ptolemy import check_equation, load_values
-from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_poly
 
 
@@ -95,14 +94,10 @@ def test_criterion_4(capsys):
 
     wvals = load_values("whitehead_values.txt")
     for sign, gname in (("pos", "g_1/1"), ("neg", "g_-1/1")):
-        chain = family_chain(get_family("whitehead", sign)).asg
-        got = chain.value(gname)
-        if isinstance(got, QuadExt):
-            if not got.is_rational():
-                failures.append("whitehead %s value is not rational" % gname)
-                continue
-            got = got.a
-        if got != wvals[gname]:
+        got = family_chain(get_family("whitehead", sign)).asg.value(gname)
+        if not isinstance(got, RatFunc):
+            failures.append("whitehead %s value is not rational" % gname)
+        elif got != wvals[gname]:
             failures.append("derived whitehead %s != stored display" % gname)
     _report(capsys, 4, "stored reference values reproduced", failures)
     assert not failures, "; ".join(failures)

@@ -5,8 +5,12 @@ import collections
 import pytest
 
 import test_acceptance
+from fillpoly import checks
 from fillpoly.checks import CHECKS, FULL, lowest_terms_failure, run_check
-from fillpoly.ptolemy import PVARS
+from fillpoly.families import get_family
+from fillpoly.poly import Poly
+from fillpoly.ptolemy import PVARS, Assignment
+from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import RatFunc, parse_poly
 
 GROUPS = test_acceptance.CRITERION_CHECKS
@@ -53,3 +57,37 @@ def test_lowest_terms_certifies_a_reduced_value():
         "shared-variable"])
 def test_lowest_terms_names_the_shared_factor(num, den, detail):
     assert lowest_terms_failure(_raw(num, den)) == detail
+
+
+def _storing(monkeypatch, family, sign, gname, restore):
+    """Make the checks read a chain of the family whose gname value is
+    restore(value, radicand), stored as given rather than through bind."""
+    spec, real = get_family(family, sign), checks.family_chain
+
+    def family_chain(s):
+        chain = real(s)
+        if s is not spec:
+            return chain
+        vals = {name: chain.asg.value(name) for name in chain.asg.names()}
+        vals[gname] = restore(vals[gname], chain.asg.rad)
+        return chain._replace(asg=Assignment(vals, chain.asg.rad))
+
+    monkeypatch.setattr(checks, "family_chain", family_chain)
+
+
+def test_normalization_independence_fails_on_an_unreduced_value(monkeypatch):
+    # one chain value with a binomial factor left in both parts
+    b = Poly.variable(PVARS, "L") - Poly.variable(PVARS, "M")
+    _storing(monkeypatch, "pretzel238", "pos", "g_1/2",
+             lambda v, rad: RatFunc(v.num * b, v.den * b))
+    ok, detail = run_check(dict(CHECKS)["normalization-independence"], FULL,
+                           None)
+    assert not ok
+    assert detail == "pretzel238/pos g_1/2 changes under reduction"
+
+
+def test_whitehead_purity_fails_on_a_rational_quadext(monkeypatch):
+    _storing(monkeypatch, "whitehead", "neg", "g_-1/1", QuadExt.rational)
+    ok, detail = run_check(dict(CHECKS)["whitehead-purity"], FULL, None)
+    assert not ok
+    assert detail == "neg g_-1/1 is stored as a QuadExt with a rational part"

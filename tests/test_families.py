@@ -16,16 +16,16 @@ from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.newton import binomial_factors
 from fillpoly.poly import Poly, identity_holds, poly_divides
-from fillpoly.ptolemy import PVARS, gamma_name
+from fillpoly.ptolemy import PVARS
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
                               substitute_basis)
 
 
 # The binomials that the denominators of the values entering the four
-# tails, as solved, are built from: the factor base fillpoly once listed
-# by hand, kept here as expected data (test_ptolemy's parsed-text digest
-# and test_poly's BINOMIALS read it too).
+# tails were built from when the chain kept them unreduced: the factor
+# base fillpoly once listed by hand, kept here as expected data
+# (test_ptolemy's parsed-text digest and test_poly's BINOMIALS read it).
 FAMILY_BINOMIALS = ("L - 1", "M - 1", "M + 1", "L - M", "L + M", "L + M^2",
                     "L^2 - M^3", "L^2 + M^3")
 
@@ -202,34 +202,25 @@ def test_negative_control_wrong_divisor(family_runs):
     assert poly_divides(wrong, target)[0] is False
 
 
-def _solved_den_binomials(spec):
-    """Texts of the binomial factors of the denominators of f, o and p
-    entering spec's tail, as solved, before TailEntry reduces them."""
-    chain = family_chain(spec)
-    tail = chain.labels[len(spec.step_labels)]
-    found = set()
-    for slope in (tail.f, tail.o, tail.p):
-        v = chain.asg.value(gamma_name(slope))
-        for part in (v,) if isinstance(v, RatFunc) else (v.a, v.b):
-            found |= {str(b) for b, _ in binomial_factors(part.den)[0]}
-    return found
-
-
 def test_the_factor_base_is_derived_as_measured():
-    # each family's base, and their union is the hand-listed one; the
-    # entry carries only the factors its reduction leaves
-    pretzel = {"M - 1", "M + 1", "L - M", "L + M", "L^2 - M^3", "L^2 + M^3"}
-    want = {"pretzel238": pretzel, "whitehead": {"L - 1", "L + M^2"}}
+    # each stored tail value's denominator is a monomial times exactly the
+    # powers of the entry's factors that its factored form carries, and
+    # the entry carries those factors and no others
     carried = {"pretzel238": {"M - 1", "M + 1", "L - M", "L + M"},
                "whitehead": {"L - 1"}}
-    union = set()
     for (name, sign), spec in FAMILIES.items():
-        base = _solved_den_binomials(spec)
-        assert base == want[name], (name, sign)
-        factors = {str(b) for b in family_chain(spec).entry.factors}
-        assert factors == carried[name], (name, sign)
-        union |= base
-    assert union == set(FAMILY_BINOMIALS)
+        entry = family_chain(spec).entry
+        root = entry.p if isinstance(entry.p, RatFunc) else entry.p.b
+        held = set()
+        for value, factored in zip((entry.f, entry.o, root), entry.factored):
+            found, rest = binomial_factors(value.den)
+            assert len(rest.terms) == 1, (name, sign)
+            got = {(str(b), e) for b, e in found}
+            assert got == {(str(b), e) for b, e in
+                           zip(entry.factors, factored.exps) if e}, (name, sign)
+            held |= {b for b, _ in got}
+        assert held == {str(b) for b in entry.factors} == carried[name], \
+            (name, sign)
 
 
 def _factored_den(den, factors):

@@ -1,11 +1,12 @@
 import ast
+import math
 import pathlib
 import random
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fillpoly
 from fillpoly import farey
@@ -136,6 +137,20 @@ def test_crossing_count_unimodular_invariance(a, b):
         return
     for m in [(1, 1, 0, 1), (1, 0, 1, 1), (0, -1, 1, 0), (2, 1, 1, 1)]:
         assert crossing_unimodular(a, b, m) is None
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6))
+@example(1, 0)      # the slope 1/0, and its negative
+@example(-1, 0)
+@example(0, 1)
+@example(-7, 1)
+@example(-8, 13)
+def test_bezout_pair(p, q):
+    if math.gcd(p, q) != 1:
+        return
+    u, v = farey._bezout(p, q)
+    assert u * p + v * q == 1
 
 
 def test_crossing_count_against_oracle():

@@ -166,9 +166,10 @@ def test_factor_outside_the_base_keeps_the_value(f, o, p):
         assert filling_poly(entry, n) == want
 
 
-def test_entry_reduces_its_values_by_the_base():
-    # the chain hands over f, o and p as solved; the entry cancels the
-    # binomial factors they share before it factors anything
+def test_entry_takes_its_values_as_given():
+    # values are reduced when an assignment stores them (Assignment.bind);
+    # an entry built from unreduced ones keeps them, carries the factor
+    # they share, and still matches the dividing exchange
     L, M = (Poly.variable(PVARS, v) for v in PVARS)
     f = RatFunc((L - 1) * (L + 2), (L - 1) * M)
     o = RatFunc(M + 2, L)
@@ -176,11 +177,11 @@ def test_entry_reduces_its_values_by_the_base():
     root = QuadExt.pure_root(RatFunc((M + 1) * L, (M + 1) * M), RatFunc(L + M))
     for p in (RatFunc(L + 3, M + 1), root):
         entry = TailEntry(f, o, p)
-        assert entry.f.den == M
+        assert entry.f is f and entry.o is o and entry.p is p
+        assert L - 1 in entry.factors
         for n in (1, 2, 3):
             want = (iterate_exchange(f, o, p, n) - p) * f ** (n - 1) * o ** n
             assert filling_poly(entry, n) == want
-    assert entry.p.b.den == M
 
 
 def test_filling_poly_rational_p():

@@ -1,13 +1,15 @@
+import time
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillpoly.checks import lowest_terms_failure
 from fillpoly.matchings import TAIL_VARS
-from fillpoly.newton import binomial_factors, hull
+from fillpoly.newton import MAX_ROOT_END, binomial_factors, hull
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import PVARS
-from fillpoly.ratfunc import parse_poly
+from fillpoly.ratfunc import RatFunc, parse_poly, parse_ratfunc
 
 
 def pp(text):
@@ -93,3 +95,34 @@ def test_binomial_factors_finds_exactly_the_drawn_binomials(drawn, mono):
     for b, _ in found:
         u, v = b.terms
         assert gcd(u[0] - v[0], u[1] - v[1]) == 1
+
+
+def test_a_length_one_edge_reads_its_root_at_any_size():
+    # every edge of (c*L + M)*(M - 1) has lattice length 1, so each root is
+    # read off, not searched for; trial division up to sqrt(c) took 6 s at
+    # c = 10^14
+    c = 10 ** 40
+    value = parse_ratfunc("(L + 1)/((%d*L + M)*(M - 1))" % c, PVARS)
+    start = time.perf_counter()
+    assert value.reduced() is value
+    assert _split("2 * (%d*L + M) * (M - 1)" % c) \
+        == ([("M - 1", 1), ("%d*L + M" % c, 1)], "2")
+    assert time.perf_counter() - start < 1
+
+
+def test_a_longer_edge_past_the_bound_proposes_nothing():
+    # (k*L - M)(k*L + M) lies along one edge of length 2 with end
+    # coefficients k^2 and -1; past MAX_ROOT_END neither binomial is
+    # proposed, so the factor stays in the rest: reduced() keeps the value
+    # unreduced and the lowest-terms check reports it
+    for k, split in ((10, True), (10 ** 20, False)):
+        assert (k * k <= MAX_ROOT_END) == split
+        b = pp("%d*L - M" % k)
+        den = b * pp("%d*L + M" % k)
+        found, rest = binomial_factors(den)
+        assert (found, rest) == (([(b, 1), (pp("%d*L + M" % k), 1)], pp("1"))
+                                 if split else ([], den))
+        value = RatFunc(b * pp("L + 2"), den)
+        got = value.reduced()
+        assert got == value and (got is value) != split
+        assert (lowest_terms_failure(got) is None) == split

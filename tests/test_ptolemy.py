@@ -21,14 +21,6 @@ def rf(text):
     return parse_ratfunc(text, PVARS)
 
 
-def as_rf(v):
-    """Unwrap a QuadExt that happens to be rational."""
-    if isinstance(v, QuadExt):
-        assert v.is_rational()
-        return v.a
-    return v
-
-
 def _chains(family, base):
     """Base values, data files, and labels, step equations and solved
     chain of both signs at m = 1."""
@@ -72,13 +64,13 @@ def test_pretzel_base_satisfies_its_equations(pretzel):
 
 def test_pretzel_pos_chain_matches_stored_values(pretzel):
     for name in ("g_1/1", "g_0/1", "g_1/2"):
-        assert as_rf(pretzel["pos"].value(name)) == pretzel["vals"][name]
+        assert pretzel["pos"].value(name) == pretzel["vals"][name]
 
 
 def test_pretzel_neg_chain_vs_stored_value(pretzel):
     # the stored table's g_-1/1 entry is -1 times the value forced by its
     # own defining equation; the solver output is the equation-forced one
-    got = as_rf(pretzel["neg"].value("g_-1/1"))
+    got = pretzel["neg"].value("g_-1/1")
     assert got == -pretzel["vals"]["g_-1/1"]
     assert got != pretzel["vals"]["g_-1/1"]
 
@@ -88,8 +80,8 @@ def test_pretzel_numeric_spot_values(pretzel):
     base, pos = pretzel["base"], pretzel["pos"]
     assert base.value("g_1/0").evaluate(pt) == Fraction(77, 15)
     assert base.value("g_4/1").evaluate(pt) == Fraction(5, 16)
-    assert as_rf(pos.value("g_2/1")).evaluate(pt) == Fraction(91264, 1125)
-    assert as_rf(pos.value("g_1/1")).evaluate(pt) == Fraction(8295767071, 1265625)
+    assert pos.value("g_2/1").evaluate(pt) == Fraction(91264, 1125)
+    assert pos.value("g_1/1").evaluate(pt) == Fraction(8295767071, 1265625)
 
 
 def _shape(eq):
@@ -131,22 +123,22 @@ def test_whitehead_base_values(whitehead):
 
 def test_whitehead_pos_chain_matches_stored_values(whitehead):
     pos, vals = whitehead["pos"], whitehead["vals"]
-    assert as_rf(pos.value("g_1/1")) == vals["g_1/1"]
+    assert pos.value("g_1/1") == vals["g_1/1"]
     g01 = pos.value("g_0/1")
     assert isinstance(g01, QuadExt) and g01.is_pure_root()
     assert g01.b == vals["g_0/1_root"]
-    assert as_rf(pos.value("g_1/2")) == vals["g_1/2"]
+    assert pos.value("g_1/2") == vals["g_1/2"]
 
 
 def test_whitehead_neg_chain_matches_stored_value(whitehead):
-    assert as_rf(whitehead["neg"].value("g_-1/1")) == whitehead["vals"]["g_-1/1"]
+    assert whitehead["neg"].value("g_-1/1") == whitehead["vals"]["g_-1/1"]
 
 
 def test_whitehead_numeric_spot_values(whitehead):
     pt = {"L": Fraction(3), "M": Fraction(2)}
-    assert as_rf(whitehead["pos"].value("g_1/2")).evaluate(pt) \
+    assert whitehead["pos"].value("g_1/2").evaluate(pt) \
         == Fraction(-12823, 512)
-    assert as_rf(whitehead["neg"].value("g_-1/1")).evaluate(pt) \
+    assert whitehead["neg"].value("g_-1/1").evaluate(pt) \
         == Fraction(1051, 64)
 
 
@@ -172,6 +164,30 @@ def test_chain_solve_refuses_more_equations_than_walk_steps(pretzel):
     extra = steps + (steps[0],) * (len(labels) + 1 - len(steps))
     with pytest.raises(ValueError, match="step equations for a walk of"):
         chain_solve(labels, extra, solve_pretzel_base())
+
+
+def test_bind_stores_the_reduced_form():
+    # a RatFunc is stored reduced, a rational QuadExt as its reduced
+    # RatFunc, and a pure root with its root part reduced and its radicand
+    # as given; a value that mixes the two is refused
+    L, M = (Poly.variable(PVARS, v) for v in PVARS)
+    unreduced = RatFunc((L - M) * (L + 2), (L - M) * M)
+    assert unreduced.reduced() is not unreduced
+    rad = RatFunc(L - M, M + 1)
+    root = QuadExt.pure_root(unreduced, rad)
+    asg = (Assignment().bind("g_a", unreduced)
+           .bind("g_b", QuadExt.rational(unreduced, rad)).bind("g_c", root))
+    for name in ("g_a", "g_b"):
+        got = asg.value(name)
+        assert isinstance(got, RatFunc)
+        assert (got.num, got.den) == (L + 2, M)
+    got = asg.value("g_c")
+    assert isinstance(got, QuadExt) and got.rad is rad and asg.rad is rad
+    assert (got.b.num, got.b.den) == (L + 2, M) and got.a.is_zero()
+    for v in (asg.value("g_a"), got.a, got.b):
+        assert v.reduced() is v
+    with pytest.raises(ValueError, match="g_d mixes rational and root parts"):
+        asg.bind("g_d", QuadExt(unreduced, unreduced, rad))
 
 
 def _ones(*names):
