@@ -667,7 +667,7 @@ def _twist_divisibility(r, family_run):
         spec = get_family("whitehead", sign)
         for m in range(1, r.max_m + 1):
             if not divides_conjugate(spec, m, family_run("whitehead", sign, m)):
-                return False, "no division at %s m=%d" % (sign, m)
+                return False, "factorisation fails at %s m=%d" % (sign, m)
     return True, "both signs, m = 1..%d" % r.max_m
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
 from .hn import TailEntry, filling_poly, iterate_exchange
-from .poly import Poly, identity_holds, poly_divides
+from .poly import Poly, identity_holds
 from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
                       load_equations, solve_pretzel_base,
                       solve_whitehead_base)
@@ -462,7 +462,7 @@ def twist_identities(max_n):
     return checks
 
 
-# --- the divisibility bridge between the two pipelines ----------------------
+# --- the factorisation bridge between the two pipelines ---------------------
 
 
 def _unit_normal(p):
@@ -487,16 +487,26 @@ def twist_divisor(spec, m):
 
 
 def divides_conjugate(spec, m, result):
-    """Does the twist polynomial divide the basis-changed conjugate product?
+    """Is the basis-changed conjugate numerator the paper's product of
+    twist-knot A-polynomials?  result is run_family(spec, m).
 
     The family's basis change carries the conjugate product into the frame
-    the twist-knot sequences are written in; the comparison is up to
-    monomial content, integer content and sign on both sides.  Because the
-    basis change is an invertible monomial substitution, checking the same
-    statement with the inverse substitution applied to the divisor instead
-    gives the same verdict.  result is run_family(spec, m).
+    the twist-knot sequences are written in.  There, in unit-normal form
+    (no monomial or integer content, leading coefficient positive), its
+    numerator must equal N_f^(2(m-1)) * N_o^(2m) * twist_divisor(spec, m)
+    * twist_divisor(spec, m - 2), with N_f and N_o the unit-normal,
+    basis-changed numerators of the tail entry's f and o.  The tail's
+    product puts those powers into every output; the twist factors come
+    from the twist sequences alone.  A product of unit-normal polynomials
+    is unit-normal, so the two sides are compared as they are, by one
+    packed comparison (poly.identity_holds) and no division.  The identity
+    implies that twist_divisor(spec, m) divides the numerator.
     """
-    divisor = twist_divisor(spec, m)
-    target = _unit_normal(result.basis_changed.num)
-    ok, _ = poly_divides(divisor, target)
-    return ok
+    entry = family_chain(spec).entry
+    rule = spec.basis_rule(m)
+    nf, no = (_unit_normal(substitute_basis(v, *rule).num)
+              for v in (entry.f, entry.o))
+    zero = Poly.zero(nf.vars)
+    return identity_holds(nf ** (2 * (m - 1)) * no ** (2 * m),
+                          twist_divisor(spec, m) * twist_divisor(spec, m - 2),
+                          zero, zero, _unit_normal(result.basis_changed.num))

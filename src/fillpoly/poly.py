@@ -419,7 +419,9 @@ class Poly:
 # --- exact division ------------------------------------------------------
 #
 # poly_divides is sparse division in the manner of Monagan and Pearce
-# (2011): the remainder's terms are taken largest monomial first.  It rests
+# (2011): the remainder's terms are taken largest monomial first, from the
+# dividend's sorted terms merged with a max-heap of the terms the division
+# adds, so only nonzero terms are stored and walked.  It rests
 # on what holds in an integral domain: the leading term of a product is the
 # product of the leading terms, and degrees add per variable.  The divisor
 # is scaled to its primitive integer part, and a dividend with a
@@ -435,36 +437,6 @@ class Poly:
 # box [pmin, pmax], where keys packed over that box, shifted down by pmin,
 # keep lex order and never alias.  The rational contents rejoin at the end
 # as a constant factor on the quotient.
-#
-# Two walks hold the remainder.  The heap walk keeps it in a dict and
-# merges the dividend's sorted keys with a max-heap of the keys the
-# division adds; each term pair costs a dict lookup and often a heappush.
-# The dense walk keeps it in a list with one entry per slot of the box,
-# walked from the top key down past empty slots; each term pair costs one
-# list update.  The quotient has about qslots * |p| / slots terms (qslots
-# the slots of the quotient box, slots those of the dividend's box), so
-# about |d| * qslots * |p| / slots term pairs, and the dense walk is taken
-# when those reach the slots: the list then holds at most |d| * |p|
-# entries.  Measured on a 2-vCPU Xeon, Python 3.11.7, best of 3 per call
-# over every division the perfbench workloads (seed 1, jobs and oracles)
-# and the tier-1 tests make, two runs each:
-# - whitehead-fill's oracle, 80 divisions of the basis-changed numerator
-#   by the twist divisor (182 by 2,947 terms at pos m = 4, 11,025 slots):
-#   all take the dense walk, 0.855 / 0.977 s by the heap, 0.538 / 0.588 s
-#   under the rule;
-# - whitehead-fill's jobs, 598 divisions (420 with an empty quotient box,
-#   28 dense): 0.012 / 0.014 s either way.  pretzel-fill's jobs, 656
-#   divisions (294 empty, 3 dense): 0.043 / 0.061 s by the heap, 0.040 /
-#   0.056 s under the rule.  identities divides nothing;
-# - tier-1, 14,879 divisions (8,008 empty, 1,150 dense): 1.97 / 1.85 s by
-#   the heap, 1.73 / 1.62 s under the rule and 2.37 / 2.19 s dense on
-#   every call.  The faster walk for each call would take 1.61 / 1.52 s;
-# - taking the dense walk from a quarter of a pair per slot would save
-#   0.07 s of tier-1, 0.0001 to 0.0009 s of each workload's divisions and
-#   nothing of the oracle, and a list up to 4 * |d| * |p| long, so the
-#   rule stays at one.
-
-_DENSE_PAIRS_PER_SLOT = 1
 
 
 def poly_divides(d, p):
@@ -508,8 +480,7 @@ def _sparse_divide(p, d):
     its lowest exponents.  The remainder's terms are taken largest key
     first, and each must be the divisor's leading term times the next
     quotient term; subtracting that term times the divisor's lower terms
-    only changes smaller keys.  One of two walks holds the remainder,
-    chosen from the estimated term pairs against the box's slots.
+    only changes smaller keys.
     """
     nv = len(p.vars)
     cols = [list(map(itemgetter(i), p.terms)) for i in range(nv)]
@@ -517,16 +488,14 @@ def _sparse_divide(p, d):
     dmin, dmax = d.monomial_content(), d.max_degrees()
     lexps, _ = d.leading_term()
     radices = [hi - lo + 1 for lo, hi in zip(pmin, pmax)]
-    strides, slots = _strides(radices)
+    strides, _ = _strides(radices)
     # per variable: stride, radix, and the remainder's leading exponents,
     # less pmin, that give a quotient term in the box
     box = []
-    qslots = 1
     for i in range(nv):
         qlo, qhi = pmin[i] - dmin[i], pmax[i] - dmax[i]
         if qlo < 0 or qlo > qhi:
             return None
-        qslots *= qhi - qlo + 1
         box.append((strides[i], radices[i],
                     qlo + lexps[i] - pmin[i], qhi + lexps[i] - pmin[i]))
     # keys are taken in descending order, so the first exponent never
@@ -548,10 +517,7 @@ def _sparse_divide(p, d):
     lk, lc = sum(map(mul, lexps, strides)), d.terms[lexps]
     tail = [(sum(map(mul, e, strides)) - lk, c)
             for e, c in d.terms.items() if e != lexps]
-    dense = (len(d.terms) * qslots * len(p.terms)
-             >= _DENSE_PAIRS_PER_SLOT * slots * slots)
-    walk = _dense_walk if dense else _heap_walk
-    q = walk(keys, p.terms.values(), slots, kmin, box[1:], lc, tail)
+    q = _heap_walk(keys, p.terms.values(), kmin, box[1:], lc, tail)
     if q is None:
         return None
     # q is keyed by the remainder's key each quotient term was taken at
@@ -564,9 +530,8 @@ def _sparse_divide(p, d):
     return quotient
 
 
-def _heap_walk(keys, coefs, slots, kmin, rest, lc, tail):
-    """The quotient terms by remainder key, or None: the remainder in a dict,
-    which needs no slot count.
+def _heap_walk(keys, coefs, kmin, rest, lc, tail):
+    """The quotient terms by remainder key, or None: the remainder in a dict.
 
     The dividend's keys are sorted once.  The keys the division adds go on
     a max-heap, which is merged with the sorted list.  A key already in the
@@ -606,29 +571,6 @@ def _heap_walk(keys, coefs, slots, kmin, rest, lc, tail):
                 heappush(heap, -kk)
             else:
                 rem[kk] = v - qc * dc
-
-
-def _dense_walk(keys, coefs, slots, kmin, rest, lc, tail):
-    """The quotient terms by remainder key, or None: the remainder in a list
-    with one entry per slot of the box, walked from the top key down."""
-    rem = [0] * slots
-    for k, c in zip(keys, coefs):
-        rem[k] = c
-    q = {}
-    for k in range(max(keys), kmin - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        qc, r = divmod(c, lc)
-        if r:
-            return None
-        for st, rad, lo, hi in rest:
-            if not lo <= k // st % rad <= hi:
-                return None
-        q[k] = qc
-        for off, dc in tail:
-            rem[k + off] -= qc * dc
-    return None if any(rem[:kmin]) else q
 
 
 # --- packed (Kronecker substitution) multiplication ----------------------
@@ -747,7 +689,8 @@ def _keys(cols, strides, n):
 
 
 def _deflate(cols, groups, bases):
-    """(lo, g, offsets, cols): one exponent column of every product, deflated.
+    """(lo, g, offsets, cols, radix): one exponent column of every product,
+    deflated.
 
     cols[k] is factor k's column, groups[i] the indices of product i's
     factors, and product i's values in the column are bases[i] plus its
@@ -755,7 +698,8 @@ def _deflate(cols, groups, bases):
     and lo is the lowest value over the products.  g is the gcd of every
     shifted value and of every product's lowest value less lo (1 if all
     are 0); the columns and offsets[i], product i's lowest value less lo,
-    are divided by it.
+    are divided by it.  The deflated values of the products then start at
+    0, and radix is one more than the largest.
     """
     mins = list(map(min, cols))
     lows = [base + sum(map(mins.__getitem__, grp))
@@ -768,7 +712,10 @@ def _deflate(cols, groups, bases):
     if g != 1:
         cols = [list(map(floordiv, col, repeat(g))) for col in cols]
         offsets = [off // g for off in offsets]
-    return lo, g, offsets, cols
+    his = list(map(max, cols))
+    radix = max(off + sum(map(his.__getitem__, grp))
+                for off, grp in zip(offsets, groups)) + 1
+    return lo, g, offsets, cols, radix
 
 
 def _span(cols, groups, bases):
@@ -838,18 +785,18 @@ def _lattice(ops, groups):
             if len(totals) == 1:
                 degree, nv = totals.pop(), nv - 1
     # per packed column: the lowest exponent over the products, the step g
-    # of its exponents, each product's offset and each factor's deflated
-    # coordinates
-    lows, steps, offs, cols = [], [], [], []
+    # of its exponents, each product's offset, each factor's deflated
+    # coordinates and the radix
+    lows, steps, offs, cols, radices = [], [], [], [], []
     zeros = [0] * len(groups)
     for i in range(nv):
-        lo, g, off, col = _deflate([list(map(itemgetter(i), p.terms))
-                                    for p in ops], groups, zeros)
+        lo, g, off, col, radix = _deflate(
+            [list(map(itemgetter(i), p.terms)) for p in ops], groups, zeros)
         lows.append(lo)
         steps.append(g)
         offs.append(off)
         cols.append(col)
-    radices = [_span(col, groups, off) + 1 for col, off in zip(cols, offs)]
+        radices.append(radix)
     # row u0 of a two-column lattice holds the second exponents from
     # lows[1] + g1*(v - s*u0) in steps of g1*h
     s, v, h = 0, 0, 1
@@ -858,8 +805,7 @@ def _lattice(ops, groups):
                       radices[1] - 1)
         if s:
             bases = [o1 + s * o0 for o0, o1 in zip(offs[0], offs[1])]
-            v, h, offs[1], cols[1] = _deflate(f, groups, bases)
-            radices[1] = _span(cols[1], groups, offs[1]) + 1
+            v, h, offs[1], cols[1], radices[1] = _deflate(f, groups, bases)
     return (degree, lows, steps, (s, v, h), radices,
             [[col[k] for col in cols] for k in range(len(ops))],
             [[off[i] for off in offs] for i in range(len(groups))])

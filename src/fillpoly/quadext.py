@@ -120,8 +120,13 @@ class QuadExt:
     __rmul__ = __mul__
 
     def conj_product(self):
-        """Product with the conjugate: a^2 - b^2 * rad, as a plain RatFunc."""
-        return self.a * self.a - self.b * self.b * self.rad
+        """Product with the conjugate: a^2 - b^2 * rad, as a plain RatFunc.
+
+        The squares are powers, not products: RatFunc.__mul__ would try
+        to cross-cancel a value against itself, which cannot succeed on a
+        value in lowest terms.
+        """
+        return self.a ** 2 - self.b ** 2 * self.rad
 
     def reciprocal(self):
         n = self.conj_product()

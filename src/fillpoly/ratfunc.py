@@ -27,10 +27,10 @@ sign.
 
 poly_divides has one route for every divisor, binomials such as L - M
 and the factors of the cross-cancellation alike: sparse division of
-packed monomial keys, the remainder in a heap or, in a dense box, a flat
-list.  It is sound because in an integral domain the leading
-term of a product is the product of the leading terms and degrees add
-per variable, so any failed step proves non-divisibility.
+packed monomial keys, with one remainder walk, a dict merged with a
+max-heap.  It is sound because in an integral domain the leading term
+of a product is the product of the leading terms and degrees add per
+variable, so any failed step proves non-divisibility.
 """
 
 import ast

@@ -175,7 +175,7 @@ def test_twist_gap_out_of_order(fresh_twist_polys):
 
 
 def test_whitehead_divisibility_small():
-    # the division itself is the registry check twist-divisibility
+    # the factorisation itself is the registry check twist-divisibility
     with pytest.raises(ValueError):
         twist_divisor(get_family("pretzel238", "pos"), 1)
 
@@ -200,6 +200,43 @@ def test_negative_control_wrong_divisor(family_runs):
     wrong = _unit_normal(twist_A(1 + offset + 1, tsign))
     target = _unit_normal(res.basis_changed.num)
     assert poly_divides(wrong, target)[0] is False
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_factorisation_oracle_negative_controls(family_runs, monkeypatch,
+                                                sign, m):
+    from fillpoly.families import _unit_normal
+    spec = get_family("whitehead", sign)
+    res = family_runs("whitehead", sign, m)
+    assert families.divides_conjugate(spec, m, res)
+    changed = res.basis_changed
+    entry = family_chain(spec).entry
+    nf = _unit_normal(substitute_basis(entry.f, *spec.basis_rule(m)).num)
+    assert not nf.is_constant()
+    # one more factor L - M or N_f in the numerator: the first twist
+    # factor still divides it, but the factorisation no longer holds
+    for extra in (parse_poly("L - M", PVARS), nf):
+        mutated = dataclasses.replace(res, basis_changed=RatFunc(
+            changed.num * extra, changed.den))
+        assert poly_divides(twist_divisor(spec, m),
+                            _unit_normal(mutated.basis_changed.num))[0]
+        assert not families.divides_conjugate(spec, m, mutated)
+    # both twist factors taken one index further along
+    monkeypatch.setattr(families, "twist_divisor",
+                        lambda spec, n, orig=twist_divisor: orig(spec, n + 1))
+    assert not families.divides_conjugate(spec, m, res)
+
+
+def test_factorisation_oracle_fails_on_a_mutated_twist_seed(
+        family_runs, fresh_twist_polys):
+    spec = get_family("whitehead", "pos")
+    res = family_runs("whitehead", "pos", 2)
+    assert families.divides_conjugate(spec, 2, res)
+    twist_polys.cache_clear()
+    # A_1 = L + M^6 misread as L + M^4; A_3 and A_5 follow from the seeds
+    twist_polys().seqs["pos"][0] = parse_poly("L + M^4", PVARS)
+    assert not families.divides_conjugate(spec, 2, res)
 
 
 def test_the_factor_base_is_derived_as_measured():

@@ -658,9 +658,8 @@ def test_shear_descent_finds_the_least_radix(data):
                              for p, mins in ((a, mins_a), (b, mins_b)))
     # the sheared column, deflated again: the product's values of
     # u1 + s*u0 are v, v + h, ..., r of them
-    v, h, offsets, w = poly_mod._deflate(f, groups, [0])
+    v, h, offsets, w, r = poly_mod._deflate(f, groups, [0])
     assert offsets == [0]
-    r = poly_mod._span(w, groups, offsets) + 1
     assert r == max(w[0]) + max(w[-1]) + 1
     assert (r - 1) * h + 1 == brute[s] == min(brute.values())
     assert v == min(fa) + min(fb)
@@ -676,14 +675,14 @@ def test_shear_descent_has_no_window():
     b = Poly(XY, {(0, 18): 1, (0, 19): 1, (3, 9): 1})
     pair = [(0, 1)]
     assert poly_mod._deflate([[0], [0, 0, 3]], pair, [0]) == (
-        0, 3, [0], [[0], [0, 0, 1]])
+        0, 3, [0], [[0], [0, 0, 1]], 2)
     assert poly_mod._deflate([[18], [18, 19, 9]], pair, [0]) == (
-        27, 1, [0], [[0], [9, 10, 0]])
+        27, 1, [0], [[0], [9, 10, 0]], 11)
     s, f = poly_mod._shear([[0], [0, 0, 1]], [[0], [9, 10, 0]], pair,
                            [0], [0], 10)
     assert (s, f) == (9, [[0], [9, 10, 9]])
     # lowest values 0 and 9, step 1, a radix of 2
-    assert poly_mod._deflate(f, pair, [0]) == (9, 1, [0], [[0], [0, 1, 0]])
+    assert poly_mod._deflate(f, pair, [0]) == (9, 1, [0], [[0], [0, 1, 0]], 2)
     assert poly_mod._packed_mul(b, b) == b._mul_dict(b)
     assert a * b == b * a == b._mul_dict(a)
 
@@ -702,8 +701,9 @@ def test_sheared_values_are_deflated(monkeypatch):
     s, f = poly_mod._shear([cols[0]], [cols[1]], square, [0], [0],
                            2 * max(cols[1]))
     assert s == -1 and len(f) == 1
-    v, h, offsets, w = poly_mod._deflate(f, square, [0])
-    assert (v, h, poly_mod._span(w, square, offsets) + 1) == (0, 2, 5)
+    v, h, offsets, w, r = poly_mod._deflate(f, square, [0])
+    assert (v, h, r) == (0, 2, 5)
+    assert r == poly_mod._span(w, square, offsets) + 1
     expected = [(1 + y ** 4 + y ** 8) * (1 + t ** 2 + t ** 4),
                 (1 + y ** 2 + y ** 4) ** 2 * (1 + t + t ** 2) ** 2]
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
@@ -1142,27 +1142,16 @@ def test_two_term_divisors_of_other_shapes(text):
     assert poly_divides(d, q * d + M) == (False, None)
 
 
-# --- the two remainder walks -----------------------------------------------
-
-# _DENSE_PAIRS_PER_SLOT values that force one walk: the rule compares the
-# estimated term pairs with this many per slot
-WALKS = {"heap": float("inf"), "dense": 0}
-
-
-def _divides_by(walk, d, p):
-    """poly_divides(d, p) with the remainder walk forced."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_mod, "_DENSE_PAIRS_PER_SLOT", WALKS[walk])
-        return poly_divides(d, p)
+# --- the remainder walk ----------------------------------------------------
 
 
 def _walk_fails(*args):
-    raise AssertionError("this remainder walk was taken")
+    raise AssertionError("a division reached its remainder walk")
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_remainder_walks_agree(data):
+def test_remainder_walk_hits_and_misses(data):
     vars = data.draw(st.sampled_from(VARSETS))
     nv = len(vars)
     d = Poly(vars, data.draw(_terms(nv, 3, half_coefs.filter(bool), 1)))
@@ -1172,34 +1161,32 @@ def test_remainder_walks_agree(data):
     # r is often empty (a hit) and otherwise usually a miss
     r = Poly(vars, data.draw(_terms(nv, 4, half_coefs)))
     p = q * d + r
-    heap = _divides_by("heap", d, p)
-    assert _divides_by("dense", d, p) == heap
-    ok, got = heap
+    ok, got = poly_divides(d, p)
     if r.is_zero():
         assert ok and got == q
     if ok:
         assert got * d == p
         _assert_clean(got)
+    else:
+        assert got is None
 
 
-@pytest.mark.parametrize("walk", WALKS)
-def test_remainder_walk_fixed_cases(walk):
+def test_remainder_walk_fixed_cases():
     x, y, z = (Poly.variable(XYZ, v) for v in XYZ)
     # x^2 + y^2 leaves 2*y^2 by x - y, whose x-exponent is below the
     # divisor's leading one: a nonzero remainder below kmin
-    assert _divides_by(walk, x - y, x**2 + y**2) == (False, None)
+    assert poly_divides(x - y, x**2 + y**2) == (False, None)
     # the leading x*z^2 asks for the quotient term z^2, whose z-exponent is
     # above the box's z^1
-    assert _divides_by(walk, x + z, x * z**2 + y) == (False, None)
+    assert poly_divides(x + z, x * z**2 + y) == (False, None)
     # a Fraction dividend and a negative leading coefficient
     d, q = -2 * x * y + z + 3, x * z * Fraction(1, 2) - y**2
-    assert _divides_by(walk, d, q * d) == (True, q)
-    assert _divides_by(walk, d, q * d + z * Fraction(1, 3)) == (False, None)
+    assert poly_divides(d, q * d) == (True, q)
+    assert poly_divides(d, q * d + z * Fraction(1, 3)) == (False, None)
 
 
 def test_empty_quotient_box_takes_no_walk(monkeypatch):
     monkeypatch.setattr(poly_mod, "_heap_walk", _walk_fails)
-    monkeypatch.setattr(poly_mod, "_dense_walk", _walk_fails)
     x, y = (Poly.variable(XY, v) for v in XY)
     # x-degree of p below d's; y-degree of p below d's; y content of d
     # above p's
@@ -1208,18 +1195,18 @@ def test_empty_quotient_box_takes_no_walk(monkeypatch):
     assert poly_divides(x * y + y, x + 1) == (False, None)
 
 
-def test_divisor_check_takes_the_dense_walk(family_runs, monkeypatch):
-    # whitehead pos m = 4: 182 divisor terms, 2,947 dividend terms and a
-    # 1,422-term quotient, in a dividend box of 11,025 slots
+def test_divisor_check_divides_nothing(family_runs, monkeypatch):
+    # the twist-factor oracle is one packed comparison, even on whitehead
+    # pos m = 4's 2,947-term numerator
+    spec = get_family("whitehead", "pos")
     result = family_runs("whitehead", "pos", 4)
-    monkeypatch.setattr(poly_mod, "_heap_walk", _walk_fails)
-    assert divides_conjugate(get_family("whitehead", "pos"), 4, result)
+    family_chain(spec)              # solving the chain divides; do it first
+    monkeypatch.setattr(poly_mod, "_sparse_divide", _walk_fails)
+    assert divides_conjugate(spec, 4, result)
 
 
-def test_sparse_chain_value_takes_the_heap_walk(monkeypatch):
-    # 212 terms times L - M: 424 terms in a 40 x 62 box, about a third of
-    # an estimated term pair per slot
+def test_sparse_chain_value_takes_the_heap_walk():
+    # 212 terms times L - M: 424 terms in a 40 x 62 box
     f = family_chain(get_family("pretzel238", "pos")).entry.f.num
     d = parse_poly("L - M", PVARS)
-    monkeypatch.setattr(poly_mod, "_dense_walk", _walk_fails)
     assert poly_divides(d, f * d) == (True, f)
