@@ -1171,7 +1171,7 @@ def test_remainder_walk_hits_and_misses(data):
         assert got is None
 
 
-def test_remainder_walk_fixed_cases():
+def test_heap_walk_fixed_cases():
     x, y, z = (Poly.variable(XYZ, v) for v in XYZ)
     # x^2 + y^2 leaves 2*y^2 by x - y, whose x-exponent is below the
     # divisor's leading one: a nonzero remainder below kmin
