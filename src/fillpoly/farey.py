@@ -14,10 +14,16 @@ that the initial step is labelled like a step to the right, determines
 every label from the two starting triangles alone.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+# Each part of a slope's text, as the polynomial reader takes an integer:
+# decimal digits only, where int() would also take underscores and
+# non-ASCII digits.
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,13 +50,12 @@ class Slope:
 
     @classmethod
     def parse(cls, text):
-        num, slash, den = text.strip().partition("/")
-        try:
-            p, q = int(num), int(den) if slash else 1
-        except ValueError:
+        num, slash, den = text.partition("/")
+        parts = num.strip(), den.strip() if slash else "1"
+        if not all(map(_DECIMAL_INT.fullmatch, parts)):
             raise ValueError("not a slope: %r (expected p/q or an integer)"
-                             % (text,)) from None
-        return cls(p, q)
+                             % (text,))
+        return cls(*map(int, parts))
 
     def __str__(self):
         return "%d/%d" % (self.p, self.q)

@@ -23,12 +23,14 @@ Laurent-denominator check.
 After K the recurrence never divides, so every tail value is a
 polynomial in K, f and o, and the filling expression one in those and p:
 each denominator is a product of the denominators of those four entry
-values.  The tail therefore carries each value as
-num / (c * monomial * prod factor_i^e_i): the entry factors the four
-denominators once into binomials (newton.binomial_factors), a product adds
-exponent vectors, a difference takes their elementwise maximum and
-multiplies each numerator by its cofactor, and each result's denominator
-is expanded once, factor pairs such as (M - 1)(M + 1) as one binomial
+values.  The tail therefore carries each value as a numerator over one
+exponent vector: the powers of the variables, then one power per factor,
+for num / (monomial * prod factor_i^e_i), with any constant of the
+denominator folded into num.  The entry factors the four denominators
+once into binomials (newton.binomial_factors), a product adds exponent
+vectors, a difference takes their elementwise maximum and multiplies
+each numerator by its cofactor, and each result's denominator is
+expanded once, factor pairs such as (M - 1)(M + 1) as one binomial
 power (Poly.__pow__).  The products of factored values cancel nothing,
 so a result is in lowest terms exactly when that common multiple is the
 true denominator; for the families it is (the lowest-terms check
@@ -36,7 +38,7 @@ certifies every output).
 """
 
 from dataclasses import dataclass, field
-from math import lcm
+from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
@@ -96,38 +98,36 @@ def iterate_exchange(f, o, p, n):
 
 
 class _Factored(NamedTuple):
-    """A tail value num / (c * x^mono * prod factors[i]^exps[i]).
+    """A tail value num / (x^den[:nv] * prod factors[i]^den[nv + i]).
 
-    The factors are those of the TailEntry the value belongs to.  c is a
-    nonzero int kept apart from num, so that num keeps int coefficients
-    (the packed product takes only those).
+    den is one exponent vector: the powers of the nv variables, then one
+    power per factor of the TailEntry the value belongs to.  A constant
+    in the denominator is folded into num, so num keeps int coefficients
+    (which the packed product takes) when that constant is 1, as on every
+    family value.
     """
 
     num: Poly
-    c: int
-    mono: tuple
-    exps: tuple
+    den: tuple
 
 
-def _strip(num, c, mono, exps):
-    """The value with the monomial that num and x^mono share cancelled."""
+def _strip(num, den):
+    """The value with the monomial that num and x^den[:nv] share cancelled."""
     if num.is_zero():
-        return _Factored(num, 1, (0,) * len(mono), (0,) * len(exps))
-    shift = tuple(map(min, num.monomial_content(), mono))
+        return _Factored(num, (0,) * len(den))
+    shift = tuple(map(min, num.monomial_content(), den))
     if any(shift):
         num = num.shift_down(shift)
-        mono = tuple(map(sub, mono, shift))
-    return _Factored(num, c, mono, exps)
+        den = tuple(map(sub, den, shift)) + den[len(shift):]
+    return _Factored(num, den)
 
 
 def _mul(a, b):
-    return _strip(a.num * b.num, a.c * b.c,
-                  tuple(map(add, a.mono, b.mono)), tuple(map(add, a.exps, b.exps)))
+    return _strip(a.num * b.num, tuple(map(add, a.den, b.den)))
 
 
 def _pow(a, e):
-    return _Factored(a.num ** e, a.c ** e,
-                     tuple(x * e for x in a.mono), tuple(x * e for x in a.exps))
+    return _Factored(a.num ** e, tuple(x * e for x in a.den))
 
 
 def _factor(value, factors):
@@ -137,7 +137,8 @@ def _factor(value, factors):
     (newton.binomial_factors), appending each new one to factors, then
     each factor met before as often as it divides, so that a non-binomial
     one met again is carried as a power.  A non-constant rest is appended
-    as one more factor, so any denominator is carried exactly.
+    as one more factor, so any denominator is carried exactly; the
+    constant left over divides the numerator.
     """
     den = value.den
     mono = den.monomial_content()
@@ -151,13 +152,14 @@ def _factor(value, factors):
     else:
         c, rest = rest.primitive()
         found.append((rest, 1))
+    num = value.num if c == 1 else value.num * Fraction(1, c)
     exps = [0] * len(factors)
     for b, e in found:
         if b not in factors:
             factors.append(b)
             exps.append(0)
         exps[factors.index(b)] = e
-    return _Factored(value.num, int(c), mono, tuple(exps))
+    return _Factored(num, mono + tuple(exps))
 
 
 def _binomial_pairs(factors):
@@ -186,7 +188,9 @@ class TailEntry:
     K = (f^2 + o^2 - p^2)/(f*o) and the factored f, o, p (p.b for a root)
     and K are worked out once, here, for every tail length.  factors lists
     the binomial factors of their denominators in the order met, and one
-    more entry for each non-binomial rest not met before.
+    more entry for each non-binomial rest not met before; each factored
+    value's exponent vector holds the powers of the variables, then one
+    power per entry of factors, all padded to the same length.
     """
 
     f: RatFunc
@@ -213,16 +217,16 @@ class TailEntry:
         k = (f * f + o * o - psq) / (f * o)
         factors = []
         factored = [_factor(v, factors) for v in (f, o, root, k)]
-        width = len(factors)
-        factored = tuple(v._replace(exps=v.exps + (0,) * (width - len(v.exps)))
+        width = len(f.vars) + len(factors)
+        factored = tuple(_Factored(v.num, v.den + (0,) * (width - len(v.den)))
                          for v in factored)
         for name, value in (("factors", tuple(factors)),
                             ("pairs", _binomial_pairs(factors)),
                             ("factored", factored)):
             object.__setattr__(self, name, value)
 
-    def expand(self, exps, mono=None, c=1):
-        """c * x^mono * prod factors[i]^exps[i], as one Poly.
+    def expand(self, den):
+        """x^den[:nv] * prod factors[i]^den[nv + i], as one Poly.
 
         Each binomial pair is expanded as one binomial power, the rest of
         each factor's exponent as a power of that factor, and the parts
@@ -232,7 +236,8 @@ class TailEntry:
         per round, 6 alternating rounds, faster in all 6; 2-vCPU Xeon,
         Python 3.11.7).
         """
-        exps = list(exps)
+        vars = self.f.vars
+        exps = list(den[len(vars):])
         parts = []
         for i, j, binomial in self.pairs:
             e = min(exps[i], exps[j])
@@ -241,30 +246,24 @@ class TailEntry:
                 exps[i] -= e
                 exps[j] -= e
         parts += [b ** e for b, e in zip(self.factors, exps) if e]
-        vars = self.f.vars
-        out = Poly.monomial(vars, mono or (0,) * len(vars), c)
+        out = Poly.monomial(vars, den[:len(vars)])
         for part in sorted(parts, key=len):
             out = out * part
         return out
 
     def _sub(self, a, b):
         """a - b over the least common multiple of their factored forms."""
-        c = lcm(a.c, b.c)
-        mono = tuple(map(max, a.mono, b.mono))
-        exps = tuple(map(max, a.exps, b.exps))
+        den = tuple(map(max, a.den, b.den))
 
         def lift(v):
             """v's numerator times its cofactor in the common denominator."""
-            cof = tuple(map(sub, exps, v.exps))
-            shift = tuple(map(sub, mono, v.mono))
-            if c == v.c and not any(cof) and not any(shift):
-                return v.num
-            return v.num * self.expand(cof, shift, c // v.c)
+            cof = tuple(map(sub, den, v.den))
+            return v.num * self.expand(cof) if any(cof) else v.num
 
-        return _strip(lift(a) - lift(b), c, mono, exps)
+        return _strip(lift(a) - lift(b), den)
 
     def _ratfunc(self, v):
-        return RatFunc(v.num, self.expand(v.exps, v.mono, v.c))
+        return RatFunc(v.num, self.expand(v.den))
 
 
 def _collapsed(entry, n):

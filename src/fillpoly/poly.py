@@ -8,7 +8,8 @@ any other coefficient type (float, Decimal, bool, str).  The monomial
 order is lexicographic in the variable order; it fixes the canonical text
 form and the sign convention used by RatFunc.
 
-Exponents are never negative here.  Expressions with negative powers live
+Exponents are ints (the constructor refuses any other type, bool
+included) and never negative here.  Expressions with negative powers live
 one level up, in RatFunc.
 """
 
@@ -78,6 +79,9 @@ class Poly:
                 if len(exps) != nv:
                     raise ValueError("exponent tuple %r does not match %d variables"
                                      % (exps, nv))
+                if any(type(e) is not int for e in exps):
+                    raise TypeError("exponent tuple %r holds a non-int"
+                                    % (exps,))
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent in %r" % (exps,))
                 clean[exps] = c

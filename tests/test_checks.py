@@ -1,13 +1,14 @@
 """Every registry check that no acceptance criterion runs, at FULL ranges."""
 
 import collections
+import dataclasses
 
 import pytest
 
 import test_acceptance
 from fillpoly import checks
 from fillpoly.checks import CHECKS, FULL, lowest_terms_failure, run_check
-from fillpoly.families import get_family
+from fillpoly.families import get_family, numeric_agreement
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import PVARS, Assignment
 from fillpoly.quadext import QuadExt
@@ -91,3 +92,19 @@ def test_whitehead_purity_fails_on_a_rational_quadext(monkeypatch):
     ok, detail = run_check(dict(CHECKS)["whitehead-purity"], FULL, None)
     assert not ok
     assert detail == "neg g_-1/1 is stored as a QuadExt with a rational part"
+
+
+def test_numeric_agreement_fails_on_an_expression_off_by_one(family_runs):
+    spec = get_family("pretzel238", "pos")
+    result = family_runs("pretzel238", "pos", 1)
+    off = dataclasses.replace(result, expression=result.expression + 1)
+    assert numeric_agreement(spec, 1, 3, 0, result)
+    assert not numeric_agreement(spec, 1, 3, 0, off)
+
+    def family_run(name, sign, m):
+        if (name, sign, m) == ("pretzel238", "pos", 1):
+            return off
+        return family_runs(name, sign, m)
+
+    assert run_check(dict(CHECKS)["pretzel-numeric-agreement"], FULL,
+                     family_run) == (False, "mismatch at pos m=1")

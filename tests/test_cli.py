@@ -147,6 +147,9 @@ def test_farey_cross_oracle(capsys):
     (("walk", "triangle=x,4/1,1/0;word=L"), "x"),
     (("cross", "--from", "1/x", "--to", "3/5"), "1/x"),
     (("cross", "--from", "1/0", "--to", "3/5/7"), "3/5/7"),
+    # int() would read these as 10/1 and 1/1
+    (("cross", "--from", "1_0/1", "--to", "1/1"), "1_0/1"),
+    (("cross", "--from", "\u0661/1", "--to", "1/1"), "\u0661/1"),
 ])
 def test_farey_malformed_slope_names_the_text(capsys, argv, slope):
     rc, out, err = run(capsys, "farey", *argv)

@@ -240,22 +240,29 @@ def test_factorisation_oracle_fails_on_a_mutated_twist_seed(
 
 
 def test_the_factor_base_is_derived_as_measured():
-    # each stored tail value's denominator is a monomial times exactly the
-    # powers of the entry's factors that its factored form carries, and
-    # the entry carries those factors and no others
+    # each stored tail value's denominator is the monomial and exactly the
+    # powers of the entry's factors that its one exponent vector carries,
+    # with no constant left over, and the entry carries those factors and
+    # no others
     carried = {"pretzel238": {"M - 1", "M + 1", "L - M", "L + M"},
                "whitehead": {"L - 1"}}
+    nv = len(PVARS)
     for (name, sign), spec in FAMILIES.items():
         entry = family_chain(spec).entry
         root = entry.p if isinstance(entry.p, RatFunc) else entry.p.b
         held = set()
         for value, factored in zip((entry.f, entry.o, root), entry.factored):
             found, rest = binomial_factors(value.den)
-            assert len(rest.terms) == 1, (name, sign)
+            assert rest.terms == {factored.den[:nv]: 1}, (name, sign)
+            assert factored.num == value.num, (name, sign)
             got = {(str(b), e) for b, e in found}
             assert got == {(str(b), e) for b, e in
-                           zip(entry.factors, factored.exps) if e}, (name, sign)
+                           zip(entry.factors, factored.den[nv:]) if e}, \
+                (name, sign)
             held |= {b for b, _ in got}
+        # K too: every numerator keeps int coefficients for the packed product
+        assert all(type(c) is int for v in entry.factored
+                   for c in v.num.terms.values()), (name, sign)
         assert held == {str(b) for b in entry.factors} == carried[name], \
             (name, sign)
 
@@ -270,12 +277,22 @@ def _factored_den(den, factors):
     return next(iter(rest.terms)) + tuple(exps)
 
 
-def _denominator_law(d_f, d_o, d_p, m):
-    """Entrywise max of i*d_f + j*d_o + k*d_p over the terms
-    g_f^i g_o^j g_p^k of tail_poly(m) - g_f^(m-1) g_o^m g_p."""
-    poly = tail_poly(m) - Poly.monomial(TAIL_VARS, (m - 1, m, 1))
-    return tuple(max(i * a + j * b + k * c for i, j, k in poly.terms)
+def _support(poly, d_f, d_o, d_p, p_step=1):
+    """Entrywise max of i*d_f + j*d_o + (k/p_step)*d_p over the terms
+    g_f^i g_o^j g_p^k of poly."""
+    return tuple(max(i * a + j * b + k // p_step * c for i, j, k in poly.terms)
                  for a, b, c in zip(d_f, d_o, d_p))
+
+
+def _denominator_law(d_f, d_o, d_p, m):
+    """The support of tail_poly(m) - g_f^(m-1) g_o^m g_p at the vectors."""
+    poly = tail_poly(m) - Poly.monomial(TAIL_VARS, (m - 1, m, 1))
+    return _support(poly, d_f, d_o, d_p)
+
+
+def _bumped(d):
+    """d with its L entry raised by one."""
+    return (d[0] + 1,) + d[1:]
 
 
 @pytest.mark.parametrize("sign", ["pos", "neg"])
@@ -284,13 +301,45 @@ def test_pretzel_denominators_follow_the_tail_polynomial(sign, family_runs):
     # is the support function of the filling polynomial's Newton polytope
     # at the entry's denominator vectors
     entry = family_chain(get_family("pretzel238", sign)).entry
-    d_f, d_o, d_p = (v.mono + v.exps for v in entry.factored[:3])
-    bumped = (d_f[0] + 1,) + d_f[1:]
+    d_f, d_o, d_p = (v.den for v in entry.factored[:3])
     for m in range(1, 5):
         den = family_runs("pretzel238", sign, m).expression.den
         got = _factored_den(den, entry.factors)
         assert got == _denominator_law(d_f, d_o, d_p, m)
-        assert got != _denominator_law(bumped, d_o, d_p, m)
+        assert got != _denominator_law(_bumped(d_f), d_o, d_p, m)
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+def test_whitehead_denominators_follow_the_tail_polynomial(sign, family_runs):
+    # the same law with p = p.b * sqrt(R): the expression is a + b*sqrt(R)
+    # with a = tail_poly(m)(f, o, p), even in g_p, and b = -f^(m-1) o^m p.b.
+    # So a's denominator is the support function of tail_poly(m) at
+    # (d_f, d_o, d_psq) with p's exponent halved, psq = p.b^2 * R, and b's
+    # is (m-1)*d_f + m*d_o + d_root
+    entry = family_chain(get_family("whitehead", sign)).entry
+    assert [str(b) for b in entry.factors] == ["L - 1"]
+    d_f, d_o, d_root = (v.den for v in entry.factored[:3])
+    p = entry.p
+    d_psq = _factored_den((p.b * p.b * p.rad).den, entry.factors)
+    assert d_psq == (0, 6, 4)
+
+    def law_b(d_f, d_o, m):
+        return tuple((m - 1) * x + m * y + z
+                     for x, y, z in zip(d_f, d_o, d_root))
+
+    for m in range(1, 6):
+        expr = family_runs("whitehead", sign, m).expression
+        got_a = _factored_den(expr.a.den, entry.factors)
+        got_b = _factored_den(expr.b.den, entry.factors)
+        assert got_a == _support(tail_poly(m), d_f, d_o, d_psq, p_step=2)
+        assert got_b == law_b(d_f, d_o, m)
+        # a bumped d_o is no control for a at m = 1: tail_poly(1) has no
+        # g_o term
+        assert got_a != _support(tail_poly(m), _bumped(d_f), d_o, d_psq,
+                                 p_step=2)
+        assert got_b != law_b(d_f, _bumped(d_o), m)
+        if (sign, m) == ("pos", 1):
+            assert (got_a, got_b) == ((0, 12, 6), (0, 5, 3))
 
 
 def _value_objects():

@@ -129,23 +129,25 @@ def test_expand_is_the_product_of_base_powers():
     # (L-M)(L+M)
     paired = {str(prod) for _, _, prod in entry.pairs}
     assert {"M^2 - 1", "L^2 - M^2"} <= paired
+    # the one exponent vector holds the powers of L and M, then one power
+    # per factor
     nb = len(factors)
     for e in (0, 1, 2, 37, 102):
         for i, b in enumerate(factors):
             exps = tuple(e if j == i else 0 for j in range(nb))
-            assert entry.expand(exps) == _repeated_power(b, e)
+            assert entry.expand((0, 0) + exps) == _repeated_power(b, e)
         for i, j, prod in entry.pairs:
             for ei, ej in ((e, e), (e, 2), (1, e)):
                 exps = tuple(ei if k == i else ej if k == j else 0
                              for k in range(nb))
                 want = (_repeated_power(factors[i], ei)
                         * _repeated_power(factors[j], ej))
-                assert entry.expand(exps) == want
+                assert entry.expand((0, 0) + exps) == want
     exps = (3, 2, 5, 4, 4, 1, 2, 0)
-    want = Poly.monomial(PVARS, (2, 7), -3)
+    want = Poly.monomial(PVARS, (2, 7))
     for b, e in zip(factors, exps):
         want = want * _repeated_power(b, e)
-    assert entry.expand(exps, (2, 7), -3) == want
+    assert entry.expand((2, 7) + exps) == want
 
 
 @pytest.mark.parametrize("f,o,p", [

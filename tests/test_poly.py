@@ -69,6 +69,17 @@ def test_constructor_rejects_inexact_coefficients(coef):
         Poly.monomial(XY, (1, 0), coef)
 
 
+@pytest.mark.parametrize("exp", [1.5, 2.0, True, Fraction(2), Decimal(2)])
+def test_constructor_rejects_non_int_exponents(exp):
+    # 1.5 would print as x^1 and square to x^3; True would be a stored key
+    with pytest.raises(TypeError):
+        P(("x",), {(exp,): 1})
+    with pytest.raises(TypeError):
+        P(XY, {(exp, 2): 3})
+    with pytest.raises(TypeError):
+        Poly.monomial(XY, (1, exp))
+
+
 @pytest.mark.parametrize("value", [0.1, 0.0, 2.0, Decimal("0.5"), Decimal(0),
                                    True, False, "1", "1/2", "0.1"])
 def test_const_rejects_what_the_constructor_rejects(value):

@@ -166,6 +166,29 @@ def test_chain_solve_refuses_more_equations_than_walk_steps(pretzel):
         chain_solve(labels, extra, solve_pretzel_base())
 
 
+def test_chain_solve_refuses_a_step_that_does_not_close(monkeypatch, pretzel):
+    base = solve_pretzel_base()
+    real = ptolemy.solve_linear_step
+    monkeypatch.setattr(ptolemy, "solve_linear_step",
+                        lambda eq, asg, unknown: real(eq, asg, unknown) + 1)
+    with pytest.raises(ArithmeticError,
+                       match="^step 0 does not close after its solve$"):
+        chain_solve(pretzel["labels_pos"], pretzel["step_pos"], base)
+
+
+def test_base_solve_refuses_values_that_do_not_close(monkeypatch):
+    real = ptolemy._solve_head_pair
+
+    def perturbed(*args):
+        t, z = real(*args)
+        return t + 1, z
+
+    monkeypatch.setattr(ptolemy, "_solve_head_pair", perturbed)
+    with pytest.raises(ArithmeticError,
+                       match="^tet0 does not close after the base solve$"):
+        solve_pretzel_base()
+
+
 def test_bind_stores_the_reduced_form():
     # a RatFunc is stored reduced, a rational QuadExt as its reduced
     # RatFunc, and a pure root with its root part reduced and its radicand
