@@ -23,7 +23,7 @@ from .families import (FAMILIES, MAX_TWIST_N, divides_conjugate,
                        family_chain, get_family, numeric_agreement,
                        run_family, twist_identities)
 from .farey import (ORACLE_MAX_BOUND, FareyTriangle, Slope, Walk, _new_slope,
-                    anatomy, crossing_count, crossing_count_oracle,
+                    WordAnatomy, crossing_count, crossing_count_oracle,
                     is_neighbor, walk_labels)
 from .hn import (TailEntry, h_recurrence_check, iterate_exchange,
                  symbolic_tail_values, tail_collapse, tail_poly)
@@ -31,7 +31,7 @@ from .matchings import (MAX_ENUM_RUNGS, TAIL_VARS, count_subsets,
                         count_subsets_oracle, enumerate_matchings,
                         matching_step_check, matching_sum)
 from .newton import binomial_factors
-from .poly import Poly, poly_divides
+from .poly import Poly, identity_holds, poly_divides
 from .ptolemy import (BASE_EQ_LABELS, PVARS, check_equation, gamma_name,
                       load_values)
 from .quadext import QuadExt
@@ -393,7 +393,7 @@ def _walk_tail_roles(r, family_run):
     for _ in range(r.samples):
         walk = _rand_walk(rng, forced_tail=rng.randint(2, 4))
         labels = walk_labels(walk)
-        wa = anatomy(walk.word)
+        wa = WordAnatomy(walk.word)
         k = wa.tail_start_step
         run = len(wa.tail) + (1 if wa.tip_matches_tail else 0)
         for j in range(1, run):
@@ -452,10 +452,9 @@ def _matching_steps(r, family_run):
 def _matching_product(r, family_run):
     f2, o2, p2 = (Poly.variable(TAIL_VARS, v) ** 2 for v in TAIL_VARS)
     for n in range(3, r.product_top + 1):
-        lhs = matching_sum(2 * n)
-        rhs = matching_sum(2 * n - 2) * (f2 + o2 - p2) \
-            - f2 * o2 * matching_sum(2 * n - 4)
-        if lhs != rhs:
+        if not identity_holds(
+                [(matching_sum(2 * n),), (f2 * o2, matching_sum(2 * n - 4))],
+                [(matching_sum(2 * n - 2), f2 + o2 - p2)]):
             return False, "two-step recurrence fails at n=%d" % n
     return True, "n = 3..%d" % r.product_top
 
@@ -463,10 +462,11 @@ def _matching_product(r, family_run):
 @_check("matching-gap-identity")
 def _matching_gap(r, family_run):
     for n in range(4, r.gap_top + 1):
-        lhs = matching_sum(2 * n - 2) * matching_sum(2 * n - 6)
         cross = Poly.monomial(TAIL_VARS, (n - 3, n - 2, 1))
-        rhs = matching_sum(2 * n - 4) ** 2 - cross * cross
-        if lhs != rhs:
+        mid = matching_sum(2 * n - 4)
+        if not identity_holds(
+                [(matching_sum(2 * n - 2), matching_sum(2 * n - 6)),
+                 (cross, cross)], [(mid, mid)]):
             return False, "product gap identity fails at n=%d" % n
     return True, "n = 4..%d" % r.gap_top
 

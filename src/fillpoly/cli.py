@@ -25,7 +25,7 @@ from dataclasses import replace
 from .poly import Poly
 from .ratfunc import RatFunc
 from .quadext import QuadExt
-from .farey import (Slope, FareyTriangle, Walk, walk_labels, anatomy,
+from .farey import (Slope, FareyTriangle, Walk, WordAnatomy, walk_labels,
                     crossing_count, crossing_count_oracle, _new_slope)
 from .matchings import enumerate_matchings, matching_sum, matching_weights
 from .hn import tail_poly
@@ -164,7 +164,7 @@ def cmd_farey_walk(args):
     w = sys.stdout.write
     walk = parse_walk_spec(args.spec)
     labels = walk_labels(walk)
-    wa = anatomy(walk.word) if len(walk.word) >= 2 else None
+    wa = WordAnatomy(walk.word) if len(walk.word) >= 2 else None
     if args.format == "json":
         payload = {
             "schema": 1,

@@ -13,9 +13,10 @@ The twist-knot A-polynomial recurrence lives here too: twist_A generates
 the sequences from their seeds and twist_recurrence_check verifies the
 three-term product identities that the generated polynomials satisfy,
 A_(n-1)*A_(n+1) = A_n^2 + gap, like a cluster exchange relation.  Each is
-one exact poly.identity_holds test: the five operands are packed on one
-lattice and the two sides compared as two integers, so the products are
-never expanded into terms.  The two base identities, small, multiply out.
+one exact poly.identity_holds test: the products of both sides are packed
+on one lattice and the two sides compared as two integers, so the products
+are never expanded into terms.  The proof's base identity of each sign is
+the recurrence at the sign's first n plus one.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from functools import lru_cache
 import random
 from typing import NamedTuple
 
-from .farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
+from .farey import FareyTriangle, Slope, Walk, WordAnatomy, walk_labels
 from .hn import TailEntry, filling_poly, iterate_exchange
 from .poly import Poly, identity_holds
 from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
@@ -199,7 +200,7 @@ def run_family(spec, m):
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer tail length")
-    wa = anatomy(spec.word(m))
+    wa = WordAnatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
     assert wa.tail_start_step == len(spec.step_labels)
     expr = filling_poly(family_chain(spec).entry, m)
@@ -295,7 +296,7 @@ def run_family_numeric(spec, m, point):
         raise ValueError("m must be a positive integer tail length")
     eqs = spec.equations()
     word = spec.word(m)
-    wa = anatomy(word)
+    wa = WordAnatomy(word)
     labels = walk_labels(Walk(spec.triangle0, spec.triangle1, word))
     vals = _numeric_pretzel_base(eqs, point)
     for k, label in enumerate(spec.step_labels):
@@ -429,17 +430,8 @@ def twist_gap(sign, n):
 def twist_recurrence_check(n, sign):
     """Does A_(n-1) * A_(n+1) == A_n^2 + the sign's gap term, exactly?"""
     a = twist_A(n, sign)
-    return identity_holds(twist_A(n - 1, sign), twist_A(n + 1, sign), a, a,
-                          twist_gap(sign, n))
-
-
-def twist_base_identity_check(sign):
-    """The proof's seed identity: x*A_a*A_b - y*A_a^2 - A_b^2 equals the
-    gap term at n = b, with a the sign's first n and b = a + 1."""
-    first = _twist_first(sign)
-    tw = twist_polys()
-    a, b = twist_A(first, sign), twist_A(first + 1, sign)
-    return tw.x * a * b - tw.y * a * a - b * b == twist_gap(sign, first + 1)
+    return identity_holds([(twist_A(n - 1, sign), twist_A(n + 1, sign))],
+                          [(a, a), (twist_gap(sign, n),)])
 
 
 def twist_identities(max_n):
@@ -452,9 +444,12 @@ def twist_identities(max_n):
         raise ValueError("max_n %d too large: the identities use A_(max_n+1)"
                          " and twist_A allows at most %d"
                          % (max_n, MAX_TWIST_N))
+    # the proof's seed identity, x*A_a*A_b - y*A_a^2 - A_b^2 = gap at b,
+    # with a the sign's first n and b = a + 1, is the recurrence at b,
+    # since A_(b+1) = x*A_b - y*A_a
     checks = [("base identity %s" % sign,
-               lambda sign=sign: twist_base_identity_check(sign))
-              for sign in _TWIST_FIRST]
+               lambda sign=sign, b=first + 1: twist_recurrence_check(b, sign))
+              for sign, first in _TWIST_FIRST.items()]
     for sign, first in _TWIST_FIRST.items():
         checks += [("%s n=%d" % (sign, n),
                     lambda n=n, sign=sign: twist_recurrence_check(n, sign))
@@ -506,7 +501,7 @@ def divides_conjugate(spec, m, result):
     rule = spec.basis_rule(m)
     nf, no = (_unit_normal(substitute_basis(v, *rule).num)
               for v in (entry.f, entry.o))
-    zero = Poly.zero(nf.vars)
-    return identity_holds(nf ** (2 * (m - 1)) * no ** (2 * m),
-                          twist_divisor(spec, m) * twist_divisor(spec, m - 2),
-                          zero, zero, _unit_normal(result.basis_changed.num))
+    return identity_holds(
+        [(nf ** (2 * (m - 1)) * no ** (2 * m),
+          twist_divisor(spec, m) * twist_divisor(spec, m - 2))],
+        [(_unit_normal(result.basis_changed.num),)])

@@ -265,10 +265,6 @@ class WordAnatomy:
         return "%s|%s|%s" % (self.body, self.tail, self.tip)
 
 
-def anatomy(word):
-    return WordAnatomy(word)
-
-
 # --- crossing counts ---------------------------------------------------------
 
 

@@ -320,8 +320,8 @@ def h_recurrence_check(n):
         raise ValueError("identity needs n >= 4")
     cross = Poly.monomial(TAIL_VARS, (n - 3, n - 2, 1))
     mid = tail_poly(n - 2)
-    return identity_holds(tail_poly(n - 1), tail_poly(n - 3), mid, mid,
-                          -(cross * cross))
+    return identity_holds(
+        [(tail_poly(n - 1), tail_poly(n - 3)), (cross, cross)], [(mid, mid)])
 
 
 def symbolic_tail_values():

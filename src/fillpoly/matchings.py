@@ -19,7 +19,7 @@ two-term recurrence.
 
 from math import comb, prod
 
-from .poly import Poly
+from .poly import Poly, identity_holds
 
 TAIL_VARS = ("g_f", "g_o", "g_p")
 
@@ -61,11 +61,6 @@ def rung_weight(i):
     """Weight of the rung edge at rung i; signs alternate starting +."""
     g_p = Poly.variable(TAIL_VARS, "g_p")
     return g_p if i % 2 else -g_p
-
-
-def matching_weight(n, selection):
-    """Weight of one matching, given its selected pair positions."""
-    return matching_weights(n, [selection])[0]
 
 
 def matching_weights(n, selections):
@@ -137,11 +132,10 @@ def matching_step_check(k):
     if k < 2:
         raise ValueError("recurrence needs k >= 2")
     g_p = Poly.variable(TAIL_VARS, "g_p")
-    if k % 2:
-        rhs = g_p * _sum_or_one(k - 1) + Poly.variable(TAIL_VARS, "g_o") ** 2 * _sum_or_one(k - 2)
-    else:
-        rhs = -g_p * _sum_or_one(k - 1) + Poly.variable(TAIL_VARS, "g_f") ** 2 * _sum_or_one(k - 2)
-    return matching_sum(k) == rhs
+    pair = Poly.variable(TAIL_VARS, "g_o" if k % 2 else "g_f") ** 2
+    return identity_holds([(matching_sum(k),)],
+                          [(g_p if k % 2 else -g_p, _sum_or_one(k - 1)),
+                           (pair, _sum_or_one(k - 2))])
 
 
 def binom(x, k):

@@ -37,9 +37,19 @@ def exact_coef(c):
     a value.
     """
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError("coefficient %r is neither an int nor a Fraction"
-                        % (c,))
+        raise TypeError("%r is neither an int nor a Fraction" % (c,))
     return _clean_coef(c)
+
+
+def exact_int(n):
+    """n itself; TypeError unless an int (a bool is not one).
+
+    Exponents, shifts and signs are read through it, so that 1.5 or True
+    cannot pass for an int.
+    """
+    if type(n) is not int:
+        raise TypeError("%r is not an int" % (n,))
+    return n
 
 
 def _canonical(vars, terms):
@@ -254,8 +264,8 @@ class Poly:
         return _canonical(self.vars, out)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("Poly exponent must be a non-negative integer")
+        if exact_int(n) < 0:
+            raise ValueError("Poly exponent must be non-negative")
         if len(self.terms) == 2:
             # the binomial theorem: the 48 two-term powers of the six pretzel
             # runs (both signs, m = 1..3) took 0.0035 s, and 0.030 s by
@@ -324,14 +334,18 @@ class Poly:
     def shift_down(self, shift):
         """Divide by the monomial with the given exponent vector (must divide).
 
-        A column of exponents at a time: each shifted variable's lowest
-        exponent is checked once, and the column moved down by map.
+        The vector holds one non-negative int per variable.  A column of
+        exponents at a time: each shifted variable's lowest exponent is
+        checked once, and the column moved down by map.
         """
+        if len(shift) != len(self.vars):
+            raise ValueError("shift %r does not match %d variables"
+                             % (shift, len(self.vars)))
         cols = []
-        for i, s in enumerate(shift):
+        for i, s in enumerate(map(exact_int, shift)):
             col = list(map(itemgetter(i), self.terms))
             if s:
-                if col and min(col) < s:
+                if s < 0 or col and min(col) < s:
                     raise ValueError("monomial %r does not divide all terms"
                                      % (shift,))
                 col = map(sub, col, repeat(s))
@@ -342,7 +356,10 @@ class Poly:
     # --- evaluation ------------------------------------------------------
 
     def eval_at(self, point):
-        """Exact value at a point, given as a dict varname -> Fraction/int.
+        """Exact value at a point, given as a dict varname -> int/Fraction.
+
+        Each value is taken as exact_coef takes a coefficient: a float,
+        Decimal, bool or string is a TypeError, not read as a number.
 
         Works in plain integers over one common denominator, which is much
         faster than Fraction arithmetic per term on big polynomials.  Each
@@ -357,14 +374,14 @@ class Poly:
         for v in self.vars:
             if v not in point:
                 raise ValueError("no value for variable %r" % (v,))
+        xs = [exact_coef(point[v]) for v in self.vars]
         if not self.terms:
             return Fraction(0)
         if not self.vars:
             return Fraction(self.terms[()])
         tables = []
         common_den = 1
-        for v, d in zip(self.vars, self.max_degrees()):
-            x = Fraction(point[v])
+        for x, d in zip(xs, self.max_degrees()):
             a, b = x.numerator, x.denominator
             apow = [1] * (d + 1)
             bpow = [1] * (d + 1)
@@ -584,14 +601,15 @@ def _heap_walk(keys, coefs, kmin, rest, lc, tail):
 # the lattice the product occupies, multiplies the two integers once and
 # reads the product's coefficients back from the groups.  _pack makes the
 # whole packing decision for a list of products of one or two factors:
-# _packed_mul's one product a*b, and identity_holds' a*b, c*d and e, which
-# start at offsets of whole keys from the lowest one.  It refuses a
-# non-int coefficient, asks _lattice for the lattice, refuses one with
-# more slots than term pairs, sizes the groups for the sum of the
-# products' coefficient bounds, and encodes each distinct factor once (by
-# identity: a square, each squaring step of __pow__, is encoded once, and
-# the one Decimal goes to the multiply twice, so libmpdec transforms one
-# operand, not two).  _lattice alone decides the lattice, in three steps:
+# _packed_mul's one product a*b, and the products on both sides of
+# identity_holds, which start at offsets of whole keys from the lowest
+# one.  It refuses a non-int coefficient, asks _lattice for the lattice,
+# refuses one with more slots than term pairs, sizes the groups for the
+# sum of the products' coefficient bounds, and encodes each distinct
+# factor once (by identity: a square, each squaring step of __pow__, is
+# encoded once, and the one Decimal goes to the multiply twice, so
+# libmpdec transforms one operand, not two).  _lattice alone decides the
+# lattice, in three steps:
 # - the homogeneous drop.  When the operands have three or more variables,
 #   each has a single total degree and every product the same sum of
 #   them, each term's last exponent follows from the others: that column
@@ -918,33 +936,41 @@ def _packed_mul(a, b):
     return Poly._raw(a.vars, out)
 
 
-def identity_holds(a, b, c, d, e):
-    """Does a*b == c*d + e hold exactly?
+def identity_holds(lhs, rhs):
+    """Does the sum of the products in lhs equal the sum of those in rhs?
 
-    The nonzero products among a*b, c*d and e are packed on one lattice
-    (_pack): each side is one integer, made by two decimal multiplies and
-    one add, and the two are compared, so no product is decoded.  Every
-    coefficient of a*b - c*d - e is at most the sum of the products'
-    bounds, below 10^(w-1), so the difference of the two integers is 0
-    only if every coefficient is.  When _pack declines, the products are
-    expanded instead.
+    Each side is a list of products, each a tuple of one or two
+    polynomials over one variable table: (p,) is p alone, (p, q) is p*q.
+    A product with a zero factor drops out, and an empty side is 0.  The
+    nonzero products are packed on one lattice (_pack): each side is one
+    integer, a decimal multiply per two-factor product and an add per
+    product, and the two are compared, so no product is decoded.  Every
+    coefficient of the difference of the sums is at most the sum of the
+    products' bounds, below 10^(w-1), so the difference of the two
+    integers is 0 only if every coefficient is.  When _pack declines,
+    both sums are expanded and compared instead.
     """
-    for p in (b, c, d, e):
-        a._check_same_vars(p)
-    products = [(fs, side) for fs, side in (((a, b), 0), ((c, d), 1), ((e,), 1))
+    if any(not 1 <= len(fs) <= 2 for fs in chain(lhs, rhs)):
+        raise ValueError("a product has one or two factors")
+    factors = [p for fs in chain(lhs, rhs) for p in fs]
+    for p in factors[1:]:
+        factors[0]._check_same_vars(p)
+    products = [(fs, side) for side, fss in enumerate((lhs, rhs)) for fs in fss
                 if all(p.terms for p in fs)]
     if len(products) < 2:
         # a product of nonzero polynomials is nonzero
         return not products
     packed = _pack([fs for fs, _ in products])
+    sums = [0, 0]
     if packed is None:
-        return a * b == c * d + e
+        for fs, side in products:
+            sums[side] += fs[0] * fs[1] if len(fs) == 2 else fs[0]
+        return sums[0] == sums[1]
     lattice, strides, w, _, codes = packed
-    sides = [Decimal(0), Decimal(0)]
     for (_, side), xs, off in zip(products, codes, lattice[6]):
         x = _DEC.multiply(*xs) if len(xs) == 2 else xs[0]
         key = sum(map(mul, off, strides))
         if key:
             x = _DEC.scaleb(x, w * key)
-        sides[side] = _DEC.add(sides[side], x)
-    return sides[0] == sides[1]
+        sums[side] = _DEC.add(sums[side], x)
+    return sums[0] == sums[1]

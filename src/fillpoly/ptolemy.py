@@ -70,18 +70,6 @@ class PtolemyEq:
             raise ValueError("equation %r has no terms" % (label,))
         object.__setattr__(self, "terms", tuple(checked))
 
-    def __str__(self):
-        parts = []
-        for coef, gammas in self.terms:
-            factors = []
-            if coef != Poly.one(coef.vars):
-                factors.append("(%s)" % coef)
-            factors.extend(gammas)
-            parts.append("*".join(factors))
-        return "%s: %s = 0" % (self.label, " + ".join(parts))
-
-    __repr__ = __str__
-
 
 def parse_equations(text):
     """Parse an equation file into an ordered dict label -> PtolemyEq.

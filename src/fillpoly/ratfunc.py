@@ -41,7 +41,7 @@ from math import comb, prod
 from operator import add, and_, itemgetter, mul, sub, truediv
 
 from .newton import edge_binomials
-from .poly import Poly, divide_out, exact_coef, poly_divides
+from .poly import Poly, divide_out, exact_coef, exact_int, poly_divides
 
 
 class PoleError(ArithmeticError):
@@ -209,9 +209,7 @@ class RatFunc:
         return other * self.reciprocal()
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("RatFunc exponent must be int")
-        if n < 0:
+        if exact_int(n) < 0:
             return self.reciprocal() ** (-n)
         return RatFunc(self.num ** n, self.den ** n, _normalized=True)
 
@@ -286,7 +284,8 @@ def _normalize(num, den):
 def substitute_basis(rf, sign, e):
     """Apply the monomial basis change  L -> sign * L * M**e.
 
-    sign must be +1 or -1; e may be negative.  Negative powers of M
+    sign must be +1 or -1 and e an int, which may be negative; a float
+    or a bool is a TypeError.  Negative powers of M
     produced by the substitution are cleared by the smallest value-preserving
     power of M applied to numerator and denominator together.
 
@@ -295,7 +294,8 @@ def substitute_basis(rf, sign, e):
     survives it but for two things, which are fixed here: the power of M
     the two sides share, and the sign of the denominator's leading term.
     """
-    if sign not in (1, -1):
+    exact_int(e)
+    if exact_int(sign) not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     vars = rf.vars
     li, mi = vars.index("L"), vars.index("M")

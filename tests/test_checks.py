@@ -6,9 +6,11 @@ import dataclasses
 import pytest
 
 import test_acceptance
-from fillpoly import checks
+from fillpoly import checks, hn, matchings
 from fillpoly.checks import CHECKS, FULL, lowest_terms_failure, run_check
-from fillpoly.families import get_family, numeric_agreement
+from fillpoly.families import (get_family, numeric_agreement, twist_A,
+                               twist_polys)
+from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import PVARS, Assignment
 from fillpoly.quadext import QuadExt
@@ -108,3 +110,58 @@ def test_numeric_agreement_fails_on_an_expression_off_by_one(family_runs):
 
     assert run_check(dict(CHECKS)["pretzel-numeric-agreement"], FULL,
                      family_run) == (False, "mismatch at pos m=1")
+
+
+def _gaining_a_term(real, size, exps):
+    """real, with the monomial of exps added to its value at size."""
+    def gained(n):
+        value = real(n)
+        return value + Poly.monomial(TAIL_VARS, exps) if n == size else value
+    return gained
+
+
+# each polynomial gains a term of its own total degree that it lacks, so
+# the identities that read it stay homogeneous
+@pytest.mark.parametrize("name, module, real, size, exps, detail", [
+    ("matching-step-recurrences", matchings, "matching_sum", 5, (1, 1, 3),
+     "single-step recurrence fails at k=5"),
+    ("matching-product-recurrence", checks, "matching_sum", 8, (1, 1, 6),
+     "two-step recurrence fails at n=4"),
+    ("matching-gap-identity", checks, "matching_sum", 8, (1, 1, 6),
+     "product gap identity fails at n=5"),
+    ("h-product-recurrence", hn, "tail_poly", 6, (1, 1, 10),
+     "three-term product identity fails at n=7"),
+], ids=["matching-step", "matching-product", "matching-gap", "h-product"])
+def test_product_identity_checks_fail_on_a_polynomial_gaining_a_term(
+        monkeypatch, name, module, real, size, exps, detail):
+    gained = _gaining_a_term(getattr(module, real), size, exps)
+    assert exps not in getattr(module, real)(size).terms
+    monkeypatch.setattr(module, real, gained)
+    assert run_check(dict(CHECKS)[name], FULL, None) == (False, detail)
+
+
+def _mutate_pos_seed(tw):
+    # A_1 = L + M^6 misread as L + M^4
+    tw.seqs["pos"][0] = parse_poly("L + M^4", PVARS)
+
+
+def _mutate_neg_gap(tw):
+    tw.gap["neg"] = tw.gap["neg"] * Poly.variable(PVARS, "M")
+
+
+def _mutate_pos_a5(tw):
+    # A_5 one off once generated: the base identities and n = 2, 3 hold
+    twist_A(5, "pos")
+    tw.seqs["pos"][4] = tw.seqs["pos"][4] + 1
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (_mutate_pos_seed, "base identity pos"),
+    (_mutate_neg_gap, "base identity neg"),
+    (_mutate_pos_a5, "pos n=4"),
+], ids=["pos-seed", "neg-gap", "pos-a5"])
+def test_twist_recurrences_fail_on_mutated_twist_data(fresh_twist_polys,
+                                                      mutate, detail):
+    mutate(twist_polys())
+    assert run_check(dict(CHECKS)["twist-recurrences"], FULL, None) \
+        == (False, detail)

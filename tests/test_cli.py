@@ -13,7 +13,7 @@ from fillpoly.cli import dispatch, parse_walk_spec
 from fillpoly.families import twist_identities
 from fillpoly.farey import Walk
 from fillpoly.matchings import (enumerate_matchings, matching_sum,
-                                matching_weight)
+                                matching_weights)
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import PVARS
 
@@ -106,19 +106,20 @@ def test_matchings_listing_matches_each_matching_weight(capsys, fmt):
     # a listing that weighs each matching on its own
     n = 12
     sels = enumerate_matchings(n)
+    weights = [matching_weights(n, [sel])[0] for sel in sels]
     rc, out, _ = run(capsys, "matchings", "--n", str(n), "--list",
                      "--format", fmt)
     assert rc == 0
     if fmt == "json":
         doc = {"schema": 1, "n": n, "count": len(sels),
                "matchings": [{"pairs": list(sel),
-                              "weight": str(matching_weight(n, sel))}
-                             for sel in sels]}
+                              "weight": str(weight)}
+                             for sel, weight in zip(sels, weights)]}
         assert out == json.dumps(doc, indent=2) + "\n"
     else:
         assert out == "rungs: %d\nmatchings: %d\n" % (n, len(sels)) + "".join(
-            "%s: %s\n" % (",".join(map(str, sel)) or "-",
-                          matching_weight(n, sel)) for sel in sels)
+            "%s: %s\n" % (",".join(map(str, sel)) or "-", weight)
+            for sel, weight in zip(sels, weights))
 
 
 def test_farey_cross(capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from fillpoly import families
+from fillpoly import families, hn
 from fillpoly.families import (FAMILIES, FillingResult, family_chain,
                                get_family, numeric_agreement, run_family,
                                run_family_numeric, twist_A, twist_divisor,
                                twist_gap, twist_polys)
-from fillpoly.farey import FareyTriangle, Slope, Walk, anatomy, walk_labels
+from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy,
+                            walk_labels)
 from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
                          tail_collapse, tail_poly)
 from fillpoly.matchings import TAIL_VARS
@@ -147,22 +148,15 @@ def test_twist_recurrence_checks_agree_with_expanded_products(sign):
     for n in (first + 1, 10, families.MAX_TWIST_N - 1):
         a, gap = twist_A(n, sign), twist_gap(sign, n)
         shifted = gap * Poly.variable(PVARS, "M")
-        assert not identity_holds(twist_A(n - 1, sign), twist_A(n + 1, sign),
-                                  a, a, shifted)
+        assert not identity_holds([(twist_A(n - 1, sign),
+                                    twist_A(n + 1, sign))],
+                                  [(a, a), (shifted,)])
 
 
 def test_twist_recurrences_and_base_identities():
     # the identities themselves are the registry check twist-recurrences
     with pytest.raises(ValueError):
         twist_gap("pos", 1)
-
-
-@pytest.fixture
-def fresh_twist_polys():
-    """An empty twist_polys cache, so a test sees generation from the seeds."""
-    twist_polys.cache_clear()
-    yield
-    twist_polys.cache_clear()
 
 
 def test_twist_gap_out_of_order(fresh_twist_polys):
@@ -342,6 +336,28 @@ def test_whitehead_denominators_follow_the_tail_polynomial(sign, family_runs):
             assert (got_a, got_b) == ((0, 12, 6), (0, 5, 3))
 
 
+@pytest.mark.parametrize("name,sign", sorted(FAMILIES))
+def test_numerators_are_the_factored_products(name, sign, family_runs):
+    # filling_poly cancels nothing but monomials, so each numerator is the
+    # product of its factored parts: for pretzel238 N_(x-p) * S, with
+    # S = N_f^(m-1) * N_o^m, and for whitehead a = N_x * S and
+    # b = -N_root * S; times L - M, none holds
+    entry = family_chain(get_family(name, sign)).entry
+    nf, no, root = (v.num for v in entry.factored[:3])
+    extra = parse_poly("L - M", PVARS)
+    for m in range(1, 5):
+        expr = family_runs(name, sign, m).expression
+        x = hn._collapsed(entry, m)
+        scale = nf ** (m - 1) * no ** m
+        if name == "pretzel238":
+            pairs = [(expr.num, entry._sub(x, entry.factored[2]).num)]
+        else:
+            pairs = [(expr.a.num, x.num), (-expr.b.num, root)]
+        for num, cofactor in pairs:
+            assert identity_holds([(num,)], [(cofactor, scale)])
+            assert not identity_holds([(num, extra)], [(cofactor, scale)])
+
+
 def _value_objects():
     """One instance of each frozen dataclass of the pipeline, by name."""
     f, o, p = symbolic_tail_values()
@@ -355,7 +371,7 @@ def _value_objects():
         "FareyTriangle": t0,
         "Walk": walk,
         "StepLabels": walk_labels(walk)[1],
-        "WordAnatomy": anatomy("LLRLL"),
+        "WordAnatomy": WordAnatomy("LLRLL"),
         "TailEntry": TailEntry(f, o, p),
         "PtolemyEq": spec.equations()["step0"],
         "Assignment": spec.base_assignment(),

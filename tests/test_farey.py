@@ -12,7 +12,7 @@ import fillpoly
 from fillpoly import farey
 from fillpoly.checks import (crossing_symmetric, crossing_unimodular,
                              walk_roles)
-from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy, anatomy,
+from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy,
                             crossing_count, crossing_count_oracle, det,
                             is_neighbor, walk_labels)
 
@@ -83,17 +83,17 @@ def test_walk_labels_roles_partition_triangles():
 
 
 def test_anatomy_splits():
-    a = anatomy("LLRLL")
+    a = WordAnatomy("LLRLL")
     assert (a.body, a.tail, a.tip) == ("LLR", "L", "L")
     assert a.tail_start_step == 4
     assert a.tip_matches_tail
-    b = anatomy("LLLRR")
+    b = WordAnatomy("LLLRR")
     assert (b.body, b.tail, b.tip) == ("LLL", "R", "R")
-    c = anatomy("LRRRL")
+    c = WordAnatomy("LRRRL")
     assert (c.body, c.tail, c.tip) == ("L", "RRR", "L")
     assert not c.tip_matches_tail
     assert c.tail_start_step == 2
-    d = anatomy("LL")
+    d = WordAnatomy("LL")
     assert (d.body, d.tail, d.tip) == ("", "L", "L")
     with pytest.raises(ValueError):
         WordAnatomy("L")

@@ -266,12 +266,16 @@ def test_h_recurrence():
 @pytest.mark.parametrize("var", TAIL_VARS)
 def test_h_recurrence_fails_with_the_cross_term_times_a_variable(
         monkeypatch, var):
-    # identity_holds(a, b, c, d, e) gets e = -cross^2; with cross times a
+    # identity_holds gets (cross, cross) on the left; with cross times a
     # variable the identity must fail
     real = hn.identity_holds
     v = Poly.variable(TAIL_VARS, var)
-    monkeypatch.setattr(hn, "identity_holds",
-                        lambda a, b, c, d, e: real(a, b, c, d, e * v * v))
+
+    def scaled(lhs, rhs):
+        (tails, (cross, _)) = lhs
+        return real([tails, (cross * v, cross * v)], rhs)
+
+    monkeypatch.setattr(hn, "identity_holds", scaled)
     assert not any(h_recurrence_check(n) for n in range(4, 20))
 
 

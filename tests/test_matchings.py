@@ -3,7 +3,7 @@ import pytest
 from fillpoly.matchings import (MAX_ENUM_RUNGS, TAIL_VARS, binom,
                                 count_subsets, enumerate_matchings,
                                 matching_step_check, matching_sum,
-                                matching_weight, matching_weights,
+                                matching_weights,
                                 pair_weight, rung_weight)
 from fillpoly.poly import Poly
 
@@ -49,19 +49,20 @@ def test_matching_weight():
     g_f = Poly.variable(TAIL_VARS, "g_f")
     g_p = Poly.variable(TAIL_VARS, "g_p")
     # three rungs, pair on (1,2): weight g_f^2 * rung_3 = g_f^2 * g_p
-    assert matching_weight(3, (1,)) == g_f ** 2 * g_p
+    assert matching_weights(3, [(1,)])[0] == g_f ** 2 * g_p
     # all rungs unpaired: product of alternating-sign rung weights
-    assert matching_weight(2, ()) == -g_p ** 2
-    assert isinstance(matching_weight(5, (2, 4)), Poly)
+    assert matching_weights(2, [()])[0] == -g_p ** 2
+    assert isinstance(matching_weights(5, [(2, 4)])[0], Poly)
     for n, bad in ((3, (3,)), (3, (0,)), (4, (1, 2)), (6, (2, 3)),
                    (5, (1, 1))):
         with pytest.raises(ValueError):
-            matching_weight(n, bad)
+            matching_weights(n, [bad])[0]
 
 
 def test_matching_weights_share_one_table():
     sels = enumerate_matchings(9)
-    assert matching_weights(9, sels) == [matching_weight(9, s) for s in sels]
+    assert matching_weights(9, sels) == [matching_weights(9, [s])[0]
+                                         for s in sels]
     assert matching_weights(9, []) == []
     with pytest.raises(ValueError):
         matching_weights(4, [(1,), (1, 2)])
@@ -86,7 +87,7 @@ def test_matching_sum_is_the_sum_of_matching_weights(n):
         for j in range(1, n + 1):
             if j not in covered:
                 w = w * rung_weight(j)
-        assert matching_weight(n, sel) == w
+        assert matching_weights(n, [sel])[0] == w
         total = total + w
     assert matching_sum(n) == total
 

@@ -15,7 +15,7 @@ from fillpoly.hn import tail_poly
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly, divide_out, poly_divides
 from fillpoly.ptolemy import PVARS
-from fillpoly.ratfunc import RatFunc, parse_poly
+from fillpoly.ratfunc import RatFunc, parse_poly, parse_ratfunc
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -347,6 +347,24 @@ def test_eval_at_needs_every_variable():
     p = P(XYZ, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="no value for variable 'z'"):
         p.eval_at({"x": 1, "y": 2})
+
+
+@pytest.mark.parametrize("value", ["1/2", "3", 0.1, 2.0, True, False,
+                                   Decimal("0.5"), Decimal(3)])
+def test_eval_at_takes_exact_point_values_only(value):
+    # Fraction() would parse the string, take the float's binary value and
+    # read True as 1; a point value is read as a coefficient is
+    p = Poly(("L", "M"), {(2, 0): 1, (0, 1): 3})
+    for point in ({"L": value, "M": 1}, {"L": 1, "M": value}):
+        with pytest.raises(TypeError):
+            p.eval_at(point)
+        with pytest.raises(TypeError):
+            parse_ratfunc("L/(M - 1)", ("L", "M")).evaluate(point)
+    # a value of an absent variable is not read, and a zero polynomial
+    # still checks its own
+    assert P(("x",), {(1,): 2}).eval_at({"x": Fraction(1, 2), "L": value}) == 1
+    with pytest.raises(TypeError):
+        Poly.zero(("L",)).eval_at({"L": value})
 
 
 # pretzel238 pos m=1: the numerator and denominator of its expression at
@@ -834,6 +852,11 @@ def _expanded(a, b, c, d, e):
     return a._mul_dict(b) == c._mul_dict(d) + e
 
 
+def _holds(a, b, c, d, e):
+    """a*b == c*d + e, asked of identity_holds."""
+    return poly_mod.identity_holds([(a, b)], [(c, d), (e,)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_identity_holds_matches_expanded(data):
@@ -858,20 +881,48 @@ def test_identity_holds_matches_expanded(data):
             e = e + Poly.monomial(vars, stray,
                                   data.draw(st.sampled_from([1, -1])))
     expected = _expanded(a, b, c, d, e)
-    assert poly_mod.identity_holds(a, b, c, d, e) is expected
+    assert _holds(a, b, c, d, e) is expected
     if not expected:
         return
     # mutations of a true identity: one coefficient of e or of a moved by
     # one, e times a monomial, e negated
     unit = Poly.monomial(vars, next(iter(a.terms)), 1)
     for sign in (1, -1):
-        assert not poly_mod.identity_holds(a, b, c, d, e + sign * unit)
-        assert not poly_mod.identity_holds(a + sign * unit, b, c, d, e)
+        assert not _holds(a, b, c, d, e + sign * unit)
+        assert not _holds(a + sign * unit, b, c, d, e)
     if e.terms:
         shift = Poly.monomial(vars, data.draw(st.tuples(
             *[st.integers(0, 2)] * nv).filter(any)))
-        assert not poly_mod.identity_holds(a, b, c, d, e * shift)
-        assert not poly_mod.identity_holds(a, b, c, d, -e)
+        assert not _holds(a, b, c, d, e * shift)
+        assert not _holds(a, b, c, d, -e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_identity_holds_compares_two_sums_of_products(data):
+    # up to three products a side, each one or two factors, some shared or
+    # zero; the sums as drawn, then with the difference moved onto a side
+    nv = data.draw(st.integers(1, 3))
+    strides = data.draw(st.tuples(*[st.sampled_from([1, 2, 3])] * nv))
+    coefs = data.draw(_identity_coefs)
+    pool = [_identity_operand(data, strides, coefs) for _ in range(4)]
+    pool.append(Poly.zero(pool[0].vars))
+    factor = st.sampled_from(range(len(pool)))
+    sides = [[tuple(pool[k] for k in ks) for ks in data.draw(st.lists(
+        st.lists(factor, min_size=1, max_size=2), max_size=3))]
+        for _ in "lr"]
+    lhs, rhs = (sum((fs[0]._mul_dict(fs[1]) if len(fs) == 2 else fs[0]
+                     for fs in side), Poly.zero(pool[0].vars))
+                for side in sides)
+    assert poly_mod.identity_holds(*sides) is (lhs == rhs)
+    assert poly_mod.identity_holds(*sides[::-1]) is (lhs == rhs)
+    diff = lhs - rhs
+    assert poly_mod.identity_holds(sides[0], sides[1] + [(diff,)])
+    assert poly_mod.identity_holds(sides[0] + [(-diff,)], sides[1])
+    stray = Poly.monomial(pool[0].vars, data.draw(st.tuples(
+        *[st.integers(0, 12)] * nv)))
+    assert not poly_mod.identity_holds(sides[0],
+                                       sides[1] + [(diff,), (stray,)])
 
 
 def test_identity_holds_packs_without_expanding(monkeypatch):
@@ -897,22 +948,26 @@ def test_identity_holds_packs_without_expanding(monkeypatch):
     monkeypatch.setattr(Poly, "_mul_dict", _no_dict_mul)
     for (a, b, c, d), (ab, cd) in zip(cases, expected):
         e = ab - cd
-        assert poly_mod.identity_holds(a, b, c, d, e)
+        assert _holds(a, b, c, d, e)
         # moved by a monomial of the products' degree, so still homogeneous
         unit = Poly.monomial(a.vars, next(iter(ab.terms)))
-        assert not poly_mod.identity_holds(a, b, c, d, e + unit)
-        assert not poly_mod.identity_holds(a, b, c, d, -e) or not e.terms
+        assert not _holds(a, b, c, d, e + unit)
+        assert not _holds(a, b, c, d, -e) or not e.terms
+        # four products, two a side, and e alone on the left
+        assert poly_mod.identity_holds([(a, b), (c, d)], [(c, d), (c, d),
+                                                          (e,)])
+        assert poly_mod.identity_holds([(a, b)], [(e,), (d, c)])
     # the homogeneous drop: f*g and h*k both have total degree 7
     assert poly_mod._lattice([f, g, h, k], [(0, 1), (2, 3)])[0] == 7
     # e = 0, and an e below the products' box or off their lattice (the
     # products of p and q have even exponents only)
-    assert poly_mod.identity_holds(f, g, g, f, Poly.zero(XYZ))
-    assert poly_mod.identity_holds(*above, diff)
-    assert not poly_mod.identity_holds(*above, moved)
+    assert _holds(f, g, g, f, Poly.zero(XYZ))
+    assert _holds(*above, diff)
+    assert not _holds(*above, moved)
     for a, b in strays:
-        assert poly_mod.identity_holds(a, b, b, a, Poly.zero(XY))
+        assert _holds(a, b, b, a, Poly.zero(XY))
         for stray in (Poly.one(XY), Poly.variable(XY, "x")):
-            assert not poly_mod.identity_holds(a, b, b, a, stray)
+            assert not _holds(a, b, b, a, stray)
 
 
 def test_packing_encodes_each_distinct_operand_once(monkeypatch):
@@ -936,10 +991,11 @@ def test_packing_encodes_each_distinct_operand_once(monkeypatch):
     cases = [(lambda: p * p, square, [p]),
              (lambda: p ** 2, square, [p]),
              (lambda: p * q, pq, [p, q]),
-             (lambda: poly_mod.identity_holds(p, q, c, c, e1), True,
-              [p, q, c, e1]),
-             (lambda: poly_mod.identity_holds(p, p, c, d, e2), True,
-              [p, c, d, e2])]
+             (lambda: _holds(p, q, c, c, e1), True, [p, q, c, e1]),
+             (lambda: _holds(p, p, c, d, e2), True, [p, c, d, e2]),
+             (lambda: poly_mod.identity_holds([(c, d), (e2,), (p, p)],
+                                              [(c, d), (p, p), (e2,)]),
+              True, [c, d, e2, p])]
     for call, expected, operands in cases:
         encoded.clear()
         assert call() == expected
@@ -950,16 +1006,29 @@ def test_identity_holds_zero_operands_and_fractions():
     x, y = (Poly.variable(XY, v) for v in XY)
     zero = Poly.zero(XY)
     p = (x + y + 1) ** 3
-    assert poly_mod.identity_holds(zero, p, zero, p, zero)
-    assert poly_mod.identity_holds(zero, p, p, zero, zero)
-    assert poly_mod.identity_holds(zero, p, p, p, -(p * p))
-    assert not poly_mod.identity_holds(p, p, zero, zero, zero)
-    assert not poly_mod.identity_holds(zero, zero, zero, p, p)
+    assert _holds(zero, p, zero, p, zero)
+    assert _holds(zero, p, p, zero, zero)
+    assert _holds(zero, p, p, p, -(p * p))
+    assert not _holds(p, p, zero, zero, zero)
+    assert not _holds(zero, zero, zero, p, p)
     half = p * Fraction(1, 2)
-    assert poly_mod.identity_holds(half, p, half, p, zero)
-    assert not poly_mod.identity_holds(half, p, p, p, zero)
+    assert _holds(half, p, half, p, zero)
+    assert not _holds(half, p, p, p, zero)
     with pytest.raises(ValueError):
-        poly_mod.identity_holds(p, p, p, p, Poly.zero(XYZ))
+        _holds(p, p, p, p, Poly.zero(XYZ))
+    # an empty side is 0, and a product with a zero factor drops out
+    assert poly_mod.identity_holds([], [])
+    assert poly_mod.identity_holds([(zero, p)], [])
+    assert poly_mod.identity_holds([(p, p), (-(p * p),)], [])
+    assert poly_mod.identity_holds([(half, p)], [(p * half,), (p, zero)])
+    assert not poly_mod.identity_holds([], [(p,)])
+    assert not poly_mod.identity_holds([(half,)], [(p, half)])
+    # a product has one or two factors, over one variable table
+    for bad in ([()], [(p, p, p)]):
+        with pytest.raises(ValueError):
+            poly_mod.identity_holds(bad, [(p,)])
+    with pytest.raises(ValueError):
+        poly_mod.identity_holds([], [(zero,), (Poly.one(XYZ),)])
 
 
 # --- binomial divisors: +-x^a plus a term free of x ----------------------

@@ -327,6 +327,37 @@ def test_substitute_basis_rejects_bad_sign():
         substitute_basis(rf("L"), 2, 1)
 
 
+_SHIFTED = Poly(("x", "y"), {(2, 1): 1, (3, 2): 5})
+
+
+@pytest.mark.parametrize("call, error", [
+    # 1.5 printed as (L*M^1 + M)/(M - 1) with keys (1, 1.5) and (0, 1.0)
+    (lambda: substitute_basis(rf("(L + M)/(M - 1)"), 1, 1.5), TypeError),
+    (lambda: substitute_basis(rf("(L + M)/(M - 1)"), True, 1), TypeError),
+    (lambda: substitute_basis(rf("(L + M)/(M - 1)"), 1, True), TypeError),
+    (lambda: substitute_basis(rf("(L + M)/(M - 1)"), 1.0, 1), TypeError),
+    # printed 5*x^2*y^2 + x^1*y
+    (lambda: _SHIFTED.shift_down((0.5, 0)), TypeError),
+    (lambda: _SHIFTED.shift_down((True, 0)), TypeError),
+    # multiplied by y instead of dividing
+    (lambda: _SHIFTED.shift_down((1, -1)), ValueError),
+    # one-entry keys, whose str() raised IndexError
+    (lambda: _SHIFTED.shift_down((1,)), ValueError),
+    (lambda: _SHIFTED.shift_down((1, 0, 0)), ValueError),
+    # each returned its base
+    (lambda: _SHIFTED ** True, TypeError),
+    (lambda: rf("(L + M)/(M - 1)") ** True, TypeError),
+    (lambda: _SHIFTED ** 2.0, TypeError),
+], ids=["basis-e-float", "basis-sign-bool", "basis-e-bool",
+        "basis-sign-float", "shift-float", "shift-bool", "shift-negative",
+        "shift-short", "shift-long", "poly-pow-bool", "ratfunc-pow-bool",
+        "poly-pow-float"])
+def test_exponent_arguments_are_non_negative_ints_of_the_right_length(
+        call, error):
+    with pytest.raises(error):
+        call()
+
+
 def _substitute_by_terms(r, sign, e):
     """Reference: map each term, then build and normalize the result anew."""
     vars = r.vars
