@@ -4,10 +4,10 @@ A FamilySpec bundles everything one family+direction needs: the starting
 triangles of the Farey walk, the transcribed equations, the chain order,
 the expected tail slopes, the knot-name template and the basis-change
 rule.  run_family drives base solve -> chain -> collapsed tail -> filling
-expression.  run_family_numeric repeats the whole computation in plain
-Fractions at one sample point, with a different tail algorithm on
-purpose (repeated dividing exchange steps instead of the linear
-recurrence), so the two pipelines check each other.
+expression.  run_family_numeric_many repeats the whole computation in
+plain Fractions at a list of sample points, with a different tail
+algorithm on purpose (repeated dividing exchange steps instead of the
+linear recurrence), so the two pipelines check each other.
 
 The twist-knot A-polynomial recurrence lives here too: twist_A generates
 the sequences from their seeds and twist_recurrence_check verifies the
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .farey import FareyTriangle, Slope, Walk, WordAnatomy, walk_labels
 from .hn import TailEntry, filling_poly, iterate_exchange
-from .poly import Poly, identity_holds
+from .poly import Poly, exact_int, identity_holds
 from .ptolemy import (BASE_EQ_LABELS, PVARS, chain_solve, gamma_name,
                       load_equations, solve_pretzel_base,
                       solve_whitehead_base)
@@ -216,27 +216,24 @@ def run_family(spec, m):
 # --- the independent numeric pipeline -------------------------------------
 
 
-def _numeric_terms(eq, point):
-    return [(c.eval_at(point), gammas) for c, gammas in eq.terms]
-
-
-def _numeric_pretzel_base(eqs, point):
+def _numeric_pretzel_base(terms):
     """Base values at one point, by a 2x2 Cramer solve in (s*w, w).
 
-    The same solve as the symbolic base solver, done apart from it: in
-    Fraction arithmetic at one point, with its own residual check, and
-    followed by the tail's iterated exchange rather than the collapsed
-    recurrence.  The two head equations, with the 3/1 value set to 1, only
-    involve the products s*w, w and a constant, where s is the 1/0 value
-    and w the 4/1 value.  Singular points raise PoleError so the caller
-    can resample.
+    terms maps each equation label to its (coefficient value, gammas)
+    pairs at the point.  The same solve as the symbolic base solver, done
+    apart from it: in Fraction arithmetic at one point, with its own
+    residual check, and followed by the tail's iterated exchange rather
+    than the collapsed recurrence.  The two head equations, with the 3/1
+    value set to 1, only involve the products s*w, w and a constant, where
+    s is the 1/0 value and w the 4/1 value.  Singular points raise
+    PoleError.
     """
     one = Fraction(1)
     vals = {"g_3/1": one}
     rows = []
     for label in BASE_EQ_LABELS["pretzel238"][:2]:
         a = b = c = Fraction(0)
-        for coef, (x, y) in _numeric_terms(eqs[label], point):
+        for coef, (x, y) in terms[label]:
             pair = frozenset((x, y))
             if pair == frozenset(("g_1/0", "g_4/1")):
                 a += coef
@@ -259,7 +256,7 @@ def _numeric_pretzel_base(eqs, point):
     vals["g_1/0"] = u / w
     for label in BASE_EQ_LABELS["pretzel238"]:
         total = Fraction(0)
-        for coef, (x, y) in _numeric_terms(eqs[label], point):
+        for coef, (x, y) in terms[label]:
             total += coef * vals[x] * vals[y]
         if total != 0:
             raise ArithmeticError("numeric base solve left a residual")
@@ -283,32 +280,55 @@ def _numeric_linear_step(terms, vals, unknown):
     return -const / lin
 
 
-def run_family_numeric(spec, m, point):
-    """The whole pipeline in plain Fractions at one (L, M) point.
+def run_family_numeric_many(spec, m, points):
+    """The whole pipeline in plain Fractions at each of a list of (L, M)
+    points: the values in input order, None at a singular point.
 
     Only rational chains are supported (the pretzel family); the tail is
     collapsed by actually iterating exchange steps rather than through the
-    closed form.  Raises PoleError at singular points.
+    closed form.  The equations and the walk's labels are read once, and
+    each equation coefficient is evaluated at every point by one
+    Poly.eval_many; the solve then runs point by point.
     """
     if spec.name != "pretzel238":
         raise ValueError("the numeric pipeline supports rational chains only")
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer tail length")
+    points = list(points)
     eqs = spec.equations()
     word = spec.word(m)
-    wa = WordAnatomy(word)
     labels = walk_labels(Walk(spec.triangle0, spec.triangle1, word))
-    vals = _numeric_pretzel_base(eqs, point)
-    for k, label in enumerate(spec.step_labels):
-        unknown = gamma_name(labels[k].h)
-        vals[unknown] = _numeric_linear_step(
-            _numeric_terms(eqs[label], point), vals, unknown)
-    tail = labels[wa.tail_start_step]
-    f = vals[gamma_name(tail.f)]
-    o = vals[gamma_name(tail.o)]
-    p = vals[gamma_name(tail.p)]
-    collapsed = iterate_exchange(f, o, p, m)
-    return (collapsed - p) * f ** (m - 1) * o ** m
+    unknowns = [gamma_name(label.h)
+                for label in labels[:len(spec.step_labels)]]
+    tail = labels[WordAnatomy(word).tail_start_step]
+    roles = [gamma_name(s) for s in (tail.f, tail.o, tail.p)]
+    columns = {label: [(c.eval_many(points), gammas)
+                       for c, gammas in eqs[label].terms]
+               for label in BASE_EQ_LABELS["pretzel238"] + spec.step_labels}
+    values = []
+    for i in range(len(points)):
+        terms = {label: [(coefs[i], gammas) for coefs, gammas in column]
+                 for label, column in columns.items()}
+        try:
+            vals = _numeric_pretzel_base(terms)
+            for label, unknown in zip(spec.step_labels, unknowns):
+                vals[unknown] = _numeric_linear_step(terms[label], vals,
+                                                     unknown)
+            f, o, p = (vals[name] for name in roles)
+            collapsed = iterate_exchange(f, o, p, m)
+        except (PoleError, ZeroDivisionError):
+            values.append(None)
+            continue
+        values.append((collapsed - p) * f ** (m - 1) * o ** m)
+    return values
+
+
+def run_family_numeric(spec, m, point):
+    """run_family_numeric_many at one point; PoleError where it is singular."""
+    value, = run_family_numeric_many(spec, m, [point])
+    if value is None:
+        raise PoleError("the numeric pipeline is singular at %r" % (point,))
+    return value
 
 
 def random_rational_point(rng):
@@ -322,22 +342,32 @@ def random_rational_point(rng):
 
 def numeric_agreement(spec, m, count, seed, result):
     """Symbolic vs numeric pipeline at `count` non-singular sample points;
-    result is run_family(spec, m)."""
+    result is run_family(spec, m).
+
+    The points come from random_rational_point in rounds: each round draws
+    as many as are still missing and keeps those where the numeric value
+    exists and the symbolic denominator is nonzero, so the points checked
+    are exactly the first `count` non-singular draws of the seed's stream.
+    count must be an int of at least 1.
+    """
+    count = exact_int(count)
+    if count < 1:
+        raise ValueError("count must be at least 1, got %d" % count)
     expr = result.expression
     if isinstance(expr, QuadExt):
         raise ValueError("numeric agreement is defined for rational results only")
     rng = random.Random(seed)
     checked = 0
     while checked < count:
-        point = random_rational_point(rng)
-        try:
-            symbolic = expr.evaluate(point)
-            numeric = run_family_numeric(spec, m, point)
-        except (PoleError, ZeroDivisionError):
-            continue
-        if symbolic != numeric:
+        points = [random_rational_point(rng) for _ in range(count - checked)]
+        numeric = run_family_numeric_many(spec, m, points)
+        dens = expr.den.eval_many(points)
+        kept = [i for i, (v, d) in enumerate(zip(numeric, dens))
+                if v is not None and d != 0]
+        nums = expr.num.eval_many([points[i] for i in kept])
+        if any(n / dens[i] != numeric[i] for n, i in zip(nums, kept)):
             return False
-        checked += 1
+        checked += len(kept)
     return True
 
 

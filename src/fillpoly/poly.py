@@ -64,6 +64,16 @@ def _canonical(vars, terms):
     return Poly._raw(vars, terms)
 
 
+def _power_table(a, b, d):
+    """([a^e * b^(d-e) for e in 0..d], b^d): x^e = T[e] / b^d for x = a/b."""
+    apow = [1] * (d + 1)
+    bpow = [1] * (d + 1)
+    for i in range(1, d + 1):
+        apow[i] = apow[i - 1] * a
+        bpow[i] = bpow[i - 1] * b
+    return [ae * be for ae, be in zip(apow, reversed(bpow))], bpow[d]
+
+
 class Poly:
     """Sparse exact polynomial in a fixed ordered set of variables.
 
@@ -356,56 +366,92 @@ class Poly:
     # --- evaluation ------------------------------------------------------
 
     def eval_at(self, point):
-        """Exact value at a point, given as a dict varname -> int/Fraction.
+        """Exact value at a point, given as a dict varname -> int/Fraction:
+        eval_many of the one point."""
+        return self.eval_many((point,))[0]
 
-        Each value is taken as exact_coef takes a coefficient: a float,
-        Decimal, bool or string is a TypeError, not read as a number.
+    def eval_many(self, points):
+        """Exact values at a sequence of points, in input order; each point
+        is a dict varname -> int/Fraction.
+
+        Every point is checked before any term is read: each variable must
+        have a value, and each value is taken as exact_coef takes a
+        coefficient, so a float, Decimal, bool or string is a TypeError,
+        not read as a number.
 
         Works in plain integers over one common denominator, which is much
         faster than Fraction arithmetic per term on big polynomials.  Each
-        variable x = a/b of top degree d gets one table T[e] = a^e * b^(d-e),
-        so a term c * x1^e1 * ... * xn^en is c * T1[e1] * ... * Tn[en] over
-        the product of the b^d.  Terms are summed by their first exponent,
-        sums[e1] += c * T2[e2] * ... * Tn[en], and each nonzero sum is
-        multiplied by T1[e1] once, so a term costs one product per variable
-        after the first.  Fraction coefficients make their sums Fractions,
+        variable x = a/b of top degree d gets one table T[e] = a^e * b^(d-e)
+        per distinct value, so a term c * x1^e1 * ... * xn^en is
+        c * T1[e1] * ... * Tn[en] over the product of the b^d.  Terms are
+        summed by their first exponent, sums[e1] += c * T2[e2] * ... *
+        Tn[en], and each nonzero sum is multiplied by T1[e1] once, so a
+        term costs one product per variable after the first.  The sums
+        depend only on the values of x2..xn, so the points are grouped by
+        those, and each group costs one pass over the terms however many
+        points it holds; a group is finished before the next starts, so
+        one sums vector is alive at a time.  A point given twice is
+        evaluated once.  Fraction coefficients make their sums Fractions,
         which stays exact.
         """
-        for v in self.vars:
-            if v not in point:
-                raise ValueError("no value for variable %r" % (v,))
-        xs = [exact_coef(point[v]) for v in self.vars]
+        vars = self.vars
+        rows = []
+        for point in points:
+            for v in vars:
+                if v not in point:
+                    raise ValueError("no value for variable %r" % (v,))
+            xs = [exact_coef(point[v]) for v in vars]
+            # (a, b) pairs hash in C; a Fraction hashes in Python
+            rows.append(tuple([(x.numerator, x.denominator) for x in xs]))
         if not self.terms:
-            return Fraction(0)
-        if not self.vars:
-            return Fraction(self.terms[()])
-        tables = []
-        common_den = 1
-        for x, d in zip(xs, self.max_degrees()):
-            a, b = x.numerator, x.denominator
-            apow = [1] * (d + 1)
-            bpow = [1] * (d + 1)
-            for i in range(1, d + 1):
-                apow[i] = apow[i - 1] * a
-                bpow[i] = bpow[i - 1] * b
-            tables.append([ae * be for ae, be in zip(apow, reversed(bpow))])
-            common_den *= bpow[d]
-        first = tables[0]
-        sums = [0] * len(first)
-        if len(tables) == 2:
-            # every family output is in (L, M); unpacking the exponent pair
-            # makes the whole call 2-2.7x faster than the general loop's zip
-            second = tables[1]
-            for (e0, e1), c in self.terms.items():
-                sums[e0] += c * second[e1]
-        else:
-            rest = tables[1:]
-            for exps, c in self.terms.items():
-                for t, e in zip(rest, exps[1:]):
-                    c *= t[e]
-                sums[exps[0]] += c
-        total = sum(s * t for s, t in zip(sums, first) if s)
-        return Fraction(total, common_den)
+            return [Fraction(0)] * len(rows)
+        if not vars:
+            return [Fraction(self.terms[()])] * len(rows)
+        degs = self.max_degrees()
+        # each distinct value of vars[1:], with the distinct values of
+        # vars[0] that go with it
+        groups = {}
+        for row in rows:
+            groups.setdefault(row[1:], {})[row[0]] = None
+        tables = [{} for _ in vars]
+
+        def table(k, ab):
+            got = tables[k].get(ab)
+            if got is None:
+                got = tables[k][ab] = _power_table(*ab, degs[k])
+            return got
+
+        values = {}
+        for rest, heads in groups.items():
+            sums = [0] * (degs[0] + 1)
+            rest_tables = []
+            rest_den = 1
+            for k, ab in enumerate(rest, 1):
+                t, den = table(k, ab)
+                rest_tables.append(t)
+                rest_den *= den
+            terms = self.terms.items()
+            # every family output is in (L, M) and every tail polynomial in
+            # (g_f, g_o, g_p); unpacking the exponents makes a pass 2-3x
+            # faster than the general loop's zip
+            if len(rest_tables) == 1:
+                t1, = rest_tables
+                for (e0, e1), c in terms:
+                    sums[e0] += c * t1[e1]
+            elif len(rest_tables) == 2:
+                t1, t2 = rest_tables
+                for (e0, e1, e2), c in terms:
+                    sums[e0] += c * t1[e1] * t2[e2]
+            else:
+                for exps, c in terms:
+                    for t, e in zip(rest_tables, exps[1:]):
+                        c *= t[e]
+                    sums[exps[0]] += c
+            for ab in heads:
+                t, den = table(0, ab)
+                total = sum(s * x for s, x in zip(sums, t) if s)
+                values[(ab,) + rest] = Fraction(total, den * rest_den)
+        return [values[row] for row in rows]
 
     # --- rendering -------------------------------------------------------
 

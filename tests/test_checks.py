@@ -2,19 +2,21 @@
 
 import collections
 import dataclasses
+import random
 
 import pytest
 
 import test_acceptance
 from fillpoly import checks, hn, matchings
 from fillpoly.checks import CHECKS, FULL, lowest_terms_failure, run_check
-from fillpoly.families import (get_family, numeric_agreement, twist_A,
-                               twist_polys)
+from fillpoly.families import (get_family, numeric_agreement,
+                               random_rational_point, run_family_numeric,
+                               twist_A, twist_polys)
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.poly import Poly
 from fillpoly.ptolemy import PVARS, Assignment
 from fillpoly.quadext import QuadExt
-from fillpoly.ratfunc import RatFunc, parse_poly
+from fillpoly.ratfunc import PoleError, RatFunc, parse_poly
 
 GROUPS = test_acceptance.CRITERION_CHECKS
 CLAIMED = [name for group in GROUPS.values() for name in group]
@@ -110,6 +112,64 @@ def test_numeric_agreement_fails_on_an_expression_off_by_one(family_runs):
 
     assert run_check(dict(CHECKS)["pretzel-numeric-agreement"], FULL,
                      family_run) == (False, "mismatch at pos m=1")
+
+
+@pytest.mark.parametrize("count, error", [(0, ValueError), (-5, ValueError),
+                                          (2.5, TypeError), (True, TypeError)])
+def test_numeric_agreement_refuses_a_count_that_is_not_a_positive_int(
+        count, error, family_runs):
+    # a count below 1 used to check nothing and pass, and 2.5 checked 3 points
+    result = family_runs("pretzel238", "pos", 1)
+    off = dataclasses.replace(result, expression=result.expression + 1)
+    with pytest.raises(error):
+        numeric_agreement(get_family("pretzel238", "pos"), 1, count, 0, off)
+
+
+def _draw_then_check(spec, m, expr, count, seed):
+    """The points numeric_agreement checks, drawn one at a time: the first
+    count draws where both pipelines have a value."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        point = random_rational_point(rng)
+        try:
+            expr.evaluate(point)
+            run_family_numeric(spec, m, point)
+        except (PoleError, ZeroDivisionError):
+            continue
+        points.append(point)
+    return points
+
+
+# M = 1 is a pole of the expression and of the numeric chain already; the
+# numeric chain has a value at (9/4, 2), which seed 0 draws, so M - 2 adds
+# a pole that only the symbolic side has
+@pytest.mark.parametrize("factor, moves", [("M - 1", False), ("M - 2", True)])
+def test_numeric_agreement_replaces_a_symbolic_pole_from_the_same_stream(
+        factor, moves, family_runs, monkeypatch):
+    spec = get_family("pretzel238", "pos")
+    plain = family_runs("pretzel238", "pos", 1)
+    expr = plain.expression
+    f = parse_poly(factor, PVARS)
+    padded = RatFunc(expr.num * f, expr.den * f)
+    result = dataclasses.replace(plain, expression=padded)
+    count, seed = 12, 0
+    want = _draw_then_check(spec, 1, padded, count, seed)
+    assert (want != _draw_then_check(spec, 1, expr, count, seed)) == moves
+    checked = []
+    real = Poly.eval_many
+
+    def recording(self, points):
+        points = list(points)
+        if self is padded.num:
+            checked.extend(points)
+        return real(self, points)
+
+    monkeypatch.setattr(Poly, "eval_many", recording)
+    assert numeric_agreement(spec, 1, count, seed, result)
+    assert checked == want
+    off = dataclasses.replace(result, expression=padded + 1)
+    assert not numeric_agreement(spec, 1, count, seed, off)
 
 
 def _gaining_a_term(real, size, exps):

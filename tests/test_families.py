@@ -8,8 +8,9 @@ import pytest
 from fillpoly import families, hn
 from fillpoly.families import (FAMILIES, FillingResult, family_chain,
                                get_family, numeric_agreement, run_family,
-                               run_family_numeric, twist_A, twist_divisor,
-                               twist_gap, twist_polys)
+                               run_family_numeric, run_family_numeric_many,
+                               twist_A, twist_divisor, twist_gap,
+                               twist_polys)
 from fillpoly.farey import (FareyTriangle, Slope, Walk, WordAnatomy,
                             walk_labels)
 from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
@@ -19,8 +20,8 @@ from fillpoly.newton import binomial_factors
 from fillpoly.poly import Poly, identity_holds, poly_divides
 from fillpoly.ptolemy import PVARS
 from fillpoly.quadext import QuadExt
-from fillpoly.ratfunc import (RatFunc, parse_poly, parse_ratfunc,
-                              substitute_basis)
+from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly,
+                              parse_ratfunc, substitute_basis)
 
 
 # The binomials that the denominators of the values entering the four
@@ -107,13 +108,38 @@ def test_basis_change_helper_matches_result(family_runs):
             == res.basis_changed)
 
 
-def test_pretzel_numeric_pipeline_spot():
+def test_pretzel_numeric_pipeline_spot(family_runs):
     spec = get_family("pretzel238", "pos")
     point = {"L": Fraction(2), "M": Fraction(3)}
     num = run_family_numeric(spec, 1, point)
-    assert isinstance(num, Fraction)
+    assert num == family_runs("pretzel238", "pos", 1).expression.evaluate(point)
     with pytest.raises(ValueError):
         run_family_numeric(get_family("whitehead", "pos"), 1, point)
+    with pytest.raises(ValueError):
+        run_family_numeric_many(get_family("whitehead", "pos"), 1, [point])
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+def test_numeric_list_route_matches_the_one_point_route(sign):
+    # L = 0, M = 0 or +-1, and L = +-M are singular for the numeric chain;
+    # repeated coordinates share their evaluations in the list route
+    spec = get_family("pretzel238", sign)
+    coords = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+    points = [{"L": L, "M": M} for L in coords for M in coords]
+    points += points[:3]
+    for m in (1, 2):
+        many = run_family_numeric_many(spec, m, points)
+        assert len(many) == len(points)
+        singular = 0
+        for point, value in zip(points, many):
+            try:
+                one = run_family_numeric(spec, m, point)
+            except PoleError:
+                one = None
+                singular += 1
+            assert value == one
+        assert 0 < singular < len(points)
+    assert run_family_numeric_many(spec, 1, []) == []
 
 
 def test_numeric_agreement_small(family_runs):

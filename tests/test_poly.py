@@ -343,6 +343,97 @@ def test_eval_at_equals_term_by_term_substitution(case):
     assert got == _eval_by_terms(p, point)
 
 
+@st.composite
+def _eval_many_cases(draw):
+    """A polynomial in 1-3 variables, some of degree 0, and a list of points
+    for it whose coordinates come from a pool of at most three values, zero
+    often among them, so that coordinates and whole points repeat."""
+    vars = XYZ[:draw(st.integers(1, 3))]
+    tops = [draw(st.integers(0, 5)) for _ in vars]
+    exps = st.tuples(*(st.integers(0, top) for top in tops))
+    coef = st.one_of(coefs, st.integers(-10**30, 10**30))
+    p = Poly(vars, draw(st.dictionaries(exps, coef, max_size=12)))
+    value = st.one_of(st.just(0), st.integers(-6, 6),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    coord = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)))
+    points = st.fixed_dictionaries({v: coord for v in vars})
+    return p, draw(st.lists(points, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_eval_many_cases())
+@example((P(("x",), {(3,): 2, (0,): -1}), [{"x": 0}, {"x": Fraction(1, 2)}]))
+@example((P(XY, {}), [{"x": 1, "y": 2}, {"x": 0, "y": 2}]))
+@example((P(XY, {(0, 0): Fraction(-7, 3)}), [{"x": 0, "y": 5}, {"x": 1, "y": 0}]))
+@example((P(XYZ, {(2, 0, 1): 3, (0, 3, 4): Fraction(1, 2), (1, 1, 0): -5}),
+          [{"x": x, "y": Fraction(4, 5), "z": 2} for x in (0, 1, -3, 0)]
+          + [{"x": 1, "y": Fraction(4, 5), "z": 0}]))
+@example((P(XYZ, {(1, 2, 3): 1}), []))
+def test_eval_many_equals_term_by_term_substitution(case):
+    p, points = case
+    got = p.eval_many(points)
+    assert all(type(v) is Fraction for v in got)
+    assert got == [_eval_by_terms(p, point) for point in points]
+    assert got == [p.eval_at(point) for point in points]
+
+
+def test_eval_many_builds_one_table_per_value_and_one_pass_per_group(
+        monkeypatch):
+    # the points share y = 1/2 and two values of z, so the terms are read
+    # in two passes, and x's table for 1 serves both
+    p = P(XYZ, {(2, 1, 0): 3, (0, 2, 1): -1, (1, 0, 3): Fraction(1, 2)})
+    half = Fraction(1, 2)
+    points = [{"x": 1, "y": half, "z": 2}, {"x": 3, "y": half, "z": 2},
+              {"x": 1, "y": half, "z": 0}, {"x": 1, "y": half, "z": 2}]
+    want = [_eval_by_terms(p, point) for point in points]
+    tables, degrees, passes = [], [], []
+    real_table, real_degrees = poly_mod._power_table, Poly.max_degrees
+
+    def table(a, b, d):
+        tables.append((a, b, d))
+        return real_table(a, b, d)
+
+    def max_degrees(self):
+        degrees.append(self)
+        return real_degrees(self)
+
+    class Terms(dict):
+        def items(self):
+            passes.append(self)
+            return super().items()
+
+    monkeypatch.setattr(poly_mod, "_power_table", table)
+    monkeypatch.setattr(Poly, "max_degrees", max_degrees)
+    counted = Poly._raw(XYZ, Terms(p.terms))
+    assert counted.eval_many(points) == want
+    assert sorted(tables) == [(0, 1, 3), (1, 1, 2), (1, 2, 2), (2, 1, 3),
+                              (3, 1, 2)]
+    assert (len(degrees), len(passes)) == (1, 2)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("bad, error", [
+    ({"x": 1}, ValueError), ({"y": 1, "z": 2}, ValueError),
+    ({"x": 1, "y": "2"}, TypeError), ({"x": 0.5, "y": 1}, TypeError),
+    ({"x": 1, "y": True}, TypeError)])
+def test_eval_many_checks_every_point_before_any_term_work(bad, error, at,
+                                                            monkeypatch):
+    p = P(XY, {(2, 1): 3, (0, 0): 1})
+    points = [{"x": 1, "y": 2}, {"x": Fraction(1, 2), "y": 2},
+              {"x": 3, "y": -1}, {"x": 0, "y": 0}]
+    points.insert(at, bad)
+
+    def term_work(*args):
+        raise AssertionError("term work before every point was checked")
+
+    monkeypatch.setattr(Poly, "max_degrees", term_work)
+    monkeypatch.setattr(poly_mod, "_power_table", term_work)
+    with pytest.raises(error):
+        p.eval_many(points)
+    with pytest.raises(error):
+        p.eval_many(iter(points))
+
+
 def test_eval_at_needs_every_variable():
     p = P(XYZ, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="no value for variable 'z'"):
