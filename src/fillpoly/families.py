@@ -198,7 +198,7 @@ def run_family(spec, m):
     m is the tail length (m >= 1); the walk word is the spec's body plus
     m+1 copies of the tail letter, so the tip always continues the run.
     """
-    if not isinstance(m, int) or m < 1:
+    if exact_int(m) < 1:
         raise ValueError("m must be a positive integer tail length")
     wa = WordAnatomy(spec.word(m))
     assert len(wa.tail) == m and wa.tip_matches_tail
@@ -216,34 +216,58 @@ def run_family(spec, m):
 # --- the independent numeric pipeline -------------------------------------
 
 
-def _numeric_pretzel_base(terms):
+# The slot each term of a pretzel head equation fills: with the 3/1 value
+# set to 1, s the 1/0 value and w the 4/1 value, the two head equations
+# only involve the products s*w and w, and a constant.
+_HEAD_SLOTS = {frozenset(("g_1/0", "g_4/1")): 0,
+               frozenset(("g_4/1", "g_3/1")): 1,
+               frozenset(("g_3/1",)): 2}
+
+
+def _head_slots(eq, coef_index):
+    """(coefficient index, slot) of each term of a head equation."""
+    out = []
+    for coef, (x, y) in eq.terms:
+        slot = _HEAD_SLOTS.get(frozenset((x, y)))
+        if slot is None:
+            raise ValueError("unexpected term %s*%s in %s" % (x, y, eq.label))
+        out.append((coef_index(coef), slot))
+    return out
+
+
+def _step_roles(eq, unknown, coef_index):
+    """A step equation's terms linear in the unknown, as (coefficient index,
+    the other gamma), and its constant terms, as (coefficient index, gamma,
+    gamma)."""
+    lin, const = [], []
+    for coef, (x, y) in eq.terms:
+        hits = (x == unknown) + (y == unknown)
+        if hits == 2:
+            raise ValueError("%s appears squared" % (unknown,))
+        if hits:
+            lin.append((coef_index(coef), y if x == unknown else x))
+        else:
+            const.append((coef_index(coef), x, y))
+    return lin, const
+
+
+def _numeric_pretzel_base(heads, checks, cv):
     """Base values at one point, by a 2x2 Cramer solve in (s*w, w).
 
-    terms maps each equation label to its (coefficient value, gammas)
-    pairs at the point.  The same solve as the symbolic base solver, done
-    apart from it: in Fraction arithmetic at one point, with its own
-    residual check, and followed by the tail's iterated exchange rather
-    than the collapsed recurrence.  The two head equations, with the 3/1
-    value set to 1, only involve the products s*w, w and a constant, where
-    s is the 1/0 value and w the 4/1 value.  Singular points raise
-    PoleError.
+    heads holds each head equation's (coefficient index, slot) pairs
+    (_head_slots), checks each base equation's (coefficient index, gamma,
+    gamma) terms, and cv the coefficient values at the point.  The same
+    solve as the symbolic base solver, done apart from it: in Fraction
+    arithmetic at one point, with its own residual check of every base
+    equation, and followed by the tail's iterated exchange rather than the
+    collapsed recurrence.  Singular points raise PoleError.
     """
-    one = Fraction(1)
-    vals = {"g_3/1": one}
     rows = []
-    for label in BASE_EQ_LABELS["pretzel238"][:2]:
-        a = b = c = Fraction(0)
-        for coef, (x, y) in terms[label]:
-            pair = frozenset((x, y))
-            if pair == frozenset(("g_1/0", "g_4/1")):
-                a += coef
-            elif pair == frozenset(("g_4/1", "g_3/1")):
-                b += coef
-            elif pair == frozenset(("g_3/1",)):
-                c += coef
-            else:
-                raise ValueError("unexpected term %s*%s in %s" % (x, y, label))
-        rows.append((a, b, c))
+    for head in heads:
+        row = [Fraction(0)] * 3
+        for k, slot in head:
+            row[slot] += cv[k]
+        rows.append(row)
     (a1, b1, c1), (a2, b2, c2) = rows
     det = a1 * b2 - a2 * b1
     if det == 0:
@@ -252,32 +276,19 @@ def _numeric_pretzel_base(terms):
     w = (a2 * c1 - a1 * c2) / det
     if w == 0:
         raise PoleError("vanishing 4/1 value at this point")
-    vals["g_4/1"] = w
-    vals["g_1/0"] = u / w
-    for label in BASE_EQ_LABELS["pretzel238"]:
-        total = Fraction(0)
-        for coef, (x, y) in terms[label]:
-            total += coef * vals[x] * vals[y]
-        if total != 0:
+    vals = {"g_3/1": Fraction(1), "g_4/1": w, "g_1/0": u / w}
+    for terms in checks:
+        if sum(cv[k] * vals[x] * vals[y] for k, x, y in terms) != 0:
             raise ArithmeticError("numeric base solve left a residual")
     return vals
 
 
-def _numeric_linear_step(terms, vals, unknown):
-    lin = Fraction(0)
-    const = Fraction(0)
-    for coef, (x, y) in terms:
-        hits = (x == unknown) + (y == unknown)
-        if hits == 2:
-            raise ValueError("%s appears squared" % (unknown,))
-        if hits == 1:
-            other = y if x == unknown else x
-            lin += coef * vals[other]
-        else:
-            const += coef * vals[x] * vals[y]
-    if lin == 0:
+def _numeric_linear_step(lin, const, vals, cv):
+    """The unknown of one step equation at a point: -const / lin."""
+    a = sum(cv[k] * vals[other] for k, other in lin)
+    if a == 0:
         raise PoleError("vanishing linear coefficient at this point")
-    return -const / lin
+    return -sum(cv[k] * vals[x] * vals[y] for k, x, y in const) / a
 
 
 def run_family_numeric_many(spec, m, points):
@@ -286,34 +297,43 @@ def run_family_numeric_many(spec, m, points):
 
     Only rational chains are supported (the pretzel family); the tail is
     collapsed by actually iterating exchange steps rather than through the
-    closed form.  The equations and the walk's labels are read once, and
-    each equation coefficient is evaluated at every point by one
-    Poly.eval_many; the solve then runs point by point.
+    closed form.  The equations, their terms' roles and the walk's labels
+    are read once: which of the s*w, w and constant slots each head term
+    fills, and which terms of each step equation are linear in its unknown.
+    Each distinct coefficient polynomial is evaluated at every point by
+    one Poly.eval_many, so a point then costs only Fraction arithmetic.
     """
     if spec.name != "pretzel238":
         raise ValueError("the numeric pipeline supports rational chains only")
-    if not isinstance(m, int) or m < 1:
+    if exact_int(m) < 1:
         raise ValueError("m must be a positive integer tail length")
     points = list(points)
     eqs = spec.equations()
+    coefs = {}
+
+    def coef_index(coef):
+        key = frozenset(coef.terms.items())
+        return coefs.setdefault(key, (len(coefs), coef))[0]
+
+    base = [eqs[label] for label in BASE_EQ_LABELS["pretzel238"]]
+    heads = [_head_slots(eq, coef_index) for eq in base[:2]]
+    checks = [[(coef_index(coef), x, y) for coef, (x, y) in eq.terms]
+              for eq in base]
     word = spec.word(m)
     labels = walk_labels(Walk(spec.triangle0, spec.triangle1, word))
-    unknowns = [gamma_name(label.h)
-                for label in labels[:len(spec.step_labels)]]
+    steps = []
+    for label, step in zip(labels, spec.step_labels):
+        unknown = gamma_name(label.h)
+        steps.append((unknown, *_step_roles(eqs[step], unknown, coef_index)))
     tail = labels[WordAnatomy(word).tail_start_step]
     roles = [gamma_name(s) for s in (tail.f, tail.o, tail.p)]
-    columns = {label: [(c.eval_many(points), gammas)
-                       for c, gammas in eqs[label].terms]
-               for label in BASE_EQ_LABELS["pretzel238"] + spec.step_labels}
+    columns = [coef.eval_many(points) for _, coef in coefs.values()]
     values = []
-    for i in range(len(points)):
-        terms = {label: [(coefs[i], gammas) for coefs, gammas in column]
-                 for label, column in columns.items()}
+    for cv in zip(*columns):
         try:
-            vals = _numeric_pretzel_base(terms)
-            for label, unknown in zip(spec.step_labels, unknowns):
-                vals[unknown] = _numeric_linear_step(terms[label], vals,
-                                                     unknown)
+            vals = _numeric_pretzel_base(heads, checks, cv)
+            for unknown, lin, const in steps:
+                vals[unknown] = _numeric_linear_step(lin, const, vals, cv)
             f, o, p = (vals[name] for name in roles)
             collapsed = iterate_exchange(f, o, p, m)
         except (PoleError, ZeroDivisionError):
@@ -331,10 +351,14 @@ def run_family_numeric(spec, m, point):
     return value
 
 
+# The numerators random_rational_point draws from.
+_NUMERATORS = [n for n in range(-9, 10) if n]
+
+
 def random_rational_point(rng):
     """A small random rational (L, M) pair with nonzero entries."""
     def pick():
-        num = rng.choice([n for n in range(-9, 10) if n])
+        num = rng.choice(_NUMERATORS)
         den = rng.randint(1, 4)
         return Fraction(num, den)
     return {"L": pick(), "M": pick()}

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .matchings import TAIL_VARS, count_subsets
 from .newton import binomial_factors
-from .poly import Poly, divide_out, identity_holds
+from .poly import Poly, divide_out, exact_int, identity_holds
 from .quadext import QuadExt
 from .ratfunc import RatFunc
 
@@ -268,7 +268,7 @@ class TailEntry:
 
 def _collapsed(entry, n):
     """x_(n+1) of x+ = K*x - x- from (x-, x) = (o, f), in factored form."""
-    if not isinstance(n, int) or n < 1:
+    if exact_int(n) < 1:
         raise ValueError("tail length must be a positive integer")
     f, o, _, k = entry.factored
     older, newer = o, f

@@ -74,6 +74,29 @@ def _power_table(a, b, d):
     return [ae * be for ae, be in zip(apow, reversed(bpow))], bpow[d]
 
 
+def _first_sums(terms, size, tables):
+    """sums[e1] = the sum of c * T2[e2] * ... * Tn[en] over the (exps, c)
+    terms, with T2..Tn the tables given (Poly.eval_many's one pass)."""
+    sums = [0] * size
+    # every family output is in (L, M) and every tail polynomial in
+    # (g_f, g_o, g_p); unpacking the exponents makes a pass 2-3x faster
+    # than the general loop's zip
+    if len(tables) == 1:
+        t1, = tables
+        for (e0, e1), c in terms:
+            sums[e0] += c * t1[e1]
+    elif len(tables) == 2:
+        t1, t2 = tables
+        for (e0, e1, e2), c in terms:
+            sums[e0] += c * t1[e1] * t2[e2]
+    else:
+        for exps, c in terms:
+            for t, e in zip(tables, exps[1:]):
+                c *= t[e]
+            sums[exps[0]] += c
+    return sums
+
+
 class Poly:
     """Sparse exact polynomial in a fixed ordered set of variables.
 
@@ -385,14 +408,20 @@ class Poly:
         per distinct value, so a term c * x1^e1 * ... * xn^en is
         c * T1[e1] * ... * Tn[en] over the product of the b^d.  Terms are
         summed by their first exponent, sums[e1] += c * T2[e2] * ... *
-        Tn[en], and each nonzero sum is multiplied by T1[e1] once, so a
-        term costs one product per variable after the first.  The sums
-        depend only on the values of x2..xn, so the points are grouped by
-        those, and each group costs one pass over the terms however many
-        points it holds; a group is finished before the next starts, so
-        one sums vector is alive at a time.  A point given twice is
-        evaluated once.  Fraction coefficients make their sums Fractions,
-        which stays exact.
+        Tn[en] (_first_sums), and each nonzero sum is multiplied by T1[e1]
+        once, so a term costs one product per variable after the first.
+
+        The sums depend only on the values of x2..xn, and x2 = -a/b has the
+        table of a/b with its odd entries negated.  So the points are
+        grouped into classes by |x2| and the values of x3..xn.  A class
+        holding both signs of a nonzero x2 reads the terms once, split by
+        the parity of e2: the sums at +a/b and -a/b are even + odd and
+        even - odd.  A class of one sign reads them once with its signed
+        table.  Either way a class costs one pass however many points it
+        holds, and is finished before the next starts, so one class's sums
+        and x2 table are alive at a time; the x1 and x3..xn tables last the
+        call.  A point given twice is evaluated once.  Fraction
+        coefficients make their sums Fractions, which stays exact.
         """
         vars = self.vars
         rows = []
@@ -408,12 +437,16 @@ class Poly:
         if not vars:
             return [Fraction(self.terms[()])] * len(rows)
         degs = self.max_degrees()
-        # each distinct value of vars[1:], with the distinct values of
-        # vars[0] that go with it
-        groups = {}
+        # the classes: |x2| and the values of x3..xn (nothing in one
+        # variable); then the sign of x2, then the distinct values of x1
+        classes = {}
         for row in rows:
-            groups.setdefault(row[1:], {})[row[0]] = None
-        tables = [{} for _ in vars]
+            key, neg = row[1:], 0
+            if key and key[0][0] < 0:
+                a, b = key[0]
+                key, neg = ((-a, b),) + key[1:], 1
+            classes.setdefault(key, ({}, {}))[neg][row[0]] = None
+        tables = [{} for _ in vars]    # x1's and x3..xn's
 
         def table(k, ab):
             got = tables[k].get(ab)
@@ -421,36 +454,37 @@ class Poly:
                 got = tables[k][ab] = _power_table(*ab, degs[k])
             return got
 
+        size = degs[0] + 1
+        terms = self.terms.items()
+        halves = None
         values = {}
-        for rest, heads in groups.items():
-            sums = [0] * (degs[0] + 1)
-            rest_tables = []
-            rest_den = 1
-            for k, ab in enumerate(rest, 1):
-                t, den = table(k, ab)
-                rest_tables.append(t)
-                rest_den *= den
-            terms = self.terms.items()
-            # every family output is in (L, M) and every tail polynomial in
-            # (g_f, g_o, g_p); unpacking the exponents makes a pass 2-3x
-            # faster than the general loop's zip
-            if len(rest_tables) == 1:
-                t1, = rest_tables
-                for (e0, e1), c in terms:
-                    sums[e0] += c * t1[e1]
-            elif len(rest_tables) == 2:
-                t1, t2 = rest_tables
-                for (e0, e1, e2), c in terms:
-                    sums[e0] += c * t1[e1] * t2[e2]
+        for key, (pos, neg) in classes.items():
+            ts, den = [], 1
+            if key:
+                a, b = key[0]
+                t, den = _power_table(a if pos else -a, b, degs[1])
+                ts.append(t)
+            for k, ab in enumerate(key[1:], 2):
+                t, d = table(k, ab)
+                ts.append(t)
+                den *= d
+            if pos and neg:
+                if halves is None:
+                    halves = ([], [])
+                    for item in terms:
+                        halves[item[0][1] & 1].append(item)
+                even, odd = [_first_sums(half, size, ts) for half in halves]
+                sides = ((key, list(map(add, even, odd)), pos),
+                         (((-a, b),) + key[1:], list(map(sub, even, odd)),
+                          neg))
             else:
-                for exps, c in terms:
-                    for t, e in zip(rest_tables, exps[1:]):
-                        c *= t[e]
-                    sums[exps[0]] += c
-            for ab in heads:
-                t, den = table(0, ab)
-                total = sum(s * x for s, x in zip(sums, t) if s)
-                values[(ab,) + rest] = Fraction(total, den * rest_den)
+                signed = key if pos else ((-a, b),) + key[1:]
+                sides = ((signed, _first_sums(terms, size, ts), pos or neg),)
+            for signed, sums, heads in sides:
+                for ab in heads:
+                    t, head_den = table(0, ab)
+                    total = sum(s * x for s, x in zip(sums, t) if s)
+                    values[(ab,) + signed] = Fraction(total, head_den * den)
         return [values[row] for row in rows]
 
     # --- rendering -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -123,6 +124,55 @@ def test_numeric_agreement_refuses_a_count_that_is_not_a_positive_int(
     off = dataclasses.replace(result, expression=result.expression + 1)
     with pytest.raises(error):
         numeric_agreement(get_family("pretzel238", "pos"), 1, count, 0, off)
+
+
+def test_random_rational_point_stream_is_pinned():
+    # the first 20 points drawn at seed 0; the oracle's points are drawn
+    # from this stream, so it must not move
+    rng = random.Random(0)
+    drawn = ["%s, %s" % (p["L"], p["M"])
+             for p in (random_rational_point(rng) for _ in range(20))]
+    assert drawn == [
+        "1, -8/3", "2, 4/3", "7/3, -3/2", "1/2, -2", "9/2, 1", "-7/3, 7",
+        "3/4, 1", "9/4, 2", "-8, -7/4", "-9/4, 1", "2, -3/2", "-1, 9/4",
+        "-7, 1/2", "-2, 3", "-2, 9/2", "3, 6", "4/3, -2/3", "-2, -4",
+        "-1/4, -7", "-5/2, -8"]
+
+
+# sha256 of the replay below: the points numeric_agreement accepted and
+# its verdicts on pretzel238, both signs, m = 1, 2, at seeds 1 and 7
+ORACLE_REPLAY_SHA256 = (
+    "bae59f79c77f83b1fe7453f16b012e1c4d7e821181e81f98622b1dd1ca40f647")
+
+
+def test_numeric_agreement_replay_is_pinned(family_runs, monkeypatch):
+    # any change to the oracle's sampling, its pole filter or its verdicts
+    # moves the digest; the off-by-one control's verdict is part of it
+    real = Poly.eval_many
+    checked = []
+
+    def recording(self, points):
+        points = list(points)
+        if self is result.expression.num:
+            checked.extend(points)
+        return real(self, points)
+
+    monkeypatch.setattr(Poly, "eval_many", recording)
+    lines = []
+    for sign in ("pos", "neg"):
+        spec = get_family("pretzel238", sign)
+        for m in (1, 2):
+            plain = family_runs("pretzel238", sign, m)
+            off = dataclasses.replace(plain, expression=plain.expression + 1)
+            for seed in (1, 7):
+                for result in (plain, off):
+                    checked.clear()
+                    ok = numeric_agreement(spec, m, 20, seed, result)
+                    lines.append("%s m=%d seed=%d %s: %s" % (
+                        sign, m, seed, ok, " ".join(
+                            "%s,%s" % (p["L"], p["M"]) for p in checked)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_REPLAY_SHA256
 
 
 def _draw_then_check(spec, m, expr, count, seed):

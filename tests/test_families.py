@@ -18,7 +18,7 @@ from fillpoly.hn import (TailEntry, exchange_step, symbolic_tail_values,
 from fillpoly.matchings import TAIL_VARS
 from fillpoly.newton import binomial_factors
 from fillpoly.poly import Poly, identity_holds, poly_divides
-from fillpoly.ptolemy import PVARS
+from fillpoly.ptolemy import PVARS, PtolemyEq
 from fillpoly.quadext import QuadExt
 from fillpoly.ratfunc import (PoleError, RatFunc, parse_poly,
                               parse_ratfunc, substitute_basis)
@@ -140,6 +140,72 @@ def test_numeric_list_route_matches_the_one_point_route(sign):
             assert value == one
         assert 0 < singular < len(points)
     assert run_family_numeric_many(spec, 1, []) == []
+
+
+@pytest.mark.parametrize("sign", ["pos", "neg"])
+def test_numeric_round_evaluates_each_distinct_coefficient_once(sign,
+                                                                monkeypatch):
+    # the 18 terms of the base and step equations hold 6 distinct
+    # coefficients: 1, -1, M, -M^2, -L and L*M
+    spec = get_family("pretzel238", sign)
+    eqs = spec.equations()
+    terms = [coef for label in ("tet0", "tet1") + spec.step_labels
+             for coef, _ in eqs[label].terms]
+    distinct = {str(coef) for coef in terms}
+    assert (len(terms), distinct) == (
+        18, {"1", "-1", "M", "-M^2", "-L", "L*M"})
+    points = [{"L": Fraction(a), "M": Fraction(b)}
+              for a, b in ((2, 3), (-5, 3), (7, 1), (2, -3))]
+    want = run_family_numeric_many(spec, 2, points)
+    evaluated = []
+    real = Poly.eval_many
+
+    def recording(self, pts):
+        evaluated.append(str(self))
+        return real(self, pts)
+
+    monkeypatch.setattr(Poly, "eval_many", recording)
+    assert run_family_numeric_many(spec, 2, points) == want
+    assert sorted(evaluated) == sorted(distinct)
+
+
+@pytest.mark.parametrize("label, gammas, match", [
+    ("tet0", ("g_1/0", "g_1/0"), "unexpected term g_1/0\\*g_1/0 in tet0"),
+    ("tet1", ("g_4/1", "g_2/1"), "unexpected term g_4/1\\*g_2/1 in tet1"),
+    ("step1", ("g_1/1", "g_1/1"), "g_1/1 appears squared"),
+])
+def test_numeric_pipeline_refuses_an_unexpected_gamma_pair(label, gammas,
+                                                           match, monkeypatch):
+    # the roles are read before any point, so an empty list raises too
+    eqs = dict(get_family("pretzel238", "pos").equations())
+    extra = (parse_poly("L", PVARS), gammas)
+    eqs[label] = PtolemyEq(label, eqs[label].terms + (extra,))
+    monkeypatch.setattr(families.FamilySpec, "equations", lambda self: eqs)
+    spec = get_family("pretzel238", "pos")
+    for points in ([{"L": Fraction(2), "M": Fraction(3)}], []):
+        with pytest.raises(ValueError, match=match):
+            run_family_numeric_many(spec, 1, points)
+
+
+@pytest.mark.parametrize("m", [True, 1.0])
+@pytest.mark.parametrize("route", ["run_family", "run_family_numeric",
+                                   "run_family_numeric_many",
+                                   "tail_collapse", "filling_poly"])
+def test_tail_length_must_be_an_int(route, m):
+    # True used to run as m = 1, and run_family(spec, True) failed deep in
+    # Poly.__pow__
+    spec = get_family("pretzel238", "pos")
+    point = {"L": Fraction(2), "M": Fraction(3)}
+    calls = {
+        "run_family": lambda: run_family(spec, m),
+        "run_family_numeric": lambda: run_family_numeric(spec, m, point),
+        "run_family_numeric_many":
+            lambda: run_family_numeric_many(spec, m, [point]),
+        "tail_collapse": lambda: tail_collapse(family_chain(spec).entry, m),
+        "filling_poly": lambda: hn.filling_poly(family_chain(spec).entry, m),
+    }
+    with pytest.raises(TypeError, match="is not an int"):
+        calls[route]()
 
 
 def test_numeric_agreement_small(family_runs):

@@ -87,7 +87,7 @@ def test_tail_context_validation():
     entry = TailEntry(f, o, p)
     with pytest.raises(ValueError):
         filling_poly(entry, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         tail_collapse(entry, 1.5)
     with pytest.raises(TypeError):
         TailEntry(Poly.one(TAIL_VARS), o, p)

@@ -377,17 +377,62 @@ def test_eval_many_equals_term_by_term_substitution(case):
     assert got == [p.eval_at(point) for point in points]
 
 
+@st.composite
+def _plus_minus_cases(draw):
+    """A polynomial in 1-3 variables, its coefficients drawn with Fractions
+    of up to 10^6 in the denominator, and a list of points whose
+    coordinates come from a pool of signed values: each magnitude (zero
+    often among them) enters with +, - or both signs, so some classes of
+    |y| hold both signs and some one."""
+    vars = XYZ[:draw(st.integers(1, 3))]
+    tops = [draw(st.integers(0, 5)) for _ in vars]
+    exps = st.tuples(*(st.integers(0, top) for top in tops))
+    coef = st.one_of(coefs, st.integers(-10**30, 10**30),
+                     st.fractions(max_denominator=10**6))
+    p = Poly(vars, draw(st.dictionaries(exps, coef, max_size=12)))
+    size = st.one_of(st.just(0), st.integers(1, 6),
+                     st.fractions(min_value=0, max_value=6, max_denominator=7))
+    pool = [s * a for a in draw(st.lists(size, min_size=1, max_size=3))
+            for s in draw(st.sampled_from([(1,), (-1,), (1, -1)]))]
+    coord = st.sampled_from(pool)
+    points = st.fixed_dictionaries({v: coord for v in vars})
+    return p, draw(st.lists(points, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_plus_minus_cases())
+@example((P(XY, {(1, 3): 2, (2, 2): Fraction(-1, 3), (0, 1): 5, (0, 0): 1}),
+          [{"x": 1, "y": Fraction(3, 2)}, {"x": 2, "y": Fraction(-3, 2)},
+           {"x": 1, "y": Fraction(-3, 2)}, {"x": 1, "y": -2}]))
+@example((P(XYZ, {(1, 1, 1): 3, (0, 4, 2): Fraction(1, 2), (2, 0, 0): -1}),
+          [{"x": 2, "y": y, "z": z} for y in (-1, 1, 0) for z in (-3, 3)]))
+@example((P(XY, {(0, 1): 1}), [{"x": 0, "y": 0}, {"x": 1, "y": 0}]))
+@example((P(("x",), {(2,): Fraction(7, 5)}), [{"x": -2}, {"x": 2}]))
+def test_eval_many_over_plus_minus_classes_equals_term_by_term_substitution(
+        case):
+    p, points = case
+    got = p.eval_many(points)
+    assert all(type(v) is Fraction for v in got)
+    assert got == [_eval_by_terms(p, point) for point in points]
+
+
 def test_eval_many_builds_one_table_per_value_and_one_pass_per_group(
         monkeypatch):
-    # the points share y = 1/2 and two values of z, so the terms are read
-    # in two passes, and x's table for 1 serves both
-    p = P(XYZ, {(2, 1, 0): 3, (0, 2, 1): -1, (1, 0, 3): Fraction(1, 2)})
+    # the classes are (|y|, z): (1/2, 2) holds y = +-1/2 and reads the
+    # terms of even and of odd y-exponent once each with the table of
+    # +1/2; (1/2, 0) holds only y = -1/2 and (0, 0) only y = 0, and each
+    # reads every term once with its signed table; x's table for 1 serves
+    # every class
+    p = P(XYZ, {(2, 1, 0): 3, (0, 2, 1): -1, (1, 0, 3): Fraction(1, 2),
+                (1, 3, 1): 2})
     half = Fraction(1, 2)
-    points = [{"x": 1, "y": half, "z": 2}, {"x": 3, "y": half, "z": 2},
-              {"x": 1, "y": half, "z": 0}, {"x": 1, "y": half, "z": 2}]
+    points = [{"x": 1, "y": half, "z": 2}, {"x": 3, "y": -half, "z": 2},
+              {"x": 1, "y": -half, "z": 0}, {"x": 1, "y": half, "z": 2},
+              {"x": 1, "y": 0, "z": 0}]
     want = [_eval_by_terms(p, point) for point in points]
     tables, degrees, passes = [], [], []
     real_table, real_degrees = poly_mod._power_table, Poly.max_degrees
+    real_sums = poly_mod._first_sums
 
     def table(a, b, d):
         tables.append((a, b, d))
@@ -397,18 +442,21 @@ def test_eval_many_builds_one_table_per_value_and_one_pass_per_group(
         degrees.append(self)
         return real_degrees(self)
 
-    class Terms(dict):
-        def items(self):
-            passes.append(self)
-            return super().items()
+    def first_sums(terms, size, ts):
+        passes.append(sorted(exps for exps, _ in terms))
+        return real_sums(terms, size, ts)
 
     monkeypatch.setattr(poly_mod, "_power_table", table)
     monkeypatch.setattr(Poly, "max_degrees", max_degrees)
-    counted = Poly._raw(XYZ, Terms(p.terms))
-    assert counted.eval_many(points) == want
-    assert sorted(tables) == [(0, 1, 3), (1, 1, 2), (1, 2, 2), (2, 1, 3),
-                              (3, 1, 2)]
-    assert (len(degrees), len(passes)) == (1, 2)
+    monkeypatch.setattr(poly_mod, "_first_sums", first_sums)
+    assert p.eval_many(points) == want
+    assert sorted(tables) == [(-1, 2, 3), (0, 1, 3), (0, 1, 3), (1, 1, 2),
+                              (1, 2, 3), (2, 1, 3), (3, 1, 2)]
+    assert len(degrees) == 1
+    every = sorted(p.terms)
+    even = [(0, 2, 1), (1, 0, 3)]
+    odd = [(1, 3, 1), (2, 1, 0)]
+    assert sorted(passes) == [even, every, every, odd]
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
